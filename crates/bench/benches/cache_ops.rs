@@ -1,12 +1,12 @@
-//! Cache substrate costs: hit/miss/insert/invalidate paths, the timer
-//! wheel, and the sharded wrapper under a contended mix.
+//! Cache substrate costs: hit/miss/insert/invalidate paths and the timer
+//! wheel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fresca_cache::{Cache, CacheConfig, Capacity, EvictionPolicy, ShardedCache, TimerWheel};
+use fresca_cache::{Capacity, SlabCache, TimerWheel};
 use fresca_sim::{SimDuration, SimTime};
 
-fn cache(entries: usize) -> Cache {
-    Cache::new(CacheConfig { capacity: Capacity::Entries(entries), eviction: EvictionPolicy::Lru })
+fn cache(entries: usize) -> SlabCache {
+    SlabCache::new(Capacity::Entries(entries))
 }
 
 fn bench_cache_paths(c: &mut Criterion) {
@@ -82,118 +82,5 @@ fn bench_timer_wheel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded_cache");
-    for shards in [1usize, 8] {
-        group.bench_function(format!("mixed_{shards}shards"), |b| {
-            let ca = ShardedCache::new(
-                CacheConfig {
-                    capacity: Capacity::Entries(4096),
-                    eviction: EvictionPolicy::Lru,
-                },
-                shards,
-            );
-            for k in 0..4096u64 {
-                ca.insert(k, 1, 64, SimTime::ZERO, None);
-            }
-            let mut i = 0u64;
-            b.iter(|| {
-                let k = (i * 2654435761) % 4096;
-                i += 1;
-                match i % 8 {
-                    0 => {
-                        black_box(ca.apply_invalidate(k));
-                    }
-                    1 => {
-                        black_box(ca.apply_update(k, i, 64, SimTime::from_nanos(i), None));
-                    }
-                    _ => {
-                        black_box(ca.get(k, SimTime::from_nanos(i)));
-                    }
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_sharded_contended(c: &mut Criterion) {
-    // Real multi-threaded contention: N worker threads hammer one shared
-    // ShardedCache per iteration. The single-shard case serialises on one
-    // mutex; more shards should reduce the measured per-op cost (by
-    // parallelism on multicore, by fewer blocked wakeups on one core).
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(4, 8);
-    // Large per-thread batch so the fixed spawn/join cost of the worker
-    // threads is negligible next to the contended work being measured.
-    let ops_per_thread = 65_536u64;
-    let mut group = c.benchmark_group("sharded_cache_mt");
-    group.sample_size(10);
-    for shards in [1usize, 4, 16] {
-        group.bench_function(format!("mixed_{shards}shards_{threads}threads"), |b| {
-            // 2x the keyspace so no shard evicts at any shard count
-            // (a per-shard split of exactly the keyspace makes only the
-            // multi-shard runs pay eviction churn, confounding the
-            // contention comparison).
-            let ca = ShardedCache::new(
-                CacheConfig {
-                    capacity: Capacity::Entries(2 * 4096),
-                    eviction: EvictionPolicy::Lru,
-                },
-                shards,
-            );
-            for k in 0..4096u64 {
-                ca.insert(k, 1, 64, SimTime::ZERO, None);
-            }
-            b.iter(|| {
-                let jobs: Vec<_> = (0..threads as u64)
-                    .map(|t| {
-                        let ca = &ca;
-                        move || {
-                            for i in 0..ops_per_thread {
-                                // Key from the high hash bits, op from the
-                                // low bits: decorrelated, so invalidates,
-                                // updates and inserts all cover the whole
-                                // keyspace and the mix stays in steady state.
-                                let h = (t * 31 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                                let k = (h >> 32) % 4096;
-                                match h % 8 {
-                                    0 => {
-                                        black_box(ca.apply_invalidate(k));
-                                    }
-                                    1 => {
-                                        black_box(ca.apply_update(
-                                            k,
-                                            i,
-                                            64,
-                                            SimTime::from_nanos(i),
-                                            None,
-                                        ));
-                                    }
-                                    2 => {
-                                        // Repopulate: keeps invalidated or
-                                        // evicted keys from going dark.
-                                        black_box(ca.insert(
-                                            k,
-                                            i,
-                                            64,
-                                            SimTime::from_nanos(i),
-                                            None,
-                                        ));
-                                    }
-                                    _ => {
-                                        black_box(ca.get(k, SimTime::from_nanos(i)));
-                                    }
-                                }
-                            }
-                        }
-                    })
-                    .collect();
-                fresca_bench::run_parallel(jobs);
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_cache_paths, bench_timer_wheel, bench_sharded, bench_sharded_contended);
+criterion_group!(benches, bench_cache_paths, bench_timer_wheel);
 criterion_main!(benches);

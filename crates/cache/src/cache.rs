@@ -1,11 +1,9 @@
-//! The cache-aside cache.
+//! The vocabulary shared by the cache and everything that configures or
+//! reads it: capacity and eviction knobs, read classifications, counters.
+//! The store itself is [`SlabCache`](crate::SlabCache).
 
-use crate::entry::{Entry, Freshness};
-use crate::lru::LinkedSlab;
-use bytes::Bytes;
-use fresca_sim::{SimDuration, SimTime};
+use crate::entry::Entry;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Capacity limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,7 +57,7 @@ impl Default for CacheConfig {
 }
 
 /// Result of a cache read. Carries a clone of the entry — with payload
-/// values that is a refcount bump on the shared [`Bytes`] handle, never
+/// values that is a refcount bump on the shared [`Bytes`](bytes::Bytes) handle, never
 /// a byte copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GetResult {
@@ -84,7 +82,8 @@ impl GetResult {
     }
 }
 
-/// Result of a staleness-bounded read ([`Cache::get_bounded`]): the
+/// Result of a staleness-bounded read
+/// ([`SlabCache::get_bounded`](crate::SlabCache::get_bounded)): the
 /// serving-path classification, where a read carries its own maximum
 /// acceptable staleness and the cache decides whether to serve or refuse.
 /// Served variants carry the entry — and with it the refcounted value
@@ -160,879 +159,5 @@ impl CacheStats {
     /// denominator of the paper's `C'_S` normalisation.
     pub fn present_reads(&self) -> u64 {
         self.fresh_hits + self.stale_misses
-    }
-}
-
-struct Slot {
-    entry: Entry,
-    node: usize,
-    /// SLRU only: true when the entry lives in the protected segment.
-    protected: bool,
-}
-
-/// Deterministic single-threaded cache-aside cache.
-///
-/// All mutating operations take `now` explicitly — the cache has no clock
-/// of its own, which is what makes it usable under both the trace-driven
-/// and the message-driven engines (and trivially testable).
-pub struct Cache {
-    config: CacheConfig,
-    map: HashMap<u64, Slot>,
-    /// Main recency list (the probationary segment under SLRU).
-    order: LinkedSlab,
-    /// SLRU protected segment (unused by other policies).
-    protected_order: LinkedSlab,
-    bytes: u64,
-    stats: CacheStats,
-}
-
-impl Cache {
-    /// New cache.
-    pub fn new(config: CacheConfig) -> Self {
-        if let Capacity::Entries(n) = config.capacity {
-            assert!(n > 0, "entry capacity must be positive");
-        }
-        if let EvictionPolicy::FreshnessAware { probe_depth } = config.eviction {
-            assert!(probe_depth > 0, "probe depth must be positive");
-        }
-        if let EvictionPolicy::Slru { protected_pct } = config.eviction {
-            assert!(
-                (1..=99).contains(&protected_pct),
-                "protected_pct must be in 1..=99, got {protected_pct}"
-            );
-        }
-        Cache {
-            config,
-            map: HashMap::new(),
-            order: LinkedSlab::new(),
-            protected_order: LinkedSlab::new(),
-            bytes: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Entry budget of the SLRU protected segment.
-    fn protected_cap(&self) -> usize {
-        match (self.config.eviction, self.config.capacity) {
-            (EvictionPolicy::Slru { protected_pct }, Capacity::Entries(n)) => {
-                (n * protected_pct as usize / 100).max(1)
-            }
-            (EvictionPolicy::Slru { protected_pct }, _) => {
-                // Byte/unbounded capacity: bound the protected segment as
-                // a share of the current population.
-                (self.map.len() * protected_pct as usize / 100).max(1)
-            }
-            _ => usize::MAX,
-        }
-    }
-
-    /// SLRU: move `key` into the protected segment (on hit), demoting the
-    /// protected tail back to probationary MRU while over budget.
-    fn promote(&mut self, key: u64) {
-        let slot = self.map.get_mut(&key).expect("promoting a present key");
-        if slot.protected {
-            let node = slot.node;
-            self.protected_order.move_to_front(node);
-            return;
-        }
-        let old = slot.node;
-        self.order.remove(old);
-        let node = self.protected_order.push_front(key);
-        slot.node = node;
-        slot.protected = true;
-        let cap = self.protected_cap();
-        while self.protected_order.len() > cap {
-            let demoted = self
-                .protected_order
-                .back()
-                .expect("over-budget segment is non-empty");
-            let handle = self.protected_order.back_handle().expect("non-empty");
-            self.protected_order.remove(handle);
-            let new_node = self.order.push_front(demoted);
-            let dslot = self.map.get_mut(&demoted).expect("demoted key present");
-            dslot.node = new_node;
-            dslot.protected = false;
-        }
-    }
-
-    /// Recency maintenance for a hit or in-place refresh of `key`.
-    fn touch_key(&mut self, key: u64) {
-        match self.config.eviction {
-            EvictionPolicy::Fifo => {}
-            EvictionPolicy::Lru | EvictionPolicy::FreshnessAware { .. } => {
-                let node = self.map[&key].node;
-                self.order.move_to_front(node);
-            }
-            EvictionPolicy::Slru { .. } => self.promote(key),
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Number of cached entries (including stale ones).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Total value bytes currently cached.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// True if `key` is present (fresh or stale).
-    pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    /// Peek at an entry without touching recency or stats.
-    pub fn peek(&self, key: u64) -> Option<&Entry> {
-        self.map.get(&key).map(|s| &s.entry)
-    }
-
-    /// Read `key` at time `now`. Classifies the access, updates stats and
-    /// (for LRU-family policies) recency. The caller is responsible for
-    /// the consequent backend fetch on misses.
-    pub fn get(&mut self, key: u64, now: SimTime) -> GetResult {
-        match self.map.get(&key) {
-            None => {
-                self.stats.cold_misses += 1;
-                GetResult::ColdMiss
-            }
-            Some(slot) => {
-                let entry = slot.entry.clone();
-                self.touch_key(key);
-                if entry.is_stale(now) {
-                    self.stats.stale_misses += 1;
-                    GetResult::StaleMiss(entry)
-                } else {
-                    self.stats.fresh_hits += 1;
-                    GetResult::FreshHit(entry)
-                }
-            }
-        }
-    }
-
-    /// Read `key` at `now` under a maximum acceptable staleness: the
-    /// serving-path read. `max_staleness` bounds the entry's *age* (time
-    /// since it was last made fresh); `None` accepts any age.
-    ///
-    /// Classification:
-    ///
-    /// * absent → [`BoundedGet::Miss`]
-    /// * invalidated → [`BoundedGet::Refused`] (known stale; its true
-    ///   staleness is unknowable, so no bound can admit it)
-    /// * age ≤ bound, within TTL → [`BoundedGet::Fresh`]
-    /// * age ≤ bound, past TTL → [`BoundedGet::ServedStale`] (the
-    ///   server's default contract expired, but the caller's explicit
-    ///   bound still admits it)
-    /// * age > bound → [`BoundedGet::Refused`] — even when the TTL says
-    ///   fresh: the reader's bound is tighter than the write's TTL
-    ///
-    /// Stats: `Fresh` counts as a fresh hit and `Miss` as a cold miss;
-    /// both `ServedStale` and `Refused` count as stale misses (the
-    /// paper's `C_S` event) and additionally bump `stale_served` /
-    /// `bound_refusals`, so [`CacheStats::reads`] stays the total over
-    /// every read path.
-    pub fn get_bounded(
-        &mut self,
-        key: u64,
-        now: SimTime,
-        max_staleness: Option<SimDuration>,
-    ) -> BoundedGet {
-        let Some(slot) = self.map.get(&key) else {
-            self.stats.cold_misses += 1;
-            return BoundedGet::Miss;
-        };
-        let entry = slot.entry.clone();
-        self.touch_key(key);
-        let within_bound = entry.state != Freshness::Invalidated
-            && max_staleness.is_none_or(|bound| entry.age(now) <= bound);
-        match (within_bound, entry.is_stale(now)) {
-            (true, false) => {
-                self.stats.fresh_hits += 1;
-                BoundedGet::Fresh(entry)
-            }
-            (true, true) => {
-                self.stats.stale_misses += 1;
-                self.stats.stale_served += 1;
-                BoundedGet::ServedStale(entry)
-            }
-            (false, _) => {
-                self.stats.stale_misses += 1;
-                self.stats.bound_refusals += 1;
-                BoundedGet::Refused(entry)
-            }
-        }
-    }
-
-    /// Age of the entry for `key` at `now` (time since it was last made
-    /// fresh), without touching recency or stats. `None` if absent.
-    pub fn entry_age(&self, key: u64, now: SimTime) -> Option<SimDuration> {
-        self.map.get(&key).map(|s| s.entry.age(now))
-    }
-
-    /// Shared insert-or-refresh shape: byte accounting around the
-    /// rewrite, recency touch on refresh, probationary placement and
-    /// capacity enforcement on first insert. `write` is called exactly
-    /// once — with `Some(existing)` to refresh in place (returning
-    /// `None`), or with `None` to produce the new entry.
-    fn insert_with(
-        &mut self,
-        key: u64,
-        value_size: u32,
-        now: SimTime,
-        write: impl FnOnce(Option<&mut Entry>) -> Option<Entry>,
-    ) -> Vec<u64> {
-        if let Some(slot) = self.map.get_mut(&key) {
-            self.bytes -= slot.entry.value_size as u64;
-            write(Some(&mut slot.entry));
-            self.bytes += value_size as u64;
-            self.touch_key(key);
-            return Vec::new();
-        }
-        let entry = write(None).expect("write produces an entry for an absent key");
-        // New entries always start on the main (probationary) list.
-        let node = self.order.push_front(key);
-        self.map.insert(key, Slot { entry, node, protected: false });
-        self.bytes += value_size as u64;
-        self.enforce_capacity(key, now)
-    }
-
-    /// Insert or overwrite `key` with a fresh metadata-only entry
-    /// (declared size, no payload — the simulation path), evicting as
-    /// needed. Returns the keys evicted (so engines can cancel their
-    /// timers).
-    pub fn insert(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_size: u32,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> Vec<u64> {
-        self.insert_with(key, value_size, now, |slot| match slot {
-            Some(e) => {
-                e.refresh(version, value_size, now, expires_at);
-                None
-            }
-            None => Some(Entry::new(version, value_size, now, expires_at)),
-        })
-    }
-
-    /// Insert or overwrite `key` with a fresh entry carrying real value
-    /// bytes — the serving path. Byte accounting uses the payload's
-    /// actual length; the stored handle is the caller's refcounted
-    /// [`Bytes`], so nothing is copied. Returns the keys evicted.
-    pub fn insert_value(
-        &mut self,
-        key: u64,
-        version: u64,
-        value: Bytes,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> Vec<u64> {
-        let value_size = value.len() as u32;
-        self.insert_with(key, value_size, now, |slot| match slot {
-            Some(e) => {
-                e.refresh_value(version, value, now, expires_at);
-                None
-            }
-            None => Some(Entry::with_value(version, value, now, expires_at)),
-        })
-    }
-
-    fn over_capacity(&self) -> bool {
-        match self.config.capacity {
-            Capacity::Entries(n) => self.map.len() > n,
-            Capacity::Bytes(b) => self.bytes > b,
-            Capacity::Unbounded => false,
-        }
-    }
-
-    /// Evict until within capacity; never evicts `protect` (the key just
-    /// inserted — evicting it immediately would make the insert a lie).
-    fn enforce_capacity(&mut self, protect: u64, now: SimTime) -> Vec<u64> {
-        let mut evicted = Vec::new();
-        while self.over_capacity() {
-            let victim = match self.pick_victim(protect, now) {
-                Some(v) => v,
-                None => break, // only the protected key remains
-            };
-            self.remove_internal(victim);
-            self.stats.evictions += 1;
-            evicted.push(victim);
-        }
-        evicted
-    }
-
-    fn pick_victim(&self, protect: u64, now: SimTime) -> Option<u64> {
-        match self.config.eviction {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
-                // Tail is the coldest; skip the protected key if it
-                // happens to be there (single-entry cache edge case).
-                self.order
-                    .iter_from_back(2)
-                    .map(|(_, k)| k)
-                    .find(|&k| k != protect)
-            }
-            EvictionPolicy::Slru { .. } => {
-                // Probationary tail first; fall back to the protected
-                // tail when the probationary segment is empty.
-                self.order
-                    .iter_from_back(2)
-                    .map(|(_, k)| k)
-                    .find(|&k| k != protect)
-                    .or_else(|| {
-                        self.protected_order
-                            .iter_from_back(2)
-                            .map(|(_, k)| k)
-                            .find(|&k| k != protect)
-                    })
-            }
-            EvictionPolicy::FreshnessAware { probe_depth } => {
-                let mut fallback = None;
-                for (_, k) in self.order.iter_from_back(probe_depth) {
-                    if k == protect {
-                        continue;
-                    }
-                    if fallback.is_none() {
-                        fallback = Some(k);
-                    }
-                    if self.map[&k].entry.is_stale(now) {
-                        return Some(k);
-                    }
-                }
-                fallback
-            }
-        }
-    }
-
-    fn remove_internal(&mut self, key: u64) {
-        if let Some(slot) = self.map.remove(&key) {
-            self.bytes -= slot.entry.value_size as u64;
-            if slot.protected {
-                self.protected_order.remove(slot.node);
-            } else {
-                self.order.remove(slot.node);
-            }
-        }
-    }
-
-    /// Remove `key` outright (proactive TTL expiry / external eviction).
-    /// Returns true if it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        let present = self.map.contains_key(&key);
-        self.remove_internal(key);
-        present
-    }
-
-    /// Apply a backend invalidation: mark the entry stale in place.
-    /// Returns true if the entry was present (and is now invalidated).
-    pub fn apply_invalidate(&mut self, key: u64) -> bool {
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                slot.entry.state = Freshness::Invalidated;
-                self.stats.invalidations_applied += 1;
-                true
-            }
-            None => {
-                self.stats.invalidations_missed += 1;
-                false
-            }
-        }
-    }
-
-    /// Apply a backend update: rewrite the entry if present, *do nothing*
-    /// if absent (the paper's definition of an update message). Returns
-    /// true if applied.
-    pub fn apply_update(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_size: u32,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> bool {
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                self.bytes -= slot.entry.value_size as u64;
-                slot.entry.refresh(version, value_size, now, expires_at);
-                self.bytes += value_size as u64;
-                self.stats.updates_applied += 1;
-                true
-            }
-            None => {
-                self.stats.updates_missed += 1;
-                false
-            }
-        }
-    }
-
-    /// Apply a backend update carrying real value bytes — the wire-level
-    /// store-push path. Same present-only semantics and accounting as
-    /// [`Cache::apply_update`], but the entry is refreshed with the
-    /// pushed payload (refcounted, not copied) and its actual length.
-    pub fn apply_update_value(
-        &mut self,
-        key: u64,
-        version: u64,
-        value: Bytes,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> bool {
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                self.bytes -= slot.entry.value_size as u64;
-                self.bytes += value.len() as u64;
-                slot.entry.refresh_value(version, value, now, expires_at);
-                self.stats.updates_applied += 1;
-                true
-            }
-            None => {
-                self.stats.updates_missed += 1;
-                false
-            }
-        }
-    }
-
-    /// Apply a TTL-polling refresh: re-arm the deadline and version of a
-    /// cached entry (its size — and payload, if any — are unchanged).
-    /// Returns false if the entry is gone (poll raced an eviction).
-    pub fn apply_refresh(
-        &mut self,
-        key: u64,
-        version: u64,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> bool {
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                slot.entry.rearm(version, now, expires_at);
-                self.stats.refreshes += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Iterate over the cached keys (arbitrary order; for state mirrors
-    /// and debugging, not for anything order-sensitive).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.map.keys().copied()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fresca_sim::SimDuration;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn small_cache(n: usize) -> Cache {
-        Cache::new(CacheConfig { capacity: Capacity::Entries(n), eviction: EvictionPolicy::Lru })
-    }
-
-    #[test]
-    fn cold_then_fresh_then_stale() {
-        let mut c = small_cache(4);
-        assert_eq!(c.get(1, t(0)), GetResult::ColdMiss);
-        c.insert(1, 1, 100, t(0), Some(t(10)));
-        assert!(c.get(1, t(5)).is_fresh_hit());
-        assert!(c.get(1, t(10)).is_stale_miss());
-        let s = c.stats();
-        assert_eq!((s.cold_misses, s.fresh_hits, s.stale_misses), (1, 1, 1));
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        let mut c = small_cache(2);
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        c.get(1, t(2)); // touch 1 → 2 is now coldest
-        let evicted = c.insert(3, 1, 1, t(3), None);
-        assert_eq!(evicted, vec![2]);
-        assert!(c.contains(1) && c.contains(3) && !c.contains(2));
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Entries(2),
-            eviction: EvictionPolicy::Fifo,
-        });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        c.get(1, t(2)); // does not protect 1 under FIFO
-        let evicted = c.insert(3, 1, 1, t(3), None);
-        assert_eq!(evicted, vec![1]);
-    }
-
-    #[test]
-    fn byte_capacity_evicts_until_fit() {
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Bytes(100),
-            eviction: EvictionPolicy::Lru,
-        });
-        c.insert(1, 1, 40, t(0), None);
-        c.insert(2, 1, 40, t(1), None);
-        // 40 + 40 + 60 = 140 > 100: evicting LRU key 1 brings it to
-        // exactly 100, which fits.
-        let evicted = c.insert(3, 1, 60, t(2), None);
-        assert_eq!(evicted, vec![1]);
-        assert_eq!(c.bytes(), 100);
-        // A further large insert evicts both survivors.
-        let evicted = c.insert(4, 1, 90, t(3), None);
-        assert_eq!(evicted, vec![2, 3]);
-        assert_eq!(c.bytes(), 90);
-    }
-
-    #[test]
-    fn oversized_single_entry_stays() {
-        // A value larger than the byte budget still caches (there is no
-        // smaller feasible state than one entry); nothing else survives.
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Bytes(10),
-            eviction: EvictionPolicy::Lru,
-        });
-        c.insert(1, 1, 50, t(0), None);
-        assert!(c.contains(1));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn invalidate_marks_stale_in_place() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), None);
-        assert!(c.apply_invalidate(1));
-        assert!(c.contains(1), "invalidation must not remove the entry");
-        assert!(c.get(1, t(1)).is_stale_miss());
-        assert!(!c.apply_invalidate(99));
-        let s = c.stats();
-        assert_eq!((s.invalidations_applied, s.invalidations_missed), (1, 1));
-    }
-
-    #[test]
-    fn update_rewrites_or_does_nothing() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 10, t(0), None);
-        assert!(c.apply_update(1, 2, 20, t(1), None));
-        assert_eq!(c.peek(1).unwrap().version, 2);
-        assert_eq!(c.bytes(), 20);
-        assert!(!c.apply_update(2, 1, 10, t(1), None), "update of uncached key does nothing");
-        assert!(!c.contains(2));
-        let s = c.stats();
-        assert_eq!((s.updates_applied, s.updates_missed), (1, 1));
-    }
-
-    #[test]
-    fn value_inserts_account_actual_bytes_and_serve_refcounted() {
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Bytes(100),
-            eviction: EvictionPolicy::Lru,
-        });
-        let payload = Bytes::from(vec![0xAB; 60]);
-        c.insert_value(1, 1, payload.clone(), t(0), None);
-        assert_eq!(c.bytes(), 60, "accounting uses the payload's actual length");
-        // A bounded read hands back the same allocation, refcounted.
-        match c.get_bounded(1, t(1), None) {
-            BoundedGet::Fresh(e) => {
-                assert!(e.value.shares_allocation_with(&payload), "hit must not copy");
-                assert_eq!(e.value_size, 60);
-            }
-            other => panic!("expected fresh, got {other:?}"),
-        }
-        // Value re-insert swaps accounting to the new length...
-        c.insert_value(1, 2, Bytes::from(vec![1u8; 30]), t(2), None);
-        assert_eq!(c.bytes(), 30);
-        // ...and byte-capacity eviction fires on real lengths.
-        c.insert_value(2, 1, Bytes::from(vec![2u8; 90]), t(3), None);
-        assert!(c.bytes() <= 100, "bytes {} over budget", c.bytes());
-        assert!(c.stats().evictions > 0);
-    }
-
-    #[test]
-    fn value_update_refreshes_payload_in_place() {
-        let mut c = small_cache(4);
-        c.insert_value(1, 1, Bytes::from(vec![1u8; 10]), t(0), None);
-        assert!(c.apply_update_value(1, 2, Bytes::from(vec![2u8; 25]), t(1), None));
-        assert_eq!(c.bytes(), 25);
-        let e = c.peek(1).unwrap();
-        assert_eq!((e.version, e.value_size), (2, 25));
-        assert_eq!(&e.value[..], &[2u8; 25]);
-        assert!(
-            !c.apply_update_value(9, 1, Bytes::from(vec![0u8; 5]), t(1), None),
-            "update of uncached key does nothing"
-        );
-        // A TTL-poll refresh keeps the payload.
-        assert!(c.apply_refresh(1, 3, t(2), Some(t(10))));
-        assert_eq!(&c.peek(1).unwrap().value[..], &[2u8; 25]);
-    }
-
-    #[test]
-    fn update_heals_invalidated_entry() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), None);
-        c.apply_invalidate(1);
-        c.apply_update(1, 2, 1, t(1), None);
-        assert!(c.get(1, t(2)).is_fresh_hit());
-    }
-
-    #[test]
-    fn stale_read_then_refetch_cycle() {
-        let mut c = small_cache(4);
-        let ttl = SimDuration::from_secs(10);
-        c.insert(1, 1, 1, t(0), Some(t(0) + ttl));
-        assert!(c.get(1, t(12)).is_stale_miss());
-        // Engine refetches and re-inserts.
-        c.insert(1, 2, 1, t(12), Some(t(12) + ttl));
-        assert!(c.get(1, t(13)).is_fresh_hit());
-    }
-
-    #[test]
-    fn freshness_aware_prefers_stale_victim() {
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Entries(3),
-            eviction: EvictionPolicy::FreshnessAware { probe_depth: 3 },
-        });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        c.insert(3, 1, 1, t(2), None);
-        // Recency order (cold→hot): 1, 2, 3. Invalidate 2: it should be
-        // evicted instead of the colder-but-fresh 1.
-        c.apply_invalidate(2);
-        let evicted = c.insert(4, 1, 1, t(3), None);
-        assert_eq!(evicted, vec![2]);
-        assert!(c.contains(1));
-    }
-
-    #[test]
-    fn freshness_aware_falls_back_to_lru() {
-        let mut c = Cache::new(CacheConfig {
-            capacity: Capacity::Entries(2),
-            eviction: EvictionPolicy::FreshnessAware { probe_depth: 4 },
-        });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        let evicted = c.insert(3, 1, 1, t(2), None);
-        assert_eq!(evicted, vec![1], "no stale entries → coldest fresh entry goes");
-    }
-
-    #[test]
-    fn refresh_rearms_ttl() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), Some(t(5)));
-        assert!(c.apply_refresh(1, 2, t(4), Some(t(9))));
-        assert!(c.get(1, t(6)).is_fresh_hit(), "refresh must extend the deadline");
-        assert!(!c.apply_refresh(9, 1, t(4), None));
-        assert_eq!(c.stats().refreshes, 1);
-    }
-
-    #[test]
-    fn reinsert_existing_key_updates_in_place() {
-        let mut c = small_cache(2);
-        c.insert(1, 1, 10, t(0), None);
-        let evicted = c.insert(1, 2, 30, t(1), None);
-        assert!(evicted.is_empty());
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes(), 30);
-        assert_eq!(c.peek(1).unwrap().version, 2);
-    }
-
-    fn bound(s: u64) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(s))
-    }
-
-    #[test]
-    fn bounded_get_classifies_all_outcomes() {
-        let mut c = small_cache(4);
-        // Absent → miss.
-        assert_eq!(c.get_bounded(1, t(0), bound(10)), BoundedGet::Miss);
-        // Inserted at t=0 with TTL 10s.
-        c.insert(1, 1, 8, t(0), Some(t(10)));
-        // Within TTL, age 5 ≤ bound 10 → fresh.
-        assert!(matches!(c.get_bounded(1, t(5), bound(10)), BoundedGet::Fresh(_)));
-        // Within TTL but age 5 > bound 2 → refused: the reader's bound is
-        // tighter than the write's TTL.
-        assert!(matches!(c.get_bounded(1, t(5), bound(2)), BoundedGet::Refused(_)));
-        // Past TTL (age 12) but within bound 20 → served stale.
-        assert!(matches!(c.get_bounded(1, t(12), bound(20)), BoundedGet::ServedStale(_)));
-        // Past TTL and past bound → refused.
-        assert!(matches!(c.get_bounded(1, t(12), bound(3)), BoundedGet::Refused(_)));
-        let s = c.stats();
-        assert_eq!(s.fresh_hits, 1);
-        assert_eq!(s.stale_misses, 3);
-        assert_eq!(s.stale_served, 1);
-        assert_eq!(s.bound_refusals, 2);
-        assert_eq!(s.cold_misses, 1);
-        assert_eq!(s.reads(), 5, "every bounded read classified exactly once");
-    }
-
-    #[test]
-    fn bounded_get_unbounded_serves_any_age() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), Some(t(1)));
-        // No bound: a TTL-expired entry is still served (flagged stale).
-        assert!(matches!(c.get_bounded(1, t(1000), None), BoundedGet::ServedStale(_)));
-        assert!(c.get_bounded(1, t(1000), None).is_served());
-    }
-
-    #[test]
-    fn bounded_get_refuses_invalidated_at_any_bound() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), None);
-        c.apply_invalidate(1);
-        // Age 0 and no TTL, but invalidated means known-stale: refuse
-        // even with an unbounded tolerance.
-        let r = c.get_bounded(1, t(0), None);
-        assert!(matches!(r, BoundedGet::Refused(_)));
-        assert!(!r.is_served());
-        assert!(r.served_entry().is_none());
-        assert_eq!(c.stats().bound_refusals, 1);
-    }
-
-    #[test]
-    fn bounded_get_age_resets_on_refresh() {
-        let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), None);
-        assert!(matches!(c.get_bounded(1, t(8), bound(5)), BoundedGet::Refused(_)));
-        c.apply_update(1, 2, 8, t(8), None);
-        assert!(matches!(c.get_bounded(1, t(9), bound(5)), BoundedGet::Fresh(_)));
-    }
-
-    #[test]
-    fn entry_age_peeks_without_stats() {
-        let mut c = small_cache(4);
-        assert_eq!(c.entry_age(1, t(5)), None);
-        c.insert(1, 1, 8, t(2), None);
-        assert_eq!(c.entry_age(1, t(5)), Some(SimDuration::from_secs(3)));
-        assert_eq!(c.stats().reads(), 0, "entry_age is not a read");
-    }
-
-    #[test]
-    fn bounded_get_touches_recency() {
-        let mut c = small_cache(2);
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        // A bounded read of 1 protects it under LRU, like a plain get.
-        c.get_bounded(1, t(2), bound(100));
-        let evicted = c.insert(3, 1, 1, t(3), None);
-        assert_eq!(evicted, vec![2]);
-    }
-
-    fn slru(entries: usize, pct: u8) -> Cache {
-        Cache::new(CacheConfig {
-            capacity: Capacity::Entries(entries),
-            eviction: EvictionPolicy::Slru { protected_pct: pct },
-        })
-    }
-
-    #[test]
-    fn slru_scan_resistance() {
-        // Key 1 is inserted and hit once -> protected. A scan of one-shot
-        // keys larger than the whole cache must not evict it. Plain LRU
-        // would lose it.
-        let mut c = slru(8, 50);
-        c.insert(1, 1, 1, t(0), None);
-        assert!(c.get(1, t(1)).is_fresh_hit(), "hit promotes");
-        for k in 100..120 {
-            c.insert(k, 1, 1, t(k), None);
-        }
-        assert!(c.contains(1), "protected entry survives the scan");
-        assert!(c.get(1, t(200)).is_fresh_hit());
-
-        let mut lru = small_cache(8);
-        lru.insert(1, 1, 1, t(0), None);
-        lru.get(1, t(1));
-        for k in 100..120 {
-            lru.insert(k, 1, 1, t(k), None);
-        }
-        assert!(!lru.contains(1), "LRU control: the scan evicts key 1");
-    }
-
-    #[test]
-    fn slru_protected_segment_bounded() {
-        // Capacity 10, 50% protected -> at most 5 protected entries; the
-        // 6th promotion demotes the coldest protected entry.
-        let mut c = slru(10, 50);
-        for k in 0..6u64 {
-            c.insert(k, 1, 1, t(k), None);
-            c.get(k, t(10 + k)); // promote each
-        }
-        assert_eq!(c.len(), 6);
-        // All six keys still present (demotion is not eviction).
-        for k in 0..6u64 {
-            assert!(c.contains(k), "key {k}");
-        }
-        // Fill to capacity with one-shot keys, then overflow by one: the
-        // victim must be a probationary key, and specifically not one of
-        // the five most recently promoted.
-        for k in 100..104 {
-            c.insert(k, 1, 1, t(50 + k), None);
-        }
-        let evicted = c.insert(200, 1, 1, t(300), None);
-        assert_eq!(evicted.len(), 1);
-        assert!(
-            evicted[0] == 0 || evicted[0] >= 100,
-            "victim {} must come from the probationary segment",
-            evicted[0]
-        );
-    }
-
-    #[test]
-    fn slru_falls_back_to_protected_when_probation_empty() {
-        let mut c = slru(2, 50);
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        c.get(1, t(2));
-        c.get(2, t(3)); // both promoted (cap*50% = 1 -> demotions ping-pong)
-        // Inserting a new key must still find a victim.
-        let evicted = c.insert(3, 1, 1, t(4), None);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(3));
-    }
-
-    #[test]
-    fn slru_stale_classification_still_works() {
-        let mut c = slru(4, 50);
-        c.insert(1, 1, 1, t(0), None);
-        c.get(1, t(1)); // promote
-        c.apply_invalidate(1);
-        assert!(c.get(1, t(2)).is_stale_miss(), "protected entries can be stale too");
-        // Re-insert heals and stays present.
-        c.insert(1, 2, 1, t(3), None);
-        assert!(c.get(1, t(4)).is_fresh_hit());
-    }
-
-    #[test]
-    #[should_panic(expected = "protected_pct")]
-    fn slru_rejects_bad_pct() {
-        slru(4, 0);
-    }
-
-    #[test]
-    fn protected_key_survives_single_slot() {
-        let mut c = small_cache(1);
-        c.insert(1, 1, 1, t(0), None);
-        let evicted = c.insert(2, 1, 1, t(1), None);
-        assert_eq!(evicted, vec![1]);
-        assert!(c.contains(2));
     }
 }

@@ -7,14 +7,13 @@
 //! them, and backend-originated invalidate/update messages mark or rewrite
 //! them. This crate provides that cache:
 //!
-//! * [`Cache`] — single-threaded (deterministic) cache with entry- or
-//!   byte-based capacity, pluggable eviction ([`EvictionPolicy`]: LRU,
-//!   FIFO, or the freshness-aware extension from the paper's §5), lazy TTL
-//!   expiry, and the exact freshness state machine the engines meter.
-//! * [`ShardedCache`] — a `parking_lot`-sharded concurrent wrapper for the
-//!   message-driven system engine and the throughput benches.
-//! * [`SlabCache`] — the thread-per-core serving shard: contiguous slab
-//!   entry storage with intrusive LRU links and a SplitMix key index,
+//! * [`SlabCache`] — the one store: a single-owner (deterministic) cache
+//!   with contiguous slab entry storage, intrusive recency lists and a
+//!   SplitMix key index; entry- or byte-based capacity, eviction chosen
+//!   by [`EvictionPolicy`] (LRU, FIFO, segmented LRU, or the
+//!   freshness-aware extension from the paper's §5), lazy TTL expiry,
+//!   and the exact freshness state machine the engines meter. The
+//!   simulation engines run one; the server runs one per shard, each
 //!   owned by exactly one event loop so reads need no lock at all.
 //! * [`TimerWheel`] — a hierarchical timing wheel for managing per-entry
 //!   TTL deadlines in O(1), the classic network-stack data structure.
@@ -39,15 +38,12 @@
 
 pub mod cache;
 pub mod entry;
-pub mod lru;
 pub mod refetch;
-pub mod sharded;
 pub mod slab;
 pub mod wheel;
 
-pub use cache::{BoundedGet, Cache, CacheConfig, CacheStats, Capacity, EvictionPolicy, GetResult};
+pub use cache::{BoundedGet, CacheConfig, CacheStats, Capacity, EvictionPolicy, GetResult};
 pub use entry::{Entry, Freshness};
 pub use refetch::{Park, RefetchTable};
-pub use sharded::ShardedCache;
 pub use slab::SlabCache;
 pub use wheel::TimerWheel;

@@ -1,8 +1,7 @@
-//! Exhaustive-interleaving checks for the cache's shard-lock
-//! discipline: the LRU link surgery under the `parking_lot` shim's
-//! lock, and the shard get/insert/invalidate path racing a concurrent
-//! store-push `Update`. Includes the mutation test proving the checker
-//! catches a broken (lock-free TOCTOU) variant of the LRU unlink.
+//! Exhaustive-interleaving checks for the in-flight-refetch table:
+//! park/coalesce/complete under racing parkers, a completion racing a
+//! store-push invalidate, and the mutation test proving the checker
+//! catches a broken (check-then-push TOCTOU) coalesce path.
 //!
 //! Build and run with the model-checking facade active:
 //!
@@ -11,8 +10,8 @@
 //! ```
 //!
 //! Under that cfg `parking_lot::Mutex` is miniloom's scheduler-aware
-//! mock, so every lock acquisition and release in `ShardedCache` is a
-//! scheduling point the DFS scheduler permutes.
+//! mock, so every lock acquisition and release inside `RefetchTable` is
+//! a scheduling point the DFS scheduler permutes.
 
 #![cfg(miniloom)]
 
@@ -21,56 +20,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use fresca_cache::lru::LinkedSlab;
-use fresca_cache::{
-    BoundedGet, Cache, CacheConfig, Capacity, EvictionPolicy, Park, RefetchTable, ShardedCache,
-};
+use fresca_cache::{Capacity, Park, RefetchTable, SlabCache};
 use fresca_sim::SimTime;
 use parking_lot::Mutex;
 
 fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
-}
-
-fn tiny_cache() -> ShardedCache {
-    ShardedCache::new(
-        CacheConfig { capacity: Capacity::Entries(8), eviction: EvictionPolicy::Lru },
-        1, // one shard: every key contends on one lock — worst case
-    )
-}
-
-/// Two threads pop the LRU tail under the shard-style lock. In every
-/// interleaving each must unlink a *distinct* node: the lock makes the
-/// read-handle-then-remove sequence atomic, so the double-remove panic
-/// inside `LinkedSlab::remove` is unreachable.
-#[test]
-fn locked_lru_tail_surgery_is_atomic() {
-    let stats = miniloom::check(|| {
-        let slab = Arc::new(Mutex::new(LinkedSlab::new()));
-        {
-            let mut s = slab.lock();
-            s.push_front(1);
-            s.push_front(2);
-        }
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let slab = Arc::clone(&slab);
-            handles.push(miniloom::thread::spawn(move || {
-                // The exact shape of the eviction path: find the tail,
-                // then unlink it — atomic because the lock spans both.
-                let mut s = slab.lock();
-                let h = s.back_handle().expect("two nodes were linked");
-                s.remove(h)
-            }));
-        }
-        let mut popped: Vec<u64> = handles.into_iter().map(|h| h.join()).collect();
-        popped.sort_unstable();
-        assert_eq!(popped, vec![1, 2], "each thread must unlink a distinct node");
-        assert!(slab.lock().is_empty());
-    })
-    .expect("lock-protected LRU surgery must hold in every interleaving");
-    assert!(stats.complete);
-    assert!(stats.executions > 1, "lock contention must produce multiple schedules");
 }
 
 /// Test-only shared-mutability wrapper for the *mutated* (lock-free)
@@ -82,186 +37,6 @@ struct Racy<T>(UnsafeCell<T>);
 // are NOT serialized, to prove the checker notices. Never use outside
 // a miniloom model.
 unsafe impl<T> Sync for Racy<T> {}
-
-/// Mutation test: the same tail-pop with the lock deleted — handle
-/// lookup and unlink become separate steps with a scheduling point
-/// between them (the TOCTOU window the shard lock exists to close).
-/// The checker must find the interleaving where both threads read the
-/// same tail handle and the second `remove` hits the vacant-node
-/// assertion, and must hand back a deterministic replayable schedule.
-#[test]
-fn broken_lockless_lru_unlink_is_caught_with_replayable_schedule() {
-    let broken = || {
-        let slab = Arc::new(Racy(UnsafeCell::new(LinkedSlab::new())));
-        {
-            // SAFETY (test-only): no other thread exists yet.
-            let s = unsafe { &mut *slab.0.get() };
-            s.push_front(1);
-            s.push_front(2);
-        }
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let slab = Arc::clone(&slab);
-            handles.push(miniloom::thread::spawn(move || {
-                // BROKEN: no lock. Read the tail handle…
-                // SAFETY (test-only): this aliasing is the bug under
-                // test; the model scheduler serializes the actual
-                // memory accesses, so the UB manifests as the logical
-                // race (both threads choosing the same handle), which
-                // `LinkedSlab::remove` then asserts on.
-                let s = unsafe { &mut *slab.0.get() };
-                let h = s.back_handle().expect("two nodes were linked");
-                // …yield (the window a real preemption would open)…
-                miniloom::thread::yield_now();
-                // …then unlink it.
-                s.remove(h)
-            }));
-        }
-        for h in handles {
-            h.join();
-        }
-    };
-
-    let failure = miniloom::check(broken)
-        .expect_err("the TOCTOU double-unlink interleaving must be found");
-    assert!(
-        failure.message.contains("vacant"),
-        "expected LinkedSlab's vacant-node assertion, got: {failure}"
-    );
-    assert!(!failure.schedule.is_empty());
-    assert!(!failure.trace.is_empty());
-    let printed = failure.to_string();
-    assert!(printed.contains("replayable schedule"), "{printed}");
-
-    // Deterministic replay: the schedule alone reproduces the crash,
-    // and a fresh search finds the identical failing execution.
-    let replayed = miniloom::replay(broken, &failure.schedule)
-        .expect("replaying the schedule reproduces the failure");
-    assert_eq!(replayed.message, failure.message);
-    let again = miniloom::check(broken).expect_err("same failure on re-check");
-    assert_eq!(again.schedule, failure.schedule);
-    assert_eq!(again.trace, failure.trace);
-}
-
-/// The serving-path race from the reactor: one thread populates a key
-/// on read-miss (`locked` read-modify-write, as the server does), a
-/// second thread applies a store-push `Update` for the same key, and
-/// the parent issues a bounded read. In every interleaving the cache
-/// must end in a consistent state: the entry's version and payload
-/// always match (no torn entry), the update is accounted exactly once
-/// (applied or missed), and a served read returns a coherent snapshot.
-#[test]
-fn shard_insert_update_invalidate_race_is_linearizable() {
-    let stats = miniloom::check(|| {
-        let cache = Arc::new(tiny_cache());
-        let key = 7u64;
-        let v1 = Bytes::from(vec![0xAA; 4]);
-        let v2 = Bytes::from(vec![0xBB; 8]);
-
-        let filler = {
-            let cache = Arc::clone(&cache);
-            let v1 = v1.clone();
-            miniloom::thread::spawn(move || {
-                // Read-miss fill, atomic under the shard lock exactly
-                // like the reactor's miss path.
-                cache.locked(key, |shard| {
-                    if shard.peek(key).is_none() {
-                        shard.insert_value(key, 1, v1, t(0), None);
-                    }
-                });
-            })
-        };
-        let pusher = {
-            let cache = Arc::clone(&cache);
-            let v2 = v2.clone();
-            miniloom::thread::spawn(move || {
-                // Store-push Update: applies only if the key is
-                // resident (cache-aside semantics).
-                cache.apply_update_value(key, 2, v2, t(1), None)
-            })
-        };
-
-        // Concurrent bounded read from the parent: any outcome is
-        // legal (miss before fill, v1, or v2) but a served entry must
-        // be internally consistent.
-        match cache.get_bounded(key, t(1), None) {
-            BoundedGet::Fresh(e) | BoundedGet::ServedStale(e) => {
-                match e.version {
-                    1 => assert_eq!(e.value[..], [0xAA; 4][..], "v1 must carry v1's payload"),
-                    2 => assert_eq!(e.value[..], [0xBB; 8][..], "v2 must carry v2's payload"),
-                    v => panic!("impossible version {v}"),
-                }
-            }
-            BoundedGet::Miss | BoundedGet::Refused(_) => {}
-        }
-
-        filler.join();
-        let update_applied = pusher.join();
-
-        // Quiescent state: the entry exists (the fill always runs) and
-        // is v2 iff the update landed after the fill.
-        let entry = cache
-            .locked(key, |shard| shard.peek(key).cloned())
-            .expect("fill thread always populates the key");
-        if update_applied {
-            assert_eq!(entry.version, 2, "applied update must win");
-            assert_eq!(entry.value[..], [0xBB; 8][..]);
-        } else {
-            assert_eq!(entry.version, 1, "missed update must leave the fill");
-            assert_eq!(entry.value[..], [0xAA; 4][..]);
-        }
-        let stats = cache.stats();
-        assert_eq!(
-            stats.updates_applied + stats.updates_missed,
-            1,
-            "the update must be accounted exactly once"
-        );
-    })
-    .expect("shard fill/update/read race must be linearizable");
-    assert!(stats.executions > 1, "the race must produce multiple schedules");
-}
-
-/// Invalidate racing a fill: whatever the order, the entry is either
-/// freshly filled or marked stale — never absent-yet-accounted, never
-/// both.
-#[test]
-fn shard_invalidate_race_keeps_accounting() {
-    miniloom::model(|| {
-        let cache = Arc::new(tiny_cache());
-        let key = 3u64;
-        let filler = {
-            let cache = Arc::clone(&cache);
-            miniloom::thread::spawn(move || {
-                cache.insert(key, 1, 16, t(0), None);
-            })
-        };
-        let invalidator = {
-            let cache = Arc::clone(&cache);
-            miniloom::thread::spawn(move || cache.apply_invalidate(key))
-        };
-        filler.join();
-        let hit_resident = invalidator.join();
-        let stats = cache.stats();
-        assert_eq!(
-            stats.invalidations_applied + stats.invalidations_missed,
-            1,
-            "the invalidation must be accounted exactly once"
-        );
-        assert_eq!(
-            hit_resident,
-            stats.invalidations_applied == 1,
-            "return value must agree with the counters"
-        );
-        // The entry itself is present either way (insert always runs);
-        // it is stale iff the invalidation caught it.
-        let get = cache.get(key, t(1));
-        if hit_resident {
-            assert!(get.is_stale_miss(), "invalidation after fill must mark stale");
-        } else {
-            assert!(get.is_fresh_hit(), "invalidation before fill must miss it");
-        }
-    });
-}
 
 /// The in-flight-refetch table's core guarantee, under every
 /// interleaving of two racing parkers: exactly one of them opens the
@@ -308,7 +83,8 @@ fn refetch_park_coalesce_complete_answers_every_waiter() {
 #[test]
 fn refetch_complete_racing_invalidate_stays_consistent() {
     miniloom::model(|| {
-        let cache = Arc::new(tiny_cache());
+        // The cache shard both parties reach through one lock.
+        let cache = Arc::new(Mutex::new(SlabCache::new(Capacity::Entries(8))));
         let table: Arc<RefetchTable<u32>> = Arc::new(RefetchTable::new());
         const KEY: u64 = 5;
         assert_eq!(table.park(KEY, 1), Park::Fetch);
@@ -319,21 +95,20 @@ fn refetch_complete_racing_invalidate_stays_consistent() {
             miniloom::thread::spawn(move || {
                 // Origin responded: install the refreshed value, then
                 // drain the epoch (the reactor's completion order).
-                cache.locked(KEY, |shard| {
-                    shard.insert_value(KEY, 1, Bytes::from(vec![0xCC; 4]), t(0), None);
-                });
+                cache.lock().insert_value(KEY, 1, Bytes::from(vec![0xCC; 4]), t(0), None);
                 table.complete(KEY)
             })
         };
         let invalidator = {
             let cache = Arc::clone(&cache);
-            miniloom::thread::spawn(move || cache.apply_invalidate(KEY))
+            miniloom::thread::spawn(move || cache.lock().apply_invalidate(KEY))
         };
 
         let waiters = completer.join();
         let hit_resident = invalidator.join();
         assert_eq!(waiters, vec![1], "the parked waiter must be answered");
         assert!(table.is_empty());
+        let mut cache = cache.lock();
         let stats = cache.stats();
         assert_eq!(
             stats.invalidations_applied + stats.invalidations_missed,
@@ -439,11 +214,4 @@ fn broken_refetch_table_drops_a_waiter_and_is_caught() {
     let replayed = miniloom::replay(broken, &failure.schedule)
         .expect("replaying the schedule reproduces the dropped waiter");
     assert_eq!(replayed.message, failure.message);
-}
-
-/// Keep `Cache` (the single-threaded core) importable in this file so
-/// the suite fails to compile if the public surface regresses.
-#[allow(dead_code)]
-fn _types_stay_public(c: &mut Cache) {
-    let _ = c.len();
 }

@@ -8,7 +8,7 @@
 //! extension of the per-object model to composites.
 
 use crate::model::WorkloadPoint;
-use fresca_cache::Cache;
+use fresca_cache::SlabCache;
 use fresca_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -70,7 +70,7 @@ impl CompositeCatalog {
     /// A composite is fresh iff *every* part is cached and fresh at `now`
     /// (the paper's rule). Returns `None` if any part is absent (composite
     /// cannot be served from cache at all).
-    pub fn is_fresh(&self, id: u64, cache: &Cache, now: SimTime) -> Option<bool> {
+    pub fn is_fresh(&self, id: u64, cache: &SlabCache, now: SimTime) -> Option<bool> {
         let spec = self.specs.get(&id)?;
         let mut fresh = true;
         for &p in &spec.parts {
@@ -102,13 +102,10 @@ pub fn composite_p_read(lambda_read: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
+    use fresca_cache::Capacity;
 
-    fn cache() -> Cache {
-        Cache::new(CacheConfig {
-            capacity: Capacity::Entries(64),
-            eviction: EvictionPolicy::Lru,
-        })
+    fn cache() -> SlabCache {
+        SlabCache::new(Capacity::Entries(64))
     }
 
     fn t(s: u64) -> SimTime {

@@ -15,7 +15,7 @@ pub mod system;
 use crate::cost::{CostModel, ObjectSize};
 use crate::metrics::{CostBreakdown, CostMeters};
 use crate::policy::{AdaptivePolicy, FlushDecision, OraclePolicy, SloAdaptivePolicy};
-use fresca_cache::{Cache, CacheConfig, CacheStats, Capacity, EvictionPolicy};
+use fresca_cache::{CacheConfig, CacheStats, Capacity, EvictionPolicy, SlabCache};
 use fresca_sim::{Scheduler, SimDuration, SimTime};
 use fresca_sketch::{CountMinEw, EwEstimator, ExactEw, TopKEw};
 use fresca_store::{CacheStateMirror, DataStore, InvalidationTracker, WriteBuffer};
@@ -232,7 +232,7 @@ impl TraceEngine {
             SimTime::ZERO + trace.meta().horizon
         };
 
-        let mut cache = Cache::new(cfg.cache);
+        let mut cache = SlabCache::with_config(cfg.cache);
         let mut store = DataStore::new();
         let mut buffer = WriteBuffer::new();
         let mut tracker = InvalidationTracker::new();
@@ -264,7 +264,7 @@ impl TraceEngine {
 
         let handle_event = |now: SimTime,
                                 ev: EngineEvent,
-                                cache: &mut Cache,
+                                cache: &mut SlabCache,
                                 store: &mut DataStore,
                                 buffer: &mut WriteBuffer,
                                 tracker: &mut InvalidationTracker,

@@ -18,7 +18,7 @@
 use crate::cost::{CostModel, ObjectSize};
 use crate::engine::{EngineConfig, PolicyConfig};
 use crate::policy::{AdaptivePolicy, FlushDecision};
-use fresca_cache::{Cache, GetResult};
+use fresca_cache::{GetResult, SlabCache};
 use fresca_net::{DedupReceiver, FaultConfig, Message, NetStats, ReliableSender, SimNetwork, UpdateItem};
 use fresca_sim::{Scheduler, SimDuration, SimTime};
 use fresca_sketch::EwEstimator;
@@ -163,7 +163,7 @@ impl SystemEngine {
             SimTime::ZERO + trace.meta().horizon
         };
 
-        let mut cache = Cache::new(cfg.engine.cache);
+        let mut cache = SlabCache::with_config(cfg.engine.cache);
         let mut store = DataStore::new();
         let mut buffer = WriteBuffer::new();
         let mut tracker = InvalidationTracker::new();
@@ -199,7 +199,7 @@ impl SystemEngine {
         fn apply_message(
             now: SimTime,
             msg: Message,
-            cache: &mut Cache,
+            cache: &mut SlabCache,
             tracker: &mut InvalidationTracker,
             dedup: &mut DedupReceiver,
             reliable: bool,
@@ -244,7 +244,7 @@ impl SystemEngine {
 
         let handle_event = |now: SimTime,
                                 ev: SysEvent,
-                                cache: &mut Cache,
+                                cache: &mut SlabCache,
                                 store: &mut DataStore,
                                 buffer: &mut WriteBuffer,
                                 tracker: &mut InvalidationTracker,

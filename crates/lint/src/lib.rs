@@ -16,10 +16,10 @@
 //!   panicking macros outside `#[cfg(test)]` regions: a malformed
 //!   frame or a racing peer must surface as an error, never a panic.
 //! * **R4 `no-blocking-io-under-lock`** — no blocking I/O call while a
-//!   cache shard lock (or any `parking_lot` lock in the serving
-//!   crates) is held. A blocked shard stalls every request hashing to
-//!   it; the freshness bound is only as good as the shard's worst
-//!   hold time.
+//!   `parking_lot` lock in the serving or cache crates (a loop's inbox,
+//!   the refetch table) is held. A blocked holder stalls every loop
+//!   posting to that inbox; the freshness bound is only as good as the
+//!   worst hold time.
 //! * **R5 `lock-free-serve-path`** — the reactor's owner-local serving
 //!   functions (`serve_get`/`serve_put`/`serve_invalidate`/
 //!   `serve_update` in `crates/serve/src/server.rs`) contain no
@@ -815,7 +815,7 @@ fn rule_panic_free(root: &Path, path: &Path, tokens: &[Token], report: &mut Repo
 }
 
 // ---------------------------------------------------------------------------
-// R4: no blocking I/O while holding a shard lock
+// R4: no blocking I/O while holding a lock
 // ---------------------------------------------------------------------------
 
 /// Directories (relative to the root) whose lock scopes are checked.
@@ -854,13 +854,7 @@ fn rule_no_blocking_under_lock(root: &Path, path: &Path, tokens: &[Token], repor
             continue;
         }
         let is_method = i > 0 && tokens[i - 1].is_punct('.');
-        if is_method && t.text == "locked" && tokens.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            // `.locked(key, |shard| { … })` — the closure runs under
-            // the shard lock; scope is the full argument list.
-            let end = matching_close(tokens, i + 1, '(', ')');
-            scan_lock_scope(root, path, tokens, i + 2, end, &spans, report);
-            i += 2;
-        } else if is_method
+        if is_method
             && t.text == "lock"
             && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
             && tokens.get(i + 2).is_some_and(|n| n.is_punct(')'))
@@ -965,8 +959,8 @@ fn scan_lock_scope(
                 file: rel(root, path),
                 line: t.line,
                 message: format!(
-                    "`{}` called while a shard lock is held: blocking I/O under a lock \
-                     stalls every request hashing to this shard",
+                    "`{}` called while a lock is held: blocking I/O under a lock \
+                     stalls every thread waiting for it",
                     t.text
                 ),
             });

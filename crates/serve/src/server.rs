@@ -15,9 +15,10 @@
 //! across the event loops at startup and owned exclusively by one
 //! loop** for the server's lifetime. Shard `s` (of `S`, rounded up to a
 //! power of two) belongs to loop `s % L`; each loop keeps its owned
-//! shards in a plain `Vec<SlabCache>` (slab-backed storage with an
-//! intrusive LRU — see [`fresca_cache::slab`]) and mutates them through
-//! `&mut` with **no locking at all**.
+//! shards in a plain `Vec<SlabCache>` (slab-backed storage with
+//! intrusive recency lists, evicting by `ServerConfig.cache.eviction` —
+//! see [`fresca_cache::slab`]) and mutates them through `&mut` with **no
+//! locking at all**.
 //!
 //! Requests are therefore routed *by key*, not just by connection. A
 //! request arriving on its key's owner loop is served inline, straight
@@ -124,9 +125,8 @@ use std::time::{Duration, Instant};
 /// Server configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Cache capacity (the eviction policy field is ignored: owned
-    /// shards are slab-backed and always LRU — see
-    /// [`fresca_cache::slab`]).
+    /// Total cache capacity, divided across the shards, and the
+    /// eviction policy every shard runs (see [`fresca_cache::slab`]).
     pub cache: CacheConfig,
     /// Number of cache shards (rounded up to a power of two). Shards
     /// are partitioned across the event loops at startup; shard `s`
@@ -951,8 +951,8 @@ impl EventLoop {
         config: ServerConfig,
     ) -> Self {
         // Per-shard capacity divides the configured total across the
-        // *global* shard count, exactly like the locked ShardedCache
-        // did, so the aggregate matches the configured total.
+        // *global* shard count, so the aggregate matches the configured
+        // total.
         let total_shards = shared.topo.shard_mask as usize + 1;
         let per_shard = match config.cache.capacity {
             Capacity::Entries(e) => Capacity::Entries((e / total_shards).max(1)),
@@ -971,7 +971,9 @@ impl EventLoop {
             loop_id,
             wake_rx,
             shared,
-            shards: (0..owned).map(|_| SlabCache::new(per_shard)).collect(),
+            shards: (0..owned)
+                .map(|_| SlabCache::with_config(CacheConfig { capacity: per_shard, ..config.cache }))
+                .collect(),
             peers,
             outbox: (0..num_loops).map(|_| Vec::new()).collect(),
             conns: Vec::new(),
@@ -1249,7 +1251,7 @@ impl EventLoop {
     /// Publish this loop's slab occupancy into the shared per-loop
     /// gauges (summed by stats snapshots and `StatsResp`).
     fn publish_gauges(&self) {
-        let entries: u64 = self.shards.iter().map(|s| s.slab_entries() as u64).sum();
+        let entries: u64 = self.shards.iter().map(|s| s.len() as u64).sum();
         let capacity: u64 = self.shards.iter().map(|s| s.slab_capacity() as u64).sum();
         if let Some(g) = self.shared.slab_entries.get(self.loop_id) {
             g.store(entries, Ordering::Relaxed);

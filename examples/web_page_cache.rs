@@ -22,10 +22,7 @@ fn main() {
     catalog.register(CompositeSpec { id: 1000, parts: (0..3).collect() });
     catalog.register(CompositeSpec { id: 2000, parts: (10..18).collect() });
 
-    let mut cache = Cache::new(CacheConfig {
-        capacity: Capacity::Entries(64),
-        eviction: EvictionPolicy::Lru,
-    });
+    let mut cache = SlabCache::new(Capacity::Entries(64));
     let t0 = SimTime::ZERO;
     for k in (0..3).chain(10..18) {
         cache.insert(k, 1, 2048, t0, None);

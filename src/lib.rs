@@ -61,7 +61,7 @@ pub use fresca_workload;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use fresca_cache::{Cache, CacheConfig, Capacity, EvictionPolicy, GetResult};
+    pub use fresca_cache::{CacheConfig, Capacity, EvictionPolicy, GetResult, SlabCache};
     pub use fresca_core::cost::{Bottleneck, CostModel, ObjectSize, PrimitiveCosts};
     pub use fresca_core::engine::system::{SystemConfig, SystemEngine, SystemReport};
     pub use fresca_core::engine::{

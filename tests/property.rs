@@ -4,72 +4,221 @@
 
 use fresca::prelude::*;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use fresca::fresca_cache::{BoundedGet, CacheStats};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // Cache vs reference model
 // ---------------------------------------------------------------------
 
-/// Reference LRU cache: ordered map from recency stamp to key.
-struct ModelLru {
-    capacity: usize,
-    by_recency: BTreeMap<u64, u64>,
-    entries: HashMap<u64, (u64, bool)>, // key -> (stamp, stale)
-    clock: u64,
+/// One entry of the reference model. `stamp` orders entries within a
+/// segment: the smallest stamp is the coldest.
+#[derive(Debug, Clone, Copy)]
+struct ModelEntry {
+    stamp: u64,
+    protected: bool,
+    invalidated: bool,
+    size: u32,
+    refreshed_at: u64,
+    expires_at: Option<u64>,
 }
 
-impl ModelLru {
-    fn new(capacity: usize) -> Self {
-        ModelLru { capacity, by_recency: BTreeMap::new(), entries: HashMap::new(), clock: 0 }
+impl ModelEntry {
+    fn is_stale(&self, now: u64) -> bool {
+        self.invalidated || self.expires_at.is_some_and(|deadline| now >= deadline)
+    }
+}
+
+/// Naive reference cache for all four eviction policies: a map of
+/// entries carrying recency stamps, with every "which is coldest"
+/// question answered by scanning. Times are nanoseconds.
+struct ModelCache {
+    config: CacheConfig,
+    entries: HashMap<u64, ModelEntry>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl ModelCache {
+    fn new(config: CacheConfig) -> Self {
+        ModelCache { config, entries: HashMap::new(), clock: 0, stats: CacheStats::default() }
     }
 
+    fn bytes(&self) -> u64 {
+        self.entries.values().map(|e| e.size as u64).sum()
+    }
+
+    /// Keys of one segment, coldest first.
+    fn coldest_first(&self, protected: bool) -> Vec<u64> {
+        let mut keys: Vec<u64> =
+            self.entries.iter().filter(|(_, e)| e.protected == protected).map(|(&k, _)| k).collect();
+        keys.sort_by_key(|k| self.entries[k].stamp);
+        keys
+    }
+
+    /// Place `key` at the hot end of `protected`'s segment.
+    fn restamp(&mut self, key: u64, protected: bool) {
+        self.clock += 1;
+        let e = self.entries.get_mut(&key).expect("restamping a present key");
+        e.stamp = self.clock;
+        e.protected = protected;
+    }
+
+    /// What a hit, or an insert over a present key, does to the order.
     fn touch(&mut self, key: u64) {
-        if let Some((stamp, stale)) = self.entries.get(&key).copied() {
-            self.by_recency.remove(&stamp);
-            self.clock += 1;
-            self.by_recency.insert(self.clock, key);
-            self.entries.insert(key, (self.clock, stale));
+        match self.config.eviction {
+            EvictionPolicy::Fifo => {}
+            EvictionPolicy::Lru | EvictionPolicy::FreshnessAware { .. } => self.restamp(key, false),
+            EvictionPolicy::Slru { protected_pct } => {
+                let promoted = !self.entries[&key].protected;
+                self.restamp(key, true);
+                if !promoted {
+                    return;
+                }
+                // Only a promotion rebalances the segments.
+                let budget = match self.config.capacity {
+                    Capacity::Entries(n) => n,
+                    _ => self.entries.len(),
+                };
+                let budget = (budget * protected_pct as usize / 100).max(1);
+                let protected = self.coldest_first(true);
+                for &demoted in &protected[..protected.len().saturating_sub(budget)] {
+                    self.restamp(demoted, false);
+                }
+            }
         }
     }
 
-    fn insert(&mut self, key: u64) {
-        if self.entries.contains_key(&key) {
-            self.touch(key);
-            if let Some(e) = self.entries.get_mut(&key) {
-                e.1 = false;
+    fn over_capacity(&self) -> bool {
+        match self.config.capacity {
+            Capacity::Entries(n) => self.entries.len() > n,
+            Capacity::Bytes(b) => self.bytes() > b,
+            Capacity::Unbounded => false,
+        }
+    }
+
+    fn pick_victim(&self, spare: u64, now: u64) -> Option<u64> {
+        let main = self.coldest_first(false);
+        let other_than_spare = |keys: &[u64]| keys.iter().copied().find(|&k| k != spare);
+        match self.config.eviction {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => other_than_spare(&main),
+            EvictionPolicy::Slru { .. } => {
+                other_than_spare(&main).or_else(|| other_than_spare(&self.coldest_first(true)))
             }
-            return;
+            EvictionPolicy::FreshnessAware { probe_depth } => {
+                let probed = &main[..main.len().min(probe_depth)];
+                probed
+                    .iter()
+                    .copied()
+                    .find(|&k| k != spare && self.entries[&k].is_stale(now))
+                    .or_else(|| other_than_spare(probed))
+            }
+        }
+    }
+
+    /// Insert or overwrite; returns the evicted keys in eviction order.
+    fn insert(&mut self, key: u64, size: u32, now: u64, expires_at: Option<u64>) -> Vec<u64> {
+        if let Some(e) = self.entries.get_mut(&key) {
+            (e.invalidated, e.size, e.refreshed_at, e.expires_at) = (false, size, now, expires_at);
+            self.touch(key);
+            return Vec::new();
         }
         self.clock += 1;
-        self.by_recency.insert(self.clock, key);
-        self.entries.insert(key, (self.clock, false));
-        while self.entries.len() > self.capacity {
-            let (&stamp, &victim) = self.by_recency.iter().next().expect("non-empty");
-            self.by_recency.remove(&stamp);
+        self.entries.insert(
+            key,
+            ModelEntry {
+                stamp: self.clock,
+                protected: false,
+                invalidated: false,
+                size,
+                refreshed_at: now,
+                expires_at,
+            },
+        );
+        let mut evicted = Vec::new();
+        while self.over_capacity() {
+            let Some(victim) = self.pick_victim(key, now) else { break };
             self.entries.remove(&victim);
+            self.stats.evictions += 1;
+            evicted.push(victim);
         }
+        evicted
     }
 
     fn invalidate(&mut self, key: u64) -> bool {
         match self.entries.get_mut(&key) {
             Some(e) => {
-                e.1 = true;
+                e.invalidated = true;
+                self.stats.invalidations_applied += 1;
                 true
             }
-            None => false,
+            None => {
+                self.stats.invalidations_missed += 1;
+                false
+            }
         }
     }
 
-    fn classify(&mut self, key: u64) -> &'static str {
-        match self.entries.get(&key).copied() {
-            None => "cold",
-            Some((_, stale)) => {
-                self.touch(key);
-                if stale {
-                    "stale"
-                } else {
-                    "fresh"
-                }
+    /// Rewrites a present entry in place: no recency touch, no eviction.
+    fn update(&mut self, key: u64, size: u32, now: u64) -> bool {
+        match self.entries.get_mut(&key) {
+            Some(e) => {
+                (e.invalidated, e.size, e.refreshed_at, e.expires_at) = (false, size, now, None);
+                self.stats.updates_applied += 1;
+                true
+            }
+            None => {
+                self.stats.updates_missed += 1;
+                false
+            }
+        }
+    }
+
+    /// One read of `key`: touches it and reports `(stale, within_bound)`,
+    /// or `None` when absent.
+    fn read(&mut self, key: u64, now: u64, bound: Option<u64>) -> Option<(bool, bool)> {
+        let e = self.entries.get(&key).copied()?;
+        self.touch(key);
+        let within_bound = !e.invalidated && bound.is_none_or(|b| now - e.refreshed_at <= b);
+        Some((e.is_stale(now), within_bound))
+    }
+
+    fn get(&mut self, key: u64, now: u64) -> &'static str {
+        match self.read(key, now, None) {
+            None => {
+                self.stats.cold_misses += 1;
+                "cold"
+            }
+            Some((true, _)) => {
+                self.stats.stale_misses += 1;
+                "stale"
+            }
+            Some((false, _)) => {
+                self.stats.fresh_hits += 1;
+                "fresh"
+            }
+        }
+    }
+
+    fn get_bounded(&mut self, key: u64, now: u64, bound: u64) -> &'static str {
+        match self.read(key, now, Some(bound)) {
+            None => {
+                self.stats.cold_misses += 1;
+                "miss"
+            }
+            Some((false, true)) => {
+                self.stats.fresh_hits += 1;
+                "fresh"
+            }
+            Some((true, true)) => {
+                self.stats.stale_misses += 1;
+                self.stats.stale_served += 1;
+                "served-stale"
+            }
+            Some((_, false)) => {
+                self.stats.stale_misses += 1;
+                self.stats.bound_refusals += 1;
+                "refused"
             }
         }
     }
@@ -78,34 +227,63 @@ impl ModelLru {
 #[derive(Debug, Clone)]
 enum CacheOp {
     Get(u64),
-    Insert(u64),
+    /// Key, staleness bound in nanoseconds.
+    GetBounded(u64, u64),
+    /// Key, declared size, TTL in nanoseconds.
+    Insert(u64, u32, u64),
+    /// Key, payload length.
+    InsertValue(u64, u32),
     Invalidate(u64),
+    /// Key, declared size.
+    Update(u64, u32),
+    Remove(u64),
 }
 
 fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let key = || 0u64..32;
     proptest::collection::vec(
         prop_oneof![
-            (0u64..32).prop_map(CacheOp::Get),
-            (0u64..32).prop_map(CacheOp::Insert),
-            (0u64..32).prop_map(CacheOp::Invalidate),
+            key().prop_map(CacheOp::Get),
+            key().prop_map(CacheOp::Get),
+            (key(), 0u64..40).prop_map(|(k, b)| CacheOp::GetBounded(k, b)),
+            (key(), 0u32..24, 1u64..60).prop_map(|(k, s, ttl)| CacheOp::Insert(k, s, ttl)),
+            (key(), 0u32..24).prop_map(|(k, s)| CacheOp::InsertValue(k, s)),
+            key().prop_map(CacheOp::Invalidate),
+            (key(), 0u32..24).prop_map(|(k, s)| CacheOp::Update(k, s)),
+            key().prop_map(CacheOp::Remove),
         ],
         1..400,
     )
 }
 
+fn eviction_policies() -> impl Strategy<Value = EvictionPolicy> {
+    prop_oneof![
+        Just(EvictionPolicy::Lru),
+        Just(EvictionPolicy::Fifo),
+        (1u8..=99).prop_map(|protected_pct| EvictionPolicy::Slru { protected_pct }),
+        (1usize..6).prop_map(|probe_depth| EvictionPolicy::FreshnessAware { probe_depth }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The production cache agrees with a naive reference LRU on every
-    /// observable outcome (hit/stale/cold classification, membership,
-    /// eviction victims) under arbitrary operation sequences.
+    /// The slab cache agrees with a naive reference model on every
+    /// observable outcome (read classification, eviction victims in
+    /// order, membership, byte gauge, counters) under arbitrary operation
+    /// sequences, for every eviction policy and both capacity kinds.
     #[test]
-    fn cache_matches_reference_lru(ops in cache_ops(), cap in 1usize..16) {
-        let mut real = Cache::new(CacheConfig {
-            capacity: Capacity::Entries(cap),
-            eviction: EvictionPolicy::Lru,
-        });
-        let mut model = ModelLru::new(cap);
+    fn cache_matches_reference_lru(
+        ops in cache_ops(),
+        eviction in eviction_policies(),
+        cap in 1usize..16,
+        by_bytes in any::<bool>(),
+    ) {
+        let capacity =
+            if by_bytes { Capacity::Bytes(cap as u64 * 12) } else { Capacity::Entries(cap) };
+        let config = CacheConfig { capacity, eviction };
+        let mut real = SlabCache::with_config(config);
+        let mut model = ModelCache::new(config);
         let mut now = 0u64;
         for op in ops {
             now += 1;
@@ -117,21 +295,45 @@ proptest! {
                         GetResult::StaleMiss(_) => "stale",
                         GetResult::ColdMiss => "cold",
                     };
-                    let want = model.classify(k);
-                    prop_assert_eq!(got, want, "get({}) diverged", k);
+                    prop_assert_eq!(got, model.get(k, now), "get({}) diverged", k);
                 }
-                CacheOp::Insert(k) => {
-                    real.insert(k, 1, 8, t, None);
-                    model.insert(k);
+                CacheOp::GetBounded(k, bound) => {
+                    let got = match real.get_bounded(k, t, Some(SimDuration::from_nanos(bound))) {
+                        BoundedGet::Fresh(_) => "fresh",
+                        BoundedGet::ServedStale(_) => "served-stale",
+                        BoundedGet::Refused(_) => "refused",
+                        BoundedGet::Miss => "miss",
+                    };
+                    let want = model.get_bounded(k, now, bound);
+                    prop_assert_eq!(got, want, "get_bounded({}, {}) diverged", k, bound);
+                }
+                CacheOp::Insert(k, size, ttl) => {
+                    let got = real.insert(k, 1, size, t, Some(SimTime::from_nanos(now + ttl)));
+                    let want = model.insert(k, size, now, Some(now + ttl));
+                    prop_assert_eq!(got, want, "insert({}) evicted differently", k);
+                }
+                CacheOp::InsertValue(k, len) => {
+                    let got = real.insert_value(k, 1, vec![0u8; len as usize].into(), t, None);
+                    let want = model.insert(k, len, now, None);
+                    prop_assert_eq!(got, want, "insert_value({}) evicted differently", k);
                 }
                 CacheOp::Invalidate(k) => {
-                    let got = real.apply_invalidate(k);
-                    let want = model.invalidate(k);
-                    prop_assert_eq!(got, want, "invalidate({}) diverged", k);
+                    prop_assert_eq!(real.apply_invalidate(k), model.invalidate(k), "invalidate({})", k);
+                }
+                CacheOp::Update(k, size) => {
+                    let got = real.apply_update(k, 2, size, t, None);
+                    prop_assert_eq!(got, model.update(k, size, now), "apply_update({})", k);
+                }
+                CacheOp::Remove(k) => {
+                    let want = model.entries.remove(&k).is_some();
+                    prop_assert_eq!(real.remove(k), want, "remove({})", k);
                 }
             }
             prop_assert_eq!(real.len(), model.entries.len(), "size diverged");
-            prop_assert!(real.len() <= cap, "capacity violated");
+            prop_assert_eq!(real.bytes(), model.bytes(), "byte gauge diverged");
+            if let Capacity::Entries(cap) = capacity {
+                prop_assert!(real.len() <= cap, "capacity violated");
+            }
             for k in 0..32u64 {
                 prop_assert_eq!(
                     real.contains(k),
@@ -140,6 +342,7 @@ proptest! {
                 );
             }
         }
+        prop_assert_eq!(real.stats(), model.stats, "counters diverged");
     }
 
     /// The timer wheel fires exactly the same (deadline, payload) pairs

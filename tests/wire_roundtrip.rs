@@ -3,9 +3,9 @@
 //! The rest of the test suite exercises freshness under a virtual clock;
 //! this file is where the paper's semantics must survive an actual
 //! network boundary: the client's TTLs and staleness bounds travel in
-//! `fresca-net` frames, the server enforces them against a
-//! `ShardedCache` on the wall clock, and the verdict travels back as a
-//! `GetStatus`.
+//! `fresca-net` frames, the server enforces them against its
+//! `SlabCache` shards on the wall clock, and the verdict travels back as
+//! a `GetStatus`.
 //!
 //! Wall-clock caveat: assertions only ever rely on *lower* bounds on
 //! elapsed time (sleeps guarantee an entry got older than X), never on
@@ -96,6 +96,37 @@ fn client_observes_values_ttl_expiry_and_bound_rejection() {
     assert_eq!(stats.refused, 2);
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// `ServerConfig.cache.eviction` reaches the shards: under the
+/// freshness-aware policy an overflow evicts the entry a backend
+/// invalidation already made worthless, not the colder entry that can
+/// still be served (plain LRU would evict key 1 here).
+#[test]
+fn server_shards_run_the_configured_eviction_policy() {
+    let handle = server::spawn(
+        "127.0.0.1:0",
+        ServerConfig {
+            cache: CacheConfig {
+                capacity: Capacity::Entries(3),
+                eviction: EvictionPolicy::FreshnessAware { probe_depth: 3 },
+            },
+            shards: 1,
+            event_loops: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral localhost port");
+    let mut client = CacheClient::connect(handle.addr()).unwrap();
+    for key in 1..=3 {
+        client.put(key, payload::pattern(key, 16), None).unwrap();
+    }
+    assert!(handle.invalidate(2));
+    client.put(4, payload::pattern(4, 16), None).unwrap();
+
+    assert_eq!(client.get(2, None).unwrap().status, GetStatus::Miss, "the stale entry was evicted");
+    assert_eq!(client.get(1, None).unwrap().status, GetStatus::Fresh, "the coldest key survived");
+    handle.shutdown();
 }
 
 #[test]
