@@ -88,6 +88,12 @@ impl<W> RefetchTable<W> {
         self.inner.lock().drain().collect()
     }
 
+    /// True while a fetch of `key` is in flight (at least one waiter is
+    /// parked on it).
+    pub fn is_in_flight(&self, key: u64) -> bool {
+        self.inner.lock().contains_key(&key)
+    }
+
     /// Number of keys with a fetch currently in flight.
     pub fn in_flight(&self) -> usize {
         self.inner.lock().len()
@@ -112,7 +118,9 @@ mod tests {
         // A different key opens its own epoch.
         assert_eq!(t.park(2, 20), Park::Fetch);
         assert_eq!(t.in_flight(), 2);
+        assert!(t.is_in_flight(1) && t.is_in_flight(2) && !t.is_in_flight(3));
         assert_eq!(t.complete(1), vec![10, 11, 12]);
+        assert!(!t.is_in_flight(1));
         assert_eq!(t.complete(2), vec![20]);
         assert!(t.is_empty());
     }

@@ -34,6 +34,14 @@
 //! can never receive a stranger's reply. The reactor never blocks on a
 //! forward; counted in `cross_core_forwards`.
 //!
+//! Late replies ride the tick exactly like local ones: a completion
+//! (from a peer loop, a finished store-push batch, or an origin
+//! refetch) is only *queued* on its connection, which is noted in a
+//! loop-local dirty list, and the reactor flushes each dirty connection
+//! **once** at end of tick. However many completions a wake-up brings
+//! for one connection, they leave in one `writev` — counted, together
+//! with `service`'s own flush, in `reply_writes`.
+//!
 //! Because every key has exactly one owner thread, multi-step operations
 //! that used to need a shard lock ("allocate a version, then insert")
 //! are atomic by construction, and per-key operation order is preserved
@@ -89,7 +97,11 @@
 //! unrelated keys keep serving, and if the origin connection dies every
 //! parked reader immediately receives the refusal/miss it would have
 //! gotten without an origin (counted in `origin_errors`), with
-//! reconnection retried on a timer. Refetching through the origin is
+//! reconnection retried on a timer. A store push that reaches the owner
+//! while its key's fetch is in flight is remembered: the `FetchResp` on
+//! its way may have been read before that write, so once it has been
+//! installed and the parked readers answered, the entry is marked
+//! known-stale and the next read refetches. Refetching through the origin is
 //! also the paper's §3.1 backchannel — the fetch clears the key's
 //! invalidation-suppression mark at the store — and each owner loop
 //! batches per-key read counts back to the origin as `ReadStats`
@@ -112,7 +124,7 @@ use fresca_net::{
 use fresca_sim::SimDuration;
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -183,6 +195,7 @@ struct ServerStats {
     refetch_coalesced: AtomicU64,
     origin_errors: AtomicU64,
     cross_core_forwards: AtomicU64,
+    reply_writes: AtomicU64,
     handoff_in: AtomicU64,
     handoff_out: AtomicU64,
 }
@@ -229,6 +242,11 @@ pub struct ServerStatsSnapshot {
     /// (requests arriving on the owner loop serve inline and do not
     /// count here).
     pub cross_core_forwards: u64,
+    /// Flushes of a client connection that had reply bytes to send —
+    /// one per connection per tick however many replies it carries, so
+    /// `reply_writes / (gets + puts)` is the write syscalls a request
+    /// costs. Not part of `Display` or `StatsResp`.
+    pub reply_writes: u64,
     /// Live entries across every owned slab shard (gauge, refreshed at
     /// each loop's end of tick).
     pub slab_entries: u64,
@@ -264,6 +282,7 @@ impl ServerStats {
             refetch_coalesced: self.refetch_coalesced.load(Ordering::Relaxed),
             origin_errors: self.origin_errors.load(Ordering::Relaxed),
             cross_core_forwards: self.cross_core_forwards.load(Ordering::Relaxed),
+            reply_writes: self.reply_writes.load(Ordering::Relaxed),
             slab_entries: 0,
             slab_capacity: 0,
             epoch: 0,
@@ -770,6 +789,12 @@ struct OriginCtx {
     /// Don't re-attempt a failed connect before this instant.
     retry_at: Option<Instant>,
     table: RefetchTable<Waiter>,
+    /// Keys a store push reached while their fetch was in flight. The
+    /// `FetchResp` on its way may predate that write, and the origin
+    /// already counts the key as invalidated (§3.1 suppression), so no
+    /// later push would correct it: `drain_origin` answers the parked
+    /// readers and then invalidates the entry it just installed.
+    overtaken: HashSet<u64>,
     read_counts: HashMap<u64, u32>,
     reads_pending: u32,
 }
@@ -801,6 +826,7 @@ impl OriginCtx {
             link: None,
             retry_at: None,
             table: RefetchTable::new(),
+            overtaken: HashSet::new(),
             read_counts: HashMap::new(),
             reads_pending: 0,
         }
@@ -834,6 +860,14 @@ impl OriginCtx {
                 self.retry_at = Some(now + ORIGIN_RETRY);
                 false
             }
+        }
+    }
+
+    /// A store push for `key` arrived: remember it if a fetch of the key
+    /// is in flight (see `overtaken`).
+    fn note_push(&mut self, key: u64) {
+        if self.table.is_in_flight(key) {
+            self.overtaken.insert(key);
         }
     }
 
@@ -934,6 +968,11 @@ struct EventLoop {
     /// Store-push batches waiting on forwarded sub-batches, by batch id.
     pending: HashMap<u64, PendingBatch>,
     next_batch: u64,
+    /// Slots whose connection had a late reply queued on an empty
+    /// outbound queue this tick (see `deliver_to`); flushed once each
+    /// and cleared at end of tick, so an entry never outlives the tick
+    /// that pushed it.
+    dirty: Vec<usize>,
     pin_threshold: usize,
     /// Graceful-shutdown drain in progress: no new reads, exit once
     /// every connection has received everything it is owed (or the
@@ -982,6 +1021,7 @@ impl EventLoop {
             origin,
             pending: HashMap::new(),
             next_batch: 0,
+            dirty: Vec::new(),
             pin_threshold: config.pin_threshold,
             draining: false,
             drain_started: None,
@@ -1041,9 +1081,10 @@ impl EventLoop {
                 if conn.closing && !conn.io.wants_write() {
                     // Nothing left to read and nothing queued: the
                     // connection only waits on in-flight cross-core
-                    // completions, which `deliver_to` flushes (and drops
-                    // the connection) directly — polling its descriptor
-                    // would just spin on writable readiness.
+                    // completions, which `deliver_to` queues and
+                    // `flush_dirty` writes (dropping the connection after
+                    // the last one) — polling its descriptor would just
+                    // spin on writable readiness.
                     continue;
                 }
                 let reading = !conn.closing && conn.io.pending_out() <= OUTBOUND_HIGH_WATER;
@@ -1162,9 +1203,11 @@ impl EventLoop {
                 }
                 self.origin = Some(ctx);
             }
-            // Then hand this tick's cross-core batches to their owners
-            // (after the origin flush, which may have staged fallback
-            // completions) and publish the slab gauges.
+            // Then write out every late reply queued this tick and hand
+            // this tick's cross-core batches to their owners (both after
+            // the origin flush, which may have queued or staged fallback
+            // replies), and publish the slab gauges.
+            self.flush_dirty();
             self.flush_outboxes();
             self.publish_gauges();
 
@@ -1305,42 +1348,57 @@ impl EventLoop {
                 }
             },
             CoreMsg::Invalidate { key, reply } => {
-                let li = self.local_shard(key);
-                let hit = match self.shards.get_mut(li) {
-                    Some(shard) => shard.apply_invalidate(key),
-                    None => false,
-                };
-                let _ = reply.send(hit);
+                let _ = reply.send(self.serve_invalidate(&[key]) > 0);
             }
             CoreMsg::Rebalance => self.rebalance(),
         }
     }
 
-    /// Queue `reply` on the connection at `(slot, token)` and push it
-    /// toward the socket immediately — a pending request's poll tick is
-    /// long gone, so nothing else would flush this connection promptly.
-    /// Skips connections that closed (the slot token no longer
-    /// matches); drops the connection on a transport error, exactly
-    /// like `service`.
+    /// Queue `reply` on the connection at `(slot, token)`; `flush_dirty`
+    /// writes it out at end of tick, together with every other late
+    /// reply the tick brings for that connection. A queue that already
+    /// holds bytes needs no dirty entry: either an earlier call this
+    /// tick made one, or a would-block tail keeps the connection in the
+    /// poll set with write interest and `service` finishes it. Skips
+    /// connections that closed (the slot token no longer matches).
     fn deliver_to(&mut self, slot: usize, token: u64, reply: &Message) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
         if conn.token != token {
             return;
         }
         conn.in_flight = conn.in_flight.saturating_sub(1);
-        conn.io.queue(reply);
-        let drop_now = match conn.io.flush() {
-            // The last in-flight reply on a closing connection just
-            // drained: the socket is done (it is not in the poll set, so
-            // nothing else would drop it).
-            Ok(_) => conn.closing && conn.in_flight == 0 && !conn.io.wants_write(),
-            Err(_) => true,
-        };
-        if drop_now {
-            self.conns[slot] = None;
-            self.free.push(slot);
-            self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+        if !conn.io.wants_write() {
+            self.dirty.push(slot);
         }
+        conn.io.queue(reply);
+    }
+
+    /// Push this tick's late replies toward their sockets: one flush
+    /// per dirty connection. Drops the connection on a transport error,
+    /// exactly like `service`, and once the last in-flight reply of a
+    /// closing connection has drained (it is not in the poll set, so
+    /// nothing else would drop it); a would-block tail keeps write
+    /// interest registered for the next tick.
+    fn flush_dirty(&mut self) {
+        for &slot in &self.dirty {
+            // `service` may have flushed or dropped the connection since
+            // it was marked; both leave nothing to do here.
+            let Some(entry) = self.conns.get_mut(slot) else { continue };
+            let Some(conn) = entry.as_mut() else { continue };
+            if conn.io.wants_write() {
+                self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
+            }
+            let drop_now = match conn.io.flush() {
+                Ok(_) => conn.closing && conn.in_flight == 0 && !conn.io.wants_write(),
+                Err(_) => true,
+            };
+            if drop_now {
+                *entry = None;
+                self.free.push(slot);
+                self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        self.dirty.clear();
     }
 
     /// Deliver to a refetch waiter: directly when its connection lives
@@ -1393,6 +1451,14 @@ impl EventLoop {
                         };
                         self.deliver_waiter(&w, reply);
                     }
+                    if ctx.overtaken.remove(&key) {
+                        // A push overtook this fetch: the value may be
+                        // the one that push superseded, so the next read
+                        // refetches (re-clearing the origin's mark).
+                        if let Some(shard) = self.shards.get_mut(li) {
+                            shard.apply_invalidate(key);
+                        }
+                    }
                 }
                 Ok(PollRecv::WouldBlock) => break,
                 Ok(PollRecv::Msg(_)) | Ok(PollRecv::Closed) | Err(_) => {
@@ -1413,6 +1479,7 @@ impl EventLoop {
     fn origin_outage(&mut self, ctx: &mut OriginCtx) {
         ctx.link = None;
         ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
+        ctx.overtaken.clear();
         for (key, waiters) in ctx.table.fail_all() {
             for w in waiters {
                 self.shared.stats.origin_errors.fetch_add(1, Ordering::Relaxed);
@@ -1503,8 +1570,11 @@ impl EventLoop {
         // Push queued replies; leftover bytes keep write interest registered
         // for the next tick. A closing connection lives until its last
         // reply byte leaves — including replies still in flight on other
-        // cores, which `deliver_to` queues (and drops the drained
-        // connection) when they complete.
+        // cores, which `deliver_to` queues when they complete (and
+        // `flush_dirty` then drops the drained connection).
+        if conn.io.wants_write() {
+            self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
+        }
         match conn.io.flush() {
             Ok(_) => !conn.closing || conn.io.wants_write() || conn.in_flight > 0,
             Err(_) => false,
@@ -1922,6 +1992,9 @@ impl EventLoop {
     fn serve_invalidate(&mut self, keys: &[u64]) -> u64 {
         let mut applied = 0u64;
         for &key in keys {
+            if let Some(ctx) = self.origin.as_mut() {
+                ctx.note_push(key);
+            }
             let li = self.local_shard(key);
             if let Some(shard) = self.shards.get_mut(li) {
                 if shard.apply_invalidate(key) {
@@ -1942,6 +2015,9 @@ impl EventLoop {
         let now = self.shared.clock.now();
         let mut applied = 0u64;
         for item in items {
+            if let Some(ctx) = self.origin.as_mut() {
+                ctx.note_push(item.key);
+            }
             let li = self.local_shard(item.key);
             let Some(shard) = self.shards.get_mut(li) else { continue };
             let value = repin_small(item.value, self.pin_threshold);

@@ -39,6 +39,16 @@ fn spawn_server_with_loops(event_loops: usize) -> server::ServerHandle {
     .expect("bind ephemeral localhost port")
 }
 
+/// Poll `cond` until it holds; panics with `what` after ten seconds.
+/// For counters another thread publishes with no event to wait on.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn client_observes_values_ttl_expiry_and_bound_rejection() {
     let handle = spawn_server();
@@ -410,10 +420,14 @@ fn half_closing_client_still_receives_queued_responses() {
     }
     assert_eq!(framed.recv().unwrap(), None, "server closes after the last reply");
 
+    // A closing connection is out of the poll set while it waits on
+    // other cores, so only the end-of-tick flush of late replies can
+    // drop it — while the server is still running, not at shutdown.
+    wait_until("the drained connection is dropped", || handle.stats().open_connections == 0);
     let stats = handle.shutdown();
     assert_eq!(stats.puts, 20);
+    assert!(stats.cross_core_forwards > 0, "keys 1..=20 span both owners: {stats:?}");
     assert_eq!(stats.protocol_errors, 0);
-    assert_eq!(stats.open_connections, 0, "drained connection was dropped");
 }
 
 #[test]
@@ -509,14 +523,7 @@ fn graceful_shutdown_loses_no_queued_reply() {
     }
     // Wait until the server has read and processed the whole burst —
     // from that point every reply is queued and owed.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        if handle.stats().gets >= GETS {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "server never processed the burst");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("the server has processed the burst", || handle.stats().gets >= GETS);
 
     // Drain on a second thread (it blocks until every reply is out)
     // while this thread collects completions like a live client.
@@ -535,5 +542,115 @@ fn graceful_shutdown_loses_no_queued_reply() {
     assert!(expected.is_empty(), "all {GETS} replies accounted for");
     let stats = drainer.join().expect("drain thread");
     assert_eq!(stats.gets, GETS, "the drained server processed the whole burst");
+    // Two loops, sixteen keys: part of the burst was answered by the
+    // other core, so the drain also covered replies that were still
+    // queued (or still in flight) as cross-core completions.
+    assert!(stats.cross_core_forwards > 0, "burst never left its home loop: {stats:?}");
     assert_eq!(stats.open_connections, 0, "every connection drained and closed");
+}
+
+/// Completions coming back from another core are queued on their
+/// connection and written once per tick, like locally served replies —
+/// not one `writev` each. 64 reads arrive in one segment; about half
+/// are forwarded, and the whole burst must leave in a handful of
+/// writes (typically two: the local replies, then the forwarded ones).
+#[test]
+fn forwarded_completions_share_one_write_per_tick() {
+    use fresca_net::{FramedStream, Message, NonBlockingFramedStream, RequestId};
+    use std::net::TcpStream;
+
+    const KEYS: u64 = 64;
+    let handle = spawn_server_with_loops(2);
+    let mut prefill = CacheClient::connect(handle.addr()).unwrap();
+    for key in 0..KEYS {
+        prefill.put(key, payload::pattern(key, 32), None).unwrap();
+    }
+    let before = handle.stats();
+
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // Queue all 64 requests, then one flush: one gathered write.
+    let mut out = NonBlockingFramedStream::new(stream.try_clone().unwrap());
+    for key in 0..KEYS {
+        out.queue(&Message::GetReq { id: RequestId(key + 1), key, max_staleness: u64::MAX });
+    }
+    assert!(out.flush().unwrap(), "a 2 KiB burst fits the socket buffer");
+
+    let mut replies = FramedStream::new(stream);
+    let mut seen = [false; KEYS as usize];
+    for _ in 0..KEYS {
+        match replies.recv().unwrap() {
+            Some(Message::GetResp { id, key, value, status, .. }) => {
+                assert_eq!(id.0, key + 1, "reply echoes its request's id");
+                assert_eq!(status, GetStatus::Fresh);
+                assert!(payload::verify(key, &value), "key {key} served the wrong bytes");
+                assert!(!std::mem::replace(&mut seen[key as usize], true), "duplicate key {key}");
+            }
+            other => panic!("expected a GetResp, got {other:?}"),
+        }
+    }
+
+    let after = handle.shutdown();
+    let forwards = after.cross_core_forwards - before.cross_core_forwards;
+    let writes = after.reply_writes - before.reply_writes;
+    assert!(forwards >= 16, "64 keys must span both owners, only {forwards} forwarded");
+    assert!(writes <= 8, "{writes} reply writes for one burst with {forwards} forwards");
+}
+
+/// A reader that stops reading until the socket buffers fill: the
+/// server's flushes (of local replies and of late cross-core ones alike)
+/// hit would-block, the tails stay queued under write interest, and
+/// once the reader resumes every reply arrives intact and — per key,
+/// i.e. per owner — in request order.
+#[test]
+fn stalled_reader_gets_the_would_block_tail_in_order() {
+    use fresca_serve::{PipelinedClient, Response};
+
+    const KEYS: u64 = 16;
+    const GETS: u64 = 512;
+    const VALUE: usize = 64 * 1024;
+    let handle = spawn_server_with_loops(2);
+    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    for key in 0..KEYS {
+        client.submit_put(key, payload::pattern(key, VALUE), None).unwrap();
+        client.complete().unwrap();
+    }
+
+    // 15 KiB of requests asking for 32 MiB of replies, and nobody
+    // reading: the server must stall with most of the burst unread.
+    let mut key_of = std::collections::HashMap::new();
+    for i in 0..GETS {
+        key_of.insert(client.submit_get(i % KEYS, None).unwrap(), i % KEYS);
+    }
+    let mut processed = handle.stats().gets;
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = handle.stats().gets;
+        if now == processed {
+            break;
+        }
+        processed = now;
+    }
+    assert!(processed > 0 && processed < GETS, "no backpressure: {processed} of {GETS} read");
+
+    let mut last_id = [0u64; KEYS as usize];
+    for _ in 0..GETS {
+        let (id, resp) = client.complete().expect("reply lost behind a would-block");
+        let key = key_of.remove(&id).expect("unknown or duplicate reply id");
+        match resp {
+            Response::Get { key: k, outcome } => {
+                assert_eq!(k, key, "{id} answered the wrong key");
+                assert_eq!(outcome.status, GetStatus::Fresh);
+                assert!(payload::verify(key, &outcome.value), "tail of {id} corrupted");
+            }
+            other => panic!("expected a get reply, got {other:?}"),
+        }
+        assert!(id.0 > last_id[key as usize], "key {key}: {id} overtook {}", last_id[key as usize]);
+        last_id[key as usize] = id.0;
+    }
+    assert!(key_of.is_empty());
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.gets, GETS);
+    assert!(stats.cross_core_forwards > 0, "keys never left the home loop: {stats:?}");
 }
