@@ -23,7 +23,10 @@ fn bench_codec(c: &mut Criterion) {
                     .collect(),
             },
         ),
-        ("read_resp_4KiB", Message::ReadResp { key: 1, version: 1, value_size: 4096 }),
+        (
+            "fetch_resp_4KiB",
+            Message::FetchResp { key: 1, version: 1, value: fresca_net::payload::pattern(1, 4096) },
+        ),
     ];
     for (name, msg) in cases {
         group.throughput(Throughput::Bytes(msg.wire_size() as u64));

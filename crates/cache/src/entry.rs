@@ -18,8 +18,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// TTL expiry is *lazy*: the entry stays in the map past its deadline and
 /// is classified stale when read (the common memcached/CacheLib design).
-/// Proactive expiry via a [`crate::TimerWheel`] is available to the system
-/// engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Freshness {
     /// Entry reflects the most recent state the cache has been told about.

@@ -15,8 +15,6 @@
 //!   and the exact freshness state machine the engines meter. The
 //!   simulation engines run one; the server runs one per shard, each
 //!   owned by exactly one event loop so reads need no lock at all.
-//! * [`TimerWheel`] — a hierarchical timing wheel for managing per-entry
-//!   TTL deadlines in O(1), the classic network-stack data structure.
 //! * [`RefetchTable`] — the per-key in-flight-refetch registry the
 //!   serving reactor parks refused/missed bounded reads on, coalescing
 //!   concurrent readers onto one origin fetch (the dogpile guard);
@@ -40,10 +38,8 @@ pub mod cache;
 pub mod entry;
 pub mod refetch;
 pub mod slab;
-pub mod wheel;
 
 pub use cache::{BoundedGet, CacheConfig, CacheStats, Capacity, EvictionPolicy, GetResult};
 pub use entry::{Entry, Freshness};
 pub use refetch::{Park, RefetchTable};
 pub use slab::SlabCache;
-pub use wheel::TimerWheel;

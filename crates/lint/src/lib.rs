@@ -6,8 +6,10 @@
 //! workspace source with a small Rust tokenizer and enforces them:
 //!
 //! * **R1 `wire-tags`** — wire tag constants in the codec are unique,
-//!   and the tag table in `docs/PROTOCOL.md` agrees with the code (one
-//!   row per tag, matching names). The codec is the source of truth.
+//!   the tag table in `docs/PROTOCOL.md` agrees with the code (one
+//!   row per tag, matching names), and every tag is *live*: non-test
+//!   code outside `crates/net` both builds and matches its message. The
+//!   codec is the source of truth.
 //! * **R2 `safety-comments`** — every `unsafe` token in the tree is
 //!   preceded by a `// SAFETY:` comment explaining why it is sound.
 //! * **R3 `panic-free-hot-path`** — the reactor
@@ -21,8 +23,9 @@
 //!   posting to that inbox; the freshness bound is only as good as the
 //!   worst hold time.
 //! * **R5 `lock-free-serve-path`** — the reactor's owner-local serving
-//!   functions (`serve_get`/`serve_put`/`serve_invalidate`/
-//!   `serve_update` in `crates/serve/src/server.rs`) contain no
+//!   functions (`apply` and the `serve_get`/`serve_put`/
+//!   `serve_invalidate`/`serve_update` it calls, in
+//!   `crates/serve/src/server.rs`) contain no
 //!   `.lock()`/`.read()`/`.write()` calls. Thread-per-core ownership
 //!   is the whole point of routing requests by key: each shard is
 //!   touched through plain `&mut` by exactly one loop, so a lock
@@ -46,6 +49,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -58,7 +62,7 @@ use std::path::{Path, PathBuf};
 /// table, no number parsing beyond "this is a literal".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`unsafe`, `lock`, `TAG_READ_REQ`, …).
+    /// Identifier or keyword (`unsafe`, `lock`, `TAG_GET_REQ`, …).
     Ident,
     /// A single punctuation character (`.`, `(`, `{`, `!`, …).
     Punct(char),
@@ -512,11 +516,10 @@ pub const PROTOCOL_PATH: &str = "docs/PROTOCOL.md";
 /// A wire tag constant parsed from the codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireTag {
-    /// Constant name (`TAG_READ_REQ`).
+    /// Constant name (`TAG_GET_REQ`).
     pub const_name: String,
-    /// Message name the docs must use (`ReadReq`) — the constant name
-    /// minus `TAG_` and a trailing `_ID` (the request-id framing
-    /// variants share the base message's name), camel-cased.
+    /// Message name the docs must use (`GetReq`) — the constant name
+    /// minus `TAG_`, camel-cased.
     pub message: String,
     pub value: u8,
     pub line: usize,
@@ -560,10 +563,9 @@ pub fn parse_wire_tags(src: &str) -> Vec<WireTag> {
     out
 }
 
-/// `TAG_READ_REQ` → `ReadReq`; `TAG_GET_REQ_ID` → `GetReq`.
+/// `TAG_GET_REQ` → `GetReq`.
 pub fn tag_message_name(const_name: &str) -> String {
     let base = const_name.strip_prefix("TAG_").unwrap_or(const_name);
-    let base = base.strip_suffix("_ID").unwrap_or(base);
     base.split('_')
         .map(|w| {
             let mut c = w.chars();
@@ -577,7 +579,7 @@ pub fn tag_message_name(const_name: &str) -> String {
         .collect()
 }
 
-/// A row of PROTOCOL.md's tag table: `| 1 | `ReadReq` | … |`.
+/// A row of PROTOCOL.md's tag table: `| 12 | `GetReq` | … |`.
 #[derive(Debug, Clone)]
 pub struct DocTag {
     pub value: u8,
@@ -611,8 +613,7 @@ pub fn parse_doc_tags(md: &str) -> Vec<DocTag> {
             continue;
         }
         let Ok(value) = cells[0].parse::<u8>() else { continue };
-        // Name is the first backticked span of the second cell;
-        // trailing markers like *(legacy)* are commentary, not name.
+        // Name is the first backticked span of the second cell.
         let cell = cells[1];
         let Some(start) = cell.find('`') else { continue };
         let rest = &cell[start + 1..];
@@ -716,6 +717,81 @@ fn rule_wire_tags(root: &Path, report: &mut Report) {
                     d.value, d.message
                 ),
             });
+        }
+    }
+}
+
+/// Who uses each `Message` variant outside the wire crate.
+#[derive(Debug, Default)]
+struct MessageUses {
+    /// Variants some expression builds.
+    spoken: BTreeSet<String>,
+    /// Variants some pattern matches.
+    heard: BTreeSet<String>,
+}
+
+/// True for source that counts as a user of the protocol: outside
+/// `crates/net` (which must name every variant to encode and decode it)
+/// and not under a test, bench or example directory.
+fn is_protocol_user(rel_path: &str) -> bool {
+    !rel_path.starts_with("crates/net/")
+        && !rel_path.split('/').any(|c| matches!(c, "tests" | "benches" | "examples"))
+}
+
+/// Record every `Message::<Name>` outside `#[cfg(test)]` regions as a
+/// pattern or a construction. A pattern is followed — past its own
+/// field braces and the parens of enclosing tuple patterns — by `=>`,
+/// `|`, a guard's `if`, or the `=` of a `let`; anything else builds the
+/// message.
+fn scan_message_uses(tokens: &[Token], uses: &mut MessageUses) {
+    let spans = cfg_test_spans(tokens);
+    for i in 0..tokens.len().saturating_sub(3) {
+        let named = tokens[i].is_ident("Message")
+            && tokens[i + 1].is_punct(':')
+            && tokens[i + 2].is_punct(':')
+            && tokens[i + 3].kind == TokenKind::Ident;
+        if !named || in_spans(&spans, tokens[i].line) {
+            continue;
+        }
+        let mut j = i + 4;
+        if tokens.get(j).is_some_and(|t| t.is_punct('{')) {
+            j = matching_close(tokens, j, '{', '}') + 1;
+        }
+        while tokens.get(j).is_some_and(|t| t.is_punct(')')) {
+            j += 1;
+        }
+        let is_pattern = tokens.get(j).is_some_and(|t| {
+            t.is_punct('|')
+                || t.is_ident("if")
+                || (t.is_punct('=') && !tokens.get(j + 1).is_some_and(|n| n.is_punct('=')))
+        });
+        let side = if is_pattern { &mut uses.heard } else { &mut uses.spoken };
+        side.insert(tokens[i + 3].text.clone());
+    }
+}
+
+/// The liveness half of `wire-tags`, run once the whole tree has been
+/// scanned: a tag whose message nothing outside `crates/net` builds has
+/// no speaker, one nothing matches has no listener — either way it is
+/// dead protocol surface. (A missing codec is `rule_wire_tags`' report.)
+fn rule_wire_tag_liveness(root: &Path, uses: &MessageUses, report: &mut Report) {
+    let Ok(codec_src) = fs::read_to_string(root.join(CODEC_PATH)) else { return };
+    for tag in parse_wire_tags(&codec_src) {
+        for (set, half, verb) in
+            [(&uses.spoken, "speaker", "builds"), (&uses.heard, "listener", "matches")]
+        {
+            if !set.contains(&tag.message) {
+                report.violations.push(Violation {
+                    rule: "wire-tags",
+                    file: CODEC_PATH.into(),
+                    line: tag.line,
+                    message: format!(
+                        "tag {} ({}) has no {half}: no non-test code outside crates/net \
+                         {verb} `Message::{}`",
+                        tag.value, tag.const_name, tag.message
+                    ),
+                });
+            }
         }
     }
 }
@@ -976,12 +1052,13 @@ fn scan_lock_scope(
 /// lock-free.
 pub const SERVE_PATH_FILE: &str = "crates/serve/src/server.rs";
 
-/// The owner-local serving functions. Each runs only on the event
-/// loop that owns the key's shard and reaches it through `&mut`; a
-/// lock acquisition here means the thread-per-core partitioning was
-/// violated.
+/// The owner-local serving functions: `apply`, the one entry every op
+/// on owned keys goes through, and the per-op functions it calls. Each
+/// runs only on the event loop that owns the key's shard and reaches it
+/// through `&mut`; a lock acquisition here means the thread-per-core
+/// partitioning was violated.
 pub const SERVE_PATH_FNS: &[&str] =
-    &["serve_get", "serve_put", "serve_invalidate", "serve_update"];
+    &["apply", "serve_get", "serve_put", "serve_invalidate", "serve_update"];
 
 /// Lock-acquiring method names. `read`/`write` cover `RwLock` guards
 /// (and, usefully, raw socket I/O — neither belongs in an owner-local
@@ -1104,6 +1181,7 @@ fn rule_panic_free_reconnect(root: &Path, path: &Path, tokens: &[Token], report:
 pub fn lint_workspace(root: &Path) -> Report {
     let mut report = Report::default();
     rule_wire_tags(root, &mut report);
+    let mut uses = MessageUses::default();
 
     let files = collect_rs_files(root);
     let hot: Vec<PathBuf> = HOT_PATH_FILES.iter().map(|f| root.join(f)).collect();
@@ -1113,6 +1191,9 @@ pub fn lint_workspace(root: &Path) -> Report {
         let Ok(src) = fs::read_to_string(path) else { continue };
         report.files_scanned += 1;
         let tokens = tokenize(&src);
+        if is_protocol_user(&rel(root, path)) {
+            scan_message_uses(&tokens, &mut uses);
+        }
         rule_safety_comments(root, path, &src, &tokens, &mut report);
         if hot.iter().any(|h| h == path) {
             rule_panic_free(root, path, &tokens, &mut report);
@@ -1127,6 +1208,7 @@ pub fn lint_workspace(root: &Path) -> Report {
             rule_panic_free_reconnect(root, path, &tokens, &mut report);
         }
     }
+    rule_wire_tag_liveness(root, &uses, &mut report);
     report.violations.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     report
 }

@@ -50,12 +50,29 @@ impl Drop for Fixture {
     }
 }
 
-/// Codec + doc pair with no drift, used as the clean baseline the
-/// seeded fixtures then perturb.
+/// Codec + doc + user triple with no drift and no dead tag, used as the
+/// clean baseline the seeded fixtures then perturb.
 const CLEAN_CODEC: &str = "\
 const TAG_READ_REQ: u8 = 1;
 const TAG_READ_RESP: u8 = 2;
-const TAG_GET_REQ_ID: u8 = 12;
+const TAG_GET_REQ: u8 = 12;
+";
+
+/// Non-test code outside `crates/net` that builds and matches every
+/// message of [`CLEAN_CODEC`].
+const CLEAN_USER: &str = "\
+fn ask(conn: &mut Conn) {
+    conn.send(&Message::ReadReq { key: 1 });
+    conn.send(&Message::GetReq { id, key: 1 });
+}
+fn answer(conn: &mut Conn, msg: Message) {
+    match msg {
+        Message::ReadReq { key } | Message::GetReq { key, .. } => {
+            conn.send(&Message::ReadResp { key, version: 1 })
+        }
+        Message::ReadResp { .. } => {}
+    }
+}
 ";
 
 const CLEAN_DOC: &str = "\
@@ -114,9 +131,8 @@ fn tokenizer_tracks_lines_through_multiline_strings() {
 #[test]
 fn tag_names_map_consts_to_doc_messages() {
     assert_eq!(tag_message_name("TAG_READ_REQ"), "ReadReq");
-    assert_eq!(tag_message_name("TAG_GET_REQ_ID"), "GetReq");
     assert_eq!(tag_message_name("TAG_ACK"), "Ack");
-    assert_eq!(tag_message_name("TAG_PUT_RESP_ID"), "PutResp");
+    assert_eq!(tag_message_name("TAG_PUT_RESP"), "PutResp");
 }
 
 // ---------------------------------------------------------------------------
@@ -126,7 +142,9 @@ fn tag_names_map_consts_to_doc_messages() {
 #[test]
 fn clean_tag_pair_passes() {
     let fx = Fixture::new("tags-clean");
-    fx.file("crates/net/src/codec.rs", CLEAN_CODEC).file("docs/PROTOCOL.md", CLEAN_DOC);
+    fx.file("crates/net/src/codec.rs", CLEAN_CODEC)
+        .file("docs/PROTOCOL.md", CLEAN_DOC)
+        .file("crates/serve/src/peer.rs", CLEAN_USER);
     let report = fx.lint();
     assert!(
         violations(&report, "wire-tags").is_empty(),
@@ -160,7 +178,7 @@ fn duplicate_tag_value_is_flagged_at_the_colliding_const() {
 #[test]
 fn doc_name_drift_is_flagged_at_the_doc_row() {
     let fx = Fixture::new("tags-drift");
-    fx.file("crates/net/src/codec.rs", CLEAN_CODEC).file(
+    fx.file("crates/net/src/codec.rs", CLEAN_CODEC).file("crates/serve/src/peer.rs", CLEAN_USER).file(
         "docs/PROTOCOL.md",
         "| Tag | Message | d |\n|--|--|--|\n| 1 | `ReadRequest` | a |\n| 2 | `ReadResp` | a |\n| 12 | `GetReq` | a |\n",
     );
@@ -184,6 +202,32 @@ fn missing_and_phantom_doc_rows_are_flagged() {
     let v = violations(&report, "wire-tags");
     assert!(v.iter().any(|v| v.message.contains("tag 2") && v.message.contains("missing")));
     assert!(v.iter().any(|v| v.message.contains("tag 9") && v.message.contains("not defined")));
+}
+
+#[test]
+fn tag_with_no_speaker_or_no_listener_is_flagged_by_the_missing_half() {
+    // The mutation the liveness check exists to catch: a tag with a
+    // constant and a doc row that nothing outside the wire crate uses.
+    // Mentions in crates/net itself, in test code and in comments or
+    // strings do not bring it to life.
+    let fx = Fixture::new("tags-ghost");
+    let doc = format!("{CLEAN_DOC}\n| Tag | Message | d |\n|--|--|--|\n| 30 | `Ghost` | a |\n");
+    fx.file("crates/net/src/codec.rs", &format!("{CLEAN_CODEC}const TAG_GHOST: u8 = 30;\n"))
+        .file("docs/PROTOCOL.md", &doc)
+        .file("crates/serve/src/peer.rs", CLEAN_USER)
+        .file("crates/net/src/simnet.rs", "fn filler() -> Message { Message::Ghost }\n")
+        .file("tests/e2e.rs", "fn rogue(c: &mut Conn) { c.send(&Message::Ghost); }\n")
+        .file(
+            "crates/serve/src/notes.rs",
+            "// Message::Ghost => nothing\nconst S: &str = \"Message::Ghost\";\n\
+             #[cfg(test)]\nmod tests { fn f() -> Message { Message::Ghost } }\n",
+        );
+    let report = fx.lint();
+    let v = violations(&report, "wire-tags");
+    assert_eq!(v.len(), 2, "one violation per missing half: {v:?}");
+    assert!(v.iter().all(|v| v.file == "crates/net/src/codec.rs" && v.line == 4));
+    assert!(v.iter().all(|v| v.message.contains("TAG_GHOST")));
+    assert!(v[0].message.contains("no speaker") && v[1].message.contains("no listener"));
 }
 
 #[test]
@@ -370,19 +414,22 @@ fn rwlock_read_and_write_guards_in_serve_path_are_flagged() {
          }\n\
          fn serve_invalidate(&mut self, keys: &[u64]) -> u64 {\n\
          \x20   self.shared.index.read().count(keys)\n\
+         }\n\
+         fn apply(&mut self, op: ForwardOp) -> Option<Completion> {\n\
+         \x20   self.shared.membership.lock().serve(op)\n\
          }\n",
     );
     let report = fx.lint();
     let v = violations(&report, "lock-free-serve-path");
     let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(lines, vec![2, 5], "both guard acquisitions: {v:?}");
+    assert_eq!(lines, vec![2, 5, 8], "every guard acquisition: {v:?}");
 }
 
 #[test]
 fn locks_outside_the_serve_fns_or_outside_the_reactor_file_are_allowed() {
     // The reactor legitimately locks elsewhere (the cross-core inbox
     // handoff), and other files lock freely — the rule is scoped to
-    // the four owner-local serving functions in server.rs.
+    // `apply` and the four serving functions it calls in server.rs.
     let fx = Fixture::new("servepath-elsewhere");
     fx.file(
         "crates/serve/src/server.rs",
@@ -483,6 +530,7 @@ fn json_report_carries_every_field_and_escapes() {
     let fx = Fixture::new("json");
     fx.file("crates/net/src/codec.rs", CLEAN_CODEC)
         .file("docs/PROTOCOL.md", CLEAN_DOC)
+        .file("crates/serve/src/peer.rs", CLEAN_USER)
         .file("crates/x/src/lib.rs", "fn f() { unsafe { std::hint::unreachable_unchecked() } }\n");
     let report = fx.lint();
     assert!(!report.is_clean());

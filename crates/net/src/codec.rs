@@ -1,15 +1,14 @@
 //! Length-prefixed binary framing.
 //!
 //! Frame layout: `u32` total-length (including the 5-byte header), `u8`
-//! message type, then type-specific fields in big-endian. Serving-path
-//! values (`GetResp`/`PutReq`/`Update` items) are carried as **real
+//! message type, then type-specific fields in big-endian. Values
+//! (`GetResp`/`PutReq`/`FetchResp`/`Update` items) are carried as **real
 //! bytes**, length-prefixed by a `u32`; the decoder slices them straight
 //! out of its accumulation buffer as refcounted [`Bytes`] views
 //! (`split_to().freeze()`), so decoding a value allocates no
-//! payload-sized buffer. Simulation-path values (`ReadResp`/`WriteReq`)
-//! are opaque zero bytes of the declared size — the simulator never
-//! reads them, but they occupy wire bytes so that measured message sizes
-//! match [`crate::Message::wire_size`] exactly.
+//! payload-sized buffer. Every message has exactly one encoding and a
+//! frame's length equals its message's [`crate::Message::wire_size`]:
+//! the decoder rejects a frame with bytes left over after its fields.
 //!
 //! The decoder is *streaming*: feed it arbitrary byte chunks, it yields
 //! complete messages and buffers partial frames (the Tokio-tutorial
@@ -41,28 +40,19 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// limit is a programming error (debug-asserted).
 pub const MAX_VALUE: usize = 16 << 20;
 
-const TAG_READ_REQ: u8 = 1;
-const TAG_READ_RESP: u8 = 2;
-const TAG_WRITE_REQ: u8 = 3;
-const TAG_WRITE_ACK: u8 = 4;
+// Tag numbers are never reused: 1–4, 8–11 and 26 are retired (see
+// PROTOCOL.md) and decode to `CodecError::UnknownTag` like any number
+// that was never assigned.
+//
+// Store-path tags: batched pushes and their ack.
 const TAG_INVALIDATE: u8 = 5;
 const TAG_UPDATE: u8 = 6;
 const TAG_ACK: u8 = 7;
-// Legacy id-less serving-path tags. The encoder emits them only for
-// messages whose id is `RequestId::NONE` — which is exactly what a
-// request decoded from a legacy frame carries, so a response to an old
-// peer is byte-compatible with that peer's decoder — and the decoder
-// accepts them forever.
-const TAG_GET_REQ: u8 = 8;
-const TAG_GET_RESP: u8 = 9;
-const TAG_PUT_REQ: u8 = 10;
-const TAG_PUT_RESP: u8 = 11;
-// Id-carrying serving-path tags: same body as their legacy counterpart
-// with a u64 request id prepended.
-const TAG_GET_REQ_ID: u8 = 12;
-const TAG_GET_RESP_ID: u8 = 13;
-const TAG_PUT_REQ_ID: u8 = 14;
-const TAG_PUT_RESP_ID: u8 = 15;
+// Serving-path tags: every body starts with the u64 request id.
+const TAG_GET_REQ: u8 = 12;
+const TAG_GET_RESP: u8 = 13;
+const TAG_PUT_REQ: u8 = 14;
+const TAG_PUT_RESP: u8 = 15;
 // Freshness-control-loop tags: cache-node→origin refetch (§3.1's
 // backchannel), the read-frequency stats feed for the adaptive policy
 // (§3.3), and the counters clients query to observe the loop.
@@ -71,15 +61,14 @@ const TAG_FETCH_RESP: u8 = 17;
 const TAG_READ_STATS: u8 = 18;
 const TAG_STATS_REQ: u8 = 19;
 const TAG_STATS_RESP: u8 = 20;
-// Membership tags: versioned ring epochs, join/leave requests, and the
-// handoff-completion marker. Node addresses travel as u16-length-prefixed
-// UTF-8; the member list as a u32 count of such entries.
+// Membership tags: versioned ring epochs and join/leave requests. Node
+// addresses travel as u16-length-prefixed UTF-8; the member list as a
+// u32 count of such entries.
 const TAG_RING_UPDATE: u8 = 21;
 const TAG_RING_ACK: u8 = 22;
 const TAG_RING_REQ: u8 = 23;
 const TAG_JOIN_REQ: u8 = 24;
 const TAG_LEAVE_REQ: u8 = 25;
-const TAG_HANDOFF_DONE: u8 = 26;
 
 /// Maximum accepted length of one member address string. Addresses are
 /// host:port text; anything beyond this is a corrupted or hostile frame.
@@ -101,7 +90,7 @@ pub enum CodecError {
     BadLength(u32),
     /// Declared value size exceeds [`MAX_VALUE`].
     ValueTooLarge(u32),
-    /// Frame contents shorter than its fields require.
+    /// Frame contents shorter than its fields require, or longer.
     Malformed(&'static str),
 }
 
@@ -122,8 +111,7 @@ impl std::error::Error for CodecError {}
 
 /// Bytes of a message that travel as value payloads a zero-copy sink
 /// may divert (everything else is headers/fields that always land in
-/// the staging buffer). Simulation-path zero-fill values are *not*
-/// counted: they are synthesized into the buffer, not diverted.
+/// the staging buffer).
 fn payload_bytes(msg: &Message) -> usize {
     match msg {
         Message::GetResp { value, .. }
@@ -242,30 +230,6 @@ impl FrameCodec {
         out.reserve((total - payload_bytes(msg)).min(MAX_FRAME));
         out.put_u32(total as u32);
         match msg {
-            Message::ReadReq { key } => {
-                out.put_u8(TAG_READ_REQ);
-                out.put_u64(*key);
-            }
-            Message::ReadResp { key, version, value_size } => {
-                debug_assert!(*value_size as usize <= MAX_VALUE, "value exceeds MAX_VALUE");
-                out.put_u8(TAG_READ_RESP);
-                out.put_u64(*key);
-                out.put_u64(*version);
-                out.put_u32(*value_size);
-                out.put_bytes(0, *value_size as usize);
-            }
-            Message::WriteReq { key, value_size } => {
-                debug_assert!(*value_size as usize <= MAX_VALUE, "value exceeds MAX_VALUE");
-                out.put_u8(TAG_WRITE_REQ);
-                out.put_u64(*key);
-                out.put_u32(*value_size);
-                out.put_bytes(0, *value_size as usize);
-            }
-            Message::WriteAck { key, version } => {
-                out.put_u8(TAG_WRITE_ACK);
-                out.put_u64(*key);
-                out.put_u64(*version);
-            }
             Message::Invalidate { seq, keys } => {
                 out.put_u8(TAG_INVALIDATE);
                 out.put_u64(*seq);
@@ -291,13 +255,15 @@ impl FrameCodec {
                 out.put_u64(*seq);
             }
             Message::GetReq { id, key, max_staleness } => {
-                Self::put_serving_tag(out, *id, TAG_GET_REQ, TAG_GET_REQ_ID);
+                out.put_u8(TAG_GET_REQ);
+                out.put_u64(id.0);
                 out.put_u64(*key);
                 out.put_u64(*max_staleness);
             }
             Message::GetResp { id, key, version, value, age, status } => {
                 debug_assert!(value.len() <= MAX_VALUE, "value exceeds MAX_VALUE");
-                Self::put_serving_tag(out, *id, TAG_GET_RESP, TAG_GET_RESP_ID);
+                out.put_u8(TAG_GET_RESP);
+                out.put_u64(id.0);
                 out.put_u64(*key);
                 out.put_u64(*version);
                 out.put_u32(value.len() as u32);
@@ -307,14 +273,16 @@ impl FrameCodec {
             }
             Message::PutReq { id, key, value, ttl } => {
                 debug_assert!(value.len() <= MAX_VALUE, "value exceeds MAX_VALUE");
-                Self::put_serving_tag(out, *id, TAG_PUT_REQ, TAG_PUT_REQ_ID);
+                out.put_u8(TAG_PUT_REQ);
+                out.put_u64(id.0);
                 out.put_u64(*key);
                 out.put_u32(value.len() as u32);
                 out.put_u64(*ttl);
                 emit_payload(out, value);
             }
             Message::PutResp { id, key, version } => {
-                Self::put_serving_tag(out, *id, TAG_PUT_RESP, TAG_PUT_RESP_ID);
+                out.put_u8(TAG_PUT_RESP);
+                out.put_u64(id.0);
                 out.put_u64(*key);
                 out.put_u64(*version);
             }
@@ -393,23 +361,6 @@ impl FrameCodec {
                 out.put_u16(node.len() as u16);
                 out.extend_from_slice(node.as_bytes());
             }
-            Message::HandoffDone { epoch, keys } => {
-                out.put_u8(TAG_HANDOFF_DONE);
-                out.put_u64(*epoch);
-                out.put_u64(*keys);
-            }
-        }
-    }
-
-    /// Write a serving-path tag: the legacy id-less form when `id` is
-    /// [`RequestId::NONE`] (so replies to legacy peers stay decodable by
-    /// them), the id-carrying form otherwise.
-    fn put_serving_tag(out: &mut BytesMut, id: RequestId, legacy: u8, with_id: u8) {
-        if id.is_none() {
-            out.put_u8(legacy);
-        } else {
-            out.put_u8(with_id);
-            out.put_u64(id.0);
         }
     }
 
@@ -440,16 +391,21 @@ impl FrameCodec {
         frame.advance(4); // length
         let tag = frame.get_u8();
         let msg = Self::decode_body(tag, &mut frame)?;
+        if !frame.is_empty() {
+            // The length prefix promised more than the message holds:
+            // two byte strings must never mean the same message.
+            return Err(CodecError::Malformed("trailing bytes"));
+        }
         Ok(Some(msg))
     }
 
     /// Early rejection for partial frames: if the buffered prefix of a
     /// payload-carrying message already shows a `value_size` beyond
     /// [`MAX_VALUE`], fail now. Covers every fixed-offset value field
-    /// (`ReadResp`, `WriteReq`, `GetResp`/`PutReq` in both tag forms,
-    /// and an `Update` batch's first item); later `Update` items sit at
-    /// variable offsets and are caught at decode, where buffering is
-    /// bounded by [`MAX_FRAME`] like any other batch.
+    /// (`GetResp`, `PutReq`, `FetchResp` and an `Update` batch's first
+    /// item); later `Update` items sit at variable offsets and are
+    /// caught at decode, where buffering is bounded by [`MAX_FRAME`]
+    /// like any other batch.
     fn early_value_check(&self) -> Result<(), CodecError> {
         let buf: &[u8] = &self.buf;
         if buf.len() < 5 {
@@ -457,9 +413,8 @@ impl FrameCodec {
         }
         // Offset of the u32 value_size field from the frame start.
         let at = match buf[4] {
-            TAG_WRITE_REQ | TAG_PUT_REQ => 13,
-            TAG_READ_RESP | TAG_GET_RESP | TAG_PUT_REQ_ID | TAG_FETCH_RESP => 21,
-            TAG_GET_RESP_ID => 29,
+            TAG_PUT_REQ | TAG_FETCH_RESP => 21,
+            TAG_GET_RESP => 29,
             TAG_UPDATE => 33, // first item's value_size
             _ => return Ok(()),
         };
@@ -497,45 +452,8 @@ impl FrameCodec {
         Ok(frame.split_to(declared as usize).freeze())
     }
 
-    /// Validate and skip a simulation-path payload (declared size only).
-    fn skip_value(
-        frame: &mut BytesMut,
-        declared: u32,
-        what: &'static str,
-    ) -> Result<(), CodecError> {
-        if declared as usize > MAX_VALUE {
-            return Err(CodecError::ValueTooLarge(declared));
-        }
-        Self::need(frame, declared as usize, what)?;
-        frame.advance(declared as usize);
-        Ok(())
-    }
-
     fn decode_body(tag: u8, frame: &mut BytesMut) -> Result<Message, CodecError> {
         match tag {
-            TAG_READ_REQ => {
-                Self::need(frame, 8, "read-req key")?;
-                Ok(Message::ReadReq { key: frame.get_u64() })
-            }
-            TAG_READ_RESP => {
-                Self::need(frame, 20, "read-resp header")?;
-                let key = frame.get_u64();
-                let version = frame.get_u64();
-                let value_size = frame.get_u32();
-                Self::skip_value(frame, value_size, "read-resp value")?;
-                Ok(Message::ReadResp { key, version, value_size })
-            }
-            TAG_WRITE_REQ => {
-                Self::need(frame, 12, "write-req header")?;
-                let key = frame.get_u64();
-                let value_size = frame.get_u32();
-                Self::skip_value(frame, value_size, "write-req value")?;
-                Ok(Message::WriteReq { key, value_size })
-            }
-            TAG_WRITE_ACK => {
-                Self::need(frame, 16, "write-ack")?;
-                Ok(Message::WriteAck { key: frame.get_u64(), version: frame.get_u64() })
-            }
             TAG_INVALIDATE => {
                 Self::need(frame, 12, "invalidate header")?;
                 let seq = frame.get_u64();
@@ -563,28 +481,10 @@ impl FrameCodec {
                 Self::need(frame, 8, "ack")?;
                 Ok(Message::Ack { seq: frame.get_u64() })
             }
-            // Serving-path tags come in legacy (id-less) and id-carrying
-            // pairs; the bodies are identical past the optional id.
-            TAG_GET_REQ => Self::decode_get_req(RequestId::NONE, frame),
-            TAG_GET_REQ_ID => {
-                let id = Self::request_id(frame)?;
-                Self::decode_get_req(id, frame)
-            }
-            TAG_GET_RESP => Self::decode_get_resp(RequestId::NONE, frame),
-            TAG_GET_RESP_ID => {
-                let id = Self::request_id(frame)?;
-                Self::decode_get_resp(id, frame)
-            }
-            TAG_PUT_REQ => Self::decode_put_req(RequestId::NONE, frame),
-            TAG_PUT_REQ_ID => {
-                let id = Self::request_id(frame)?;
-                Self::decode_put_req(id, frame)
-            }
-            TAG_PUT_RESP => Self::decode_put_resp(RequestId::NONE, frame),
-            TAG_PUT_RESP_ID => {
-                let id = Self::request_id(frame)?;
-                Self::decode_put_resp(id, frame)
-            }
+            TAG_GET_REQ => Self::decode_get_req(frame),
+            TAG_GET_RESP => Self::decode_get_resp(frame),
+            TAG_PUT_REQ => Self::decode_put_req(frame),
+            TAG_PUT_RESP => Self::decode_put_resp(frame),
             TAG_FETCH_REQ => {
                 Self::need(frame, 8, "fetch-req key")?;
                 Ok(Message::FetchReq { key: frame.get_u64() })
@@ -645,10 +545,6 @@ impl FrameCodec {
             TAG_LEAVE_REQ => {
                 Ok(Message::LeaveReq { node: Self::take_member(frame, "leave-req node")? })
             }
-            TAG_HANDOFF_DONE => {
-                Self::need(frame, 16, "handoff-done")?;
-                Ok(Message::HandoffDone { epoch: frame.get_u64(), keys: frame.get_u64() })
-            }
             t => Err(CodecError::UnknownTag(t)),
         }
     }
@@ -667,15 +563,10 @@ impl FrameCodec {
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Malformed(what))
     }
 
-    fn request_id(frame: &mut BytesMut) -> Result<RequestId, CodecError> {
-        Self::need(frame, 8, "request id")?;
-        Ok(RequestId(frame.get_u64()))
-    }
-
     /// Read a big-endian `u64` at `at` in an already-length-checked
     /// header slice. Compiles to one load — the serving-path decoders
-    /// read their fixed headers through one slice borrow instead of a
-    /// cursor advance per field.
+    /// read request id and fixed header through one bounds check and one
+    /// slice borrow instead of a cursor advance per field.
     #[inline]
     fn be_u64(hdr: &[u8], at: usize) -> u64 {
         let mut b = [0u8; 8];
@@ -690,47 +581,51 @@ impl FrameCodec {
         u32::from_be_bytes(b)
     }
 
-    fn decode_get_req(id: RequestId, frame: &mut BytesMut) -> Result<Message, CodecError> {
-        Self::need(frame, 16, "get-req")?;
+    fn decode_get_req(frame: &mut BytesMut) -> Result<Message, CodecError> {
+        Self::need(frame, 24, "get-req")?;
         let hdr: &[u8] = frame;
-        let key = Self::be_u64(hdr, 0);
-        let max_staleness = Self::be_u64(hdr, 8);
-        frame.advance(16);
+        let id = RequestId(Self::be_u64(hdr, 0));
+        let key = Self::be_u64(hdr, 8);
+        let max_staleness = Self::be_u64(hdr, 16);
+        frame.advance(24);
         Ok(Message::GetReq { id, key, max_staleness })
     }
 
-    fn decode_get_resp(id: RequestId, frame: &mut BytesMut) -> Result<Message, CodecError> {
-        Self::need(frame, 29, "get-resp header")?;
+    fn decode_get_resp(frame: &mut BytesMut) -> Result<Message, CodecError> {
+        Self::need(frame, 37, "get-resp header")?;
         let hdr: &[u8] = frame;
-        let key = Self::be_u64(hdr, 0);
-        let version = Self::be_u64(hdr, 8);
-        let value_size = Self::be_u32(hdr, 16);
-        let age = Self::be_u64(hdr, 20);
-        let status_byte = hdr[28];
+        let id = RequestId(Self::be_u64(hdr, 0));
+        let key = Self::be_u64(hdr, 8);
+        let version = Self::be_u64(hdr, 16);
+        let value_size = Self::be_u32(hdr, 24);
+        let age = Self::be_u64(hdr, 28);
+        let status_byte = hdr[36];
         let status =
             GetStatus::from_u8(status_byte).ok_or(CodecError::UnknownTag(status_byte))?;
-        frame.advance(29);
+        frame.advance(37);
         let value = Self::take_value(frame, value_size, "get-resp value")?;
         Ok(Message::GetResp { id, key, version, value, age, status })
     }
 
-    fn decode_put_req(id: RequestId, frame: &mut BytesMut) -> Result<Message, CodecError> {
-        Self::need(frame, 20, "put-req header")?;
+    fn decode_put_req(frame: &mut BytesMut) -> Result<Message, CodecError> {
+        Self::need(frame, 28, "put-req header")?;
         let hdr: &[u8] = frame;
-        let key = Self::be_u64(hdr, 0);
-        let value_size = Self::be_u32(hdr, 8);
-        let ttl = Self::be_u64(hdr, 12);
-        frame.advance(20);
+        let id = RequestId(Self::be_u64(hdr, 0));
+        let key = Self::be_u64(hdr, 8);
+        let value_size = Self::be_u32(hdr, 16);
+        let ttl = Self::be_u64(hdr, 20);
+        frame.advance(28);
         let value = Self::take_value(frame, value_size, "put-req value")?;
         Ok(Message::PutReq { id, key, value, ttl })
     }
 
-    fn decode_put_resp(id: RequestId, frame: &mut BytesMut) -> Result<Message, CodecError> {
-        Self::need(frame, 16, "put-resp")?;
+    fn decode_put_resp(frame: &mut BytesMut) -> Result<Message, CodecError> {
+        Self::need(frame, 24, "put-resp")?;
         let hdr: &[u8] = frame;
-        let key = Self::be_u64(hdr, 0);
-        let version = Self::be_u64(hdr, 8);
-        frame.advance(16);
+        let id = RequestId(Self::be_u64(hdr, 0));
+        let key = Self::be_u64(hdr, 8);
+        let version = Self::be_u64(hdr, 16);
+        frame.advance(24);
         Ok(Message::PutResp { id, key, version })
     }
 }
@@ -752,10 +647,6 @@ mod tests {
     #[test]
     fn all_variants_roundtrip() {
         let msgs = vec![
-            Message::ReadReq { key: 42 },
-            Message::ReadResp { key: 42, version: 7, value_size: 100 },
-            Message::WriteReq { key: 1, value_size: 0 },
-            Message::WriteAck { key: 1, version: 3 },
             Message::Invalidate { seq: 9, keys: vec![1, 2, 3] },
             Message::Invalidate { seq: 10, keys: vec![] },
             Message::Update {
@@ -767,7 +658,8 @@ mod tests {
             },
             Message::Ack { seq: 12 },
             Message::GetReq { id: RequestId(1), key: 3, max_staleness: u64::MAX },
-            Message::GetReq { id: RequestId::NONE, key: 3, max_staleness: 5 },
+            // Id 0 is an id like any other: it travels, it comes back.
+            Message::GetReq { id: RequestId(0), key: 3, max_staleness: 5 },
             Message::GetResp {
                 id: RequestId(u64::MAX),
                 key: 3,
@@ -819,7 +711,6 @@ mod tests {
             Message::RingReq,
             Message::JoinReq { node: "10.0.0.3:7003".into() },
             Message::LeaveReq { node: "10.0.0.3:7003".into() },
-            Message::HandoffDone { epoch: 8, keys: 512 },
         ];
         for m in msgs {
             assert_eq!(roundtrip(&m), m);
@@ -828,9 +719,9 @@ mod tests {
 
     #[test]
     fn rejects_oversized_fetch_resp_before_buffering_the_payload() {
-        // The fetch-resp value_size sits at the same fixed offset as a
-        // legacy get-resp's; the early check must refuse an over-limit
-        // declaration after ~25 header bytes, not after 16 MiB.
+        // The fetch-resp value_size sits at a fixed offset; the early
+        // check must refuse an over-limit declaration after ~25 header
+        // bytes, not after 16 MiB.
         let declared = (MAX_VALUE as u32) + 1;
         let mut prefix = BytesMut::new();
         prefix.put_u32(5 + 20 + declared);
@@ -881,7 +772,7 @@ mod tests {
 
     #[test]
     fn multiple_frames_in_one_feed() {
-        let a = Message::ReadReq { key: 1 };
+        let a = Message::FetchReq { key: 1 };
         let b = Message::Ack { seq: 2 };
         let mut encoded = BytesMut::new();
         FrameCodec::encode(&a, &mut encoded);
@@ -891,13 +782,6 @@ mod tests {
         assert_eq!(codec.next().unwrap(), Some(a));
         assert_eq!(codec.next().unwrap(), Some(b));
         assert_eq!(codec.next().unwrap(), None);
-    }
-
-    #[test]
-    fn rejects_unknown_tag() {
-        let mut codec = FrameCodec::new();
-        codec.feed(&[0, 0, 0, 6, 99, 0]);
-        assert_eq!(codec.next(), Err(CodecError::UnknownTag(99)));
     }
 
     #[test]
@@ -912,10 +796,14 @@ mod tests {
 
     #[test]
     fn rejects_truncated_fields() {
-        // Frame claims length 9 with tag read-req but only 4 key bytes.
+        // Frame claims length 9 with tag fetch-req but only 4 key bytes.
         let mut codec = FrameCodec::new();
-        codec.feed(&[0, 0, 0, 9, TAG_READ_REQ, 1, 2, 3, 4]);
-        assert_eq!(codec.next(), Err(CodecError::Malformed("read-req key")));
+        codec.feed(&[0, 0, 0, 9, TAG_FETCH_REQ, 1, 2, 3, 4]);
+        assert_eq!(codec.next(), Err(CodecError::Malformed("fetch-req key")));
+        // Same for a serving-path frame that ends inside its request id:
+        // the id is part of the fixed header, checked with it.
+        codec.feed(&[0, 0, 0, 9, TAG_PUT_RESP, 0, 0, 0, 1]);
+        assert_eq!(codec.next(), Err(CodecError::Malformed("put-resp")));
     }
 
     #[test]
@@ -931,17 +819,18 @@ mod tests {
 
     #[test]
     fn rejects_truncated_value_payload() {
-        // A write-req whose declared value_size exceeds the bytes actually
+        // A fetch-resp whose declared value_size exceeds the bytes actually
         // present in the frame must error, not read past the frame.
         let mut frame = BytesMut::new();
-        frame.put_u32(5 + 12 + 4); // header + fields + only 4 value bytes
-        frame.put_u8(TAG_WRITE_REQ);
+        frame.put_u32(5 + 20 + 4); // header + fields + only 4 value bytes
+        frame.put_u8(TAG_FETCH_RESP);
         frame.put_u64(1); // key
+        frame.put_u64(1); // version
         frame.put_u32(1000); // claims a 1000-byte value
         frame.put_bytes(0, 4);
         let mut codec = FrameCodec::new();
         codec.feed(&frame);
-        assert_eq!(codec.next(), Err(CodecError::Malformed("write-req value")));
+        assert_eq!(codec.next(), Err(CodecError::Malformed("fetch-resp value")));
     }
 
     #[test]
@@ -1012,8 +901,9 @@ mod tests {
     #[test]
     fn rejects_unknown_get_status_byte() {
         let mut frame = BytesMut::new();
-        frame.put_u32(5 + 29);
+        frame.put_u32(5 + 37);
         frame.put_u8(TAG_GET_RESP);
+        frame.put_u64(1); // request id
         frame.put_u64(1); // key
         frame.put_u64(1); // version
         frame.put_u32(0); // value_size
@@ -1024,9 +914,8 @@ mod tests {
         assert_eq!(codec.next(), Err(CodecError::UnknownTag(200)));
     }
 
-    /// Hand-encode a legacy (id-less) serving-path frame: `u32` length,
-    /// tag, then `body`.
-    fn legacy_frame(tag: u8, body: &[u8]) -> BytesMut {
+    /// Hand-encode a frame: `u32` length, tag, then `body`.
+    fn raw_frame(tag: u8, body: &[u8]) -> BytesMut {
         let mut frame = BytesMut::new();
         frame.put_u32(5 + body.len() as u32);
         frame.put_u8(tag);
@@ -1035,63 +924,52 @@ mod tests {
     }
 
     #[test]
-    fn decodes_legacy_idless_serving_tags() {
-        // A pre-pipelining peer encodes GetReq as tag 8 with no id; the
-        // decoder must still accept it and report RequestId::NONE.
-        let mut body = BytesMut::new();
-        body.put_u64(42); // key
-        body.put_u64(u64::MAX); // max_staleness
+    fn retired_tags_are_unknown() {
+        // Each retired number with the body it used to carry: the old
+        // store fetch/write frames (1–4), the id-less serving frames
+        // (8–11) and the handoff marker (26). None may decode again,
+        // any more than a number that was never assigned.
+        let get_resp = [&[0u8; 28][..], &[GetStatus::Miss.as_u8()]].concat();
+        let retired: [(u8, &[u8]); 10] = [
+            (1, &[0; 8]),   // key
+            (2, &[0; 20]),  // key, version, value_size = 0
+            (3, &[0; 12]),  // key, value_size = 0
+            (4, &[0; 16]),  // key, version
+            (8, &[0; 16]),  // key, max_staleness
+            (9, &get_resp), // key, version, value_size = 0, age, status
+            (10, &[0; 20]), // key, value_size = 0, ttl
+            (11, &[0; 16]), // key, version
+            (26, &[0; 16]), // epoch, keys
+            (99, &[0]),
+        ];
+        for (tag, body) in retired {
+            let mut codec = FrameCodec::new();
+            codec.feed(&raw_frame(tag, body));
+            assert_eq!(codec.next(), Err(CodecError::UnknownTag(tag)), "tag {tag}");
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        // 00 00 00 64 13 <95 × AB>: a StatsReq has no body, so the 95
+        // bytes its length prefix claims belong to no field.
         let mut codec = FrameCodec::new();
-        codec.feed(&legacy_frame(TAG_GET_REQ, &body));
-        assert_eq!(
-            codec.next().unwrap(),
-            Some(Message::GetReq { id: RequestId::NONE, key: 42, max_staleness: u64::MAX })
-        );
+        codec.feed(&raw_frame(TAG_STATS_REQ, &[0xAB; 95]));
+        assert_eq!(codec.next(), Err(CodecError::Malformed("trailing bytes")));
 
-        let mut body = BytesMut::new();
-        body.put_u64(42); // key
-        body.put_u64(7); // version
-        body.put_u32(3); // value_size
-        body.put_u64(99); // age
-        body.put_u8(GetStatus::Fresh.as_u8());
-        body.put_slice(&[0xA, 0xB, 0xC]); // value
-        codec.feed(&legacy_frame(TAG_GET_RESP, &body));
-        assert_eq!(
-            codec.next().unwrap(),
-            Some(Message::GetResp {
-                id: RequestId::NONE,
-                key: 42,
-                version: 7,
-                value: Bytes::from(&[0xAu8, 0xB, 0xC]),
-                age: 99,
-                status: GetStatus::Fresh,
-            })
+        // A GetReq with 8 bytes too many — what mixing up the framing
+        // of the request id would look like.
+        let mut wire = BytesMut::new();
+        FrameCodec::encode(
+            &Message::GetReq { id: RequestId(1), key: 2, max_staleness: 3 },
+            &mut wire,
         );
-
-        let mut body = BytesMut::new();
-        body.put_u64(9); // key
-        body.put_u32(2); // value_size
-        body.put_u64(1_000); // ttl
-        body.put_slice(&[1, 2]); // value
-        codec.feed(&legacy_frame(TAG_PUT_REQ, &body));
-        assert_eq!(
-            codec.next().unwrap(),
-            Some(Message::PutReq {
-                id: RequestId::NONE,
-                key: 9,
-                value: Bytes::from(&[1u8, 2]),
-                ttl: 1_000
-            })
-        );
-
-        let mut body = BytesMut::new();
-        body.put_u64(9); // key
-        body.put_u64(4); // version
-        codec.feed(&legacy_frame(TAG_PUT_RESP, &body));
-        assert_eq!(
-            codec.next().unwrap(),
-            Some(Message::PutResp { id: RequestId::NONE, key: 9, version: 4 })
-        );
+        let mut codec = FrameCodec::new();
+        codec.feed(&raw_frame(TAG_GET_REQ, &[&wire[5..], &[0u8; 8][..]].concat()));
+        assert_eq!(codec.next(), Err(CodecError::Malformed("trailing bytes")));
+        // The frame is consumed whole, so the stream stays aligned.
+        codec.feed(&wire);
+        assert!(matches!(codec.next(), Ok(Some(Message::GetReq { .. }))));
     }
 
     #[test]
@@ -1101,40 +979,9 @@ mod tests {
             &Message::GetReq { id: RequestId(5), key: 1, max_staleness: 0 },
             &mut wire,
         );
-        assert_eq!(wire[4], TAG_GET_REQ_ID, "byte after the length prefix is the new tag");
+        assert_eq!(wire[4], TAG_GET_REQ, "byte after the length prefix is the tag");
         // The id travels big-endian immediately after the tag.
         assert_eq!(&wire[5..13], &5u64.to_be_bytes());
-    }
-
-    #[test]
-    fn encoder_emits_legacy_tags_for_id_none() {
-        // A response to a legacy (id-less) request must be decodable by
-        // the legacy peer, so NONE encodes under the old tag with no id
-        // field — byte-identical to a pre-pipelining encoder's output.
-        let mut wire = BytesMut::new();
-        FrameCodec::encode(&Message::PutResp { id: RequestId::NONE, key: 2, version: 3 }, &mut wire);
-        assert_eq!(wire.len(), 21);
-        assert_eq!(wire[4], TAG_PUT_RESP);
-        assert_eq!(&wire[5..13], &2u64.to_be_bytes(), "key follows the tag directly");
-        // And re-encoding a decoded legacy frame reproduces it exactly.
-        let mut codec = FrameCodec::new();
-        codec.feed(&wire);
-        let msg = codec.next().unwrap().unwrap();
-        let mut reencoded = BytesMut::new();
-        FrameCodec::encode(&msg, &mut reencoded);
-        assert_eq!(reencoded, wire);
-    }
-
-    #[test]
-    fn rejects_truncated_request_id() {
-        // An id-carrying tag whose frame ends inside the id field.
-        let mut frame = BytesMut::new();
-        frame.put_u32(5 + 4);
-        frame.put_u8(TAG_PUT_RESP_ID);
-        frame.put_u32(1); // only 4 of the id's 8 bytes
-        let mut codec = FrameCodec::new();
-        codec.feed(&frame);
-        assert_eq!(codec.next(), Err(CodecError::Malformed("request id")));
     }
 
     #[test]
@@ -1212,22 +1059,13 @@ mod tests {
         // the length prefix must not be trusted on the decoder's behalf.
         let declared = (MAX_VALUE as u32) + 1;
         let mut frame = BytesMut::new();
-        frame.put_u32(5 + 20 + 4);
+        frame.put_u32(5 + 28 + 4);
         frame.put_u8(TAG_PUT_REQ);
+        frame.put_u64(1); // request id
         frame.put_u64(1); // key
         frame.put_u32(declared); // value_size over the limit
         frame.put_u64(0); // ttl
         frame.put_bytes(0, 4);
-        let mut codec = FrameCodec::new();
-        codec.feed(&frame);
-        assert_eq!(codec.next(), Err(CodecError::ValueTooLarge(declared)));
-
-        // Same rule on the simulation path's declared-size values.
-        let mut frame = BytesMut::new();
-        frame.put_u32(5 + 12);
-        frame.put_u8(TAG_WRITE_REQ);
-        frame.put_u64(1);
-        frame.put_u32(declared);
         let mut codec = FrameCodec::new();
         codec.feed(&frame);
         assert_eq!(codec.next(), Err(CodecError::ValueTooLarge(declared)));
@@ -1239,12 +1077,13 @@ mod tests {
     #[test]
     fn rejects_oversized_value_before_buffering_the_payload() {
         // A PutReq declaring a >MAX_VALUE value is refused as soon as
-        // the value_size field is readable — after ~17 header bytes,
+        // the value_size field is readable — after ~25 header bytes,
         // not after accumulating the declared payload.
         let declared = (MAX_VALUE as u32) + 1;
         let mut prefix = BytesMut::new();
-        prefix.put_u32(5 + 20 + declared); // a "legal"-looking length
+        prefix.put_u32(5 + 28 + declared); // a "legal"-looking length
         prefix.put_u8(TAG_PUT_REQ);
+        prefix.put_u64(9); // request id
         prefix.put_u64(1); // key
         prefix.put_u32(declared); // value_size, over the limit
         let mut codec = FrameCodec::new();
@@ -1252,10 +1091,10 @@ mod tests {
         assert!(codec.has_frame(), "poisoned prefix must be serviced without more input");
         assert_eq!(codec.next(), Err(CodecError::ValueTooLarge(declared)));
 
-        // Same for the id-carrying GetResp offset.
+        // Same for the GetResp offset.
         let mut prefix = BytesMut::new();
-        prefix.put_u32(5 + 8 + 29 + declared);
-        prefix.put_u8(TAG_GET_RESP_ID);
+        prefix.put_u32(5 + 37 + declared);
+        prefix.put_u8(TAG_GET_RESP);
         prefix.put_u64(9); // request id
         prefix.put_u64(1); // key
         prefix.put_u64(1); // version
@@ -1333,7 +1172,7 @@ mod tests {
         let mut codec = FrameCodec::new();
         assert!(codec.is_idle());
         let mut wire = BytesMut::new();
-        FrameCodec::encode(&Message::ReadReq { key: 1 }, &mut wire);
+        FrameCodec::encode(&Message::FetchReq { key: 1 }, &mut wire);
         codec.feed(&wire[..3]);
         assert!(!codec.is_idle(), "partial frame buffered");
         codec.feed(&wire[3..]);
@@ -1397,6 +1236,57 @@ mod tests {
                 status: GetStatus::Fresh,
             };
             prop_assert_eq!(roundtrip(&resp), resp);
+        }
+
+        #[test]
+        fn accepted_frames_reencode_to_the_same_bytes(
+            msg in prop_oneof![
+                any::<u64>().prop_map(|seq| Message::Ack { seq }),
+                (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(id, key, max_staleness)| {
+                    Message::GetReq { id: RequestId(id), key, max_staleness }
+                }),
+                (any::<u64>(), any::<u64>(), 0usize..64).prop_map(|(id, key, len)| {
+                    Message::PutReq {
+                        id: RequestId(id),
+                        key,
+                        value: crate::payload::pattern(key, len),
+                        ttl: 0,
+                    }
+                }),
+                (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..4))
+                    .prop_map(|(seq, keys)| Message::Invalidate { seq, keys }),
+                (any::<u64>(), 0usize..64).prop_map(|(key, len)| Message::FetchResp {
+                    key,
+                    version: 1,
+                    value: crate::payload::pattern(key, len),
+                }),
+                Just(Message::StatsReq),
+                Just(Message::JoinReq { node: "10.0.0.3:7003".into() }),
+            ],
+            retag in prop_oneof![Just(None), (0u8..32).prop_map(Some)],
+            extra in proptest::collection::vec(any::<u8>(), 0..12),
+        ) {
+            // The codec is canonical: a byte string the decoder accepts
+            // is the one encoding of the message it decodes to. Start
+            // from a valid frame, optionally give it another tag and
+            // extra bytes (length prefix kept consistent), and hold any
+            // frame that still decodes to that.
+            let mut wire = BytesMut::new();
+            FrameCodec::encode(&msg, &mut wire);
+            let mut bytes = wire.to_vec();
+            if let Some(tag) = retag {
+                bytes[4] = tag;
+            }
+            bytes.extend_from_slice(&extra);
+            let len = bytes.len() as u32;
+            bytes[..4].copy_from_slice(&len.to_be_bytes());
+            let mut codec = FrameCodec::new();
+            codec.feed(&bytes);
+            if let Ok(Some(decoded)) = codec.next() {
+                let mut again = BytesMut::new();
+                FrameCodec::encode(&decoded, &mut again);
+                prop_assert_eq!(&again[..], &bytes[..]);
+            }
         }
 
         #[test]

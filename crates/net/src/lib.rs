@@ -6,17 +6,17 @@
 //! machinery to study that:
 //!
 //! * [`msg`] — the protocol messages with exact wire sizes, which also
-//!   ground the byte-scaled cost model of Table 1. Two families: the
-//!   simulation-path cache⇄store messages (read, write, batched
-//!   invalidate/update, acks) and the serving-path client⇄server
-//!   messages (`GetReq`/`PutReq`/…) that carry the paper's freshness
-//!   semantics — a per-request staleness bound, a per-key TTL, and a
-//!   served/refused-stale response status.
+//!   ground the byte-scaled cost model of Table 1: store-path batched
+//!   invalidates/updates and their acks, the serving-path
+//!   client⇄server messages (`GetReq`/`PutReq`/…) that carry the
+//!   paper's freshness semantics — a per-request staleness bound, a
+//!   per-key TTL, and a served/refused-stale response status — plus the
+//!   origin-path and membership messages.
 //! * [`codec`] — a length-prefixed binary framing codec on [`bytes`]
-//!   (`u32` length + type byte + fields), with a streaming decoder that
-//!   tolerates partial frames and rejects oversized or malformed ones.
-//!   Serving-path value payloads are real bytes, decoded as refcounted
-//!   zero-copy slices of the receive buffer.
+//!   (`u32` length + type byte + fields), one encoding per message,
+//!   with a streaming decoder that tolerates partial frames and rejects
+//!   oversized or malformed ones. Value payloads are real bytes,
+//!   decoded as refcounted zero-copy slices of the receive buffer.
 //! * [`frame_io`] — framed transports that run the codec over any
 //!   `Read + Write` stream: the blocking [`FramedStream`] and the
 //!   non-blocking [`NonBlockingFramedStream`], which accumulates partial

@@ -1,14 +1,12 @@
 //! Protocol messages between the application, cache and data store.
 //!
-//! Serving-path messages ([`Message::GetResp`], [`Message::PutReq`]) and
-//! store-pushed [`UpdateItem`]s carry **real value bytes** as refcounted
-//! [`Bytes`] handles: the codec slices them out of its receive buffer
-//! without copying, and handing a payload to the cache or a response is
-//! a refcount bump. Simulation-path messages (`ReadResp`/`WriteReq`)
-//! still describe values by size alone — the simulator never inspects
-//! bytes, but sizes stay exact because the cost model scales
-//! `c_u`/`c_i`/`c_m` by message size when the network is the bottleneck
-//! (§3.3).
+//! Messages that carry a value ([`Message::GetResp`], [`Message::PutReq`],
+//! [`Message::FetchResp`] and store-pushed [`UpdateItem`]s) carry its
+//! **real bytes** as refcounted [`Bytes`] handles: the codec slices them
+//! out of its receive buffer without copying, and handing a payload to
+//! the cache or a response is a refcount bump. [`Message::wire_size`] is
+//! exact, which is what lets the cost model scale `c_u`/`c_i`/`c_m` by
+//! message size when the network is the bottleneck (§3.3).
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -18,16 +16,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// Ids are allocated by the client (any scheme that never repeats while a
 /// request is outstanding works; a per-connection counter is typical) and
-/// echoed verbatim by the server. The value `0` is reserved as
-/// [`RequestId::NONE`]: it is what decoding a legacy, id-less frame (wire
-/// tags 8–11) yields, so id-aware peers can interoperate with old ones.
+/// echoed verbatim by the server — every `u64` is an id, none is reserved.
 ///
 /// ```
 /// use fresca_net::RequestId;
 ///
 /// let first = RequestId(1);
-/// assert!(first > RequestId::NONE);
-/// assert!(RequestId::NONE.is_none());
+/// assert!(RequestId(2) > first);
 /// assert_eq!(format!("{first}"), "req#1");
 /// ```
 #[derive(
@@ -35,26 +30,6 @@ use serde::{Deserialize, Serialize};
 )]
 #[serde(transparent)]
 pub struct RequestId(pub u64);
-
-impl RequestId {
-    /// The reserved "no id" value carried by legacy (tag 8–11) frames.
-    pub const NONE: RequestId = RequestId(0);
-
-    /// True for [`RequestId::NONE`].
-    pub fn is_none(self) -> bool {
-        self == RequestId::NONE
-    }
-
-    /// Bytes this id occupies on the wire: 0 for [`RequestId::NONE`]
-    /// (encoded as a legacy id-less tag), 8 otherwise.
-    pub fn wire_size(self) -> usize {
-        if self.is_none() {
-            0
-        } else {
-            8
-        }
-    }
-}
 
 impl std::fmt::Display for RequestId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -148,20 +123,22 @@ impl GetStatus {
 
 /// Protocol messages.
 ///
-/// Two families share the frame format:
+/// Four families share the frame format (PROTOCOL.md has the tag table):
 ///
-/// * **Simulation-path** messages (`ReadReq` … `Ack`) connect the cache
-///   and the data store inside the engines: backend fetches, batched
-///   invalidate/update pushes and their acks.
-/// * **Serving-path** messages (`GetReq` … `PutResp`) cross the real
-///   client ⇄ cache-server boundary and carry the paper's freshness
-///   semantics on the wire: a per-request max-staleness bound on reads, a
-///   per-key TTL on writes, and a served/refused-stale status on
-///   responses.
-///
-/// Serving-path messages carry a [`RequestId`] so several requests can be
-/// pipelined on one connection and responses matched by id; the server
-/// echoes the request's id on the response.
+/// * **Store-path** messages (`Invalidate`, `Update`, `Ack`) connect the
+///   data store and the cache, inside the engines and on a cache node's
+///   socket alike: batched invalidate/update pushes and their acks.
+/// * **Serving-path** messages (`GetReq` … `PutResp`, `StatsReq`,
+///   `StatsResp`) cross the client ⇄ cache-server boundary and carry the
+///   paper's freshness semantics on the wire: a per-request max-staleness
+///   bound on reads, a per-key TTL on writes, and a served/refused-stale
+///   status on responses. Each carries a [`RequestId`] so several
+///   requests can be pipelined on one connection and responses matched
+///   by id; the server echoes the request's id on the response.
+/// * **Origin-path** messages (`FetchReq`, `FetchResp`, `ReadStats`) run
+///   between a cache node and the origin it refetches through.
+/// * **Membership** messages (`RingUpdate` … `LeaveReq`) move the ring's
+///   epoch-stamped member list between nodes, operators and clients.
 ///
 /// ```
 /// use fresca_net::{Message, RequestId};
@@ -173,34 +150,6 @@ impl GetStatus {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Message {
-    /// Cache → store: fetch a key (miss path or poll).
-    ReadReq {
-        /// Key to fetch.
-        key: u64,
-    },
-    /// Store → cache: value response.
-    ReadResp {
-        /// Key fetched.
-        key: u64,
-        /// Version served.
-        version: u64,
-        /// Size of the value carried.
-        value_size: u32,
-    },
-    /// App → store: write a key (bypasses the cache).
-    WriteReq {
-        /// Key written.
-        key: u64,
-        /// New value size (value carried on the wire).
-        value_size: u32,
-    },
-    /// Store → app: write acknowledged.
-    WriteAck {
-        /// Key written.
-        key: u64,
-        /// Version assigned.
-        version: u64,
-    },
     /// Store → cache: batched invalidations for the last interval.
     Invalidate {
         /// Sequence number for reliable delivery.
@@ -220,9 +169,8 @@ pub enum Message {
         /// Sequence number being acknowledged.
         seq: u64,
     },
-    /// Client → cache server: staleness-bounded read. The serving-path
-    /// analogue of [`Message::ReadReq`] with the paper's freshness
-    /// contract made explicit per request.
+    /// Client → cache server: staleness-bounded read, the paper's
+    /// freshness contract made explicit per request.
     GetReq {
         /// Client-chosen id echoed on the matching [`Message::GetResp`].
         id: RequestId,
@@ -234,8 +182,7 @@ pub enum Message {
     },
     /// Cache server → client: result of a [`Message::GetReq`].
     GetResp {
-        /// Echo of the request's id ([`RequestId::NONE`] for legacy
-        /// requests).
+        /// Echo of the request's id.
         id: RequestId,
         /// Key read.
         key: u64,
@@ -250,8 +197,7 @@ pub enum Message {
         /// How the read was resolved against the freshness contract.
         status: GetStatus,
     },
-    /// Client → cache server: write-through with a per-key TTL. The
-    /// serving-path analogue of [`Message::WriteReq`].
+    /// Client → cache server: write-through with a per-key TTL.
     PutReq {
         /// Client-chosen id echoed on the matching [`Message::PutResp`].
         id: RequestId,
@@ -266,8 +212,7 @@ pub enum Message {
     /// Cache server → client: write acknowledged with the version the
     /// server assigned (monotone per key).
     PutResp {
-        /// Echo of the request's id ([`RequestId::NONE`] for legacy
-        /// requests).
+        /// Echo of the request's id.
         id: RequestId,
         /// Key written.
         key: u64,
@@ -324,8 +269,8 @@ pub enum Message {
         /// Membership epoch this node is currently serving under (0 when
         /// the node has never adopted a membership — solo operation).
         epoch: u64,
-        /// Keys received via streaming handoff (`Update` batches closed
-        /// by a [`Message::HandoffDone`]) since the node started.
+        /// Keys received via streaming handoff (install-mode `Update`
+        /// batches) since the node started.
         handoff_in: u64,
         /// Keys this node streamed out to new owners on epoch changes.
         handoff_out: u64,
@@ -373,17 +318,6 @@ pub enum Message {
         /// Advertised address of the node leaving the ring.
         node: String,
     },
-    /// Handing-off node → new owner: the streaming handoff for `epoch`
-    /// on this connection is complete; `keys` entries were transferred
-    /// (as acked [`Message::Update`] batches preceding this frame).
-    /// Fire-and-forget — the per-batch `Ack`s already confirmed receipt;
-    /// this frame closes the receiver's `handoff_in` accounting.
-    HandoffDone {
-        /// Epoch whose ownership transfer this stream completed.
-        epoch: u64,
-        /// Number of keys streamed ahead of this marker.
-        keys: u64,
-    },
 }
 
 impl Message {
@@ -393,10 +327,6 @@ impl Message {
         // Frame header: u32 length + u8 type tag.
         const HDR: usize = 5;
         match self {
-            Message::ReadReq { .. } => HDR + 8,
-            Message::ReadResp { value_size, .. } => HDR + 8 + 8 + 4 + *value_size as usize,
-            Message::WriteReq { value_size, .. } => HDR + 8 + 4 + *value_size as usize,
-            Message::WriteAck { .. } => HDR + 8 + 8,
             Message::Invalidate { keys, .. } => HDR + 8 + 4 + keys.len() * 8,
             Message::Update { items, .. } => {
                 HDR + 8
@@ -407,17 +337,11 @@ impl Message {
                         .sum::<usize>()
             }
             Message::Ack { .. } => HDR + 8,
-            // Serving-path messages: the request id occupies 8 wire bytes
-            // unless it is RequestId::NONE, which encodes as the legacy
-            // id-less tag (see the codec's backward-compat rules).
-            Message::GetReq { id, .. } => HDR + id.wire_size() + 8 + 8,
-            Message::GetResp { id, value, .. } => {
-                HDR + id.wire_size() + 8 + 8 + 4 + 8 + 1 + value.len()
-            }
-            Message::PutReq { id, value, .. } => {
-                HDR + id.wire_size() + 8 + 4 + 8 + value.len()
-            }
-            Message::PutResp { id, .. } => HDR + id.wire_size() + 8 + 8,
+            // Serving-path messages lead with the 8-byte request id.
+            Message::GetReq { .. } => HDR + 8 + 8 + 8,
+            Message::GetResp { value, .. } => HDR + 8 + 8 + 8 + 4 + 8 + 1 + value.len(),
+            Message::PutReq { value, .. } => HDR + 8 + 8 + 4 + 8 + value.len(),
+            Message::PutResp { .. } => HDR + 8 + 8 + 8,
             Message::FetchReq { .. } => HDR + 8,
             Message::FetchResp { value, .. } => HDR + 8 + 8 + 4 + value.len(),
             Message::ReadStats { entries } => HDR + 4 + entries.len() * 12,
@@ -430,7 +354,6 @@ impl Message {
             Message::RingAck { .. } => HDR + 8,
             Message::RingReq => HDR,
             Message::JoinReq { node } | Message::LeaveReq { node } => HDR + 2 + node.len(),
-            Message::HandoffDone { .. } => HDR + 8 + 8,
         }
     }
 
@@ -451,9 +374,12 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_payload() {
-        let small = Message::ReadResp { key: 1, version: 1, value_size: 10 };
-        let big = Message::ReadResp { key: 1, version: 1, value_size: 1000 };
-        assert_eq!(big.wire_size() - small.wire_size(), 990);
+        let resp = |len| Message::FetchResp {
+            key: 1,
+            version: 1,
+            value: crate::payload::zeroes(len),
+        };
+        assert_eq!(resp(1000).wire_size() - resp(10).wire_size(), 990);
         // Invalidates carry keys only — independent of value size.
         let inv = Message::Invalidate { seq: 0, keys: vec![1, 2, 3] };
         assert_eq!(inv.wire_size(), 5 + 8 + 4 + 24);
@@ -477,7 +403,7 @@ mod tests {
 
     #[test]
     fn seq_only_on_reliable_messages() {
-        assert_eq!(Message::ReadReq { key: 1 }.seq(), None);
+        assert_eq!(Message::FetchReq { key: 1 }.seq(), None);
         assert_eq!(Message::Ack { seq: 7 }.seq(), Some(7));
         assert_eq!(Message::Invalidate { seq: 9, keys: vec![] }.seq(), Some(9));
         assert_eq!(
@@ -496,14 +422,10 @@ mod tests {
             Message::GetReq { id: RequestId(7), key: 1, max_staleness: u64::MAX }.wire_size(),
             29
         );
-        // RequestId::NONE encodes as the legacy id-less tag: 8 bytes less.
+        // No id is special: 0 occupies its 8 bytes like any other.
         assert_eq!(
-            Message::GetReq { id: RequestId::NONE, key: 1, max_staleness: u64::MAX }.wire_size(),
-            21
-        );
-        assert_eq!(
-            Message::PutResp { id: RequestId::NONE, key: 1, version: 9 }.wire_size(),
-            21
+            Message::GetReq { id: RequestId(0), key: 1, max_staleness: u64::MAX }.wire_size(),
+            29
         );
         let served = Message::GetResp {
             id: RequestId(7),
@@ -581,16 +503,6 @@ mod tests {
             Message::LeaveReq { node: "127.0.0.1:7003".into() }.wire_size(),
             5 + 2 + 14
         );
-        assert_eq!(Message::HandoffDone { epoch: 3, keys: 512 }.wire_size(), 21);
-    }
-
-    #[test]
-    fn request_id_ordering_and_none() {
-        assert!(RequestId::NONE.is_none());
-        assert!(!RequestId(1).is_none());
-        assert!(RequestId(2) > RequestId(1));
-        assert_eq!(RequestId::default(), RequestId::NONE);
-        assert_eq!(RequestId(42).to_string(), "req#42");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use bytes::Bytes;
 
-/// Default `--pin-threshold`: values below this length are candidates
-/// for re-materialization out of a large receive chunk.
+/// The threshold the server re-pins with: values below this length are
+/// candidates for re-materialization out of a large receive chunk.
 pub const DEFAULT_PIN_THRESHOLD: usize = 512;
 
 /// Amplification factor that triggers the copy: a value is re-pinned

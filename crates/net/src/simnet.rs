@@ -143,7 +143,7 @@ mod tests {
     use super::*;
 
     fn msg(key: u64) -> Message {
-        Message::ReadReq { key }
+        Message::FetchReq { key }
     }
 
     #[test]
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn byte_accounting_uses_wire_size() {
         let mut net = SimNetwork::new(FaultConfig::default(), 1);
-        let m = Message::ReadResp { key: 1, version: 1, value_size: 100 };
+        let m = Message::FetchResp { key: 1, version: 1, value: crate::payload::zeroes(100) };
         let expect = m.wire_size() as u64;
         net.send(SimTime::ZERO, m);
         assert_eq!(net.stats().bytes, expect);

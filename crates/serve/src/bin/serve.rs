@@ -3,7 +3,7 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7440] [--shards 16] [--capacity-entries 65536]
 //!       [--event-loops 2] [--origin 127.0.0.1:7500] [--stats-every 5]
-//!       [--pin-threshold 512] [--advertise NAME]
+//!       [--advertise NAME]
 //! ```
 //!
 //! Binds the address, then prints a serving-counter line every
@@ -15,8 +15,7 @@
 //! points at a store-push node's origin endpoint
 //! (`store-push --origin ADDR`): bounded reads that would be refused or
 //! missed then refetch through it instead of failing — see
-//! `fresca_serve::server`'s module docs. `--pin-threshold` sets the
-//! receive-buffer pinning cutoff in bytes (0 disables re-pinning).
+//! `fresca_serve::server`'s module docs.
 //!
 //! `--advertise` sets the exact name this node appears under in ring
 //! member lists (defaults to the bound address). Every cluster
@@ -72,7 +71,7 @@ fn main() {
             "usage: serve [--addr 127.0.0.1:7440] [--shards 16] \
              [--capacity-entries 65536] [--event-loops 2] \
              [--origin 127.0.0.1:7500] [--stats-every 5] \
-             [--pin-threshold 512] [--advertise NAME]"
+             [--advertise NAME]"
         );
         return;
     }
@@ -82,8 +81,6 @@ fn main() {
     let event_loops: usize = arg(&args, "--event-loops", 2);
     let origin_s = arg(&args, "--origin", String::new());
     let stats_every: u64 = arg(&args, "--stats-every", 5);
-    let pin_threshold: usize =
-        arg(&args, "--pin-threshold", fresca_net::pin::DEFAULT_PIN_THRESHOLD);
     let advertise = arg(&args, "--advertise", String::new());
 
     let origin = if origin_s.is_empty() {
@@ -104,7 +101,6 @@ fn main() {
         shards,
         event_loops,
         origin,
-        pin_threshold,
     };
     let advertise = (!advertise.is_empty()).then_some(advertise);
     let handle = match server::spawn_with_identity(&addr, config, advertise) {

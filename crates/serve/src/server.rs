@@ -20,19 +20,23 @@
 //! see [`fresca_cache::slab`]) and mutates them through `&mut` with **no
 //! locking at all**.
 //!
-//! Requests are therefore routed *by key*, not just by connection. A
-//! request arriving on its key's owner loop is served inline, straight
-//! against the owned shard. A request for a shard owned by another loop
-//! is **forwarded**: the home loop stages a `CoreMsg::Op` into a
+//! Requests are therefore routed *by key*, not just by connection, and
+//! every op on owned keys is served one way: `dispatch` describes it as
+//! a `ForwardOp`, `route` finds the owner, and the owner's `apply` runs
+//! it against the owned shard and returns a `Completion`. Local and
+//! forwarded ops differ only in where that completion goes. When the
+//! owner is the loop the request arrived on, `apply` runs inline and
+//! the reply is queued on the connection then and there. Otherwise the
+//! op is **forwarded**: the home loop stages a `CoreMsg::Op` into a
 //! per-destination outbox, flushes the batch into the owner's inbox at
 //! end of tick (one mutex append + one self-pipe wake byte per
 //! destination — the same wakeup channel the accept thread uses), and
 //! the request parks exactly like an origin refetch does. The owner
-//! serves it against its shard and stages a completion message carrying
-//! the fully-formed reply back to the home loop, which queues it on the
-//! original connection, matched by `(slot, token)` so a recycled slot
-//! can never receive a stranger's reply. The reactor never blocks on a
-//! forward; counted in `cross_core_forwards`.
+//! applies it and stages the completion — the fully-formed reply — back
+//! to the home loop, which queues it on the original connection,
+//! matched by `(slot, token)` so a recycled slot can never receive a
+//! stranger's reply. The reactor never blocks on a forward; counted in
+//! `cross_core_forwards`.
 //!
 //! Late replies ride the tick exactly like local ones: a completion
 //! (from a peer loop, a finished store-push batch, or an origin
@@ -67,16 +71,16 @@
 //!
 //! Small values decoded from large receive chunks are **re-pinned**
 //! before they are cached ([`fresca_net::pin::repin_small`], threshold
-//! [`ServerConfig::pin_threshold`]): a 100-byte payload sliced out of a
+//! [`DEFAULT_PIN_THRESHOLD`]): a 100-byte payload sliced out of a
 //! 64 KiB read would otherwise hold the whole chunk alive for as long
 //! as the entry stays cached.
 //!
 //! The same socket also accepts the **store path**: a store-push node
 //! (see [`crate::push`]) sends batched `Invalidate { seq, keys }` /
-//! `Update { seq, items }` frames. The receiving loop applies the keys
-//! it owns directly, splits the rest into per-owner sub-batches
-//! forwarded like any other cross-core op, and answers `Ack { seq }`
-//! once every sub-batch completion has come back — the paper's
+//! `Update { seq, items }` frames. The receiving loop splits a batch
+//! into per-owner sub-batches, each routed like any other op (its own
+//! share applied inline, the rest forwarded), and answers `Ack { seq }`
+//! once every forwarded sub-batch's completion has come back — the paper's
 //! write-triggered freshness pipeline running against a real cache node
 //! instead of the simulator.
 //!
@@ -154,12 +158,6 @@ pub struct ServerConfig {
     /// module docs). `None` — the default — answers refusals and misses
     /// directly, exactly as before.
     pub origin: Option<SocketAddr>,
-    /// Receive-buffer pinning threshold in bytes: a value smaller than
-    /// this that was decoded from a read chunk at least 8× its size is
-    /// copied into a fresh allocation before it is cached, so one tiny
-    /// hot entry cannot pin a 64 KiB receive chunk. `0` disables
-    /// re-pinning. See [`fresca_net::pin`].
-    pub pin_threshold: usize,
 }
 
 impl Default for ServerConfig {
@@ -169,7 +167,6 @@ impl Default for ServerConfig {
             shards: 16,
             event_loops: 2,
             origin: None,
-            pin_threshold: DEFAULT_PIN_THRESHOLD,
         }
     }
 }
@@ -371,15 +368,15 @@ impl Topology {
     }
 }
 
-/// Work for the handoff streamer thread: blocking sends of membership
-/// announcements and bulk key transfers, kept off the event loops.
-enum HandoffCmd {
-    /// Stream `items` to `dest` as install-mode `Update` batches under
-    /// epoch `epoch` (announced first via `RingUpdate`), closing with
-    /// `HandoffDone`.
-    Stream { dest: String, epoch: u64, members: Vec<String>, items: Vec<UpdateItem> },
-    /// Announce a membership change to `dest` (no keys to move).
-    Announce { dest: String, epoch: u64, members: Vec<String> },
+/// Work for the handoff streamer thread, which keeps blocking sends off
+/// the event loops: announce the view `(epoch, members)` to `dest` via
+/// `RingUpdate`, then stream `items` there as install-mode `Update`
+/// batches — none when there is only a membership change to announce.
+struct Handoff {
+    dest: String,
+    epoch: u64,
+    members: Vec<String>,
+    items: Vec<UpdateItem>,
 }
 
 /// Everything an event loop needs to dispatch requests.
@@ -410,7 +407,7 @@ struct Shared {
     advertise: String,
     /// Queue into the handoff streamer thread. Behind a mutex only to
     /// be `Sync`; membership changes are rare, contention is nil.
-    handoff_tx: Mutex<mpsc::Sender<HandoffCmd>>,
+    handoff_tx: Mutex<mpsc::Sender<Handoff>>,
 }
 
 impl Shared {
@@ -425,30 +422,33 @@ impl Shared {
     /// Hand work to the streamer thread; a send failure means the
     /// streamer exited (process teardown) and the handoff degrades to
     /// cold misses at the new owner — by design never an error.
-    fn send_handoff(&self, cmd: HandoffCmd) {
+    fn send_handoff(&self, cmd: Handoff) {
         let _ = self.handoff_tx.lock().send(cmd);
     }
 }
 
-/// An operation forwarded to the loop that owns its key's shard.
+/// An operation on keys that all live in shards of one loop — what
+/// `dispatch` builds from a request, what `route` hands to the owner
+/// (inline or through its inbox), and what the owner's `apply` runs.
 enum ForwardOp {
-    /// A bounded read; the owner replies (or parks on its refetch
-    /// table) exactly as if the request had arrived locally.
+    /// A bounded read; the owner replies or parks it on its refetch
+    /// table.
     Get { id: RequestId, key: u64, max_staleness: u64 },
     /// A write; the owner allocates the version and installs.
     Put { id: RequestId, key: u64, value: Bytes, ttl: u64 },
-    /// The sub-batch of a store-pushed `Invalidate` owned by the
-    /// destination; completion decrements the home loop's pending
+    /// One owner's sub-batch of a store-pushed `Invalidate`; a
+    /// forwarded part's completion decrements the home loop's pending
     /// batch `batch`.
     InvalidateKeys { batch: u64, keys: Vec<u64> },
-    /// The sub-batch of a store-pushed `Update` owned by the
-    /// destination. `install` is true for handoff streams (see
-    /// [`Conn::handoff`]): absent keys are installed instead of
-    /// counting as missed updates.
+    /// One owner's sub-batch of a store-pushed `Update`. `install` is
+    /// true for handoff streams (see [`Conn::handoff`]): absent keys
+    /// are installed instead of counting as missed updates.
     UpdateItems { batch: u64, items: Vec<UpdateItem>, install: bool },
 }
 
-/// What a completed cross-core operation sends back to the home loop.
+/// What `apply` hands back for a finished op: queued on the connection
+/// directly when the op ran on its home loop, sent there as
+/// `CoreMsg::Done` otherwise.
 enum Completion {
     /// A fully-formed reply to queue on the originating connection.
     Reply(Message),
@@ -940,9 +940,6 @@ enum Dispatch {
     /// Not a request this node answers — protocol error, close after
     /// draining what was already queued.
     Close,
-    /// Handled with no reply owed (fire-and-forget frames like
-    /// `HandoffDone`).
-    Nothing,
 }
 
 /// One event-loop thread: the poll reactor plus the slab shards this
@@ -973,7 +970,6 @@ struct EventLoop {
     /// and cleared at end of tick, so an entry never outlives the tick
     /// that pushed it.
     dirty: Vec<usize>,
-    pin_threshold: usize,
     /// Graceful-shutdown drain in progress: no new reads, exit once
     /// every connection has received everything it is owed (or the
     /// drain grace period expires).
@@ -1022,7 +1018,6 @@ impl EventLoop {
             pending: HashMap::new(),
             next_batch: 0,
             dirty: Vec::new(),
-            pin_threshold: config.pin_threshold,
             draining: false,
             drain_started: None,
         }
@@ -1307,29 +1302,11 @@ impl EventLoop {
     /// Apply one message from a peer loop (or the server handle).
     fn handle_core_msg(&mut self, msg: CoreMsg) {
         match msg {
-            CoreMsg::Op { from, slot, token, op } => match op {
-                ForwardOp::Get { id, key, max_staleness } => {
-                    if let Some(reply) = self.serve_get(from, slot, token, id, key, max_staleness)
-                    {
-                        self.stage_done(from, slot, token, Completion::Reply(reply));
-                    }
+            CoreMsg::Op { from, slot, token, op } => {
+                if let Some(what) = self.apply(from, slot, token, op) {
+                    self.stage_done(from, slot, token, what);
                 }
-                ForwardOp::Put { id, key, value, ttl } => {
-                    let version = self.serve_put(key, value, ttl);
-                    let reply = Message::PutResp { id, key, version };
-                    self.stage_done(from, slot, token, Completion::Reply(reply));
-                }
-                ForwardOp::InvalidateKeys { batch, keys } => {
-                    let applied = self.serve_invalidate(&keys);
-                    self.shared.stats.keys_invalidated.fetch_add(applied, Ordering::Relaxed);
-                    self.stage_done(from, slot, token, Completion::BatchPart { batch });
-                }
-                ForwardOp::UpdateItems { batch, items, install } => {
-                    let applied = self.serve_update(items, install);
-                    self.shared.stats.keys_updated.fetch_add(applied, Ordering::Relaxed);
-                    self.stage_done(from, slot, token, Completion::BatchPart { batch });
-                }
-            },
+            }
             CoreMsg::Done { slot, token, what } => match what {
                 Completion::Reply(reply) => self.deliver_to(slot, token, &reply),
                 Completion::BatchPart { batch } => {
@@ -1401,19 +1378,6 @@ impl EventLoop {
         self.dirty.clear();
     }
 
-    /// Deliver to a refetch waiter: directly when its connection lives
-    /// on this loop, as a staged completion otherwise.
-    fn deliver_waiter(&mut self, w: &Waiter, reply: Message) {
-        if w.home == self.loop_id {
-            self.deliver_to(w.slot, w.token, &reply);
-        } else {
-            self.forward(
-                w.home,
-                CoreMsg::Done { slot: w.slot, token: w.token, what: Completion::Reply(reply) },
-            );
-        }
-    }
-
     /// Drain FetchResps from the origin link (bounded per tick, like any
     /// other connection): install each fetched entry like a put and answer
     /// every reader parked on its key with a fresh age-0 response. Any
@@ -1433,7 +1397,7 @@ impl EventLoop {
                     // No TTL: the entry is fresh until invalidated/evicted.
                     // Owner-thread exclusivity makes alloc+insert atomic.
                     let now = self.shared.clock.now();
-                    let value = repin_small(value, self.pin_threshold);
+                    let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
                     let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
                     let li = self.local_shard(key);
                     if let Some(shard) = self.shards.get_mut(li) {
@@ -1441,15 +1405,9 @@ impl EventLoop {
                     }
                     for w in ctx.table.complete(key) {
                         self.shared.stats.fresh.fetch_add(1, Ordering::Relaxed);
-                        let reply = Message::GetResp {
-                            id: w.id,
-                            key,
-                            version,
-                            age: 0,
-                            value: value.clone(),
-                            status: GetStatus::Fresh,
-                        };
-                        self.deliver_waiter(&w, reply);
+                        let reply =
+                            get_resp(w.id, key, GetStatus::Fresh, 0, Some((version, value.clone())));
+                        self.stage_done(w.home, w.slot, w.token, Completion::Reply(reply));
                     }
                     if ctx.overtaken.remove(&key) {
                         // A push overtook this fetch: the value may be
@@ -1483,19 +1441,9 @@ impl EventLoop {
         for (key, waiters) in ctx.table.fail_all() {
             for w in waiters {
                 self.shared.stats.origin_errors.fetch_add(1, Ordering::Relaxed);
-                match w.fallback_status {
-                    GetStatus::Miss => self.shared.stats.misses.fetch_add(1, Ordering::Relaxed),
-                    _ => self.shared.stats.refused.fetch_add(1, Ordering::Relaxed),
-                };
-                let reply = Message::GetResp {
-                    id: w.id,
-                    key,
-                    version: 0,
-                    value: Bytes::new(),
-                    age: w.fallback_age,
-                    status: w.fallback_status,
-                };
-                self.deliver_waiter(&w, reply);
+                self.count_read_outcome(w.fallback_status);
+                let reply = get_resp(w.id, key, w.fallback_status, w.fallback_age, None);
+                self.stage_done(w.home, w.slot, w.token, Completion::Reply(reply));
             }
         }
     }
@@ -1533,7 +1481,6 @@ impl EventLoop {
                     Ok(PollRecv::Msg(msg)) => match self.dispatch(msg, conn, slot) {
                         Dispatch::Reply(reply) => conn.io.queue(&reply),
                         Dispatch::Pending => conn.in_flight += 1,
-                        Dispatch::Nothing => {}
                         Dispatch::Close => {
                             // Not a request this node answers (neither
                             // serving-path nor store-path): the peer is
@@ -1583,40 +1530,21 @@ impl EventLoop {
 
     /// Map one request onto the partitioned cache; [`Dispatch::Close`]
     /// for messages that do not belong on a cache node's socket.
-    /// Serving-path requests (`GetReq`, `PutReq`) come from clients and
-    /// route by key: owner-local keys serve inline against the owned
-    /// shard, remote ones forward. Store-path batches (`Invalidate`,
-    /// `Update`) come from a store-push node, split by owner, and are
-    /// acknowledged by `seq` once every sub-batch completes; `StatsReq`
-    /// comes from a load generator pinning down the refetch and
-    /// forwarding counters. Membership frames (`RingReq`, `RingUpdate`,
-    /// `JoinReq`, `LeaveReq`, `HandoffDone`) are control-plane traffic
-    /// on the same socket — see [`crate::membership`] for the adoption
-    /// rules they follow.
+    /// Serving-path requests (`GetReq`, `PutReq`) come from clients,
+    /// store-path batches (`Invalidate`, `Update`) from a store-push
+    /// node: each is described as a [`ForwardOp`] (a batch as one per
+    /// owner, acknowledged by `seq` once every sub-batch completes) and
+    /// handed to [`route`](Self::route). `StatsReq` comes from a load
+    /// generator pinning down the refetch and forwarding counters.
+    /// Membership frames (`RingReq`, `RingUpdate`, `JoinReq`,
+    /// `LeaveReq`) are control-plane traffic on the same socket — see
+    /// [`crate::membership`] for the adoption rules they follow.
     fn dispatch(&mut self, msg: Message, conn: &mut Conn, slot: usize) -> Dispatch {
         let token = conn.token;
         match msg {
             Message::GetReq { id, key, max_staleness } => {
                 self.shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-                let owner = self.shared.topo.owner_of(key);
-                if owner == self.loop_id {
-                    match self.serve_get(self.loop_id, slot, token, id, key, max_staleness) {
-                        Some(reply) => Dispatch::Reply(reply),
-                        None => Dispatch::Pending,
-                    }
-                } else {
-                    self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
-                    self.forward(
-                        owner,
-                        CoreMsg::Op {
-                            from: self.loop_id,
-                            slot,
-                            token,
-                            op: ForwardOp::Get { id, key, max_staleness },
-                        },
-                    );
-                    Dispatch::Pending
-                }
+                self.route_request(key, slot, token, ForwardOp::Get { id, key, max_staleness })
             }
             Message::StatsReq => {
                 let snap = self.shared.snapshot();
@@ -1634,46 +1562,15 @@ impl EventLoop {
             }
             Message::PutReq { id, key, value, ttl } => {
                 self.shared.stats.puts.fetch_add(1, Ordering::Relaxed);
-                let owner = self.shared.topo.owner_of(key);
-                if owner == self.loop_id {
-                    let version = self.serve_put(key, value, ttl);
-                    Dispatch::Reply(Message::PutResp { id, key, version })
-                } else {
-                    self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
-                    self.forward(
-                        owner,
-                        CoreMsg::Op {
-                            from: self.loop_id,
-                            slot,
-                            token,
-                            op: ForwardOp::Put { id, key, value, ttl },
-                        },
-                    );
-                    Dispatch::Pending
-                }
+                self.route_request(key, slot, token, ForwardOp::Put { id, key, value, ttl })
             }
             Message::Invalidate { seq, keys } => {
-                // A store-pushed batch: mark this loop's share stale
-                // directly, forward the rest to their owners, and ack the
-                // whole batch by seq once every part reports back. Keys
-                // the cache does not hold are no-ops (counted by the
-                // cache as missed invalidations), exactly like the
-                // simulation path.
-                let mut remote: Vec<Vec<u64>> = Vec::new();
-                remote.resize_with(self.shared.topo.num_loops, Vec::new);
-                let mut local = Vec::new();
-                for key in keys {
-                    let owner = self.shared.topo.owner_of(key);
-                    if owner == self.loop_id {
-                        local.push(key);
-                    } else if let Some(part) = remote.get_mut(owner) {
-                        part.push(key);
-                    }
-                }
-                let applied = self.serve_invalidate(&local);
-                self.shared.stats.keys_invalidated.fetch_add(applied, Ordering::Relaxed);
-                self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
-                self.finish_batch(slot, token, seq, remote, |batch, keys| {
+                // A store-pushed batch: every owner marks its share of
+                // the keys stale, and the whole batch is acked by seq
+                // once every part reports back. Keys the cache does not
+                // hold are no-ops (counted by the cache as missed
+                // invalidations), exactly like the simulation path.
+                self.route_batch(slot, token, seq, keys, |&key| key, |batch, keys| {
                     ForwardOp::InvalidateKeys { batch, keys }
                 })
             }
@@ -1688,26 +1585,13 @@ impl EventLoop {
                 // keys do nothing, per the paper's update semantics;
                 // pushed updates carry no TTL, so refreshed entries are
                 // fresh until invalidated or evicted.
-                let mut remote: Vec<Vec<UpdateItem>> = Vec::new();
-                remote.resize_with(self.shared.topo.num_loops, Vec::new);
-                let mut local = Vec::new();
-                for item in items {
-                    let owner = self.shared.topo.owner_of(item.key);
-                    if owner == self.loop_id {
-                        local.push(item);
-                    } else if let Some(part) = remote.get_mut(owner) {
-                        part.push(item);
-                    }
-                }
+                //
                 // Handoff streams reuse the Update machinery in install
                 // mode (see `Conn::handoff`): absent keys are installed,
                 // moving ownership, instead of counting as missed
                 // updates.
                 let install = conn.handoff;
-                let applied = self.serve_update(local, install);
-                self.shared.stats.keys_updated.fetch_add(applied, Ordering::Relaxed);
-                self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
-                self.finish_batch(slot, token, seq, remote, move |batch, items| {
+                self.route_batch(slot, token, seq, items, |item| item.key, |batch, items| {
                     ForwardOp::UpdateItems { batch, items, install }
                 })
             }
@@ -1744,11 +1628,6 @@ impl EventLoop {
                 // key it owned over to the survivors.
                 self.membership_changed(changed, Some(&node))
             }
-            Message::HandoffDone { .. } => {
-                // Fire-and-forget close of a handoff stream; the moved
-                // entries were already counted as they installed.
-                Dispatch::Nothing
-            }
             _ => Dispatch::Close,
         }
     }
@@ -1768,10 +1647,11 @@ impl EventLoop {
             self.broadcast_rebalance();
             for dest in members.iter().map(String::as_str).chain(departed) {
                 if dest != self.shared.advertise {
-                    self.shared.send_handoff(HandoffCmd::Announce {
+                    self.shared.send_handoff(Handoff {
                         dest: dest.to_string(),
                         epoch,
                         members: members.clone(),
+                        items: Vec::new(),
                     });
                 }
             }
@@ -1834,7 +1714,7 @@ impl EventLoop {
             }
         }
         for (dest, items) in moved {
-            self.shared.send_handoff(HandoffCmd::Stream {
+            self.shared.send_handoff(Handoff {
                 dest,
                 epoch: view.epoch,
                 members: view.members.clone(),
@@ -1843,45 +1723,102 @@ impl EventLoop {
         }
     }
 
-    /// Ack a store-push batch now if nothing was forwarded, otherwise
-    /// register the pending batch and forward every non-empty per-owner
-    /// part (each counted as a cross-core forward).
-    fn finish_batch<T>(
+    /// Hand `op` to the loop owning its keys. When that is this loop
+    /// the op is applied inline and its completion returned — `None`
+    /// if it parked on an origin refetch. Otherwise it is staged for
+    /// `owner` (counted as a cross-core forward) and `None` returned:
+    /// either way, `None` means a completion will arrive later through
+    /// [`deliver_to`](Self::deliver_to).
+    fn route(&mut self, owner: usize, slot: usize, token: u64, op: ForwardOp) -> Option<Completion> {
+        if owner == self.loop_id {
+            return self.apply(owner, slot, token, op);
+        }
+        self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
+        self.forward(owner, CoreMsg::Op { from: self.loop_id, slot, token, op });
+        None
+    }
+
+    /// Route a client's single-key request: answered now when the owner
+    /// is this loop and the read did not park.
+    fn route_request(&mut self, key: u64, slot: usize, token: u64, op: ForwardOp) -> Dispatch {
+        match self.route(self.shared.topo.owner_of(key), slot, token, op) {
+            Some(Completion::Reply(reply)) => Dispatch::Reply(reply),
+            _ => Dispatch::Pending,
+        }
+    }
+
+    /// Split a store-push batch by owner and route each non-empty part
+    /// (`make_op` wraps one owner's share). This loop's own share
+    /// completes inline; the `Ack` goes out now if that was all of it,
+    /// otherwise once every forwarded part has reported back.
+    fn route_batch<T>(
         &mut self,
         slot: usize,
         token: u64,
         seq: u64,
-        parts: Vec<Vec<T>>,
+        items: Vec<T>,
+        key_of: impl Fn(&T) -> u64,
         make_op: impl Fn(u64, Vec<T>) -> ForwardOp,
     ) -> Dispatch {
-        let forwards = parts.iter().filter(|p| !p.is_empty()).count();
-        if forwards == 0 {
+        self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
+        let mut parts: Vec<Vec<T>> = Vec::new();
+        parts.resize_with(self.shared.topo.num_loops, Vec::new);
+        for item in items {
+            if let Some(part) = parts.get_mut(self.shared.topo.owner_of(key_of(&item))) {
+                part.push(item);
+            }
+        }
+        let batch = self.next_batch + 1;
+        let mut remaining = 0u32;
+        for (owner, part) in parts.into_iter().enumerate() {
+            if !part.is_empty() && self.route(owner, slot, token, make_op(batch, part)).is_none() {
+                remaining += 1;
+            }
+        }
+        if remaining == 0 {
             return Dispatch::Reply(Message::Ack { seq });
         }
-        self.next_batch += 1;
-        let batch = self.next_batch;
-        self.pending
-            .insert(batch, PendingBatch { seq, slot, token, remaining: forwards as u32 });
-        for (owner, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
-            self.forward(
-                owner,
-                CoreMsg::Op { from: self.loop_id, slot, token, op: make_op(batch, part) },
-            );
-        }
+        self.next_batch = batch;
+        self.pending.insert(batch, PendingBatch { seq, slot, token, remaining });
         Dispatch::Pending
+    }
+
+    /// Run `op` against this loop's shards — the single entry to the
+    /// owner-local serving functions below, for ops that arrived on this
+    /// loop's own connections (`home == loop_id`) and forwarded ones
+    /// alike. `home`/`slot`/`token` name the originating connection on
+    /// its home loop; `None` means a read parked on an origin refetch
+    /// and `drain_origin` will complete it.
+    fn apply(&mut self, home: usize, slot: usize, token: u64, op: ForwardOp) -> Option<Completion> {
+        match op {
+            ForwardOp::Get { id, key, max_staleness } => {
+                let reply = self.serve_get(home, slot, token, id, key, max_staleness)?;
+                Some(Completion::Reply(reply))
+            }
+            ForwardOp::Put { id, key, value, ttl } => {
+                let version = self.serve_put(key, value, ttl);
+                Some(Completion::Reply(Message::PutResp { id, key, version }))
+            }
+            ForwardOp::InvalidateKeys { batch, keys } => {
+                let applied = self.serve_invalidate(&keys);
+                self.shared.stats.keys_invalidated.fetch_add(applied, Ordering::Relaxed);
+                Some(Completion::BatchPart { batch })
+            }
+            ForwardOp::UpdateItems { batch, items, install } => {
+                let applied = self.serve_update(items, install);
+                self.shared.stats.keys_updated.fetch_add(applied, Ordering::Relaxed);
+                Some(Completion::BatchPart { batch })
+            }
+        }
     }
 
     // ---- owner-local serving ------------------------------------------
     //
-    // Everything below runs only on the loop that owns the key's shard
-    // and touches the shard through plain `&mut` — the serving hot path
-    // holds no lock (enforced by fresca-lint's lock-free-serve-path
-    // rule). `home`/`slot`/`token` name the originating connection on
-    // its home loop.
+    // Everything below is called from `apply` (and the control-plane
+    // `CoreMsg::Invalidate`) only, runs on the loop that owns the key's
+    // shard and touches the shard through plain `&mut` — the serving hot
+    // path holds no lock (enforced by fresca-lint's lock-free-serve-path
+    // rule).
 
     /// Owner-local bounded read. `None` means the request was parked on
     /// an origin refetch and will be answered by `drain_origin`.
@@ -1911,62 +1848,34 @@ impl EventLoop {
             Some(shard) => shard.get_bounded(key, now, bound),
             None => BoundedGet::Miss,
         };
-        match looked_up {
-            BoundedGet::Fresh(e) => {
-                self.shared.stats.fresh.fetch_add(1, Ordering::Relaxed);
-                Some(Message::GetResp {
-                    id,
-                    key,
-                    version: e.version,
-                    age: e.age(now).as_nanos(),
-                    value: e.value,
-                    status: GetStatus::Fresh,
-                })
-            }
+        // A refusal carries no value, only the entry's age, so the client
+        // can see by how much the bound was missed.
+        let (status, age, served) = match looked_up {
+            BoundedGet::Fresh(e) => (GetStatus::Fresh, e.age(now), Some((e.version, e.value))),
             BoundedGet::ServedStale(e) => {
-                self.shared.stats.stale_served.fetch_add(1, Ordering::Relaxed);
-                Some(Message::GetResp {
-                    id,
-                    key,
-                    version: e.version,
-                    age: e.age(now).as_nanos(),
-                    value: e.value,
-                    status: GetStatus::ServedStale,
-                })
+                (GetStatus::ServedStale, e.age(now), Some((e.version, e.value)))
             }
-            BoundedGet::Refused(e) => {
-                let age = e.age(now).as_nanos();
-                if self.park(home, slot, token, id, key, GetStatus::RefusedStale, age) {
-                    return None;
-                }
-                self.shared.stats.refused.fetch_add(1, Ordering::Relaxed);
-                // No value travels back on a refusal — only the entry's
-                // age, so the client can see by how much the bound was
-                // missed.
-                Some(Message::GetResp {
-                    id,
-                    key,
-                    version: 0,
-                    value: Bytes::new(),
-                    age,
-                    status: GetStatus::RefusedStale,
-                })
-            }
-            BoundedGet::Miss => {
-                if self.park(home, slot, token, id, key, GetStatus::Miss, 0) {
-                    return None;
-                }
-                self.shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-                Some(Message::GetResp {
-                    id,
-                    key,
-                    version: 0,
-                    value: Bytes::new(),
-                    age: 0,
-                    status: GetStatus::Miss,
-                })
-            }
+            BoundedGet::Refused(e) => (GetStatus::RefusedStale, e.age(now), None),
+            BoundedGet::Miss => (GetStatus::Miss, SimDuration::ZERO, None),
+        };
+        let age = age.as_nanos();
+        if served.is_none() && self.park(home, slot, token, id, key, status, age) {
+            return None;
         }
+        self.count_read_outcome(status);
+        Some(get_resp(id, key, status, age, served))
+    }
+
+    /// Count one answered read under its outcome.
+    fn count_read_outcome(&self, status: GetStatus) {
+        let stats = &self.shared.stats;
+        let counter = match status {
+            GetStatus::Fresh => &stats.fresh,
+            GetStatus::ServedStale => &stats.stale_served,
+            GetStatus::RefusedStale => &stats.refused,
+            GetStatus::Miss => &stats.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Owner-local write: allocate a serving version and install into
@@ -1978,7 +1887,7 @@ impl EventLoop {
     fn serve_put(&mut self, key: u64, value: Bytes, ttl: u64) -> u64 {
         let now = self.shared.clock.now();
         let expires_at = (ttl > 0).then(|| now + SimDuration::from_nanos(ttl));
-        let value = repin_small(value, self.pin_threshold);
+        let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
         let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
         let li = self.local_shard(key);
         if let Some(shard) = self.shards.get_mut(li) {
@@ -2020,7 +1929,7 @@ impl EventLoop {
             }
             let li = self.local_shard(item.key);
             let Some(shard) = self.shards.get_mut(li) else { continue };
-            let value = repin_small(item.value, self.pin_threshold);
+            let value = repin_small(item.value, DEFAULT_PIN_THRESHOLD);
             let refreshed = if shard.contains(item.key) {
                 let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
                 shard.apply_update_value(item.key, version, value, now, None)
@@ -2086,6 +1995,19 @@ impl EventLoop {
     }
 }
 
+/// Build a `GetResp`: `served` is the version and value of an entry the
+/// read is allowed to see; a refusal or miss carries neither.
+fn get_resp(
+    id: RequestId,
+    key: u64,
+    status: GetStatus,
+    age: u64,
+    served: Option<(u64, Bytes)>,
+) -> Message {
+    let (version, value) = served.unwrap_or_default();
+    Message::GetResp { id, key, version, value, age, status }
+}
+
 /// How many entries ride each handoff `Update` batch: big enough to
 /// amortise the per-batch ack round-trip, small enough to keep frames
 /// far from the codec's size cap.
@@ -2104,18 +2026,12 @@ const HANDOFF_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// teardown). Failures are deliberately silent: handoff is an
 /// optimisation, and a dead peer's share of keys simply misses cold at
 /// its next owner.
-fn run_handoff_streamer(rx: mpsc::Receiver<HandoffCmd>, stats: Arc<ServerStats>) {
+fn run_handoff_streamer(rx: mpsc::Receiver<Handoff>, stats: Arc<ServerStats>) {
     // Cached connections per destination, with a per-destination
     // sequence counter for the Update/Ack machinery.
     let mut conns: HashMap<String, (FramedStream<TcpStream>, u64)> = HashMap::new();
-    while let Ok(cmd) = rx.recv() {
-        let (dest, epoch, members, items) = match cmd {
-            HandoffCmd::Stream { dest, epoch, members, items } => {
-                (dest, epoch, members, Some(items))
-            }
-            HandoffCmd::Announce { dest, epoch, members } => (dest, epoch, members, None),
-        };
-        if stream_to(&mut conns, &dest, epoch, &members, items.as_deref(), &stats).is_err() {
+    while let Ok(Handoff { dest, epoch, members, items }) = rx.recv() {
+        if stream_to(&mut conns, &dest, epoch, &members, &items, &stats).is_err() {
             // Peer unreachable or confused: drop the cached connection
             // and move on. No retry — a newer epoch will re-announce,
             // and unmoved keys are cold misses by design.
@@ -2124,15 +2040,14 @@ fn run_handoff_streamer(rx: mpsc::Receiver<HandoffCmd>, stats: Arc<ServerStats>)
     }
 }
 
-/// One announce-or-stream exchange with `dest`: `RingUpdate` →
-/// `RingAck`, then (when streaming) chunked `Update` → `Ack` rounds
-/// closed by a fire-and-forget `HandoffDone`.
+/// One exchange with `dest`: `RingUpdate` → `RingAck`, then chunked
+/// `Update` → `Ack` rounds, each acked key counted into `handoff_out`.
 fn stream_to(
     conns: &mut HashMap<String, (FramedStream<TcpStream>, u64)>,
     dest: &str,
     epoch: u64,
     members: &[String],
-    items: Option<&[UpdateItem]>,
+    items: &[UpdateItem],
     stats: &ServerStats,
 ) -> io::Result<()> {
     if !conns.contains_key(dest) {
@@ -2151,21 +2066,19 @@ fn stream_to(
         Some(Message::RingAck { .. }) => {}
         _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "expected RingAck")),
     }
-    let Some(items) = items else { return Ok(()) };
-    let mut moved = 0u64;
     for chunk in items.chunks(HANDOFF_CHUNK) {
         *next_seq += 1;
         let seq = *next_seq;
         framed.send(&Message::Update { seq, items: chunk.to_vec() })?;
         match framed.recv()? {
-            Some(Message::Ack { seq: acked }) if acked == seq => moved += chunk.len() as u64,
+            Some(Message::Ack { seq: acked }) if acked == seq => {
+                stats.handoff_out.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+            }
             _ => {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, "expected handoff Ack"))
             }
         }
     }
-    framed.send(&Message::HandoffDone { epoch, keys: moved })?;
-    stats.handoff_out.fetch_add(moved, Ordering::Relaxed);
     Ok(())
 }
 

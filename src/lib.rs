@@ -41,7 +41,7 @@
 //! |-------|------|
 //! | [`fresca_core`] | policies, cost model, analytic model, engines |
 //! | [`fresca_workload`] | workload generators, distributions, traces |
-//! | [`fresca_cache`] | cache-aside cache, eviction, TTL timer wheel |
+//! | [`fresca_cache`] | cache-aside cache, eviction, refetch table |
 //! | [`fresca_store`] | versioned backend store, write buffer, trackers |
 //! | [`fresca_sketch`] | `E[W]` estimators: exact / Count-min / Top-K |
 //! | [`fresca_net`] | wire protocol, codec, framed transports, lossy network, reliability |

@@ -34,7 +34,6 @@ fn spawn_cluster(n: usize) -> (Vec<ServerHandle>, Vec<String>) {
                     shards: 8,
                     event_loops: 1,
                     origin: None,
-                    pin_threshold: 512,
                 },
             )
             .expect("bind ephemeral localhost port")
@@ -349,7 +348,6 @@ fn chaos_kill_restart_stays_clean_and_restores_ownership() {
             shards: 8,
             event_loops: 1,
             origin: None,
-            pin_threshold: 512,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests on cross-crate invariants: the cache against a
-//! reference model, the timer wheel against a naive timer list, and the
-//! engines' accounting identities over arbitrary workloads.
+//! reference model and the engines' accounting identities over arbitrary
+//! workloads.
 
 use fresca::prelude::*;
 use proptest::prelude::*;
@@ -343,58 +343,6 @@ proptest! {
             }
         }
         prop_assert_eq!(real.stats(), model.stats, "counters diverged");
-    }
-
-    /// The timer wheel fires exactly the same (deadline, payload) pairs
-    /// as a naive sorted timer list, for arbitrary schedules, cancels and
-    /// advance patterns.
-    #[test]
-    fn wheel_matches_naive_timer_list(
-        deadlines in proptest::collection::vec(1u64..5_000, 1..80),
-        cancels in proptest::collection::vec(any::<bool>(), 80),
-        steps in proptest::collection::vec(1u64..2_000, 1..8),
-    ) {
-        use fresca::fresca_cache::TimerWheel;
-        let mut wheel: TimerWheel<usize> = TimerWheel::new(SimDuration::from_millis(1));
-        let mut naive: Vec<(u64, usize, bool)> = Vec::new(); // (tick, id, live)
-        let mut tokens = Vec::new();
-        for (i, &d) in deadlines.iter().enumerate() {
-            tokens.push(wheel.schedule(SimTime::from_millis(d), i));
-            naive.push((d, i, true));
-        }
-        for (i, &cancel) in cancels.iter().take(deadlines.len()).enumerate() {
-            if cancel {
-                let from_wheel = wheel.cancel(tokens[i]);
-                prop_assert_eq!(from_wheel, Some(i));
-                naive[i].2 = false;
-            }
-        }
-        let mut now = 0u64;
-        for &s in &steps {
-            now += s;
-            let fired: Vec<(u64, usize)> = wheel
-                .advance(SimTime::from_millis(now))
-                .into_iter()
-                .map(|(t, id)| (t.as_nanos() / 1_000_000, id))
-                .collect();
-            let mut expected: Vec<(u64, usize)> = naive
-                .iter()
-                .filter(|&&(d, _, live)| live && d <= now)
-                .map(|&(d, id, _)| (d, id))
-                .collect();
-            expected.sort_by_key(|&(d, id)| (d, id));
-            // Mark them fired in the naive list.
-            for e in naive.iter_mut() {
-                if e.2 && e.0 <= now {
-                    e.2 = false;
-                }
-            }
-            let mut fired_sorted = fired.clone();
-            fired_sorted.sort_by_key(|&(d, id)| (d, id));
-            prop_assert_eq!(fired_sorted, expected, "fired set diverged at {}", now);
-            // Ordering property: fired deadlines are non-decreasing.
-            prop_assert!(fired.windows(2).all(|w| w[0].0 <= w[1].0));
-        }
     }
 
     /// Engine accounting identities hold on arbitrary small workloads:

@@ -42,7 +42,6 @@ fn spawn_server_with_loops(origin: Option<SocketAddr>, event_loops: usize) -> se
             shards: 8,
             event_loops,
             origin,
-            pin_threshold: 512,
         },
     )
     .expect("bind ephemeral localhost port")

@@ -25,7 +25,6 @@ fn spawn_server() -> server::ServerHandle {
             shards: 8,
             event_loops: 2,
             origin: None,
-            pin_threshold: 512,
         },
     )
     .expect("bind ephemeral localhost port")

@@ -33,7 +33,6 @@ fn spawn_server_with_loops(event_loops: usize) -> server::ServerHandle {
             shards: 8,
             event_loops,
             origin: None,
-            pin_threshold: 512,
         },
     )
     .expect("bind ephemeral localhost port")
@@ -431,37 +430,39 @@ fn half_closing_client_still_receives_queued_responses() {
 }
 
 #[test]
-fn legacy_idless_frames_are_served_and_answered_in_kind() {
-    use std::io::{Read, Write};
+fn retired_tags_are_protocol_errors() {
+    use fresca_net::{FramedStream, Message, RequestId};
+    use std::io::Write;
     use std::net::TcpStream;
 
     let handle = spawn_server();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut framed = FramedStream::new(stream.try_clone().unwrap());
 
-    // Hand-encode a pre-pipelining GetReq: tag 8, no id field.
+    // A valid read, and pipelined right behind it what an id-less peer
+    // used to send: tag 8, key and bound, no request id.
+    framed.send(&Message::GetReq { id: RequestId(1), key: 123, max_staleness: u64::MAX }).unwrap();
     let mut frame = Vec::new();
     frame.extend_from_slice(&21u32.to_be_bytes()); // length: 5 hdr + 8 key + 8 bound
-    frame.push(8); // legacy TAG_GET_REQ
+    frame.push(8); // retired tag
     frame.extend_from_slice(&123u64.to_be_bytes()); // key
     frame.extend_from_slice(&u64::MAX.to_be_bytes()); // max_staleness
-    stream.write_all(&frame).unwrap();
+    (&stream).write_all(&frame).unwrap();
 
-    // The response must be decodable by a legacy peer, i.e. come back
-    // under the legacy id-less tag. Read the raw bytes to pin that.
-    let mut header = [0u8; 5];
-    stream.read_exact(&mut header).unwrap();
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-    assert_eq!(len, 34, "legacy GetResp: 5 hdr + 8 key + 8 version + 4 size + 8 age + 1 status");
-    assert_eq!(header[4], 9, "legacy TAG_GET_RESP, not the id-carrying tag");
-    let mut body = vec![0u8; len as usize - 5];
-    stream.read_exact(&mut body).unwrap();
-    assert_eq!(&body[0..8], &123u64.to_be_bytes(), "key echoed");
-    assert_eq!(body[28], 3, "status byte: Miss");
+    // The first is answered; the second is not a message at all, so the
+    // node closes the connection after draining what it owed.
+    match framed.recv().unwrap() {
+        Some(Message::GetResp { id, key, status, .. }) => {
+            assert_eq!((id, key, status), (RequestId(1), 123, GetStatus::Miss));
+        }
+        other => panic!("expected the GetResp, got {other:?}"),
+    }
+    assert!(matches!(framed.recv(), Ok(None) | Err(_)), "no answer to a retired tag");
 
     let stats = handle.shutdown();
     assert_eq!(stats.gets, 1);
     assert_eq!(stats.misses, 1);
-    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.protocol_errors, 1);
 }
 
 #[test]
@@ -470,9 +471,9 @@ fn server_drops_connections_that_leave_the_accepted_paths() {
     use std::net::TcpStream;
 
     let handle = spawn_server();
-    // A cache→store fetch has no business arriving *at* a cache node.
+    // A cache→origin fetch has no business arriving *at* a cache node.
     let mut rogue = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
-    rogue.send(&Message::ReadReq { key: 1 }).unwrap();
+    rogue.send(&Message::FetchReq { key: 1 }).unwrap();
     // The server closes on us rather than answering.
     assert!(matches!(rogue.recv(), Ok(None) | Err(_)));
 
@@ -653,4 +654,130 @@ fn stalled_reader_gets_the_would_block_tail_in_order() {
     let stats = handle.shutdown();
     assert_eq!(stats.gets, GETS);
     assert!(stats.cross_core_forwards > 0, "keys never left the home loop: {stats:?}");
+}
+
+/// What one run of the script below observed: every request's answer in
+/// order, the order of the versions each key went through, and the
+/// node's counters.
+#[derive(Debug, PartialEq)]
+struct ScriptRun {
+    answers: Vec<(&'static str, u64, GetStatus, Vec<u8>)>,
+    version_order: std::collections::BTreeMap<u64, Vec<usize>>,
+    reads: [u64; 5],
+    writes: [u64; 4],
+}
+
+/// One client, one store-push connection and the control handle drive
+/// every op kind through a node with `event_loops` loops.
+fn run_script(event_loops: usize) -> (ScriptRun, u64) {
+    use fresca_net::{FramedStream, Message, UpdateItem};
+    use std::collections::BTreeMap;
+    use std::net::TcpStream;
+
+    let handle = spawn_server_with_loops(event_loops);
+    let mut client = CacheClient::connect(handle.addr()).unwrap();
+    let mut store = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    let mut answers = Vec::new();
+    let mut versions: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let ms = SimDuration::from_millis;
+
+    // Puts without and with a TTL; sixteen keys span both owners.
+    for key in 0..16 {
+        let v = client.put(key, payload::pattern(key, 32), None).unwrap();
+        versions.entry(key).or_default().push(v);
+    }
+    for key in 100..104 {
+        let v = client.put(key, payload::pattern(key, 8), Some(ms(40))).unwrap();
+        versions.entry(key).or_default().push(v);
+    }
+    std::thread::sleep(Duration::from_millis(60));
+
+    let mut get = |what, key, bound| {
+        let got = client.get(key, bound).unwrap();
+        if got.is_served() {
+            versions.entry(key).or_default().push(got.version);
+        }
+        answers.push((what, key, got.status, got.value.to_vec()));
+    };
+    for key in 0..16 {
+        get("fresh", key, None);
+    }
+    for key in 100..104 {
+        get("past its ttl", key, None);
+    }
+    get("older than the bound", 0, Some(ms(5)));
+    get("within the bound", 0, Some(SimDuration::from_secs(60)));
+    get("never written", 999, None);
+
+    // A pushed invalidation and a pushed update, each with keys of both
+    // owners and keys the node does not hold.
+    let keys = (0..8).chain(500..504).collect();
+    store.send(&Message::Invalidate { seq: 1, keys }).unwrap();
+    assert_eq!(store.recv().unwrap(), Some(Message::Ack { seq: 1 }));
+    for key in 0..8 {
+        get("invalidated", key, None);
+    }
+    let items = (4..12)
+        .chain(600..602)
+        .map(|key| UpdateItem { key, version: 7, value: payload::pattern(key, 48) })
+        .collect();
+    store.send(&Message::Update { seq: 2, items }).unwrap();
+    assert_eq!(store.recv().unwrap(), Some(Message::Ack { seq: 2 }));
+    for key in (0..16).chain(600..602) {
+        get("after the update", key, None);
+    }
+
+    assert!(handle.invalidate(12));
+    assert!(!handle.invalidate(999));
+    get("invalidated by the operator", 12, None);
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.protocol_errors, 0);
+    // Version numbers depend on which owner ran first; their order per
+    // key does not.
+    let version_order = versions
+        .into_iter()
+        .map(|(key, seen)| {
+            let mut sorted = seen.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            (key, seen.iter().map(|v| sorted.binary_search(v).unwrap()).collect())
+        })
+        .collect();
+    let reads = [stats.gets, stats.fresh, stats.stale_served, stats.refused, stats.misses];
+    let writes = [stats.puts, stats.push_batches, stats.keys_invalidated, stats.keys_updated];
+    (ScriptRun { answers, version_order, reads, writes }, stats.cross_core_forwards)
+}
+
+/// Every op has one executor, the owner's `apply`; whether it ran
+/// inline or behind a cross-core forward must not show in any answer.
+#[test]
+fn one_route_same_answers_on_one_and_two_loops() {
+    let (one, forwards_one) = run_script(1);
+    let (two, forwards_two) = run_script(2);
+    assert_eq!(forwards_one, 0, "one loop owns every key");
+    assert!(forwards_two > 0, "sixteen keys span both owners");
+    assert_eq!(one, two);
+
+    // The script reached every outcome it names.
+    let count = |what| one.answers.iter().filter(|a| a.0 == what).map(|a| a.2).collect::<Vec<_>>();
+    assert_eq!(count("fresh"), [GetStatus::Fresh; 16]);
+    assert_eq!(count("past its ttl"), [GetStatus::ServedStale; 4]);
+    assert_eq!(count("older than the bound"), [GetStatus::RefusedStale]);
+    assert_eq!(count("within the bound"), [GetStatus::Fresh]);
+    assert_eq!(count("never written"), [GetStatus::Miss]);
+    assert_eq!(count("invalidated"), [GetStatus::RefusedStale; 8]);
+    assert_eq!(count("invalidated by the operator"), [GetStatus::RefusedStale]);
+    for (_, key, status, value) in one.answers.iter().filter(|a| a.0 == "after the update") {
+        // Updated keys serve the pushed bytes — also the invalidated
+        // ones among them; untouched keys keep theirs; absent keys are
+        // not installed.
+        match key {
+            0..=3 => assert_eq!(*status, GetStatus::RefusedStale, "key {key}"),
+            4..=11 => assert_eq!(value[..], payload::pattern(*key, 48)[..], "key {key}"),
+            12..=15 => assert_eq!(value[..], payload::pattern(*key, 32)[..], "key {key}"),
+            _ => assert_eq!(*status, GetStatus::Miss, "key {key}"),
+        }
+    }
+    assert_eq!(one.writes, [20, 2, 8, 8], "20 puts; 2 batches: 8 cached keys invalidated, 8 updated");
 }
