@@ -12,8 +12,9 @@
 //!   codec is the source of truth.
 //! * **R2 `safety-comments`** — every `unsafe` token in the tree is
 //!   preceded by a `// SAFETY:` comment explaining why it is sound.
-//! * **R3 `panic-free-hot-path`** — the reactor
-//!   (`crates/serve/src/server.rs`) and the codec
+//! * **R3 `panic-free-hot-path`** — the node (`server.rs` and the
+//!   files cut from it, `datapath.rs`, `mailbox.rs`, `handoff.rs` and
+//!   `stats.rs`, in `crates/serve/src`) and the codec
 //!   (`crates/net/src/codec.rs`) contain no `unwrap`/`expect` calls or
 //!   panicking macros outside `#[cfg(test)]` regions: a malformed
 //!   frame or a racing peer must surface as an error, never a panic.
@@ -22,15 +23,16 @@
 //!   the refetch table) is held. A blocked holder stalls every loop
 //!   posting to that inbox; the freshness bound is only as good as the
 //!   worst hold time.
-//! * **R5 `lock-free-serve-path`** — the reactor's owner-local serving
-//!   functions (`apply` and the `serve_get`/`serve_put`/
-//!   `serve_invalidate`/`serve_update` it calls, in
-//!   `crates/serve/src/server.rs`) contain no
-//!   `.lock()`/`.read()`/`.write()` calls. Thread-per-core ownership
-//!   is the whole point of routing requests by key: each shard is
-//!   touched through plain `&mut` by exactly one loop, so a lock
-//!   acquisition appearing in that path means the partitioning
-//!   invariant was broken, not that a lock was needed.
+//! * **R5 `lock-free-serve-path`** — the data path
+//!   (`crates/serve/src/datapath.rs`, outside `#[cfg(test)]`) calls no
+//!   `.lock()`/`.read()`/`.write()` and names no `parking_lot`,
+//!   `minipoll`, `std::net`, `std::io`, `std::os` or `Instant`.
+//!   Thread-per-core ownership is the whole point of routing requests
+//!   by key: each shard is touched through plain `&mut` by exactly one
+//!   loop, so a lock there means the partitioning invariant was
+//!   broken, not that a lock was needed — and a socket or a clock
+//!   means the serving logic stopped being a function of
+//!   `(owner, op, now)` that tests and the model checker can call.
 //! * **R6 `panic-free-reconnect`** — the client-side reconnect paths
 //!   (`connect`/`reconnect_with_backoff` in `crates/serve/src/client.rs`,
 //!   `connect`/`refresh`/`swap_view`/`with_owner` in
@@ -852,9 +854,17 @@ fn has_safety_comment(lines: &[&str], line: usize) -> bool {
 // R3: panic-free hot path
 // ---------------------------------------------------------------------------
 
-/// Files that must never panic in production code: the reactor and
-/// the wire codec. A panic here takes down an event loop mid-frame.
-pub const HOT_PATH_FILES: &[&str] = &["crates/serve/src/server.rs", "crates/net/src/codec.rs"];
+/// Files that must never panic in production code: the node (the
+/// reactor and the files cut from it) and the wire codec. A panic here
+/// takes down an event loop mid-frame.
+pub const HOT_PATH_FILES: &[&str] = &[
+    "crates/serve/src/server.rs",
+    "crates/serve/src/datapath.rs",
+    "crates/serve/src/mailbox.rs",
+    "crates/serve/src/handoff.rs",
+    "crates/serve/src/stats.rs",
+    "crates/net/src/codec.rs",
+];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
@@ -1048,67 +1058,54 @@ fn scan_lock_scope(
 // R5: lock-free owner-local serve path
 // ---------------------------------------------------------------------------
 
-/// The reactor file whose owner-local serving functions must stay
-/// lock-free.
-pub const SERVE_PATH_FILE: &str = "crates/serve/src/server.rs";
-
-/// The owner-local serving functions: `apply`, the one entry every op
-/// on owned keys goes through, and the per-op functions it calls. Each
-/// runs only on the event loop that owns the key's shard and reaches it
-/// through `&mut`; a lock acquisition here means the thread-per-core
-/// partitioning was violated.
-pub const SERVE_PATH_FNS: &[&str] =
-    &["apply", "serve_get", "serve_put", "serve_invalidate", "serve_update"];
+/// The data-path file: every operation on owned shards, I/O-free.
+pub const SERVE_PATH_FILE: &str = "crates/serve/src/datapath.rs";
 
 /// Lock-acquiring method names. `read`/`write` cover `RwLock` guards
 /// (and, usefully, raw socket I/O — neither belongs in an owner-local
 /// shard operation).
 const LOCK_ACQUIRE_CALLS: &[&str] = &["lock", "read", "write"];
 
+/// Names the data path must not mention anywhere: locks, the poll set
+/// and the wall clock…
+const SERVE_PATH_BANNED_NAMES: &[&str] = &["parking_lot", "minipoll", "Instant"];
+
+/// …and, after `std::`, sockets, I/O and file descriptors.
+const SERVE_PATH_BANNED_STD: &[&str] = &["net", "io", "os"];
+
 fn rule_lock_free_serve_path(root: &Path, path: &Path, tokens: &[Token], report: &mut Report) {
     let spans = cfg_test_spans(tokens);
-    let mut i = 0;
-    while i < tokens.len() {
-        let is_serve_fn = tokens[i].is_ident("fn")
-            && tokens
-                .get(i + 1)
-                .is_some_and(|t| t.kind == TokenKind::Ident
-                    && SERVE_PATH_FNS.contains(&t.text.as_str()));
-        if !is_serve_fn {
-            i += 1;
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident || in_spans(&spans, t.line) {
             continue;
         }
-        let fn_name = tokens[i + 1].text.clone();
-        // The body is the first brace group after the signature.
-        let mut open = i + 2;
-        while open < tokens.len() && !tokens[open].is_punct('{') {
-            open += 1;
-        }
-        let end = matching_close(tokens, open, '{', '}');
-        for k in open..end.min(tokens.len()) {
-            let t = &tokens[k];
-            if t.kind != TokenKind::Ident || in_spans(&spans, t.line) {
-                continue;
-            }
-            if LOCK_ACQUIRE_CALLS.contains(&t.text.as_str())
-                && k > 0
-                && tokens[k - 1].is_punct('.')
-                && tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
-            {
-                report.violations.push(Violation {
-                    rule: "lock-free-serve-path",
-                    file: rel(root, path),
-                    line: t.line,
-                    message: format!(
-                        "`.{}()` inside `{fn_name}`: the owner-local serve path touches \
-                         its shards through `&mut` only — a lock here breaks the \
-                         thread-per-core ownership invariant",
-                        t.text
-                    ),
-                });
-            }
-        }
-        i = end.max(i + 1);
+        let name = t.text.as_str();
+        let method_call = i > 0
+            && tokens[i - 1].is_punct('.')
+            && tokens.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let after_std = i >= 3
+            && tokens[i - 1].is_punct(':')
+            && tokens[i - 2].is_punct(':')
+            && tokens[i - 3].is_ident("std");
+        let what = if method_call && LOCK_ACQUIRE_CALLS.contains(&name) {
+            format!("`.{name}()`")
+        } else if SERVE_PATH_BANNED_NAMES.contains(&name) {
+            format!("`{name}`")
+        } else if after_std && SERVE_PATH_BANNED_STD.contains(&name) {
+            format!("`std::{name}`")
+        } else {
+            continue;
+        };
+        report.violations.push(Violation {
+            rule: "lock-free-serve-path",
+            file: rel(root, path),
+            line: t.line,
+            message: format!(
+                "{what} in the data path: an owner touches its shards through `&mut` only \
+                 and is handed `now` — a lock here breaks thread-per-core ownership, a \
+                 socket or a clock breaks calling it from a test"
+            ),
+        });
     }
 }
 

@@ -325,6 +325,20 @@ fn unwrap_in_hot_path_is_flagged_but_test_mod_is_exempt() {
 }
 
 #[test]
+fn unwrap_in_the_files_cut_from_the_reactor_is_flagged_too() {
+    let fx = Fixture::new("panic-hot-cut");
+    let cut = ["datapath.rs", "handoff.rs", "mailbox.rs", "stats.rs"]
+        .map(|file| format!("crates/serve/src/{file}"));
+    for file in &cut {
+        fx.file(file, "fn f(x: Option<u8>) -> u8 {\n\x20   x.unwrap()\n}\n");
+    }
+    let v = fx.lint();
+    let files: Vec<&str> =
+        violations(&v, "panic-free-hot-path").iter().map(|v| v.file.as_str()).collect();
+    assert_eq!(files, cut);
+}
+
+#[test]
 fn panic_outside_hot_path_files_is_allowed() {
     let fx = Fixture::new("panic-cold");
     fx.file("crates/serve/src/loadgen.rs", "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n");
@@ -381,17 +395,17 @@ fn lock_rules_only_apply_to_serving_and_cache_dirs() {
 }
 
 // ---------------------------------------------------------------------------
-// R5: lock-free owner-local serve path
+// R5: lock-free, I/O-free data path
 // ---------------------------------------------------------------------------
 
 #[test]
-fn lock_in_serve_path_fn_is_flagged_at_its_line() {
+fn lock_in_the_data_path_is_flagged_at_its_line() {
     // The mutation the rule exists to catch: someone reintroduces a
     // shard lock into the owner-local read path.
     let fx = Fixture::new("servepath-lock");
     fx.file(
-        "crates/serve/src/server.rs",
-        "fn serve_get(&mut self, key: u64) -> Option<Message> {\n\
+        "crates/serve/src/datapath.rs",
+        "fn get(&mut self, key: u64) -> Option<Message> {\n\
          \x20   let shard = self.cache.shard(key).lock();\n\
          \x20   shard.get_bounded(key)\n\
          }\n",
@@ -399,23 +413,25 @@ fn lock_in_serve_path_fn_is_flagged_at_its_line() {
     let report = fx.lint();
     let v = violations(&report, "lock-free-serve-path");
     assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].file, "crates/serve/src/server.rs");
+    assert_eq!(v[0].file, "crates/serve/src/datapath.rs");
     assert_eq!(v[0].line, 2);
-    assert!(v[0].message.contains("serve_get") && v[0].message.contains(".lock()"));
+    assert!(v[0].message.contains(".lock()"), "{}", v[0].message);
 }
 
 #[test]
-fn rwlock_read_and_write_guards_in_serve_path_are_flagged() {
+fn rwlock_guards_anywhere_in_the_data_path_are_flagged() {
+    // File-scoped: a helper nobody listed (`park`, `count_outcome`) is
+    // on the path as much as `apply` is.
     let fx = Fixture::new("servepath-rwlock");
     fx.file(
-        "crates/serve/src/server.rs",
-        "fn serve_put(&mut self, key: u64) -> u64 {\n\
+        "crates/serve/src/datapath.rs",
+        "fn put(&mut self, key: u64) -> u64 {\n\
          \x20   self.shared.index.write().insert(key)\n\
          }\n\
-         fn serve_invalidate(&mut self, keys: &[u64]) -> u64 {\n\
+         fn park(&mut self, keys: &[u64]) -> u64 {\n\
          \x20   self.shared.index.read().count(keys)\n\
          }\n\
-         fn apply(&mut self, op: ForwardOp) -> Option<Completion> {\n\
+         fn count_outcome(&self, op: Op) {\n\
          \x20   self.shared.membership.lock().serve(op)\n\
          }\n",
     );
@@ -426,39 +442,60 @@ fn rwlock_read_and_write_guards_in_serve_path_are_flagged() {
 }
 
 #[test]
-fn locks_outside_the_serve_fns_or_outside_the_reactor_file_are_allowed() {
-    // The reactor legitimately locks elsewhere (the cross-core inbox
-    // handoff), and other files lock freely — the rule is scoped to
-    // `apply` and the four serving functions it calls in server.rs.
+fn sockets_poll_sets_lock_crates_and_clocks_in_the_data_path_are_flagged() {
+    let fx = Fixture::new("servepath-io");
+    fx.file(
+        "crates/serve/src/datapath.rs",
+        "use parking_lot::Mutex;\n\
+         use std::net::TcpStream;\n\
+         use std::sync::Arc;\n\
+         use fresca_net::Message;\n\
+         fn apply(&mut self, link: &mut std::io::Cursor<u8>) {\n\
+         \x20   let now = std::time::Instant::now();\n\
+         \x20   let fd: std::os::fd::RawFd = 0;\n\
+         \x20   minipoll::PollSet::new();\n\
+         }\n",
+    );
+    let report = fx.lint();
+    let v = violations(&report, "lock-free-serve-path");
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, vec![1, 2, 5, 6, 7, 8], "`std::sync` and `fresca_net` are fine: {v:?}");
+    assert!(v[1].message.contains("`std::net`") && v[3].message.contains("`Instant`"));
+}
+
+#[test]
+fn locks_and_sockets_outside_the_data_path_file_are_allowed() {
+    // The reactor legitimately locks (the mailbox) and owns every
+    // socket; other files lock freely — the rule is scoped to
+    // datapath.rs.
     let fx = Fixture::new("servepath-elsewhere");
     fx.file(
         "crates/serve/src/server.rs",
-        "fn flush_outboxes(&mut self) {\n\
-         \x20   self.peers[0].inbox.lock().msgs.push(1);\n\
-         }\n\
-         fn serve_update(&mut self, items: Vec<u64>) -> u64 {\n\
-         \x20   items.len() as u64\n\
+        "use std::net::TcpStream;\n\
+         fn post(&self) {\n\
+         \x20   self.inbox.lock().msgs.push(1);\n\
          }\n",
     )
     .file(
         "crates/serve/src/push.rs",
-        "fn serve_get(m: &Mutex<u64>) -> u64 { *m.lock() }\n",
+        "fn apply(m: &Mutex<u64>) -> u64 { *m.lock() }\n",
     );
     assert!(
         violations(&fx.lint(), "lock-free-serve-path").is_empty(),
-        "only serve-path bodies in server.rs are in scope"
+        "only datapath.rs is in scope"
     );
 }
 
 #[test]
-fn serve_path_test_modules_are_exempt() {
+fn data_path_test_modules_are_exempt() {
     let fx = Fixture::new("servepath-testmod");
     fx.file(
-        "crates/serve/src/server.rs",
-        "fn serve_get(&mut self) -> u64 { 1 }\n\
+        "crates/serve/src/datapath.rs",
+        "fn get(&mut self) -> u64 { 1 }\n\
          #[cfg(test)]\n\
          mod tests {\n\
-         \x20   fn serve_get(m: &Mutex<u64>) -> u64 { *m.lock() }\n\
+         \x20   use std::time::Instant;\n\
+         \x20   fn get(m: &Mutex<u64>) -> u64 { *m.lock() }\n\
          }\n",
     );
     assert!(violations(&fx.lint(), "lock-free-serve-path").is_empty());

@@ -2,7 +2,7 @@
 //! node, or fan it out across a consistent-hash cluster of them.
 //!
 //! ```text
-//! loadgen [--addr 127.0.0.1:7440 | --addrs a,b,c] [--vnodes 128]
+//! loadgen [--addr 127.0.0.1:7440 | --addrs a,b,c]
 //!         [--scenario flash-crowd|diurnal|write-heavy-ticker|
 //!                     mixed-tenants|freshness-regimes|push-storm]
 //!         [--workload poisson|mix|meta|twitter]
@@ -175,7 +175,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         let names = scenario::names().join("|");
         eprintln!(
-            "usage: loadgen [--addr 127.0.0.1:7440 | --addrs a,b,c] [--vnodes 128] \
+            "usage: loadgen [--addr 127.0.0.1:7440 | --addrs a,b,c] \
              [--scenario {names}] \
              [--workload poisson|mix|meta|twitter] \
              [--seed 42] [--rate 10] [--horizon-secs 1000] [--mode closed|open] \
@@ -190,7 +190,6 @@ fn main() {
     let has_flag = |name: &str| args.iter().any(|a| a == name);
     let addr_s = arg(&args, "--addr", "127.0.0.1:7440".to_string());
     let addrs_s = arg(&args, "--addrs", String::new());
-    let vnodes: usize = arg(&args, "--vnodes", fresca_serve::ring::DEFAULT_VNODES);
     let scenario_s = arg(&args, "--scenario", String::new());
     let workload = arg(&args, "--workload", "poisson".to_string());
     let seed: u64 = arg(&args, "--seed", 42);
@@ -369,9 +368,7 @@ fn main() {
                 schedule.events.len(),
                 duration.as_secs_f64(),
             );
-            match loadgen::run_cluster_chaos(
-                &nodes, &ops, &config, vnodes, &schedule, &mut sup, seed,
-            ) {
+            match loadgen::run_cluster_chaos(&nodes, &ops, &config, &schedule, &mut sup, seed) {
                 Ok(mut cluster) => {
                     cluster.set_identity(&format!("{schedule_name}-chaos"), seed);
                     (cluster.aggregate.clone(), Some(cluster))
@@ -384,11 +381,11 @@ fn main() {
         } else {
             println!(
                 "replaying {} ops of {schedule_name} (seed {seed}) across {} nodes [{mode_name}, \
-                 pipeline {pipeline}, {vnodes} vnodes]",
+                 pipeline {pipeline}]",
                 ops.len(),
                 nodes.len(),
             );
-            match loadgen::run_cluster(&nodes, &ops, &config, vnodes) {
+            match loadgen::run_cluster(&nodes, &ops, &config) {
                 Ok(mut cluster) => {
                     // A fanned-out run is a different experiment than a
                     // single-node replay of the same schedule — suffix the

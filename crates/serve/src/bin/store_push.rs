@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! store-push --addrs 127.0.0.1:7440,127.0.0.1:7441,127.0.0.1:7442
-//!            [--policy adaptive|invalidate|update] [--vnodes 128]
-//!            [--origin 127.0.0.1:7500]
+//!            [--policy adaptive|invalidate|update] [--origin 127.0.0.1:7500]
 //!            [--write-rate 2000] [--keys 4096] [--value-size 64]
 //!            [--interval-ms 100] [--duration-secs 10] [--seed 42]
 //!            [--json BENCH_push.json]
@@ -60,15 +59,13 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: store-push --addrs a,b,c [--policy adaptive|invalidate|update] \
-             [--vnodes 128] [--origin 127.0.0.1:7500] [--write-rate 2000] [--keys 4096] \
-             [--value-size 64] [--interval-ms 100] [--duration-secs 10] [--seed 42] \
-             [--json BENCH_push.json]"
+             [--origin 127.0.0.1:7500] [--write-rate 2000] [--keys 4096] [--value-size 64] \
+             [--interval-ms 100] [--duration-secs 10] [--seed 42] [--json BENCH_push.json]"
         );
         return;
     }
     let addrs_s = arg(&args, "--addrs", String::new());
     let policy_s = arg(&args, "--policy", "adaptive".to_string());
-    let vnodes: usize = arg(&args, "--vnodes", fresca_serve::ring::DEFAULT_VNODES);
     let origin_addr = arg(&args, "--origin", String::new());
     let write_rate: u64 = arg(&args, "--write-rate", 2000);
     let keys: u64 = arg(&args, "--keys", 4096);
@@ -92,7 +89,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let config = PushConfig { policy, vnodes, ..Default::default() };
+    let config = PushConfig { policy, ..Default::default() };
     let mut pusher = match StorePusher::connect(&addrs, config) {
         Ok(p) => p,
         Err(e) => {

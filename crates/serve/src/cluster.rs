@@ -30,7 +30,7 @@
 //! generator's `--addrs` fan-out does.
 
 use crate::client::{Backoff, CacheClient, ConnError, GetOutcome, PipelinedClient, Response};
-use crate::ring::HashRing;
+use crate::ring::{HashRing, DEFAULT_VNODES};
 use bytes::Bytes;
 use fresca_sim::SimDuration;
 use std::collections::HashMap;
@@ -53,17 +53,18 @@ pub struct ClusterClient {
     /// One pipelined connection per ring member, indexed like
     /// `ring.nodes()`.
     conns: Vec<PipelinedClient>,
-    vnodes: usize,
     /// Retry pacing for the re-route loop in [`Self::put`]/[`Self::get`].
     retry: Backoff,
 }
 
 impl ClusterClient {
-    /// Connect to every node of the cluster. `vnodes` is the ring's
-    /// virtual-node count and must match the other participants'
-    /// (use [`crate::ring::DEFAULT_VNODES`] unless you have a reason).
-    pub fn connect<S: AsRef<str>>(addrs: &[S], vnodes: usize) -> io::Result<Self> {
-        let ring = HashRing::try_from_members(vnodes, addrs)?;
+    /// Connect to every node of the cluster. The ring is built with
+    /// [`DEFAULT_VNODES`] virtual nodes per member, like every other
+    /// participant's: the nodes rebalance and hand keys off by that
+    /// ring, so a client routing by any other would read from a node
+    /// the handoff did not fill.
+    pub fn connect<S: AsRef<str>>(addrs: &[S]) -> io::Result<Self> {
+        let ring = HashRing::try_from_members(DEFAULT_VNODES, addrs)?;
         let members: Vec<String> = ring.nodes().to_vec();
         let conns = members
             .iter()
@@ -74,7 +75,6 @@ impl ClusterClient {
             epoch: 0,
             members,
             conns,
-            vnodes,
             // Modest default: 4 attempts, 50ms..1s jittered. Seeded
             // from a constant so default-configured runs reproduce.
             retry: Backoff::new(Duration::from_millis(50), Duration::from_secs(1), 4, 0xC1A5),
@@ -154,7 +154,7 @@ impl ClusterClient {
     /// keep connections to members present in both views, connect to
     /// the new ones. On any failure the old view stays in place.
     pub fn swap_view(&mut self, epoch: u64, members: Vec<String>) -> io::Result<()> {
-        let ring = HashRing::try_from_members(self.vnodes, &members)?;
+        let ring = HashRing::try_from_members(DEFAULT_VNODES, &members)?;
         // Pair up surviving connections by member name without tearing
         // them down; drained-but-alive sockets keep their pipelines.
         let mut kept: HashMap<String, PipelinedClient> =
@@ -279,11 +279,11 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_duplicate_member_lists() {
-        let err = ClusterClient::connect::<&str>(&[], 8).unwrap_err();
+        let err = ClusterClient::connect::<&str>(&[]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let (handles, addrs) = spawn_cluster(1);
         let dup = [addrs[0].clone(), addrs[0].clone()];
-        let err = ClusterClient::connect(&dup, 8).unwrap_err();
+        let err = ClusterClient::connect(&dup).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         for h in handles {
             h.shutdown();
@@ -293,8 +293,8 @@ mod tests {
     #[test]
     fn routing_is_deterministic_across_clients() {
         let (handles, addrs) = spawn_cluster(3);
-        let a = ClusterClient::connect(&addrs, 64).unwrap();
-        let b = ClusterClient::connect(&addrs, 64).unwrap();
+        let a = ClusterClient::connect(&addrs).unwrap();
+        let b = ClusterClient::connect(&addrs).unwrap();
         for key in 0..2_000u64 {
             assert_eq!(a.addr_for(key), b.addr_for(key), "key {key}");
             assert_eq!(a.node_index_for(key), b.node_index_for(key));
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn puts_and_gets_land_on_the_owning_node() {
         let (handles, addrs) = spawn_cluster(2);
-        let mut client = ClusterClient::connect(&addrs, 64).unwrap();
+        let mut client = ClusterClient::connect(&addrs).unwrap();
         for key in 0..64u64 {
             let v = client.put(key, fresca_net::payload::pattern(key, 16), None).unwrap();
             assert!(v > 0);
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn refresh_adopts_newer_views_and_swap_keeps_survivor_conns() {
         let (handles, addrs) = spawn_cluster(3);
-        let mut client = ClusterClient::connect(&addrs, 64).unwrap();
+        let mut client = ClusterClient::connect(&addrs).unwrap();
         assert_eq!(client.epoch(), 0);
         // Seed the cluster's own membership to match the client's list.
         let mut admin = CacheClient::connect(addrs[0].as_str()).unwrap();
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn node_death_reroutes_after_leave() {
         let (mut handles, addrs) = spawn_cluster(3);
-        let mut client = ClusterClient::connect(&addrs, 64).unwrap();
+        let mut client = ClusterClient::connect(&addrs).unwrap();
         let mut admin = CacheClient::connect(addrs[0].as_str()).unwrap();
         for a in &addrs {
             admin.join(a).unwrap();

@@ -18,6 +18,10 @@
 //!   entry was served fresh, served stale, refused, or missed — and echo
 //!   each request's id, so responses to pipelined requests stay
 //!   matchable.
+//! * [`datapath`] — what a loop does to the shards it owns, as an
+//!   I/O-free [`datapath::Owner`] whose every entry takes `now`: the
+//!   per-read freshness decision, version allocation, the refetch
+//!   table. The reactor calls it; so do tests and the model checker.
 //! * [`client`] — a blocking request/response client
 //!   ([`client::CacheClient`]) and a pipelined one
 //!   ([`client::PipelinedClient`]) that keeps many requests in flight on
@@ -70,12 +74,16 @@
 pub mod chaos;
 pub mod client;
 pub mod cluster;
+pub mod datapath;
+mod handoff;
 pub mod loadgen;
+mod mailbox;
 pub mod membership;
 pub mod origin;
 pub mod push;
 pub mod ring;
 pub mod server;
+mod stats;
 
 /// Flag parsing shared by the `serve`, `loadgen` and `store-push`
 /// binaries.

@@ -36,7 +36,7 @@
 
 use crate::chaos::{self, ChaosReport, ChaosSchedule, ChaosShared, NodeWindow, Supervisor};
 use crate::client::{Backoff, CacheClient, PipelinedClient, Response, ServerProbe};
-use crate::ring::HashRing;
+use crate::ring::{HashRing, DEFAULT_VNODES};
 use fresca_net::{payload, GetStatus, RequestId};
 use fresca_workload::{TimedOp, WireOp};
 use serde::Serialize;
@@ -639,18 +639,16 @@ impl std::fmt::Display for ClusterReport {
 ///
 /// `nodes` pairs each member's ring name (the address string as typed —
 /// all participants must spell it identically) with its resolved socket
-/// address; `vnodes` must match the cluster's ring configuration. In
-/// closed-loop mode each node gets its own `connections` workers; in
-/// open-loop mode each node gets one connection paced by the shared
-/// schedule clock, so cross-node ordering follows the trace.
+/// address. In closed-loop mode each node gets its own `connections`
+/// workers; in open-loop mode each node gets one connection paced by
+/// the shared schedule clock, so cross-node ordering follows the trace.
 pub fn run_cluster(
     nodes: &[(String, SocketAddr)],
     ops: &[TimedOp],
     config: &LoadGenConfig,
-    vnodes: usize,
 ) -> io::Result<ClusterReport> {
     let names: Vec<&str> = nodes.iter().map(|(name, _)| name.as_str()).collect();
-    let ring = HashRing::try_from_members(vnodes, &names)?;
+    let ring = HashRing::try_from_members(DEFAULT_VNODES, &names)?;
     // Partition the schedule by ring owner, preserving each node's
     // schedule order (open-loop pacing depends on it).
     let mut per_node: Vec<Vec<TimedOp>> = vec![Vec::new(); nodes.len()];
@@ -722,7 +720,6 @@ pub fn run_cluster_chaos(
     nodes: &[(String, SocketAddr)],
     ops: &[TimedOp],
     config: &LoadGenConfig,
-    vnodes: usize,
     schedule: &ChaosSchedule,
     supervisor: &mut dyn Supervisor,
     seed: u64,
@@ -748,7 +745,7 @@ pub fn run_cluster_chaos(
     let (stamps, driven) = std::thread::scope(|s| {
         let controller =
             s.spawn(|| chaos::run_schedule(schedule, supervisor, nodes, started, &shared));
-        let driven = chaos_drive(nodes, ops, config, vnodes, &shared, started, seed);
+        let driven = chaos_drive(nodes, ops, config, &shared, started, seed);
         (controller.join().expect("chaos controller panicked"), driven)
     });
     let driven = driven?;
@@ -823,7 +820,6 @@ fn chaos_drive(
     nodes: &[(String, SocketAddr)],
     ops: &[TimedOp],
     config: &LoadGenConfig,
-    vnodes: usize,
     shared: &ChaosShared,
     started: Instant,
     seed: u64,
@@ -855,7 +851,7 @@ fn chaos_drive(
     let mut retry_at: Vec<Instant> = vec![started; n];
     // Routing view: starts at whatever the seeding joins produced.
     let mut seen_epoch = shared.epoch.load(Ordering::Acquire);
-    let mut ring = HashRing::try_from_members(vnodes, &shared.view_snapshot())?;
+    let mut ring = HashRing::try_from_members(DEFAULT_VNODES, &shared.view_snapshot())?;
 
     // The connection to `i` failed: its in-flight ops are lost (counted
     // to the node's window), its pending map cleared. Version floors
@@ -922,7 +918,7 @@ fn chaos_drive(
         if epoch != seen_epoch {
             seen_epoch = epoch;
             let members = shared.view_snapshot();
-            if let Ok(fresh) = HashRing::try_from_members(vnodes, &members) {
+            if let Ok(fresh) = HashRing::try_from_members(DEFAULT_VNODES, &members) {
                 ring = fresh;
             }
         }

@@ -45,7 +45,7 @@
 //! see `docs/PROTOCOL.md`, *Invalidate/Update on the serving path*.
 
 use crate::origin::{OriginState, DEFAULT_ORIGIN_VALUE_SIZE};
-use crate::ring::HashRing;
+use crate::ring::{HashRing, DEFAULT_VNODES};
 use fresca_core::cost::{CostModel, ObjectSize};
 use fresca_core::policy::FlushDecision;
 use fresca_net::{payload, FramedStream, Message, UpdateItem};
@@ -98,9 +98,6 @@ impl PushPolicy {
 pub struct PushConfig {
     /// Invalidate, update, or per-key adaptive batches.
     pub policy: PushPolicy,
-    /// Virtual nodes per ring member — must match the cluster's other
-    /// participants.
-    pub vnodes: usize,
     /// Cost model the adaptive policy decides under (ignored by the
     /// static policies).
     pub cost: CostModel,
@@ -110,7 +107,6 @@ impl Default for PushConfig {
     fn default() -> Self {
         PushConfig {
             policy: PushPolicy::Invalidate,
-            vnodes: crate::ring::DEFAULT_VNODES,
             cost: CostModel::default(),
         }
     }
@@ -223,7 +219,7 @@ impl StorePusher {
         config: PushConfig,
         origin: Arc<Mutex<OriginState>>,
     ) -> io::Result<Self> {
-        let ring = HashRing::try_from_members(config.vnodes, addrs)?;
+        let ring = HashRing::try_from_members(DEFAULT_VNODES, addrs)?;
         let conns = ring
             .nodes()
             .iter()
@@ -546,7 +542,7 @@ mod tests {
         let config = PushConfig { policy: PushPolicy::Update, ..Default::default() };
         let mut pusher = StorePusher::connect(&addrs, config).unwrap();
         // Updates only refresh entries the cache holds; populate first.
-        let mut client = crate::ClusterClient::connect(&addrs, config.vnodes).unwrap();
+        let mut client = crate::ClusterClient::connect(&addrs).unwrap();
         for key in 0..16u64 {
             client.put(key, payload::pattern(key, 8), None).unwrap();
         }
@@ -612,7 +608,7 @@ mod tests {
             pusher.write(key, 16);
         }
         // Populate the cache so updates have entries to refresh.
-        let mut client = crate::ClusterClient::connect(&addrs, config.vnodes).unwrap();
+        let mut client = crate::ClusterClient::connect(&addrs).unwrap();
         for key in 0..16u64 {
             client.put(key, payload::pattern(key, 8), None).unwrap();
         }

@@ -1,4 +1,7 @@
-//! The event-driven, thread-per-core TCP cache server.
+//! The event-driven, thread-per-core TCP cache server: the reactor and
+//! the routing. What an op *does* once it reaches the loop owning its
+//! key — the freshness decision, the refetch table, version allocation
+//! — is [`crate::datapath`], which this file only calls.
 //!
 //! A small poll-based reactor replaces the original thread-per-connection
 //! design: one blocking accept thread hands sockets to a configurable
@@ -11,32 +14,25 @@
 //!
 //! ## Thread-per-core ownership
 //!
-//! Cache shards are not shared behind locks — they are **partitioned
-//! across the event loops at startup and owned exclusively by one
-//! loop** for the server's lifetime. Shard `s` (of `S`, rounded up to a
-//! power of two) belongs to loop `s % L`; each loop keeps its owned
-//! shards in a plain `Vec<SlabCache>` (slab-backed storage with
-//! intrusive recency lists, evicting by `ServerConfig.cache.eviction` —
-//! see [`fresca_cache::slab`]) and mutates them through `&mut` with **no
-//! locking at all**.
-//!
-//! Requests are therefore routed *by key*, not just by connection, and
-//! every op on owned keys is served one way: `dispatch` describes it as
-//! a `ForwardOp`, `route` finds the owner, and the owner's `apply` runs
-//! it against the owned shard and returns a `Completion`. Local and
-//! forwarded ops differ only in where that completion goes. When the
-//! owner is the loop the request arrived on, `apply` runs inline and
-//! the reply is queued on the connection then and there. Otherwise the
-//! op is **forwarded**: the home loop stages a `CoreMsg::Op` into a
-//! per-destination outbox, flushes the batch into the owner's inbox at
-//! end of tick (one mutex append + one self-pipe wake byte per
-//! destination — the same wakeup channel the accept thread uses), and
-//! the request parks exactly like an origin refetch does. The owner
-//! applies it and stages the completion — the fully-formed reply — back
-//! to the home loop, which queues it on the original connection,
-//! matched by `(slot, token)` so a recycled slot can never receive a
-//! stranger's reply. The reactor never blocks on a forward; counted in
-//! `cross_core_forwards`.
+//! An event loop is two fields: the reactor state in this file and one
+//! [`Owner`], the cache shards partitioned to this loop at startup,
+//! touched by no other thread and behind no lock. Requests are
+//! therefore routed *by key*, not just by connection, and every op on
+//! owned keys is served one way: `dispatch` describes it as an [`Op`],
+//! `route` finds the owner, and [`Owner::apply`] runs it and returns a
+//! [`Completion`]. Local and forwarded ops differ only in where that
+//! completion goes. When the owner is the loop the request arrived on,
+//! `apply` runs inline and the reply is queued on the connection then
+//! and there. Otherwise the op is **forwarded**: the home loop stages a
+//! `CoreMsg::Op` into a per-destination outbox, posts the batch to the
+//! owner's `Mailbox` at end of tick (one mutex append + one self-pipe
+//! wake byte per destination — the same call the accept thread
+//! deposits sockets through), and the request parks exactly like an
+//! origin refetch does. The owner applies it and stages the completion
+//! — the fully-formed reply — back to the home loop, which queues it on
+//! the original connection, matched by [`ReplyTo`]'s `(slot, token)` so
+//! a recycled slot can never receive a stranger's reply. The reactor
+//! never blocks on a forward; counted in `cross_core_forwards`.
 //!
 //! Late replies ride the tick exactly like local ones: a completion
 //! (from a peer loop, a finished store-push batch, or an origin
@@ -44,14 +40,11 @@
 //! loop-local dirty list, and the reactor flushes each dirty connection
 //! **once** at end of tick. However many completions a wake-up brings
 //! for one connection, they leave in one `writev` — counted, together
-//! with `service`'s own flush, in `reply_writes`.
+//! with the flush that follows `service`, in `reply_writes`.
 //!
-//! Because every key has exactly one owner thread, multi-step operations
-//! that used to need a shard lock ("allocate a version, then insert")
-//! are atomic by construction, and per-key operation order is preserved
-//! end-to-end: a connection's requests are decoded in order, same-key
-//! operations always route to the same owner, and the inbox queues are
-//! FIFO.
+//! Per-key operation order is preserved end-to-end: a connection's
+//! requests are decoded in order, same-key operations always route to
+//! the same owner, and the inbox queues are FIFO.
 //!
 //! Per connection the reactor keeps a [`NonBlockingFramedStream`]: reads
 //! accumulate into the streaming codec until frames complete, responses
@@ -63,18 +56,6 @@
 //! requests may complete out of order with respect to later local ones,
 //! exactly like parked refetches always could).
 //!
-//! Freshness is enforced *at the serving boundary*, per the paper's
-//! argument: a `PutReq` installs its per-key TTL, and a `GetReq`'s
-//! max-staleness bound decides between served-fresh, served-stale,
-//! refused, and miss — the decision travels back on the wire as a
-//! [`GetStatus`] so the client can count staleness violations end-to-end.
-//!
-//! Small values decoded from large receive chunks are **re-pinned**
-//! before they are cached ([`fresca_net::pin::repin_small`], threshold
-//! [`DEFAULT_PIN_THRESHOLD`]): a 100-byte payload sliced out of a
-//! 64 KiB read would otherwise hold the whole chunk alive for as long
-//! as the entry stays cached.
-//!
 //! The same socket also accepts the **store path**: a store-push node
 //! (see [`crate::push`]) sends batched `Invalidate { seq, keys }` /
 //! `Update { seq, items }` frames. The receiving loop splits a batch
@@ -84,52 +65,34 @@
 //! write-triggered freshness pipeline running against a real cache node
 //! instead of the simulator.
 //!
-//! ## The refetch path
+//! ## The origin link
 //!
-//! With [`ServerConfig::origin`] set, a bounded read that would come
-//! back `RefusedStale` or `Miss` does not answer at all — the **owner
-//! loop** parks the request on its in-flight-refetch table
-//! ([`fresca_cache::refetch::RefetchTable`]) and asks the origin for
-//! the key over a per-event-loop non-blocking connection. Concurrent
-//! readers of the same key coalesce onto the one in-flight fetch
-//! (dogpile guard — and because a key has one owner, coalescing is now
-//! global, not per-loop); when the `FetchResp` arrives the entry is
-//! installed like a put and every parked reader is answered `Fresh` at
-//! age 0 — directly for readers whose connection lives on the owner
-//! loop, via a completion message for forwarded ones. The event loop
-//! never blocks on the origin: parked requests cost a table entry,
-//! unrelated keys keep serving, and if the origin connection dies every
-//! parked reader immediately receives the refusal/miss it would have
-//! gotten without an origin (counted in `origin_errors`), with
-//! reconnection retried on a timer. A store push that reaches the owner
-//! while its key's fetch is in flight is remembered: the `FetchResp` on
-//! its way may have been read before that write, so once it has been
-//! installed and the parked readers answered, the entry is marked
-//! known-stale and the next read refetches. Refetching through the origin is
-//! also the paper's §3.1 backchannel — the fetch clears the key's
-//! invalidation-suppression mark at the store — and each owner loop
-//! batches per-key read counts back to the origin as `ReadStats`
-//! frames, which is what feeds the adaptive invalidate-vs-update
-//! policy's `E[W]` estimator.
+//! With [`ServerConfig::origin`] set, each event loop keeps one
+//! non-blocking connection to the origin. When [`Owner::apply`] parks a
+//! read and hands back its key, the reactor queues the `FetchReq` on
+//! that link; each `FetchResp` goes to [`Owner::fetched`], and the
+//! replies it returns are delivered like any other late completion. The
+//! event loop never blocks on the origin: parked requests cost a table
+//! entry and unrelated keys keep serving. If the link dies the owner is
+//! told ([`Owner::origin_lost`]) and answers every parked reader its
+//! fallback; the reactor redials on a timer and tells the owner when
+//! the link is back. The owner's batched read counts ride the same link
+//! as `ReadStats` frames.
 
+use crate::datapath::{Applied, Completion, Counters, Op, Owner, ReplyTo, Topology};
+use crate::handoff::{Handoff, Streamer};
+use crate::mailbox::{CoreMsg, LoopInbox, Mailbox};
 use crate::membership::Membership;
 use crate::ring::DEFAULT_VNODES;
+use crate::stats::ServerStats;
+pub use crate::stats::ServerStatsSnapshot;
 use crate::ServeClock;
-use bytes::Bytes;
-use fresca_cache::entry::Freshness;
-use fresca_cache::refetch::{Park, RefetchTable};
-use fresca_cache::slab::SlabCache;
-use fresca_cache::{BoundedGet, CacheConfig, Capacity};
-use fresca_net::pin::{repin_small, DEFAULT_PIN_THRESHOLD};
-use fresca_net::{
-    FramedStream, GetStatus, Message, NonBlockingFramedStream, PollRecv, ReadStat, RequestId,
-    UpdateItem,
-};
-use fresca_sim::SimDuration;
+use fresca_cache::CacheConfig;
+use fresca_net::{Message, NonBlockingFramedStream, PollRecv};
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -171,222 +134,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonically updated serving counters, shared across event-loop
-/// threads. Relaxed ordering everywhere: these are statistics, not
-/// synchronisation.
-#[derive(Debug, Default)]
-struct ServerStats {
-    gets: AtomicU64,
-    puts: AtomicU64,
-    fresh: AtomicU64,
-    stale_served: AtomicU64,
-    refused: AtomicU64,
-    misses: AtomicU64,
-    push_batches: AtomicU64,
-    keys_invalidated: AtomicU64,
-    keys_updated: AtomicU64,
-    connections: AtomicU64,
-    open_connections: AtomicU64,
-    protocol_errors: AtomicU64,
-    refetches: AtomicU64,
-    refetch_coalesced: AtomicU64,
-    origin_errors: AtomicU64,
-    cross_core_forwards: AtomicU64,
-    reply_writes: AtomicU64,
-    handoff_in: AtomicU64,
-    handoff_out: AtomicU64,
-}
-
-/// A point-in-time copy of the server's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStatsSnapshot {
-    /// `GetReq`s handled.
-    pub gets: u64,
-    /// `PutReq`s handled.
-    pub puts: u64,
-    /// Reads served fresh (within TTL and bound).
-    pub fresh: u64,
-    /// Reads served stale (past TTL, within the request's bound).
-    pub stale_served: u64,
-    /// Reads refused (entry older than the bound, or invalidated).
-    pub refused: u64,
-    /// Reads that found no entry.
-    pub misses: u64,
-    /// Store-pushed `Invalidate`/`Update` batches acknowledged.
-    pub push_batches: u64,
-    /// Keys marked stale by store-pushed `Invalidate` batches (present
-    /// keys only; invalidations of uncached keys are not counted here).
-    pub keys_invalidated: u64,
-    /// Cached entries re-freshened by store-pushed `Update` batches.
-    pub keys_updated: u64,
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Connections currently registered with an event loop.
-    pub open_connections: u64,
-    /// Connections dropped for sending non-serving-path or malformed
-    /// frames.
-    pub protocol_errors: u64,
-    /// Origin fetches issued for refused/missed bounded reads (one per
-    /// refetch epoch — coalesced readers do not add here).
-    pub refetches: u64,
-    /// Bounded reads that coalesced onto an already-in-flight refetch
-    /// of their key instead of issuing another origin fetch.
-    pub refetch_coalesced: u64,
-    /// Reads answered with their fallback refusal/miss because the
-    /// origin was unreachable or its connection died mid-fetch.
-    pub origin_errors: u64,
-    /// Operations forwarded to the event loop owning their key's shard
-    /// (requests arriving on the owner loop serve inline and do not
-    /// count here).
-    pub cross_core_forwards: u64,
-    /// Flushes of a client connection that had reply bytes to send —
-    /// one per connection per tick however many replies it carries, so
-    /// `reply_writes / (gets + puts)` is the write syscalls a request
-    /// costs. Not part of `Display` or `StatsResp`.
-    pub reply_writes: u64,
-    /// Live entries across every owned slab shard (gauge, refreshed at
-    /// each loop's end of tick).
-    pub slab_entries: u64,
-    /// Allocated slab slots across every owned shard — the storage
-    /// high-water mark (gauge).
-    pub slab_capacity: u64,
-    /// Current membership epoch (0 = solo, see [`crate::membership`]).
-    pub epoch: u64,
-    /// Entries installed by inbound key handoff streams (a joining or
-    /// rebalancing peer streamed them here as install-mode updates).
-    pub handoff_in: u64,
-    /// Entries streamed out to their new owners after a membership
-    /// change moved them off this node.
-    pub handoff_out: u64,
-}
-
-impl ServerStats {
-    fn snapshot(&self) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            fresh: self.fresh.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            push_batches: self.push_batches.load(Ordering::Relaxed),
-            keys_invalidated: self.keys_invalidated.load(Ordering::Relaxed),
-            keys_updated: self.keys_updated.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            refetches: self.refetches.load(Ordering::Relaxed),
-            refetch_coalesced: self.refetch_coalesced.load(Ordering::Relaxed),
-            origin_errors: self.origin_errors.load(Ordering::Relaxed),
-            cross_core_forwards: self.cross_core_forwards.load(Ordering::Relaxed),
-            reply_writes: self.reply_writes.load(Ordering::Relaxed),
-            slab_entries: 0,
-            slab_capacity: 0,
-            epoch: 0,
-            handoff_in: self.handoff_in.load(Ordering::Relaxed),
-            handoff_out: self.handoff_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Display for ServerStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "gets={} puts={} fresh={} stale_served={} refused={} misses={} \
-             refetches={} coalesced={} origin_errs={} forwards={} \
-             push_batches={} keys_invalidated={} keys_updated={} \
-             slab={}/{} conns={} open={} proto_errs={} \
-             epoch={} handoff_in={} handoff_out={}",
-            self.gets,
-            self.puts,
-            self.fresh,
-            self.stale_served,
-            self.refused,
-            self.misses,
-            self.refetches,
-            self.refetch_coalesced,
-            self.origin_errors,
-            self.cross_core_forwards,
-            self.push_batches,
-            self.keys_invalidated,
-            self.keys_updated,
-            self.slab_entries,
-            self.slab_capacity,
-            self.connections,
-            self.open_connections,
-            self.protocol_errors,
-            self.epoch,
-            self.handoff_in,
-            self.handoff_out
-        )
-    }
-}
-
-/// Shard-routing hash: the two-constant SplitMix variant. Deliberately
-/// *not* the three-constant round the slab's key index finalises with
-/// ([`fresca_cache::slab::SplitMixHasher`]) — shard selection keys on
-/// the low bits, and reusing the index hash would put every key of a
-/// shard into the same index buckets.
-#[inline]
-fn shard_hash(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z ^ (z >> 31)
-}
-
-/// The static shard → loop partition every thread routes by.
-#[derive(Debug, Clone, Copy)]
-struct Topology {
-    /// Global shard count minus one (shard count is a power of two).
-    shard_mask: u64,
-    num_loops: usize,
-}
-
-impl Topology {
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        (shard_hash(key) & self.shard_mask) as usize
-    }
-
-    /// The loop owning `key`'s shard.
-    #[inline]
-    fn owner_of(&self, key: u64) -> usize {
-        self.shard_of(key) % self.num_loops
-    }
-
-    /// Index of `key`'s shard within its owner's `Vec<SlabCache>`.
-    #[inline]
-    fn local_index(&self, key: u64) -> usize {
-        self.shard_of(key) / self.num_loops
-    }
-
-    /// How many shards `loop_id` owns.
-    fn owned_shards(&self, loop_id: usize) -> usize {
-        let total = self.shard_mask as usize + 1;
-        (loop_id..total).step_by(self.num_loops.max(1)).count()
-    }
-}
-
-/// Work for the handoff streamer thread, which keeps blocking sends off
-/// the event loops: announce the view `(epoch, members)` to `dest` via
-/// `RingUpdate`, then stream `items` there as install-mode `Update`
-/// batches — none when there is only a membership change to announce.
-struct Handoff {
-    dest: String,
-    epoch: u64,
-    members: Vec<String>,
-    items: Vec<UpdateItem>,
-}
-
 /// Everything an event loop needs to dispatch requests.
 struct Shared {
-    stats: Arc<ServerStats>,
-    // One global version counter: versions are monotone across all keys,
-    // which is stronger than the per-key monotonicity clients rely on.
-    // Per-key alloc+insert needs no lock: a key's owner thread is the
-    // only writer of its shard, so the two steps cannot interleave.
-    versions: AtomicU64,
+    stats: ServerStats,
+    /// The version counter and serving counters every loop's [`Owner`]
+    /// shares.
+    counters: Arc<Counters>,
     clock: ServeClock,
     stop: AtomicBool,
     /// Graceful-shutdown mode: with `stop` set, event loops drain every
@@ -405,114 +158,54 @@ struct Shared {
     /// The name this node appears under in member lists (its advertised
     /// address; defaults to the bound address).
     advertise: String,
-    /// Queue into the handoff streamer thread. Behind a mutex only to
-    /// be `Sync`; membership changes are rare, contention is nil.
-    handoff_tx: Mutex<mpsc::Sender<Handoff>>,
+    /// The thread that does the blocking membership I/O for the loops.
+    streamer: Streamer,
 }
 
 impl Shared {
     fn snapshot(&self) -> ServerStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.slab_entries = self.slab_entries.iter().map(|g| g.load(Ordering::Relaxed)).sum();
-        snap.slab_capacity = self.slab_capacity.iter().map(|g| g.load(Ordering::Relaxed)).sum();
-        snap.epoch = self.membership.lock().epoch;
-        snap
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (s, c) = (&self.stats, &*self.counters);
+        ServerStatsSnapshot {
+            gets: load(&s.gets),
+            puts: load(&s.puts),
+            fresh: load(&c.fresh),
+            stale_served: load(&c.stale_served),
+            refused: load(&c.refused),
+            misses: load(&c.misses),
+            push_batches: load(&s.push_batches),
+            keys_invalidated: load(&c.keys_invalidated),
+            keys_updated: load(&c.keys_updated),
+            connections: load(&s.connections),
+            open_connections: load(&s.open_connections),
+            protocol_errors: load(&s.protocol_errors),
+            refetches: load(&c.refetches),
+            refetch_coalesced: load(&c.refetch_coalesced),
+            origin_errors: load(&c.origin_errors),
+            cross_core_forwards: load(&s.cross_core_forwards),
+            reply_writes: load(&s.reply_writes),
+            slab_entries: self.slab_entries.iter().map(load).sum(),
+            slab_capacity: self.slab_capacity.iter().map(load).sum(),
+            epoch: self.membership.lock().epoch,
+            handoff_in: load(&c.handoff_in),
+            handoff_out: self.streamer.streamed(),
+        }
     }
 
-    /// Hand work to the streamer thread; a send failure means the
-    /// streamer exited (process teardown) and the handoff degrades to
-    /// cold misses at the new owner — by design never an error.
-    fn send_handoff(&self, cmd: Handoff) {
-        let _ = self.handoff_tx.lock().send(cmd);
-    }
-}
-
-/// An operation on keys that all live in shards of one loop — what
-/// `dispatch` builds from a request, what `route` hands to the owner
-/// (inline or through its inbox), and what the owner's `apply` runs.
-enum ForwardOp {
-    /// A bounded read; the owner replies or parks it on its refetch
-    /// table.
-    Get { id: RequestId, key: u64, max_staleness: u64 },
-    /// A write; the owner allocates the version and installs.
-    Put { id: RequestId, key: u64, value: Bytes, ttl: u64 },
-    /// One owner's sub-batch of a store-pushed `Invalidate`; a
-    /// forwarded part's completion decrements the home loop's pending
-    /// batch `batch`.
-    InvalidateKeys { batch: u64, keys: Vec<u64> },
-    /// One owner's sub-batch of a store-pushed `Update`. `install` is
-    /// true for handoff streams (see [`Conn::handoff`]): absent keys
-    /// are installed instead of counting as missed updates.
-    UpdateItems { batch: u64, items: Vec<UpdateItem>, install: bool },
-}
-
-/// What `apply` hands back for a finished op: queued on the connection
-/// directly when the op ran on its home loop, sent there as
-/// `CoreMsg::Done` otherwise.
-enum Completion {
-    /// A fully-formed reply to queue on the originating connection.
-    Reply(Message),
-    /// One owner finished its sub-batch of pending batch `batch`.
-    BatchPart { batch: u64 },
-}
-
-/// A message between event loops (or from [`ServerHandle`]), carried
-/// through the destination's inbox + self-pipe wake.
-enum CoreMsg {
-    /// Forwarded operation: `from` is the home loop the completion goes
-    /// back to; `(slot, token)` name the originating connection there.
-    Op { from: usize, slot: usize, token: u64, op: ForwardOp },
-    /// A completion routed back to the home loop's connection.
-    Done { slot: usize, token: u64, what: Completion },
-    /// Control-plane invalidation from [`ServerHandle::invalidate`],
-    /// answered over the one-shot channel (`true` if the key was
-    /// cached). Always addressed to the key's owner loop.
-    Invalidate { key: u64, reply: mpsc::Sender<bool> },
-    /// The membership view changed: rescan this loop's owned shards and
-    /// stream entries that now belong to other nodes to the handoff
-    /// thread. Broadcast to every loop by whichever loop adopted the
-    /// new view.
-    Rebalance,
 }
 
 /// A store-push batch waiting on forwarded sub-batches; the `Ack` goes
-/// out when `remaining` owners have reported back.
+/// out to `to` when `remaining` owners have reported back.
 struct PendingBatch {
     seq: u64,
-    slot: usize,
-    token: u64,
+    to: ReplyTo,
     remaining: u32,
-}
-
-/// What the accept thread (and peer loops) deposit for an event loop:
-/// freshly accepted sockets and cross-core messages, drained together
-/// on the next wake.
-#[derive(Default)]
-struct LoopInbox {
-    conns: Vec<TcpStream>,
-    msgs: Vec<CoreMsg>,
-}
-
-/// One row of a loop's routing table: where to deposit messages for a
-/// destination loop and how to wake it.
-struct Peer {
-    inbox: Arc<Mutex<LoopInbox>>,
-    // Writing one byte wakes the loop's poll; non-blocking, so a full
-    // pipe (wake already pending) is fine to ignore.
-    wake_tx: UnixStream,
 }
 
 /// Accept-side handle to one event loop.
 struct LoopHandle {
-    inbox: Arc<Mutex<LoopInbox>>,
-    wake_tx: UnixStream,
+    mailbox: Arc<Mailbox>,
     join: JoinHandle<()>,
-}
-
-impl LoopHandle {
-    fn wake(&self) {
-        let _ = (&self.wake_tx).write(&[1]);
-    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
@@ -559,18 +252,11 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let num_loops = config.event_loops.max(1);
-    let shards = config.shards.max(1).next_power_of_two();
-    let topo = Topology { shard_mask: shards as u64 - 1, num_loops };
-    let stats = Arc::new(ServerStats::default());
-    let (handoff_tx, handoff_rx) = mpsc::channel();
-    {
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || run_handoff_streamer(handoff_rx, stats));
-    }
+    let topo = Topology::new(config.shards, config.event_loops);
+    let num_loops = topo.num_loops();
     let shared = Arc::new(Shared {
-        stats,
-        versions: AtomicU64::new(0),
+        stats: ServerStats::default(),
+        counters: Arc::default(),
         clock: ServeClock::start(),
         stop: AtomicBool::new(false),
         drain: AtomicBool::new(false),
@@ -579,45 +265,29 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
         slab_capacity: (0..num_loops).map(|_| AtomicU64::new(0)).collect(),
         membership: Mutex::new(Membership::solo()),
         advertise: advertise.unwrap_or_else(|| addr.to_string()),
-        handoff_tx: Mutex::new(handoff_tx),
+        streamer: Streamer::spawn(),
     });
 
-    // Every loop's inbox and wake endpoint exist before any thread
-    // starts, so each loop can carry a complete routing table of its
-    // peers from its first tick.
-    let mut endpoints: Vec<(Arc<Mutex<LoopInbox>>, UnixStream)> = Vec::with_capacity(num_loops);
-    let mut wake_rxs = Vec::with_capacity(num_loops);
-    for _ in 0..num_loops {
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        endpoints.push((Arc::new(Mutex::new(LoopInbox::default())), wake_tx));
-        wake_rxs.push(wake_rx);
-    }
+    // Every loop's mailbox exists before any thread starts, so each
+    // loop can carry a complete routing table of its peers from its
+    // first tick.
+    let (mailboxes, wake_rxs): (Vec<_>, Vec<_>) =
+        (0..num_loops).map(|_| Mailbox::new()).collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
 
-    let mut loops = Vec::with_capacity(num_loops);
-    for (loop_id, wake_rx) in wake_rxs.into_iter().enumerate() {
-        let peers: Vec<Peer> = endpoints
-            .iter()
-            .map(|(inbox, tx)| Ok(Peer { inbox: Arc::clone(inbox), wake_tx: tx.try_clone()? }))
-            .collect::<io::Result<_>>()?;
-        let inbox = Arc::clone(&endpoints[loop_id].0);
-        let wake_tx = endpoints[loop_id].1.try_clone()?;
-        let join = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
+    let loops: Vec<LoopHandle> = wake_rxs
+        .into_iter()
+        .enumerate()
+        .map(|(loop_id, wake_rx)| {
+            let (shared, peers) = (Arc::clone(&shared), mailboxes.clone());
+            let join = std::thread::spawn(move || {
                 EventLoop::new(loop_id, wake_rx, peers, shared, config).run();
-            })
-        };
-        loops.push(LoopHandle { inbox, wake_tx, join });
-    }
+            });
+            LoopHandle { mailbox: Arc::clone(&mailboxes[loop_id]), join }
+        })
+        .collect();
 
     let accept_loop = {
         let shared = Arc::clone(&shared);
-        let mut targets: Vec<(Arc<Mutex<LoopInbox>>, UnixStream)> = loops
-            .iter()
-            .map(|l| Ok((Arc::clone(&l.inbox), l.wake_tx.try_clone()?)))
-            .collect::<io::Result<_>>()?;
         std::thread::spawn(move || {
             let mut next = 0usize;
             for conn in listener.incoming() {
@@ -627,11 +297,8 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
                 let Ok(conn) = conn else { continue };
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 shared.stats.open_connections.fetch_add(1, Ordering::Relaxed);
-                let n = targets.len();
-                let (inbox, wake) = &mut targets[next % n];
+                mailboxes[next % mailboxes.len()].post(|inbox| inbox.conns.push(conn));
                 next += 1;
-                inbox.lock().conns.push(conn);
-                let _ = wake.write(&[1]);
             }
         })
     };
@@ -657,11 +324,9 @@ impl ServerHandle {
     /// directly: it routes a control message through the owner's inbox
     /// and waits briefly for the answer.
     pub fn invalidate(&self, key: u64) -> bool {
-        let owner = self.shared.topo.owner_of(key);
-        let Some(l) = self.loops.get(owner) else { return false };
+        let Some(l) = self.loops.get(self.shared.topo.owner_of(key)) else { return false };
         let (tx, rx) = mpsc::channel();
-        l.inbox.lock().msgs.push(CoreMsg::Invalidate { key, reply: tx });
-        l.wake();
+        l.mailbox.post(|inbox| inbox.msgs.push(CoreMsg::Invalidate { key, reply: tx }));
         rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)
     }
 
@@ -717,7 +382,7 @@ impl ServerHandle {
             let _ = h.join();
         }
         for l in &self.loops {
-            l.wake();
+            l.mailbox.wake();
         }
         for l in self.loops.drain(..) {
             let _ = l.join.join();
@@ -730,11 +395,8 @@ impl ServerHandle {
 struct Conn {
     io: NonBlockingFramedStream<TcpStream>,
     fd: RawFd,
-    /// Loop-unique identity for this registration. Parked refetch
-    /// waiters and cross-core completions name their connection by
-    /// `(slot, token)`; the token is what stops a reply from landing on
-    /// an unrelated connection that reused the slot after the original
-    /// closed.
+    /// Loop-unique identity for this registration: the `token` of every
+    /// [`ReplyTo`] that names this connection.
     token: u64,
     /// No more requests will be read (clean EOF — possibly a half-close
     /// — or a protocol violation), but replies already queued still
@@ -759,79 +421,27 @@ struct Conn {
     handoff: bool,
 }
 
-/// A parked bounded read, waiting on an origin refetch of its key at
-/// the key's owner loop. `home` is the loop whose connection table
-/// `(slot, token)` index into — the owner delivers directly when that
-/// is itself, via a completion message otherwise. The fallback fields
-/// reconstruct the reply the request would have gotten with no origin,
-/// for delivery if the fetch fails.
-struct Waiter {
-    home: usize,
-    slot: usize,
-    token: u64,
-    id: RequestId,
-    fallback_status: GetStatus,
-    fallback_age: u64,
-}
-
-/// The non-blocking origin connection one event loop refetches through.
-struct OriginLink {
-    io: NonBlockingFramedStream<TcpStream>,
-    fd: RawFd,
-}
-
-/// Per-event-loop origin state: the link (when up), the in-flight
-/// refetch table, and the read-count batch owed to the origin's
-/// `E[W]` estimator.
+/// Per-event-loop origin state: where the origin is, the link to it
+/// (when up) and the redial backoff. What is parked on the link lives
+/// with the [`Owner`].
 struct OriginCtx {
     addr: SocketAddr,
-    link: Option<OriginLink>,
+    /// The non-blocking connection this event loop refetches through.
+    link: Option<NonBlockingFramedStream<TcpStream>>,
     /// Don't re-attempt a failed connect before this instant.
     retry_at: Option<Instant>,
-    table: RefetchTable<Waiter>,
-    /// Keys a store push reached while their fetch was in flight. The
-    /// `FetchResp` on its way may predate that write, and the origin
-    /// already counts the key as invalidated (§3.1 suppression), so no
-    /// later push would correct it: `drain_origin` answers the parked
-    /// readers and then invalidates the entry it just installed.
-    overtaken: HashSet<u64>,
-    read_counts: HashMap<u64, u32>,
-    reads_pending: u32,
 }
 
 /// How long a (blocking, inline) origin connect attempt may take. Kept
-/// short: it runs on the event-loop thread when a park finds the link
-/// down and the retry timer expired.
+/// short: it runs on the event-loop thread, at the top of a tick that
+/// finds the link down and the retry timer expired.
 const ORIGIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Backoff between origin connect attempts. While it runs, refused and
 /// missed reads degrade to their fallback replies immediately.
 const ORIGIN_RETRY: Duration = Duration::from_secs(1);
 
-/// Flush the pending read-count batch to the origin once this many
-/// reads accumulate…
-const READ_STATS_FLUSH_READS: u32 = 1024;
-
-/// …or once this many distinct keys do, whichever comes first.
-const READ_STATS_FLUSH_KEYS: usize = 256;
-
-/// With the origin link down, stop hoarding read counts past this many
-/// distinct keys — the estimator feed is advisory, memory is not.
-const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
-
 impl OriginCtx {
-    fn new(addr: SocketAddr) -> Self {
-        OriginCtx {
-            addr,
-            link: None,
-            retry_at: None,
-            table: RefetchTable::new(),
-            overtaken: HashSet::new(),
-            read_counts: HashMap::new(),
-            reads_pending: 0,
-        }
-    }
-
     /// True when the origin link is up — connecting now if it is down
     /// and the retry backoff has expired. A failed attempt arms the
     /// backoff and returns false, so callers degrade immediately
@@ -851,57 +461,13 @@ impl OriginCtx {
                 Ok(stream)
             }) {
             Ok(stream) => {
-                let fd = stream.as_raw_fd();
-                self.link = Some(OriginLink { io: NonBlockingFramedStream::new(stream), fd });
+                self.link = Some(NonBlockingFramedStream::new(stream));
                 self.retry_at = None;
                 true
             }
             Err(_) => {
                 self.retry_at = Some(now + ORIGIN_RETRY);
                 false
-            }
-        }
-    }
-
-    /// A store push for `key` arrived: remember it if a fetch of the key
-    /// is in flight (see `overtaken`).
-    fn note_push(&mut self, key: u64) {
-        if self.table.is_in_flight(key) {
-            self.overtaken.insert(key);
-        }
-    }
-
-    /// Count one read of `key` toward the next `ReadStats` batch.
-    fn count_read(&mut self, key: u64) {
-        *self.read_counts.entry(key).or_insert(0) += 1;
-        self.reads_pending += 1;
-    }
-
-    /// Queue the pending read-count batch on the link when it is due
-    /// (or shed it when the link is down and the buffer outgrew its
-    /// cap). The caller flushes the link afterwards.
-    fn queue_read_stats(&mut self) {
-        match &mut self.link {
-            None => {
-                if self.read_counts.len() > READ_STATS_MAX_BUFFERED_KEYS {
-                    self.read_counts.clear();
-                    self.reads_pending = 0;
-                }
-            }
-            Some(link) => {
-                if self.reads_pending >= READ_STATS_FLUSH_READS
-                    || self.read_counts.len() >= READ_STATS_FLUSH_KEYS
-                {
-                    let entries: Vec<ReadStat> = self
-                        .read_counts
-                        .drain()
-                        .map(|(key, reads)| ReadStat { key, reads })
-                        .collect();
-                    self.reads_pending = 0;
-                    if !entries.is_empty() {
-                        link.io.queue(&Message::ReadStats { entries });
-                    }
-                }
             }
         }
     }
@@ -942,20 +508,20 @@ enum Dispatch {
     Close,
 }
 
-/// One event-loop thread: the poll reactor plus the slab shards this
-/// loop exclusively owns. All shard access happens through `&mut self`
-/// on this thread — the serving hot path takes no lock.
+/// One event-loop thread: the poll reactor, and the [`Owner`] of the
+/// slab shards partitioned to this loop. The reactor decides where an
+/// op runs and where its completion goes; everything that touches a
+/// shard happens inside `owner`, on this thread, behind no lock.
 struct EventLoop {
     loop_id: usize,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
-    /// The owned shards, indexed by [`Topology::local_index`].
-    shards: Vec<SlabCache>,
-    /// Routing table to every loop (the self entry doubles as this
+    owner: Owner,
+    /// Every loop's mailbox, indexed by loop id (the self entry is this
     /// loop's own inbox).
-    peers: Vec<Peer>,
-    /// Per-destination staging for cross-core messages; flushed into
-    /// peer inboxes (one lock + one wake each) at end of tick.
+    peers: Vec<Arc<Mailbox>>,
+    /// Per-destination staging for cross-core messages; posted to the
+    /// peers' mailboxes (one lock + one wake each) at end of tick.
     outbox: Vec<Vec<CoreMsg>>,
     /// Slot-indexed connection table; `None` slots are free and reused.
     conns: Vec<Option<Conn>>,
@@ -966,51 +532,39 @@ struct EventLoop {
     pending: HashMap<u64, PendingBatch>,
     next_batch: u64,
     /// Slots whose connection had a late reply queued on an empty
-    /// outbound queue this tick (see `deliver_to`); flushed once each
+    /// outbound queue this tick (see `deliver`); flushed once each
     /// and cleared at end of tick, so an entry never outlives the tick
     /// that pushed it.
     dirty: Vec<usize>,
-    /// Graceful-shutdown drain in progress: no new reads, exit once
-    /// every connection has received everything it is owed (or the
-    /// drain grace period expires).
-    draining: bool,
-    drain_started: Option<Instant>,
+    /// Set while a graceful-shutdown drain is in progress: no new
+    /// reads, exit once every connection has received everything it is
+    /// owed (or the drain grace period, counted from here, expires).
+    draining_since: Option<Instant>,
 }
 
 impl EventLoop {
     fn new(
         loop_id: usize,
         wake_rx: UnixStream,
-        peers: Vec<Peer>,
+        peers: Vec<Arc<Mailbox>>,
         shared: Arc<Shared>,
         config: ServerConfig,
     ) -> Self {
-        // Per-shard capacity divides the configured total across the
-        // *global* shard count, so the aggregate matches the configured
-        // total.
-        let total_shards = shared.topo.shard_mask as usize + 1;
-        let per_shard = match config.cache.capacity {
-            Capacity::Entries(e) => Capacity::Entries((e / total_shards).max(1)),
-            Capacity::Bytes(b) => Capacity::Bytes((b / total_shards as u64).max(1)),
-            Capacity::Unbounded => Capacity::Unbounded,
-        };
-        let owned = shared.topo.owned_shards(loop_id);
-        let num_loops = shared.topo.num_loops;
-        let mut origin = config.origin.map(OriginCtx::new);
+        let mut origin = config.origin.map(|addr| OriginCtx { addr, link: None, retry_at: None });
+        let counters = Arc::clone(&shared.counters);
+        let mut owner = Owner::new(loop_id, shared.topo, config.cache, counters, origin.is_some());
         if let Some(ctx) = &mut origin {
             // Dial the origin eagerly so the first refused read parks
-            // instead of paying the connect on its own request path.
-            ctx.ensure_link();
+            // instead of degrading while the link is still down.
+            owner.origin_link(ctx.ensure_link());
         }
         EventLoop {
             loop_id,
             wake_rx,
-            shared,
-            shards: (0..owned)
-                .map(|_| SlabCache::with_config(CacheConfig { capacity: per_shard, ..config.cache }))
-                .collect(),
+            owner,
+            outbox: peers.iter().map(|_| Vec::new()).collect(),
             peers,
-            outbox: (0..num_loops).map(|_| Vec::new()).collect(),
+            shared,
             conns: Vec::new(),
             free: Vec::new(),
             next_token: 0,
@@ -1018,16 +572,13 @@ impl EventLoop {
             pending: HashMap::new(),
             next_batch: 0,
             dirty: Vec::new(),
-            draining: false,
-            drain_started: None,
+            draining_since: None,
         }
     }
 
-    /// Index of `key`'s shard in `self.shards` — only meaningful on the
-    /// owner loop.
-    #[inline]
-    fn local_shard(&self, key: u64) -> usize {
-        self.shared.topo.local_index(key)
+    /// The origin link, when this node has an origin and the link is up.
+    fn link_mut(&mut self) -> Option<&mut NonBlockingFramedStream<TcpStream>> {
+        self.origin.as_mut()?.link.as_mut()
     }
 
     /// The reactor: multiplex every connection assigned to this loop
@@ -1058,14 +609,14 @@ impl EventLoop {
             // The origin link polls at index 1 when present: always for
             // reads (a FetchResp can arrive any tick), for writes while
             // frames are buffered outbound.
-            let link_polled = match self.origin.as_ref().and_then(|c| c.link.as_ref()) {
+            let link_polled = match self.link_mut() {
                 Some(link) => {
                     let mut interest = Interest::READABLE;
-                    if link.io.wants_write() {
+                    if link.wants_write() {
                         interest = interest.and(Interest::WRITABLE);
                     }
-                    backlog |= link.io.has_buffered_frame();
-                    poll.push(link.fd, interest);
+                    backlog |= link.has_buffered_frame();
+                    poll.push(link.get_ref().as_raw_fd(), interest);
                     true
                 }
                 None => false,
@@ -1076,7 +627,7 @@ impl EventLoop {
                 if conn.closing && !conn.io.wants_write() {
                     // Nothing left to read and nothing queued: the
                     // connection only waits on in-flight cross-core
-                    // completions, which `deliver_to` queues and
+                    // completions, which `deliver` queues and
                     // `flush_dirty` writes (dropping the connection after
                     // the last one) — polling its descriptor would just
                     // spin on writable readiness.
@@ -1096,7 +647,7 @@ impl EventLoop {
             }
             let timeout = if backlog {
                 Some(Duration::ZERO)
-            } else if self.draining {
+            } else if self.draining_since.is_some() {
                 // While draining, wake on a short timer too: the exit
                 // condition is global (every loop's connections gone),
                 // which no local readiness event announces.
@@ -1109,6 +660,14 @@ impl EventLoop {
                 // recoverable from here.
                 self.close_all();
                 return;
+            }
+
+            // A downed origin link is redialled here, once its backoff
+            // has run out, and the owner told the outcome: a read
+            // serviced below either parks on a live link or degrades
+            // at once.
+            if let Some(ctx) = self.origin.as_mut().filter(|ctx| ctx.link.is_none()) {
+                self.owner.origin_link(ctx.ensure_link());
             }
 
             if poll.readiness(0).readable() {
@@ -1132,11 +691,16 @@ impl EventLoop {
                 for stream in arrivals {
                     self.next_token += 1;
                     match register(stream, self.next_token) {
-                        Ok(conn) => match self.free.pop() {
+                        // A draining loop reads no new requests, so an
+                        // arrival — even one deposited in the same
+                        // wake-up as the stop — is closed unread, as if
+                        // it had connected a moment later: registered,
+                        // it would idle through the whole drain grace.
+                        Ok(conn) if self.draining_since.is_none() => match self.free.pop() {
                             Some(slot) => self.conns[slot] = Some(conn),
                             None => self.conns.push(Some(conn)),
                         },
-                        Err(_) => {
+                        _ => {
                             self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
                         }
                     }
@@ -1155,12 +719,8 @@ impl EventLoop {
             // their parked readers before this tick's new requests are
             // serviced, so a just-installed key is immediately servable.
             if link_polled {
-                let readiness = poll.readiness(1);
-                let buffered = self
-                    .origin
-                    .as_ref()
-                    .is_some_and(|c| c.link.as_ref().is_some_and(|l| l.io.has_buffered_frame()));
-                if readiness.any() || buffered {
+                let buffered = self.link_mut().is_some_and(|l| l.has_buffered_frame());
+                if poll.readiness(1).any() || buffered {
                     self.drain_origin(&mut scratch);
                 }
             }
@@ -1171,17 +731,19 @@ impl EventLoop {
                 // vacant slot here would be a reactor bug, but the serving
                 // loop must not be able to panic — skip it instead. The
                 // connection is moved out of its slot while being serviced
-                // so the dispatch path can borrow the loop's shards freely.
+                // so the dispatch path can borrow the rest of the loop
+                // freely.
                 let Some(mut conn) = self.conns[slot].take() else { continue };
                 if !readiness.any() && (conn.closing || !conn.io.has_buffered_frame()) {
                     self.conns[slot] = Some(conn);
                     continue;
                 }
-                if self.service(&mut conn, slot, readiness, &mut scratch) {
-                    self.conns[slot] = Some(conn);
+                let alive = self.service(&mut conn, slot, readiness, &mut scratch);
+                self.conns[slot] = Some(conn);
+                if alive {
+                    self.flush_conn(slot);
                 } else {
-                    self.free.push(slot);
-                    self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                    self.drop_conn(slot);
                 }
             }
 
@@ -1189,14 +751,14 @@ impl EventLoop {
             // queued while servicing connections. A write failure here is
             // an origin outage — fail every parked waiter to its fallback
             // and start the reconnect backoff.
-            if let Some(mut ctx) = self.origin.take() {
-                ctx.queue_read_stats();
-                if let Some(link) = &mut ctx.link {
-                    if link.io.wants_write() && link.io.flush().is_err() {
-                        self.origin_outage(&mut ctx);
-                    }
+            let read_stats = self.owner.read_stats();
+            if let Some(link) = self.link_mut() {
+                if let Some(batch) = read_stats {
+                    link.queue(&batch);
                 }
-                self.origin = Some(ctx);
+                if link.wants_write() && link.flush().is_err() {
+                    self.origin_outage();
+                }
             }
             // Then write out every late reply queued this tick and hand
             // this tick's cross-core batches to their owners (both after
@@ -1210,7 +772,7 @@ impl EventLoop {
             // loop, since cross-core completions may still be owed to a
             // peer's client — has been answered and dropped, or the
             // grace period for unresponsive peers expires.
-            if self.draining && self.drain_done() {
+            if self.draining_since.is_some() && self.drain_done() {
                 self.close_all();
                 return;
             }
@@ -1221,23 +783,14 @@ impl EventLoop {
     /// requests (marked closing) but keeps its queued replies and
     /// in-flight completions; fully-drained connections drop now.
     fn begin_drain(&mut self) {
-        if self.draining {
+        if self.draining_since.is_some() {
             return;
         }
-        self.draining = true;
-        self.drain_started = Some(Instant::now());
+        self.draining_since = Some(Instant::now());
         for slot in 0..self.conns.len() {
-            let Some(mut conn) = self.conns[slot].take() else { continue };
-            conn.closing = true;
-            let done = match conn.io.flush() {
-                Ok(_) => !conn.io.wants_write() && conn.in_flight == 0,
-                Err(_) => true,
-            };
-            if done {
-                self.free.push(slot);
-                self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-            } else {
-                self.conns[slot] = Some(conn);
+            if let Some(conn) = self.conns[slot].as_mut() {
+                conn.closing = true;
+                self.flush_conn(slot);
             }
         }
     }
@@ -1247,7 +800,7 @@ impl EventLoop {
     /// grace period expired (a peer that will not read its replies does
     /// not get to hold shutdown hostage forever).
     fn drain_done(&self) -> bool {
-        if self.drain_started.is_some_and(|t| t.elapsed() >= DRAIN_GRACE) {
+        if self.draining_since.is_some_and(|t| t.elapsed() >= DRAIN_GRACE) {
             return true;
         }
         self.shared.stats.open_connections.load(Ordering::Relaxed) == 0
@@ -1260,37 +813,33 @@ impl EventLoop {
         }
     }
 
-    /// Route a completion for `(slot, token)` on loop `home` — directly
-    /// into the local connection table when `home` is this loop, staged
-    /// as a cross-core message otherwise.
-    fn stage_done(&mut self, home: usize, slot: usize, token: u64, what: Completion) {
-        if home == self.loop_id {
-            self.handle_core_msg(CoreMsg::Done { slot, token, what });
+    /// Route a completion to the connection it is owed to — directly
+    /// into the local connection table when `to.home` is this loop,
+    /// staged as a cross-core message otherwise.
+    fn stage_done(&mut self, to: ReplyTo, what: Completion) {
+        let done = CoreMsg::Done { to, what };
+        if to.home == self.loop_id {
+            self.handle_core_msg(done);
         } else {
-            self.forward(home, CoreMsg::Done { slot, token, what });
+            self.forward(to.home, done);
         }
     }
 
     /// Hand every non-empty outbox batch to its destination loop: one
-    /// lock acquisition to append, one wake byte. Batch vectors are
-    /// recycled to keep the steady state allocation-free.
+    /// post (one lock acquisition to append, one wake byte) each. Batch
+    /// vectors are recycled to keep the steady state allocation-free.
     fn flush_outboxes(&mut self) {
-        for dest in 0..self.outbox.len() {
-            if self.outbox[dest].is_empty() {
-                continue;
+        for (batch, peer) in self.outbox.iter_mut().zip(&self.peers) {
+            if !batch.is_empty() {
+                peer.post(|inbox| inbox.msgs.append(batch));
             }
-            let mut batch = std::mem::take(&mut self.outbox[dest]);
-            self.peers[dest].inbox.lock().msgs.append(&mut batch);
-            let _ = (&self.peers[dest].wake_tx).write(&[1]);
-            self.outbox[dest] = batch;
         }
     }
 
     /// Publish this loop's slab occupancy into the shared per-loop
     /// gauges (summed by stats snapshots and `StatsResp`).
     fn publish_gauges(&self) {
-        let entries: u64 = self.shards.iter().map(|s| s.len() as u64).sum();
-        let capacity: u64 = self.shards.iter().map(|s| s.slab_capacity() as u64).sum();
+        let (entries, capacity) = self.owner.gauges();
         if let Some(g) = self.shared.slab_entries.get(self.loop_id) {
             g.store(entries, Ordering::Relaxed);
         }
@@ -1302,13 +851,13 @@ impl EventLoop {
     /// Apply one message from a peer loop (or the server handle).
     fn handle_core_msg(&mut self, msg: CoreMsg) {
         match msg {
-            CoreMsg::Op { from, slot, token, op } => {
-                if let Some(what) = self.apply(from, slot, token, op) {
-                    self.stage_done(from, slot, token, what);
+            CoreMsg::Op { to, op } => {
+                if let Some(what) = self.apply(to, op) {
+                    self.stage_done(to, what);
                 }
             }
-            CoreMsg::Done { slot, token, what } => match what {
-                Completion::Reply(reply) => self.deliver_to(slot, token, &reply),
+            CoreMsg::Done { to, what } => match what {
+                Completion::Reply(reply) => self.deliver(to, &reply),
                 Completion::BatchPart { batch } => {
                     let finished = match self.pending.get_mut(&batch) {
                         Some(p) => {
@@ -1319,132 +868,110 @@ impl EventLoop {
                     };
                     if finished {
                         if let Some(p) = self.pending.remove(&batch) {
-                            self.deliver_to(p.slot, p.token, &Message::Ack { seq: p.seq });
+                            self.deliver(p.to, &Message::Ack { seq: p.seq });
                         }
                     }
                 }
             },
             CoreMsg::Invalidate { key, reply } => {
-                let _ = reply.send(self.serve_invalidate(&[key]) > 0);
+                let _ = reply.send(self.owner.invalidate(&[key]) > 0);
             }
             CoreMsg::Rebalance => self.rebalance(),
         }
     }
 
-    /// Queue `reply` on the connection at `(slot, token)`; `flush_dirty`
-    /// writes it out at end of tick, together with every other late
-    /// reply the tick brings for that connection. A queue that already
-    /// holds bytes needs no dirty entry: either an earlier call this
-    /// tick made one, or a would-block tail keeps the connection in the
-    /// poll set with write interest and `service` finishes it. Skips
+    /// Queue `reply` on the connection `to` names; `flush_dirty` writes
+    /// it out at end of tick, together with every other late reply the
+    /// tick brings for that connection. A queue that already holds
+    /// bytes needs no dirty entry: either an earlier call this tick
+    /// made one, or a would-block tail keeps the connection in the poll
+    /// set with write interest and the tick's flush finishes it. Skips
     /// connections that closed (the slot token no longer matches).
-    fn deliver_to(&mut self, slot: usize, token: u64, reply: &Message) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
-        if conn.token != token {
+    fn deliver(&mut self, to: ReplyTo, reply: &Message) {
+        let Some(conn) = self.conns.get_mut(to.slot).and_then(Option::as_mut) else { return };
+        if conn.token != to.token {
             return;
         }
         conn.in_flight = conn.in_flight.saturating_sub(1);
         if !conn.io.wants_write() {
-            self.dirty.push(slot);
+            self.dirty.push(to.slot);
         }
         conn.io.queue(reply);
     }
 
     /// Push this tick's late replies toward their sockets: one flush
-    /// per dirty connection. Drops the connection on a transport error,
-    /// exactly like `service`, and once the last in-flight reply of a
-    /// closing connection has drained (it is not in the poll set, so
-    /// nothing else would drop it); a would-block tail keeps write
-    /// interest registered for the next tick.
+    /// per dirty connection. The tick's own flush may have written or
+    /// dropped the connection since it was marked; both leave nothing
+    /// to do here.
     fn flush_dirty(&mut self) {
-        for &slot in &self.dirty {
-            // `service` may have flushed or dropped the connection since
-            // it was marked; both leave nothing to do here.
-            let Some(entry) = self.conns.get_mut(slot) else { continue };
-            let Some(conn) = entry.as_mut() else { continue };
-            if conn.io.wants_write() {
-                self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            let drop_now = match conn.io.flush() {
-                Ok(_) => conn.closing && conn.in_flight == 0 && !conn.io.wants_write(),
-                Err(_) => true,
-            };
-            if drop_now {
-                *entry = None;
-                self.free.push(slot);
-                self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-            }
+        for i in 0..self.dirty.len() {
+            self.flush_conn(self.dirty[i]);
         }
         self.dirty.clear();
     }
 
+    /// Write out what `slot`'s connection has queued, then decide —
+    /// here and nowhere else — whether it survives. A transport error
+    /// drops it. So does the last reply byte of a *closing* connection
+    /// (clean EOF, protocol violation or graceful drain: no more
+    /// requests will be read) once nothing is in flight for it on
+    /// another core or at the origin; a half-closing client is owed
+    /// every response for what it sent. Leftover bytes keep write
+    /// interest registered for the next tick. Counted in `reply_writes`
+    /// when there was something to send.
+    fn flush_conn(&mut self, slot: usize) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
+        if conn.io.wants_write() {
+            self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        let keep = match conn.io.flush() {
+            Ok(_) => !conn.closing || conn.io.wants_write() || conn.in_flight > 0,
+            Err(_) => false,
+        };
+        if !keep {
+            self.drop_conn(slot);
+        }
+    }
+
+    /// Close `slot`'s connection and free the slot for reuse.
+    fn drop_conn(&mut self, slot: usize) {
+        self.conns[slot] = None;
+        self.free.push(slot);
+        self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// Drain FetchResps from the origin link (bounded per tick, like any
-    /// other connection): install each fetched entry like a put and answer
-    /// every reader parked on its key with a fresh age-0 response. Any
+    /// other connection), handing each to the owner and delivering the
+    /// replies it returns for the readers parked on the key. Any
     /// transport error or protocol violation on the link is an outage.
     fn drain_origin(&mut self, scratch: &mut [u8]) {
-        let Some(mut ctx) = self.origin.take() else { return };
-        let mut budget = MAX_FRAMES_PER_TICK;
-        let mut failed = false;
-        while budget > 0 {
-            budget -= 1;
-            let Some(link) = ctx.link.as_mut() else { break };
-            match link.io.poll_recv_with(scratch) {
+        for _ in 0..MAX_FRAMES_PER_TICK {
+            let Some(link) = self.link_mut() else { return };
+            match link.poll_recv_with(scratch) {
                 Ok(PollRecv::Msg(Message::FetchResp { key, version: _, value })) => {
-                    // Install into the owned shard with a serving version
-                    // from this node's counter (the store's version is a
-                    // different domain — see the Update arm of dispatch).
-                    // No TTL: the entry is fresh until invalidated/evicted.
-                    // Owner-thread exclusivity makes alloc+insert atomic.
-                    let now = self.shared.clock.now();
-                    let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
-                    let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
-                    let li = self.local_shard(key);
-                    if let Some(shard) = self.shards.get_mut(li) {
-                        shard.insert_value(key, version, value.clone(), now, None);
-                    }
-                    for w in ctx.table.complete(key) {
-                        self.shared.stats.fresh.fetch_add(1, Ordering::Relaxed);
-                        let reply =
-                            get_resp(w.id, key, GetStatus::Fresh, 0, Some((version, value.clone())));
-                        self.stage_done(w.home, w.slot, w.token, Completion::Reply(reply));
-                    }
-                    if ctx.overtaken.remove(&key) {
-                        // A push overtook this fetch: the value may be
-                        // the one that push superseded, so the next read
-                        // refetches (re-clearing the origin's mark).
-                        if let Some(shard) = self.shards.get_mut(li) {
-                            shard.apply_invalidate(key);
-                        }
+                    for (to, reply) in self.owner.fetched(key, value, self.shared.clock.now()) {
+                        self.stage_done(to, Completion::Reply(reply));
                     }
                 }
-                Ok(PollRecv::WouldBlock) => break,
+                Ok(PollRecv::WouldBlock) => return,
                 Ok(PollRecv::Msg(_)) | Ok(PollRecv::Closed) | Err(_) => {
-                    failed = true;
-                    break;
+                    self.origin_outage();
+                    return;
                 }
             }
         }
-        if failed {
-            self.origin_outage(&mut ctx);
-        }
-        self.origin = Some(ctx);
     }
 
     /// The origin connection died: drop the link, arm the reconnect
-    /// backoff, and answer every parked reader with the refusal/miss it
-    /// would have gotten without an origin.
-    fn origin_outage(&mut self, ctx: &mut OriginCtx) {
-        ctx.link = None;
-        ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
-        ctx.overtaken.clear();
-        for (key, waiters) in ctx.table.fail_all() {
-            for w in waiters {
-                self.shared.stats.origin_errors.fetch_add(1, Ordering::Relaxed);
-                self.count_read_outcome(w.fallback_status);
-                let reply = get_resp(w.id, key, w.fallback_status, w.fallback_age, None);
-                self.stage_done(w.home, w.slot, w.token, Completion::Reply(reply));
-            }
+    /// backoff, and deliver the fallback the owner answers every parked
+    /// reader with.
+    fn origin_outage(&mut self) {
+        if let Some(ctx) = self.origin.as_mut() {
+            ctx.link = None;
+            ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
+        }
+        for (to, reply) in self.owner.origin_lost() {
+            self.stage_done(to, Completion::Reply(reply));
         }
     }
 
@@ -1459,11 +986,11 @@ impl EventLoop {
 
     /// Service one ready connection: decode complete frames (bounded per
     /// tick for fairness, and only while under the outbound high-water
-    /// mark), dispatch, queue replies, then write as much as the socket
-    /// accepts. Returns `false` when the connection should be dropped —
-    /// which, for a clean EOF or a protocol violation, only happens after
-    /// every already-queued reply has drained (a half-closing client still
-    /// receives its responses).
+    /// mark), dispatch, and queue replies for the caller's `flush_conn`
+    /// to write. Returns `false` when the transport died and the
+    /// connection should be dropped unflushed; a clean EOF or a protocol
+    /// violation only marks it closing, so every already-queued reply
+    /// still drains (a half-closing client receives its responses).
     fn service(
         &mut self,
         conn: &mut Conn,
@@ -1514,25 +1041,14 @@ impl EventLoop {
                 }
             }
         }
-        // Push queued replies; leftover bytes keep write interest registered
-        // for the next tick. A closing connection lives until its last
-        // reply byte leaves — including replies still in flight on other
-        // cores, which `deliver_to` queues when they complete (and
-        // `flush_dirty` then drops the drained connection).
-        if conn.io.wants_write() {
-            self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        match conn.io.flush() {
-            Ok(_) => !conn.closing || conn.io.wants_write() || conn.in_flight > 0,
-            Err(_) => false,
-        }
+        true
     }
 
     /// Map one request onto the partitioned cache; [`Dispatch::Close`]
     /// for messages that do not belong on a cache node's socket.
     /// Serving-path requests (`GetReq`, `PutReq`) come from clients,
     /// store-path batches (`Invalidate`, `Update`) from a store-push
-    /// node: each is described as a [`ForwardOp`] (a batch as one per
+    /// node: each is described as an [`Op`] (a batch as one per
     /// owner, acknowledged by `seq` once every sub-batch completes) and
     /// handed to [`route`](Self::route). `StatsReq` comes from a load
     /// generator pinning down the refetch and forwarding counters.
@@ -1540,11 +1056,11 @@ impl EventLoop {
     /// `LeaveReq`) are control-plane traffic on the same socket — see
     /// [`crate::membership`] for the adoption rules they follow.
     fn dispatch(&mut self, msg: Message, conn: &mut Conn, slot: usize) -> Dispatch {
-        let token = conn.token;
+        let to = ReplyTo { home: self.loop_id, slot, token: conn.token };
         match msg {
             Message::GetReq { id, key, max_staleness } => {
                 self.shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-                self.route_request(key, slot, token, ForwardOp::Get { id, key, max_staleness })
+                self.route_request(key, to, Op::Get { id, key, max_staleness })
             }
             Message::StatsReq => {
                 let snap = self.shared.snapshot();
@@ -1562,37 +1078,26 @@ impl EventLoop {
             }
             Message::PutReq { id, key, value, ttl } => {
                 self.shared.stats.puts.fetch_add(1, Ordering::Relaxed);
-                self.route_request(key, slot, token, ForwardOp::Put { id, key, value, ttl })
+                self.route_request(key, to, Op::Put { id, key, value, ttl })
             }
             Message::Invalidate { seq, keys } => {
                 // A store-pushed batch: every owner marks its share of
                 // the keys stale, and the whole batch is acked by seq
-                // once every part reports back. Keys the cache does not
-                // hold are no-ops (counted by the cache as missed
-                // invalidations), exactly like the simulation path.
-                self.route_batch(slot, token, seq, keys, |&key| key, |batch, keys| {
-                    ForwardOp::InvalidateKeys { batch, keys }
+                // once every part reports back.
+                self.route_batch(to, seq, keys, |&key| key, |batch, keys| {
+                    Op::InvalidateKeys { batch, keys }
                 })
             }
             Message::Update { seq, items } => {
                 // A store-pushed refresh batch: re-freshen every cached
-                // entry in it, split by owner like an invalidation. The
-                // pushed item carries the *store's* version, which lives
-                // in a different counter domain than this node's serving
-                // versions — so each owner allocates a fresh serving
-                // version for each entry it refreshes, keeping the global
-                // monotonicity clients' anomaly checks rely on. Absent
-                // keys do nothing, per the paper's update semantics;
-                // pushed updates carry no TTL, so refreshed entries are
-                // fresh until invalidated or evicted.
-                //
+                // entry in it, split by owner like an invalidation.
                 // Handoff streams reuse the Update machinery in install
                 // mode (see `Conn::handoff`): absent keys are installed,
                 // moving ownership, instead of counting as missed
                 // updates.
                 let install = conn.handoff;
-                self.route_batch(slot, token, seq, items, |item| item.key, |batch, items| {
-                    ForwardOp::UpdateItems { batch, items, install }
+                self.route_batch(to, seq, items, |item| item.key, |batch, items| {
+                    Op::UpdateItems { batch, items, install }
                 })
             }
             Message::RingReq => {
@@ -1647,7 +1152,7 @@ impl EventLoop {
             self.broadcast_rebalance();
             for dest in members.iter().map(String::as_str).chain(departed) {
                 if dest != self.shared.advertise {
-                    self.shared.send_handoff(Handoff {
+                    self.shared.streamer.send(Handoff {
                         dest: dest.to_string(),
                         epoch,
                         members: members.clone(),
@@ -1664,7 +1169,7 @@ impl EventLoop {
     /// Tell every event loop (this one inline) to rescan its owned
     /// shards against the just-adopted view and stream moved keys out.
     fn broadcast_rebalance(&mut self) {
-        for dest in 0..self.shared.topo.num_loops {
+        for dest in 0..self.peers.len() {
             if dest == self.loop_id {
                 self.rebalance();
             } else {
@@ -1675,46 +1180,19 @@ impl EventLoop {
 
     /// Rescan this loop's owned shards against the current membership
     /// view: entries whose owner is now another node are removed here
-    /// and handed to the streamer thread, grouped per destination.
-    /// Only *servably fresh* entries travel — an invalidated or
-    /// TTL-expired entry must not be resurrected as fresh on the new
-    /// owner, so those are simply dropped (a cold miss there, never a
-    /// silent staleness violation). Handoff is an optimisation, not a
-    /// correctness requirement: any key that fails to move is re-fetched
-    /// or re-written at its new owner like any cold key.
+    /// ([`Owner::moved`]) and the servably fresh ones handed to the
+    /// streamer thread, grouped per destination. Handoff is an
+    /// optimisation, not a correctness requirement: any key that fails
+    /// to move is re-fetched or re-written at its new owner like any
+    /// cold key.
     fn rebalance(&mut self) {
         let view = self.shared.membership.lock().clone();
         // Solo nodes (empty view) keep everything: there is no
-        // "elsewhere" to stream to. A node *absent* from a non-empty
-        // view is the graceful-leave case — every key it holds now
-        // belongs to some survivor, so the scan below (where `owner ==
-        // advertise` never matches) drains its shards completely.
+        // "elsewhere" to stream to.
         let Some(ring) = view.ring(DEFAULT_VNODES) else { return };
-        let now = self.shared.clock.now();
-        let mut moved: HashMap<String, Vec<UpdateItem>> = HashMap::new();
-        for shard in &mut self.shards {
-            let keys: Vec<u64> = shard.keys().collect();
-            for key in keys {
-                let Some(owner) = ring.node_for(key) else { continue };
-                if owner == self.shared.advertise {
-                    continue;
-                }
-                if let Some(entry) = shard.peek(key) {
-                    let servable = entry.state == Freshness::Fresh
-                        && entry.expires_at.is_none_or(|at| now < at);
-                    if servable {
-                        moved.entry(owner.to_string()).or_default().push(UpdateItem {
-                            key,
-                            version: entry.version,
-                            value: entry.value.clone(),
-                        });
-                    }
-                }
-                shard.remove(key);
-            }
-        }
+        let moved = self.owner.moved(&ring, &self.shared.advertise, self.shared.clock.now());
         for (dest, items) in moved {
-            self.shared.send_handoff(Handoff {
+            self.shared.streamer.send(Handoff {
                 dest,
                 epoch: view.epoch,
                 members: view.members.clone(),
@@ -1728,20 +1206,20 @@ impl EventLoop {
     /// if it parked on an origin refetch. Otherwise it is staged for
     /// `owner` (counted as a cross-core forward) and `None` returned:
     /// either way, `None` means a completion will arrive later through
-    /// [`deliver_to`](Self::deliver_to).
-    fn route(&mut self, owner: usize, slot: usize, token: u64, op: ForwardOp) -> Option<Completion> {
+    /// [`deliver`](Self::deliver).
+    fn route(&mut self, owner: usize, to: ReplyTo, op: Op) -> Option<Completion> {
         if owner == self.loop_id {
-            return self.apply(owner, slot, token, op);
+            return self.apply(to, op);
         }
         self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
-        self.forward(owner, CoreMsg::Op { from: self.loop_id, slot, token, op });
+        self.forward(owner, CoreMsg::Op { to, op });
         None
     }
 
     /// Route a client's single-key request: answered now when the owner
     /// is this loop and the read did not park.
-    fn route_request(&mut self, key: u64, slot: usize, token: u64, op: ForwardOp) -> Dispatch {
-        match self.route(self.shared.topo.owner_of(key), slot, token, op) {
+    fn route_request(&mut self, key: u64, to: ReplyTo, op: Op) -> Dispatch {
+        match self.route(self.shared.topo.owner_of(key), to, op) {
             Some(Completion::Reply(reply)) => Dispatch::Reply(reply),
             _ => Dispatch::Pending,
         }
@@ -1753,16 +1231,15 @@ impl EventLoop {
     /// otherwise once every forwarded part has reported back.
     fn route_batch<T>(
         &mut self,
-        slot: usize,
-        token: u64,
+        to: ReplyTo,
         seq: u64,
         items: Vec<T>,
         key_of: impl Fn(&T) -> u64,
-        make_op: impl Fn(u64, Vec<T>) -> ForwardOp,
+        make_op: impl Fn(u64, Vec<T>) -> Op,
     ) -> Dispatch {
         self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
         let mut parts: Vec<Vec<T>> = Vec::new();
-        parts.resize_with(self.shared.topo.num_loops, Vec::new);
+        parts.resize_with(self.shared.topo.num_loops(), Vec::new);
         for item in items {
             if let Some(part) = parts.get_mut(self.shared.topo.owner_of(key_of(&item))) {
                 part.push(item);
@@ -1771,7 +1248,7 @@ impl EventLoop {
         let batch = self.next_batch + 1;
         let mut remaining = 0u32;
         for (owner, part) in parts.into_iter().enumerate() {
-            if !part.is_empty() && self.route(owner, slot, token, make_op(batch, part)).is_none() {
+            if !part.is_empty() && self.route(owner, to, make_op(batch, part)).is_none() {
                 remaining += 1;
             }
         }
@@ -1779,307 +1256,29 @@ impl EventLoop {
             return Dispatch::Reply(Message::Ack { seq });
         }
         self.next_batch = batch;
-        self.pending.insert(batch, PendingBatch { seq, slot, token, remaining });
+        self.pending.insert(batch, PendingBatch { seq, to, remaining });
         Dispatch::Pending
     }
 
-    /// Run `op` against this loop's shards — the single entry to the
-    /// owner-local serving functions below, for ops that arrived on this
-    /// loop's own connections (`home == loop_id`) and forwarded ones
-    /// alike. `home`/`slot`/`token` name the originating connection on
-    /// its home loop; `None` means a read parked on an origin refetch
-    /// and `drain_origin` will complete it.
-    fn apply(&mut self, home: usize, slot: usize, token: u64, op: ForwardOp) -> Option<Completion> {
-        match op {
-            ForwardOp::Get { id, key, max_staleness } => {
-                let reply = self.serve_get(home, slot, token, id, key, max_staleness)?;
-                Some(Completion::Reply(reply))
-            }
-            ForwardOp::Put { id, key, value, ttl } => {
-                let version = self.serve_put(key, value, ttl);
-                Some(Completion::Reply(Message::PutResp { id, key, version }))
-            }
-            ForwardOp::InvalidateKeys { batch, keys } => {
-                let applied = self.serve_invalidate(&keys);
-                self.shared.stats.keys_invalidated.fetch_add(applied, Ordering::Relaxed);
-                Some(Completion::BatchPart { batch })
-            }
-            ForwardOp::UpdateItems { batch, items, install } => {
-                let applied = self.serve_update(items, install);
-                self.shared.stats.keys_updated.fetch_add(applied, Ordering::Relaxed);
-                Some(Completion::BatchPart { batch })
-            }
-        }
-    }
-
-    // ---- owner-local serving ------------------------------------------
-    //
-    // Everything below is called from `apply` (and the control-plane
-    // `CoreMsg::Invalidate`) only, runs on the loop that owns the key's
-    // shard and touches the shard through plain `&mut` — the serving hot
-    // path holds no lock (enforced by fresca-lint's lock-free-serve-path
-    // rule).
-
-    /// Owner-local bounded read. `None` means the request was parked on
-    /// an origin refetch and will be answered by `drain_origin`.
-    fn serve_get(
-        &mut self,
-        home: usize,
-        slot: usize,
-        token: u64,
-        id: RequestId,
-        key: u64,
-        max_staleness: u64,
-    ) -> Option<Message> {
-        if let Some(ctx) = self.origin.as_mut() {
-            // Every read feeds the origin's E[W] estimator — parked or
-            // answered, each counts exactly once, on the owner loop.
-            ctx.count_read(key);
-        }
-        let now = self.shared.clock.now();
-        let bound = (max_staleness != u64::MAX).then(|| SimDuration::from_nanos(max_staleness));
-        let li = self.local_shard(key);
-        // The bounded read clones the entry out of the owned shard — for
-        // the value that is a refcount bump on the cached Bytes handle —
-        // with no lock anywhere on the path. The same handle then rides
-        // the outbound segment queue (or the completion message), so a
-        // hit never copies the payload.
-        let looked_up = match self.shards.get_mut(li) {
-            Some(shard) => shard.get_bounded(key, now, bound),
-            None => BoundedGet::Miss,
-        };
-        // A refusal carries no value, only the entry's age, so the client
-        // can see by how much the bound was missed.
-        let (status, age, served) = match looked_up {
-            BoundedGet::Fresh(e) => (GetStatus::Fresh, e.age(now), Some((e.version, e.value))),
-            BoundedGet::ServedStale(e) => {
-                (GetStatus::ServedStale, e.age(now), Some((e.version, e.value)))
-            }
-            BoundedGet::Refused(e) => (GetStatus::RefusedStale, e.age(now), None),
-            BoundedGet::Miss => (GetStatus::Miss, SimDuration::ZERO, None),
-        };
-        let age = age.as_nanos();
-        if served.is_none() && self.park(home, slot, token, id, key, status, age) {
-            return None;
-        }
-        self.count_read_outcome(status);
-        Some(get_resp(id, key, status, age, served))
-    }
-
-    /// Count one answered read under its outcome.
-    fn count_read_outcome(&self, status: GetStatus) {
-        let stats = &self.shared.stats;
-        let counter = match status {
-            GetStatus::Fresh => &stats.fresh,
-            GetStatus::ServedStale => &stats.stale_served,
-            GetStatus::RefusedStale => &stats.refused,
-            GetStatus::Miss => &stats.misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Owner-local write: allocate a serving version and install into
-    /// the owned shard. Version allocation and insert are atomic by
-    /// owner-thread exclusivity — no other writer of this key exists.
-    /// The value handle moves into the cache as-is (the refcounted
-    /// slice the codec cut from the receive buffer) unless it is small
-    /// enough relative to its backing chunk to be worth re-pinning.
-    fn serve_put(&mut self, key: u64, value: Bytes, ttl: u64) -> u64 {
-        let now = self.shared.clock.now();
-        let expires_at = (ttl > 0).then(|| now + SimDuration::from_nanos(ttl));
-        let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
-        let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let li = self.local_shard(key);
-        if let Some(shard) = self.shards.get_mut(li) {
-            shard.insert_value(key, version, value, now, expires_at);
-        }
-        version
-    }
-
-    /// Owner-local share of a store-pushed invalidation batch; returns
-    /// how many of the keys were actually cached.
-    fn serve_invalidate(&mut self, keys: &[u64]) -> u64 {
-        let mut applied = 0u64;
-        for &key in keys {
-            if let Some(ctx) = self.origin.as_mut() {
-                ctx.note_push(key);
-            }
-            let li = self.local_shard(key);
-            if let Some(shard) = self.shards.get_mut(li) {
-                if shard.apply_invalidate(key) {
-                    applied += 1;
+    /// Run `op` on this loop's owner, now — for ops that arrived on
+    /// this loop's own connections and forwarded ones alike. `None`
+    /// means a read parked on an origin refetch (`drain_origin` will
+    /// complete it); the read that opens a key's fetch also gets its
+    /// `FetchReq` queued on the link here, flushed at end of tick.
+    fn apply(&mut self, to: ReplyTo, op: Op) -> Option<Completion> {
+        match self.owner.apply(to, op, self.shared.clock.now()) {
+            Applied::Done(what) => Some(what),
+            Applied::Parked { fetch } => {
+                // The owner only parks while told the link is up; the
+                // if-let keeps this path structurally panic-free
+                // regardless.
+                if let (Some(key), Some(link)) = (fetch, self.link_mut()) {
+                    link.queue(&Message::FetchReq { key });
                 }
-            }
-        }
-        applied
-    }
-
-    /// Owner-local share of a store-pushed update batch; returns how
-    /// many entries were re-freshened. With `install` set (the batch
-    /// arrived on a handoff stream), absent keys are *installed* with a
-    /// fresh serving version instead of counting as missed updates —
-    /// that is the receiving half of key handoff, and the only path
-    /// that relaxes the paper's update-in-place semantics.
-    fn serve_update(&mut self, items: Vec<UpdateItem>, install: bool) -> u64 {
-        let now = self.shared.clock.now();
-        let mut applied = 0u64;
-        for item in items {
-            if let Some(ctx) = self.origin.as_mut() {
-                ctx.note_push(item.key);
-            }
-            let li = self.local_shard(item.key);
-            let Some(shard) = self.shards.get_mut(li) else { continue };
-            let value = repin_small(item.value, DEFAULT_PIN_THRESHOLD);
-            let refreshed = if shard.contains(item.key) {
-                let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
-                shard.apply_update_value(item.key, version, value, now, None)
-            } else if install {
-                // Handoff install: the donor streamed a key this node
-                // now owns. Fresh serving version from this node's
-                // counter (the donor's versions are a different
-                // domain), no TTL — fresh until invalidated/evicted,
-                // exactly like a refetch install.
-                let version = self.shared.versions.fetch_add(1, Ordering::Relaxed) + 1;
-                shard.insert_value(item.key, version, value, now, None);
-                self.shared.stats.handoff_in.fetch_add(1, Ordering::Relaxed);
-                true
-            } else {
-                // Counts the missed update without burning a serving
-                // version on a key that is not here.
-                shard.apply_update_value(item.key, 0, value, now, None)
-            };
-            if refreshed {
-                applied += 1;
-            }
-        }
-        applied
-    }
-
-    /// Try to park a refused/missed bounded read on an origin refetch.
-    /// `true` when the request was parked (the first parker of the key
-    /// also queued the `FetchReq` — flushed at end of tick); `false`
-    /// when there is no origin or it is unreachable, in which case the
-    /// caller answers the fallback directly.
-    #[allow(clippy::too_many_arguments)]
-    fn park(
-        &mut self,
-        home: usize,
-        slot: usize,
-        token: u64,
-        id: RequestId,
-        key: u64,
-        fallback_status: GetStatus,
-        fallback_age: u64,
-    ) -> bool {
-        let Some(ctx) = self.origin.as_mut() else { return false };
-        if !ctx.ensure_link() {
-            // Origin down and the retry backoff running: degrade now.
-            self.shared.stats.origin_errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let waiter = Waiter { home, slot, token, id, fallback_status, fallback_age };
-        match ctx.table.park(key, waiter) {
-            Park::Fetch => {
-                self.shared.stats.refetches.fetch_add(1, Ordering::Relaxed);
-                // ensure_link() above guarantees the link is up; the if-let
-                // keeps this hot path structurally panic-free regardless.
-                if let Some(link) = ctx.link.as_mut() {
-                    link.io.queue(&Message::FetchReq { key });
-                }
-            }
-            Park::Coalesced => {
-                self.shared.stats.refetch_coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        true
-    }
-}
-
-/// Build a `GetResp`: `served` is the version and value of an entry the
-/// read is allowed to see; a refusal or miss carries neither.
-fn get_resp(
-    id: RequestId,
-    key: u64,
-    status: GetStatus,
-    age: u64,
-    served: Option<(u64, Bytes)>,
-) -> Message {
-    let (version, value) = served.unwrap_or_default();
-    Message::GetResp { id, key, version, value, age, status }
-}
-
-/// How many entries ride each handoff `Update` batch: big enough to
-/// amortise the per-batch ack round-trip, small enough to keep frames
-/// far from the codec's size cap.
-const HANDOFF_CHUNK: usize = 512;
-
-/// Connect timeout for handoff/announce destinations. A member that
-/// cannot be reached in this window is skipped — its keys degrade to
-/// cold misses, never to a stuck streamer.
-const HANDOFF_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// The handoff streamer: one background thread per server doing all the
-/// *blocking* membership I/O — announcing view changes to peers and
-/// streaming moved keys to their new owners — so the event loops never
-/// wait on a peer's socket. Commands arrive from the loops over an
-/// mpsc channel; the thread exits when every sender is gone (server
-/// teardown). Failures are deliberately silent: handoff is an
-/// optimisation, and a dead peer's share of keys simply misses cold at
-/// its next owner.
-fn run_handoff_streamer(rx: mpsc::Receiver<Handoff>, stats: Arc<ServerStats>) {
-    // Cached connections per destination, with a per-destination
-    // sequence counter for the Update/Ack machinery.
-    let mut conns: HashMap<String, (FramedStream<TcpStream>, u64)> = HashMap::new();
-    while let Ok(Handoff { dest, epoch, members, items }) = rx.recv() {
-        if stream_to(&mut conns, &dest, epoch, &members, &items, &stats).is_err() {
-            // Peer unreachable or confused: drop the cached connection
-            // and move on. No retry — a newer epoch will re-announce,
-            // and unmoved keys are cold misses by design.
-            conns.remove(&dest);
-        }
-    }
-}
-
-/// One exchange with `dest`: `RingUpdate` → `RingAck`, then chunked
-/// `Update` → `Ack` rounds, each acked key counted into `handoff_out`.
-fn stream_to(
-    conns: &mut HashMap<String, (FramedStream<TcpStream>, u64)>,
-    dest: &str,
-    epoch: u64,
-    members: &[String],
-    items: &[UpdateItem],
-    stats: &ServerStats,
-) -> io::Result<()> {
-    if !conns.contains_key(dest) {
-        let addr = dest.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "member name resolves to no address")
-        })?;
-        let stream = TcpStream::connect_timeout(&addr, HANDOFF_CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        conns.insert(dest.to_string(), (FramedStream::new(stream), 0));
-    }
-    let Some((framed, next_seq)) = conns.get_mut(dest) else { return Ok(()) };
-    // Announce the view first: this flips the receiving connection into
-    // install mode and lets the peer adopt the epoch if it missed it.
-    framed.send(&Message::RingUpdate { epoch, members: members.to_vec() })?;
-    match framed.recv()? {
-        Some(Message::RingAck { .. }) => {}
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "expected RingAck")),
-    }
-    for chunk in items.chunks(HANDOFF_CHUNK) {
-        *next_seq += 1;
-        let seq = *next_seq;
-        framed.send(&Message::Update { seq, items: chunk.to_vec() })?;
-        match framed.recv()? {
-            Some(Message::Ack { seq: acked }) if acked == seq => {
-                stats.handoff_out.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            }
-            _ => {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "expected handoff Ack"))
+                None
             }
         }
     }
-    Ok(())
 }
 
 /// Put an accepted socket into non-blocking mode and wrap it for the
@@ -2096,4 +1295,29 @@ fn register(stream: TcpStream, token: u64) -> io::Result<Conn> {
         in_flight: 0,
         handoff: false,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket deposited in a loop's inbox in the same wake-up as a
+    /// graceful stop must not hold the drain for `DRAIN_GRACE`.
+    #[test]
+    fn arrival_in_the_same_wakeup_as_a_graceful_stop_does_not_hold_the_drain() {
+        let config = ServerConfig { event_loops: 1, ..ServerConfig::default() };
+        let handle = spawn("127.0.0.1:0", config).expect("bind");
+        // What the accept thread does with a new socket, minus the wake
+        // byte: the loop first sees the arrival when the stop wakes it.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        handle.shared.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+        handle.loops[0].mailbox.inbox.lock().conns.push(stream);
+
+        let started = Instant::now();
+        let stats = handle.shutdown_graceful();
+        assert!(started.elapsed() < Duration::from_secs(1), "held for {:?}", started.elapsed());
+        assert_eq!(stats.open_connections, 0);
+    }
 }

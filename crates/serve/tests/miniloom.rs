@@ -13,13 +13,15 @@
 //! ```
 //!
 //! The real `EventLoop` multiplexes sockets and cannot run under the
-//! model, so these tests model the protocol's concurrency skeleton
-//! directly — the same shape `server.rs` implements:
+//! model, but the half of it that serves can: the owner side of these
+//! tests is the server's own [`Owner::apply`], the same function the
+//! reactor calls, and only the concurrency skeleton around it is
+//! modelled — the same shape `server.rs` implements:
 //!
 //! * each loop's inbox is a mutex-protected message vector, appended
-//!   to under the lock exactly like `flush_outboxes`;
+//!   to under the lock exactly like `Mailbox::post`;
 //! * the owner drains its inbox and applies messages **in arrival
-//!   order** against a `SlabCache` it reaches through plain `&mut`
+//!   order** against shards it reaches through plain `&mut`
 //!   (thread-per-core ownership: the shard itself needs no lock);
 //! * completions travel back through the home loop's inbox and are
 //!   matched by request id.
@@ -36,8 +38,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use fresca_cache::slab::SlabCache;
-use fresca_cache::{BoundedGet, Capacity};
+use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
+use fresca_net::{GetStatus, Message, RequestId, UpdateItem};
+use fresca_serve::datapath::{Applied, Completion, Counters, Op, Owner, ReplyTo, Topology};
 use fresca_sim::SimTime;
 use parking_lot::Mutex;
 
@@ -47,48 +50,44 @@ fn t(s: u64) -> SimTime {
 
 const KEY: u64 = 7;
 
-/// The cross-core messages of the model: the `ForwardOp`/`Completion`
-/// subset the properties need.
-enum Op {
-    /// A peer loop forwarded a client's get for an owner-local key.
-    Get { id: u64 },
-    /// The store-path loop forwarded an invalidation part.
-    Invalidate,
-    /// The store-path loop forwarded an update part.
-    Update { version: u64, value: Bytes },
+/// The forwarding loop's connection the gets came in on.
+const HOME: ReplyTo = ReplyTo { home: 1, slot: 0, token: 1 };
+
+/// A node's only owner, holding `KEY` at version 1 (the first version
+/// it allocates) with payload `AA AA AA AA`.
+fn owner_with_key() -> Owner {
+    let cache = CacheConfig { capacity: Capacity::Entries(8), eviction: EvictionPolicy::Lru };
+    let mut owner = Owner::new(0, Topology::new(1, 1), cache, Arc::new(Counters::default()), false);
+    let value = Bytes::from(vec![0xAA; 4]);
+    owner.apply(HOME, Op::Put { id: RequestId(0), key: KEY, value, ttl: 0 }, t(0));
+    owner
 }
 
-/// A completion delivered back to the forwarding loop's connection.
-struct Reply {
-    id: u64,
-    version: u64,
-    value: Bytes,
-    refused: bool,
+fn get(id: u64) -> Op {
+    Op::Get { id: RequestId(id), key: KEY, max_staleness: u64::MAX }
+}
+
+fn invalidate() -> Op {
+    Op::InvalidateKeys { batch: 1, keys: vec![KEY] }
 }
 
 /// Owner-side processing of one arrived message, exactly the
-/// `handle_core_msg` shape: serve gets against the owned shard via
-/// `&mut`, stage the completion into the home loop's inbox.
-fn owner_process(shard: &mut SlabCache, home: &Mutex<Vec<Reply>>, op: Op) {
-    match op {
-        Op::Get { id } => {
-            let reply = match shard.get_bounded(KEY, t(1), None) {
-                BoundedGet::Fresh(e) | BoundedGet::ServedStale(e) => {
-                    Reply { id, version: e.version, value: e.value, refused: false }
-                }
-                BoundedGet::Refused(e) => {
-                    Reply { id, version: e.version, value: Bytes::new(), refused: true }
-                }
-                BoundedGet::Miss => Reply { id, version: 0, value: Bytes::new(), refused: true },
-            };
-            home.lock().push(reply);
+/// `handle_core_msg` shape: apply it, stage a reply into the home
+/// loop's inbox (a store-push part completes towards its own batch,
+/// which these properties do not follow).
+fn owner_process(owner: &mut Owner, home: &Mutex<Vec<Message>>, op: Op) {
+    if let Applied::Done(Completion::Reply(reply)) = owner.apply(HOME, op, t(1)) {
+        home.lock().push(reply);
+    }
+}
+
+/// `(id, status, version, value)` of a `GetResp`.
+fn get_resp(reply: &Message) -> (u64, GetStatus, u64, &[u8]) {
+    match reply {
+        Message::GetResp { id, status, version, value, .. } => {
+            (id.0, *status, *version, &value[..])
         }
-        Op::Invalidate => {
-            shard.apply_invalidate(KEY);
-        }
-        Op::Update { version, value } => {
-            shard.apply_update_value(KEY, version, value, t(1), None);
-        }
+        other => panic!("not a GetResp: {other:?}"),
     }
 }
 
@@ -103,20 +102,18 @@ fn owner_process(shard: &mut SlabCache, home: &Mutex<Vec<Reply>>, op: Op) {
 fn forwarded_get_vs_owner_invalidate_never_serves_known_stale() {
     let stats = miniloom::check(|| {
         let owner_inbox: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
-        let home_inbox: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut shard = SlabCache::new(Capacity::Entries(8));
-        shard.insert_value(KEY, 1, Bytes::from(vec![0xAA; 4]), t(0), None);
+        let home_inbox: Arc<Mutex<Vec<Message>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut owner = owner_with_key();
 
         // Two producer loops race to stage into the owner's inbox —
-        // single-statement lock-append, like `flush_outboxes`.
+        // single-statement lock-append, like `Mailbox::post`.
         let forwarder = {
             let inbox = Arc::clone(&owner_inbox);
-            miniloom::thread::spawn(move || inbox.lock().push(Op::Get { id: 1 }))
+            miniloom::thread::spawn(move || inbox.lock().push(get(1)))
         };
         let store_path = {
             let inbox = Arc::clone(&owner_inbox);
-            miniloom::thread::spawn(move || inbox.lock().push(Op::Invalidate))
+            miniloom::thread::spawn(move || inbox.lock().push(invalidate()))
         };
         forwarder.join();
         store_path.join();
@@ -128,26 +125,28 @@ fn forwarded_get_vs_owner_invalidate_never_serves_known_stale() {
         let get_arrived_first =
             matches!(arrived.first(), Some(Op::Get { .. }));
         for op in arrived {
-            owner_process(&mut shard, &home_inbox, op);
+            owner_process(&mut owner, &home_inbox, op);
         }
 
         // The home loop's tick: exactly one completion, matched by id,
         // and its content is the linearization's — not a mixture.
         let replies = std::mem::take(&mut *home_inbox.lock());
         assert_eq!(replies.len(), 1, "every forwarded op completes exactly once");
-        let r = &replies[0];
-        assert_eq!(r.id, 1);
+        let (id, status, version, value) = get_resp(&replies[0]);
+        assert_eq!(id, 1);
         if get_arrived_first {
-            assert!(!r.refused, "get before invalidate serves the live entry");
-            assert_eq!(r.version, 1);
-            assert_eq!(r.value[..], [0xAA; 4][..], "version 1 must carry version 1's bytes");
+            assert_eq!(status, GetStatus::Fresh, "get before invalidate serves the live entry");
+            assert_eq!(version, 1);
+            assert_eq!(value, [0xAA; 4], "version 1 must carry version 1's bytes");
         } else {
-            assert!(r.refused, "get after invalidate must refuse — serving would violate the \
-                     staleness contract");
+            assert_eq!(status, GetStatus::RefusedStale, "get after invalidate must refuse — \
+                       serving would violate the staleness contract");
         }
         // Quiescent owner state: the invalidation always lands.
-        assert!(
-            matches!(shard.get_bounded(KEY, t(1), None), BoundedGet::Refused(_)),
+        owner_process(&mut owner, &home_inbox, get(2));
+        assert_eq!(
+            get_resp(&home_inbox.lock()[0]).1,
+            GetStatus::RefusedStale,
             "the key ends known-stale in every interleaving"
         );
     })
@@ -164,19 +163,20 @@ fn forwarded_get_vs_owner_invalidate_never_serves_known_stale() {
 fn forwarded_get_vs_owner_update_is_version_coherent() {
     miniloom::model(|| {
         let owner_inbox: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
-        let home_inbox: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut shard = SlabCache::new(Capacity::Entries(8));
-        shard.insert_value(KEY, 1, Bytes::from(vec![0xAA; 4]), t(0), None);
+        let home_inbox: Arc<Mutex<Vec<Message>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut owner = owner_with_key();
 
         let forwarder = {
             let inbox = Arc::clone(&owner_inbox);
-            miniloom::thread::spawn(move || inbox.lock().push(Op::Get { id: 9 }))
+            miniloom::thread::spawn(move || inbox.lock().push(get(9)))
         };
         let store_path = {
             let inbox = Arc::clone(&owner_inbox);
             miniloom::thread::spawn(move || {
-                inbox.lock().push(Op::Update { version: 2, value: Bytes::from(vec![0xBB; 8]) })
+                // The store's version is another domain: the owner
+                // installs the update under its own next version, 2.
+                let item = UpdateItem { key: KEY, version: 77, value: Bytes::from(vec![0xBB; 8]) };
+                inbox.lock().push(Op::UpdateItems { batch: 1, items: vec![item], install: false })
             })
         };
         forwarder.join();
@@ -185,33 +185,31 @@ fn forwarded_get_vs_owner_update_is_version_coherent() {
         let arrived = std::mem::take(&mut *owner_inbox.lock());
         let get_arrived_first = matches!(arrived.first(), Some(Op::Get { .. }));
         for op in arrived {
-            owner_process(&mut shard, &home_inbox, op);
+            owner_process(&mut owner, &home_inbox, op);
         }
 
         let replies = std::mem::take(&mut *home_inbox.lock());
         assert_eq!(replies.len(), 1);
-        let r = &replies[0];
-        assert!(!r.refused, "a live entry is servable before and after an update");
+        let (_, status, version, value) = get_resp(&replies[0]);
+        assert_eq!(status, GetStatus::Fresh, "a live entry is servable before and after an update");
         if get_arrived_first {
-            assert_eq!(r.version, 1, "get before update sees the pre-update entry");
-            assert_eq!(r.value[..], [0xAA; 4][..]);
+            assert_eq!(version, 1, "get before update sees the pre-update entry");
+            assert_eq!(value, [0xAA; 4]);
         } else {
-            assert_eq!(r.version, 2, "get after update must see it — regressing to \
+            assert_eq!(version, 2, "get after update must see it — regressing to \
                        version 1 would be the version anomaly clients check for");
-            assert_eq!(r.value[..], [0xBB; 8][..]);
+            assert_eq!(value, [0xBB; 8]);
         }
         // The update lands in every interleaving.
-        match shard.get_bounded(KEY, t(1), None) {
-            BoundedGet::Fresh(e) | BoundedGet::ServedStale(e) => {
-                assert_eq!(e.version, 2);
-                assert_eq!(e.value[..], [0xBB; 8][..]);
-            }
-            other => panic!("updated entry must stay servable, got {other:?}"),
-        }
+        owner_process(&mut owner, &home_inbox, get(10));
+        let settled = home_inbox.lock();
+        let (_, status, version, value) = get_resp(&settled[0]);
+        assert_eq!(status, GetStatus::Fresh, "updated entry must stay servable");
+        assert_eq!((version, value), (2, &[0xBB; 8][..]));
     });
 }
 
-/// Mutation test: a *broken* owner that forgets to stage the
+/// Mutation test: a *broken* owner loop that forgets to stage the
 /// completion when the forwarded get finds the entry invalidated —
 /// the forwarded request would hang forever on its home loop (the
 /// connection's in-flight count never drains). The checker must find
@@ -222,39 +220,31 @@ fn forwarded_get_vs_owner_update_is_version_coherent() {
 fn broken_owner_dropping_refusal_completion_is_caught() {
     let broken = || {
         let owner_inbox: Arc<Mutex<Vec<Op>>> = Arc::new(Mutex::new(Vec::new()));
-        let home_inbox: Arc<Mutex<Vec<Reply>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut shard = SlabCache::new(Capacity::Entries(8));
-        shard.insert_value(KEY, 1, Bytes::from(vec![0xAA; 4]), t(0), None);
+        let home_inbox: Arc<Mutex<Vec<Message>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut owner = owner_with_key();
 
         let forwarder = {
             let inbox = Arc::clone(&owner_inbox);
-            miniloom::thread::spawn(move || inbox.lock().push(Op::Get { id: 1 }))
+            miniloom::thread::spawn(move || inbox.lock().push(get(1)))
         };
         let store_path = {
             let inbox = Arc::clone(&owner_inbox);
-            miniloom::thread::spawn(move || inbox.lock().push(Op::Invalidate))
+            miniloom::thread::spawn(move || inbox.lock().push(invalidate()))
         };
         forwarder.join();
         store_path.join();
 
         let arrived = std::mem::take(&mut *owner_inbox.lock());
         for op in arrived {
-            match op {
-                Op::Get { id } => match shard.get_bounded(KEY, t(1), None) {
-                    BoundedGet::Fresh(e) | BoundedGet::ServedStale(e) => {
-                        home_inbox.lock().push(Reply {
-                            id,
-                            version: e.version,
-                            value: e.value,
-                            refused: false,
-                        });
-                    }
-                    // BROKEN: refusals produce no completion — the
-                    // home connection waits forever.
-                    BoundedGet::Refused(_) | BoundedGet::Miss => {}
-                },
-                op => owner_process(&mut shard, &home_inbox, op),
+            match owner.apply(HOME, op, t(1)) {
+                // BROKEN: the completion `apply` returned for a refusal
+                // is discarded — the home connection waits forever.
+                Applied::Done(Completion::Reply(Message::GetResp {
+                    status: GetStatus::RefusedStale | GetStatus::Miss,
+                    ..
+                })) => {}
+                Applied::Done(Completion::Reply(reply)) => home_inbox.lock().push(reply),
+                _ => {}
             }
         }
 

@@ -19,8 +19,6 @@ use fresca_serve::{ClusterClient, StorePusher};
 use fresca_sim::SimDuration;
 use fresca_workload::{PoissonZipfConfig, ReplayConfig, WorkloadGen};
 
-const VNODES: usize = 64;
-
 fn spawn_cluster(n: usize) -> (Vec<ServerHandle>, Vec<String>) {
     let handles: Vec<ServerHandle> = (0..n)
         .map(|_| {
@@ -50,8 +48,8 @@ fn spawn_cluster(n: usize) -> (Vec<ServerHandle>, Vec<String>) {
 #[test]
 fn cluster_routes_keys_consistently() {
     let (handles, addrs) = spawn_cluster(3);
-    let mut a = ClusterClient::connect(&addrs, VNODES).unwrap();
-    let mut b = ClusterClient::connect(&addrs, VNODES).unwrap();
+    let mut a = ClusterClient::connect(&addrs).unwrap();
+    let mut b = ClusterClient::connect(&addrs).unwrap();
 
     let keys: Vec<u64> = (0..96).collect();
     for &key in &keys {
@@ -84,10 +82,10 @@ fn cluster_routes_keys_consistently() {
 #[test]
 fn store_push_invalidation_refuses_stale_reads_and_acks_by_seq() {
     let (handles, addrs) = spawn_cluster(2);
-    let mut client = ClusterClient::connect(&addrs, VNODES).unwrap();
+    let mut client = ClusterClient::connect(&addrs).unwrap();
     let mut pusher = StorePusher::connect(
         &addrs,
-        PushConfig { policy: PushPolicy::Invalidate, vnodes: VNODES, ..Default::default() },
+        PushConfig { policy: PushPolicy::Invalidate, ..Default::default() },
     )
     .unwrap();
     assert_eq!(
@@ -162,10 +160,10 @@ fn store_push_invalidation_refuses_stale_reads_and_acks_by_seq() {
 #[test]
 fn store_push_updates_refresh_in_place() {
     let (handles, addrs) = spawn_cluster(2);
-    let mut client = ClusterClient::connect(&addrs, VNODES).unwrap();
+    let mut client = ClusterClient::connect(&addrs).unwrap();
     let mut pusher = StorePusher::connect(
         &addrs,
-        PushConfig { policy: PushPolicy::Update, vnodes: VNODES, ..Default::default() },
+        PushConfig { policy: PushPolicy::Update, ..Default::default() },
     )
     .unwrap();
 
@@ -228,7 +226,6 @@ fn loadgen_fans_out_across_the_cluster() {
             pipeline: 8,
             value_bytes: Some(loadgen::ValueDist::Uniform { min: 1, max: 2048 }),
         },
-        VNODES,
     )
     .unwrap();
 
@@ -262,7 +259,6 @@ fn loadgen_fans_out_across_the_cluster() {
 /// intact — at the key's new owner.
 #[test]
 fn graceful_leave_hands_every_acked_write_to_the_survivors() {
-    use fresca_serve::ring::DEFAULT_VNODES;
     use std::time::{Duration, Instant};
 
     let (handles, addrs) = spawn_cluster(3);
@@ -270,9 +266,7 @@ fn graceful_leave_hands_every_acked_write_to_the_survivors() {
     for a in &addrs {
         admin.join(a).unwrap();
     }
-    // The server-side rebalance ring uses DEFAULT_VNODES; the client
-    // must agree or the two would route the same key differently.
-    let mut client = ClusterClient::connect(&addrs, DEFAULT_VNODES).unwrap();
+    let mut client = ClusterClient::connect(&addrs).unwrap();
     assert!(client.refresh().unwrap());
     assert_eq!(client.members().len(), 3);
 
@@ -328,6 +322,40 @@ fn graceful_leave_hands_every_acked_write_to_the_survivors() {
     assert_eq!(handoff_in, victim_keys.len() as u64, "survivors installed exactly that share");
 }
 
+/// One streamer thread announces views and hands keys off to every
+/// destination, so a member that accepts a connection and then never
+/// answers must cost the others a bounded wait, not every later
+/// announcement: a node joined *after* the silent member still hears
+/// the new epoch.
+#[test]
+fn silent_member_does_not_wedge_announcements_to_the_others() {
+    use std::time::{Duration, Instant};
+
+    let (handles, addrs) = spawn_cluster(2);
+    // Accepts (the kernel completes the handshake) and never reads.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let silent_addr = silent.local_addr().unwrap().to_string();
+
+    let mut admin = fresca_serve::CacheClient::connect(addrs[0].as_str()).unwrap();
+    admin.join(&addrs[0]).unwrap();
+    admin.join(&silent_addr).unwrap();
+    admin.join(&addrs[1]).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handles[1].membership().epoch != 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the second node never heard epoch 3: {:?}",
+            handles[1].membership()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(handles[1].membership().contains(&silent_addr));
+    for h in handles {
+        h.shutdown();
+    }
+}
+
 /// The chaos harness end to end, in process: a three-node cluster, a
 /// deterministic kill-one schedule that abruptly kills the victim
 /// mid-run and restarts it, and a freshness-checking driver. The run
@@ -338,7 +366,6 @@ fn graceful_leave_hands_every_acked_write_to_the_survivors() {
 #[test]
 fn chaos_kill_restart_stays_clean_and_restores_ownership() {
     use fresca_serve::chaos::{ChaosSchedule, Supervisor};
-    use fresca_serve::ring::DEFAULT_VNODES;
     use fresca_serve::server::ServerHandle;
     use std::time::Duration;
 
@@ -414,7 +441,6 @@ fn chaos_kill_restart_stays_clean_and_restores_ownership() {
             pipeline: 8,
             value_bytes: Some(loadgen::ValueDist::Uniform { min: 16, max: 512 }),
         },
-        DEFAULT_VNODES,
         &schedule,
         &mut supervisor,
         42,
