@@ -13,8 +13,9 @@
 //!   (`write_vectored` passes those slices to the kernel; userspace
 //!   never copies them), and decoding slices the payload out of the
 //!   receive buffer with `split_to().freeze()`. The only payload-sized
-//!   userspace copy is the receive-buffer fill standing in for
-//!   `read(2)` — identical in both paths.
+//!   userspace copy is `feed` filling the receive buffer from the
+//!   frame's wire image (on a real connection, from the `read(2)`
+//!   scratch) — identical in both paths.
 //! * **copying reference** (the pre-change design, kept as the in-run
 //!   baseline): building the response copies the value out of the
 //!   cache, encoding memcpys it into the contiguous send buffer, and
@@ -22,11 +23,13 @@
 //!   replaced Vec-backed `split_to` did) and materializes the payload
 //!   into a fresh allocation.
 //!
-//! Alongside the timings, the bench *proves* the decode is zero-copy:
-//! two payload frames fed in one chunk must come back as views of the
-//! same backing allocation. Results go to stdout and to
-//! `BENCH_wire.json` (uploaded by CI) with the 4 KiB speedup the
-//! acceptance bar reads.
+//! Before timing, the bench *proves* both halves of the receive side:
+//! two `GetResp` frames fed in one chunk come back as views of the same
+//! backing allocation (zero-copy decode), and two `PutReq` frames fed
+//! in one chunk come back as values that each own exactly their bytes
+//! (the codec routed them out of the chunk, so caching them pins
+//! nothing else). Results go to stdout and to `BENCH_wire.json`
+//! (uploaded by CI) with the 4 KiB speedup the acceptance bar reads.
 //!
 //! ```sh
 //! cargo bench -p fresca-bench --bench wire_codec
@@ -61,6 +64,9 @@ struct WireReport {
     /// Witnessed by pointer identity: a decoded 4 KiB payload is a view
     /// of the receive buffer, not a fresh allocation.
     zero_copy_decode: bool,
+    /// Witnessed by allocation size and identity: 4 KiB `PutReq` values
+    /// decoded from one chunk each own an exact, unshared allocation.
+    exact_put_decode: bool,
     /// Speedup at the 4 KiB acceptance size (copying / zero-copy).
     speedup_4k: f64,
     rows: Vec<SizeRow>,
@@ -165,12 +171,39 @@ fn verify_zero_copy_decode() -> bool {
     va.shares_allocation_with(&vb) && va == payload::pattern(7, 4096)
 }
 
+/// Witness that values a node caches own their bytes: two `PutReq`
+/// frames fed as one chunk decode to values in exact allocations of
+/// their own, not views of the chunk.
+fn verify_exact_put_decode() -> bool {
+    let put = |key| Message::PutReq {
+        id: RequestId(key),
+        key,
+        value: payload::pattern(key, 4096),
+        ttl: 0,
+    };
+    let mut wire = BytesMut::new();
+    FrameCodec::encode(&put(7), &mut wire);
+    FrameCodec::encode(&put(8), &mut wire);
+    let mut codec = FrameCodec::new();
+    codec.feed(&wire);
+    let (Some(Message::PutReq { value: va, .. }), Some(Message::PutReq { value: vb, .. })) =
+        (codec.next().unwrap(), codec.next().unwrap())
+    else {
+        return false;
+    };
+    !va.shares_allocation_with(&vb)
+        && [&va, &vb].iter().all(|v| v.allocation_size() == v.len())
+        && va == payload::pattern(7, 4096)
+}
+
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let (iters, samples) = if test_mode { (1, 1) } else { (2_000, 15) };
 
     let zero_copy_decode = verify_zero_copy_decode();
     assert!(zero_copy_decode, "decode materialized a payload copy");
+    let exact_put_decode = verify_exact_put_decode();
+    assert!(exact_put_decode, "a decoded PutReq value pins more than its bytes");
 
     let mut rows = Vec::new();
     for &size in SIZES {
@@ -218,7 +251,7 @@ fn main() {
 
     let speedup_4k =
         rows.iter().find(|r| r.value_bytes == 4096).map_or(0.0, |r| r.speedup);
-    let report = WireReport { zero_copy_decode, speedup_4k, rows };
+    let report = WireReport { zero_copy_decode, exact_put_decode, speedup_4k, rows };
     if !test_mode {
         // Cargo runs bench binaries from the package dir; drop the
         // artifact at the workspace root where CI picks it up.

@@ -3,17 +3,32 @@
 //! Frame layout: `u32` total-length (including the 5-byte header), `u8`
 //! message type, then type-specific fields in big-endian. Values
 //! (`GetResp`/`PutReq`/`FetchResp`/`Update` items) are carried as **real
-//! bytes**, length-prefixed by a `u32`; the decoder slices them straight
-//! out of its accumulation buffer as refcounted [`Bytes`] views
-//! (`split_to().freeze()`), so decoding a value allocates no
-//! payload-sized buffer. Every message has exactly one encoding and a
-//! frame's length equals its message's [`crate::Message::wire_size`]:
-//! the decoder rejects a frame with bytes left over after its fields.
+//! bytes**, length-prefixed by a `u32`. Every message has exactly one
+//! encoding and a frame's length equals its message's
+//! [`crate::Message::wire_size`]: the decoder rejects a frame with bytes
+//! left over after its fields.
 //!
 //! The decoder is *streaming*: feed it arbitrary byte chunks, it yields
 //! complete messages and buffers partial frames (the Tokio-tutorial
 //! framing pattern, without the async machinery the simulation doesn't
-//! need).
+//! need). [`FrameCodec::feed`] copies each chunk once, and where the
+//! bytes land depends on what they are, so that a value the node caches
+//! owns exactly its allocation:
+//!
+//! * A `PutReq` or `FetchResp` value of [`DEFAULT_PIN_THRESHOLD`] bytes
+//!   or more is always its frame's tail. `feed` routes those bytes from
+//!   the chunk straight into an allocation of exactly the value's size,
+//!   and [`FrameCodec::next`] hands that allocation out as the value.
+//!   The allocation grows with the bytes that arrive, so a declared
+//!   size reserves nothing the peer has not sent.
+//! * Everything else — headers, `GetResp` payloads (which clients decode
+//!   and drop), shorter values — goes to the accumulation buffer, and
+//!   values are sliced out of it as refcounted [`Bytes`] views
+//!   (`split_to().freeze()`) without another copy. A short value that
+//!   is cached is copied by [`crate::pin::repin_small`] at install.
+//! * `Update` item values of the threshold or more (store pushes and
+//!   handoff streams, the cold path) are copied out of the frame at
+//!   decode.
 //!
 //! Encoding has two shapes: [`FrameCodec::encode`] renders a frame
 //! contiguously into one buffer (payload copied — right for the blocking
@@ -22,7 +37,9 @@
 //! [`crate::NonBlockingFramedStream`] builds its zero-copy segment queue.
 
 use crate::msg::{GetStatus, Message, ReadStat, RequestId, UpdateItem};
+use crate::pin::DEFAULT_PIN_THRESHOLD;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Maximum accepted frame size; larger frames are a protocol error (guards
@@ -143,7 +160,59 @@ fn payload_bytes(msg: &Message) -> usize {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameCodec {
+    /// Every fed byte not yet decoded, except diverted payloads: a
+    /// frame whose value was diverted is represented here by its fixed
+    /// header alone.
     buf: BytesMut,
+    /// Offset in `buf` of the first frame `feed` has not classified
+    /// (divert or not). It lies past `buf`'s end while the rest of a
+    /// non-diverted frame is still to come.
+    scan: usize,
+    /// The diverted payload still arriving, if any.
+    diverting: Option<Diverting>,
+    /// Complete diverted payloads, in frame order: the front one
+    /// belongs to the first diverted frame in `buf`.
+    ready: VecDeque<Bytes>,
+}
+
+/// A payload being routed into its own allocation.
+#[derive(Debug)]
+struct Diverting {
+    value: Vec<u8>,
+    declared: usize,
+}
+
+/// Offset of the `u32` value_size field in `PutReq` and `FetchResp`
+/// frames, length prefix included.
+const VALUE_SIZE_AT: usize = 21;
+
+/// Fixed header length (length prefix and tag included) of a frame
+/// whose payload `feed` may divert: a `PutReq` or `FetchResp` long
+/// enough to carry a [`DEFAULT_PIN_THRESHOLD`]-byte value after its
+/// fields. The payload starts right after these bytes.
+fn divert_header(tag: u8, len: usize) -> Option<usize> {
+    let fixed = match tag {
+        TAG_PUT_REQ => 33,
+        TAG_FETCH_RESP => 25,
+        _ => return None,
+    };
+    (len >= fixed + DEFAULT_PIN_THRESHOLD).then_some(fixed)
+}
+
+/// The size of the payload `feed` diverts out of the frame that starts
+/// with `head` and whose length prefix reads `len`: a `PutReq` or
+/// `FetchResp` value of at least [`DEFAULT_PIN_THRESHOLD`] bytes, within
+/// [`MAX_VALUE`], that is exactly the frame's tail. `None` for every
+/// other frame, and while `head` is shorter than the fixed header. The
+/// one predicate both `feed` and `next` decide by.
+fn diverted_size(head: &[u8], len: usize) -> Option<usize> {
+    let fixed = divert_header(*head.get(4)?, len)?;
+    if head.len() < fixed {
+        return None;
+    }
+    let field = head.get(VALUE_SIZE_AT..VALUE_SIZE_AT + 4)?;
+    let size = u32::from_be_bytes([field[0], field[1], field[2], field[3]]) as usize;
+    (size <= MAX_VALUE && fixed + size == len).then_some(size)
 }
 
 impl FrameCodec {
@@ -155,6 +224,8 @@ impl FrameCodec {
     /// True when no partial frame is buffered — i.e. the byte stream, if
     /// it ended here, would end on a clean frame boundary. Used by
     /// [`crate::FramedStream`] to tell a clean EOF from a truncated one.
+    /// (A diverted payload, partial or complete, always has its frame's
+    /// header waiting in `buf`.)
     pub fn is_idle(&self) -> bool {
         self.buf.is_empty()
     }
@@ -169,7 +240,10 @@ impl FrameCodec {
         match self.peek_len() {
             None => false,
             Some(Err(_)) => true,
-            Some(Ok(len)) => self.buf.len() >= len || self.early_value_check().is_err(),
+            Some(Ok(len)) => match diverted_size(&self.buf, len) {
+                Some(_) => !self.ready.is_empty(),
+                None => self.buf.len() >= len || self.early_value_check().is_err(),
+            },
         }
     }
 
@@ -364,9 +438,85 @@ impl FrameCodec {
         }
     }
 
-    /// Feed raw bytes into the decoder.
-    pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+    /// Feed raw bytes into the decoder. Each byte is copied once: a
+    /// large `PutReq`/`FetchResp` payload into its own exact allocation,
+    /// everything else into the accumulation buffer (see the module
+    /// docs).
+    pub fn feed(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let Some(d) = self.diverting.as_mut() else {
+                let (keep, divert) = self.route(data);
+                self.buf.extend_from_slice(&data[..keep]);
+                data = &data[keep..];
+                if let Some(declared) = divert {
+                    self.diverting = Some(Diverting { value: Vec::new(), declared });
+                }
+                continue;
+            };
+            let take = (d.declared - d.value.len()).min(data.len());
+            let want = d.value.len() + take;
+            if want > d.value.capacity() {
+                // Grow with what has arrived (doubling, so a trickled
+                // value costs amortised O(1) per byte), never past the
+                // declared size: the finished allocation is exact.
+                let target = want.max(2 * d.value.capacity()).min(d.declared);
+                d.value.reserve_exact(target - d.value.len());
+            }
+            d.value.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if d.value.len() == d.declared {
+                self.ready.push_back(Bytes::from(std::mem::take(&mut d.value)));
+                self.diverting = None;
+            }
+        }
+    }
+
+    /// Walk the frames `data` continues, from the first one not yet
+    /// classified. Returns how many leading bytes of `data` go to `buf`
+    /// and, if the walk reached a payload to divert, its size — the
+    /// payload then starts right after those bytes.
+    fn route(&mut self, data: &[u8]) -> (usize, Option<usize>) {
+        let base = self.buf.len();
+        let mut straddle = [0u8; 33]; // the longest `divert_header`
+        loop {
+            let at = self.scan;
+            // The frame's first bytes: a slice of `data` when the frame
+            // starts there, else copied from the tail of `buf` and `data`.
+            let head: &[u8] = match at.checked_sub(base) {
+                Some(off) => data.get(off..).unwrap_or_default(),
+                None => {
+                    let buffered = &self.buf[at..];
+                    let n = buffered.len().min(straddle.len());
+                    straddle[..n].copy_from_slice(&buffered[..n]);
+                    let m = data.len().min(straddle.len() - n);
+                    straddle[n..n + m].copy_from_slice(&data[..m]);
+                    &straddle[..n + m]
+                }
+            };
+            let Some(&[a, b, c, d, tag]) = head.first_chunk::<5>() else {
+                // Inside a frame already classified, or its length and
+                // tag are not all here yet.
+                return (data.len(), None);
+            };
+            let len = u32::from_be_bytes([a, b, c, d]) as usize;
+            if !(5..=MAX_FRAME).contains(&len) {
+                // A dead stream: `next` reports the length; nothing
+                // after it is ever decoded.
+                return (data.len(), None);
+            }
+            if let Some(fixed) = divert_header(tag, len) {
+                if head.len() < fixed {
+                    return (data.len(), None);
+                }
+                if let Some(size) = diverted_size(head, len) {
+                    // The header completes inside `data` (it would have
+                    // been classified by an earlier feed otherwise).
+                    self.scan = at + fixed;
+                    return (self.scan - base, Some(size));
+                }
+            }
+            self.scan = at + len;
+        }
     }
 
     /// Try to decode the next complete frame. `Ok(None)` means "need more
@@ -379,18 +529,28 @@ impl FrameCodec {
             Some(Err(e)) => return Err(e),
             Some(Ok(len)) => len,
         };
-        if self.buf.len() < len {
-            // The frame is incomplete, but for single-value messages the
-            // declared value size sits at a fixed offset — reject an
-            // over-limit declaration now rather than buffering up to
-            // MAX_FRAME of a payload that can never decode.
-            self.early_value_check()?;
-            return Ok(None);
-        }
-        let mut frame = self.buf.split_to(len);
+        let (held, diverted) = match diverted_size(&self.buf, len) {
+            Some(size) => match self.ready.pop_front() {
+                Some(value) => (len - size, Some(value)),
+                // The header is here, the payload is still arriving.
+                None => return Ok(None),
+            },
+            None if self.buf.len() < len => {
+                // The frame is incomplete, but for single-value messages
+                // the declared value size sits at a fixed offset —
+                // reject an over-limit declaration now rather than
+                // buffering up to MAX_FRAME of a payload that can never
+                // decode.
+                self.early_value_check()?;
+                return Ok(None);
+            }
+            None => (len, None),
+        };
+        let mut frame = self.buf.split_to(held);
+        self.scan -= held;
         frame.advance(4); // length
         let tag = frame.get_u8();
-        let msg = Self::decode_body(tag, &mut frame)?;
+        let msg = Self::decode_body(tag, &mut frame, diverted)?;
         if !frame.is_empty() {
             // The length prefix promised more than the message holds:
             // two byte strings must never mean the same message.
@@ -413,7 +573,7 @@ impl FrameCodec {
         }
         // Offset of the u32 value_size field from the frame start.
         let at = match buf[4] {
-            TAG_PUT_REQ | TAG_FETCH_RESP => 21,
+            TAG_PUT_REQ | TAG_FETCH_RESP => VALUE_SIZE_AT,
             TAG_GET_RESP => 29,
             TAG_UPDATE => 33, // first item's value_size
             _ => return Ok(()),
@@ -437,9 +597,9 @@ impl FrameCodec {
     }
 
     /// Validate a declared payload size and slice that many bytes out of
-    /// the frame as a refcounted view — the zero-copy heart of the
-    /// decoder: no payload-sized buffer is allocated, the returned
-    /// [`Bytes`] shares the accumulation buffer's allocation.
+    /// the frame as a refcounted view: no payload-sized buffer is
+    /// allocated, the returned [`Bytes`] shares the accumulation
+    /// buffer's allocation.
     fn take_value(
         frame: &mut BytesMut,
         declared: u32,
@@ -452,7 +612,14 @@ impl FrameCodec {
         Ok(frame.split_to(declared as usize).freeze())
     }
 
-    fn decode_body(tag: u8, frame: &mut BytesMut) -> Result<Message, CodecError> {
+    /// Decode the fields after the tag. `diverted` is the frame's value
+    /// when `feed` routed it out of the buffer (then `frame` ends where
+    /// the value would have begun).
+    fn decode_body(
+        tag: u8,
+        frame: &mut BytesMut,
+        diverted: Option<Bytes>,
+    ) -> Result<Message, CodecError> {
         match tag {
             TAG_INVALIDATE => {
                 Self::need(frame, 12, "invalidate header")?;
@@ -472,7 +639,13 @@ impl FrameCodec {
                     let key = frame.get_u64();
                     let version = frame.get_u64();
                     let value_size = frame.get_u32();
-                    let value = Self::take_value(frame, value_size, "update item value")?;
+                    let mut value = Self::take_value(frame, value_size, "update item value")?;
+                    if value.len() >= DEFAULT_PIN_THRESHOLD {
+                        // Pushes and handoff streams are the cold path:
+                        // copy a value long enough to be cached as-is
+                        // out of the frame, so it cannot pin the buffer.
+                        value = Bytes::copy_from_slice(&value);
+                    }
                     items.push(UpdateItem { key, version, value });
                 }
                 Ok(Message::Update { seq, items })
@@ -483,7 +656,7 @@ impl FrameCodec {
             }
             TAG_GET_REQ => Self::decode_get_req(frame),
             TAG_GET_RESP => Self::decode_get_resp(frame),
-            TAG_PUT_REQ => Self::decode_put_req(frame),
+            TAG_PUT_REQ => Self::decode_put_req(frame, diverted),
             TAG_PUT_RESP => Self::decode_put_resp(frame),
             TAG_FETCH_REQ => {
                 Self::need(frame, 8, "fetch-req key")?;
@@ -494,7 +667,10 @@ impl FrameCodec {
                 let key = frame.get_u64();
                 let version = frame.get_u64();
                 let value_size = frame.get_u32();
-                let value = Self::take_value(frame, value_size, "fetch-resp value")?;
+                let value = match diverted {
+                    Some(value) => value,
+                    None => Self::take_value(frame, value_size, "fetch-resp value")?,
+                };
                 Ok(Message::FetchResp { key, version, value })
             }
             TAG_READ_STATS => {
@@ -607,7 +783,10 @@ impl FrameCodec {
         Ok(Message::GetResp { id, key, version, value, age, status })
     }
 
-    fn decode_put_req(frame: &mut BytesMut) -> Result<Message, CodecError> {
+    fn decode_put_req(
+        frame: &mut BytesMut,
+        diverted: Option<Bytes>,
+    ) -> Result<Message, CodecError> {
         Self::need(frame, 28, "put-req header")?;
         let hdr: &[u8] = frame;
         let id = RequestId(Self::be_u64(hdr, 0));
@@ -615,7 +794,10 @@ impl FrameCodec {
         let value_size = Self::be_u32(hdr, 16);
         let ttl = Self::be_u64(hdr, 20);
         frame.advance(28);
-        let value = Self::take_value(frame, value_size, "put-req value")?;
+        let value = match diverted {
+            Some(value) => value,
+            None => Self::take_value(frame, value_size, "put-req value")?,
+        };
         Ok(Message::PutReq { id, key, value, ttl })
     }
 
@@ -1001,37 +1183,124 @@ mod tests {
 
     #[test]
     fn decoded_payloads_share_the_accumulation_buffer() {
-        // Two payload-carrying frames fed in ONE chunk: both decoded
-        // values must be views of the same backing allocation (the
-        // codec's accumulation buffer) — the zero-copy contract. A
-        // copying decoder would hand each payload its own allocation.
-        let a = Message::GetResp {
-            id: RequestId(1),
-            key: 7,
+        // Two GetResp frames fed in ONE chunk: both decoded values must
+        // be views of the same backing allocation (the codec's
+        // accumulation buffer) — the zero-copy contract for payloads
+        // clients decode and drop. A copying decoder would hand each
+        // payload its own allocation.
+        let resp = |id, key| Message::GetResp {
+            id: RequestId(id),
+            key,
             version: 1,
-            value: crate::payload::pattern(7, 4096),
+            value: crate::payload::pattern(key, 4096),
             age: 0,
             status: GetStatus::Fresh,
         };
-        let b = Message::PutReq {
-            id: RequestId(2),
-            key: 8,
-            value: crate::payload::pattern(8, 1024),
-            ttl: 0,
-        };
         let mut wire = BytesMut::new();
-        FrameCodec::encode(&a, &mut wire);
-        FrameCodec::encode(&b, &mut wire);
+        FrameCodec::encode(&resp(1, 7), &mut wire);
+        FrameCodec::encode(&resp(2, 8), &mut wire);
         let mut codec = FrameCodec::new();
         codec.feed(&wire);
-        let (Some(Message::GetResp { value: va, .. }), Some(Message::PutReq { value: vb, .. })) =
+        let (Some(Message::GetResp { value: va, .. }), Some(Message::GetResp { value: vb, .. })) =
             (codec.next().unwrap(), codec.next().unwrap())
         else {
             panic!("expected the two payload frames back");
         };
         assert!(va.shares_allocation_with(&vb), "payloads were copied, not sliced");
         assert_eq!(va, crate::payload::pattern(7, 4096), "contents survive the slice");
-        assert_eq!(vb, crate::payload::pattern(8, 1024));
+        assert_eq!(vb, crate::payload::pattern(8, 4096));
+    }
+
+    #[test]
+    fn large_put_and_fetch_values_arrive_in_exact_allocations() {
+        // One chunk, three frames: the PutReq and FetchResp values from
+        // the threshold up own exactly their bytes and share nothing;
+        // the short PutReq value is a view of the buffer (the install
+        // site re-pins it).
+        let put = |id, len| Message::PutReq {
+            id: RequestId(id),
+            key: id,
+            value: crate::payload::pattern(id, len),
+            ttl: 0,
+        };
+        let fetch =
+            Message::FetchResp { key: 9, version: 2, value: crate::payload::pattern(9, 700) };
+        let mut wire = BytesMut::new();
+        for m in [put(1, DEFAULT_PIN_THRESHOLD), put(2, 100), fetch.clone()] {
+            FrameCodec::encode(&m, &mut wire);
+        }
+        let mut codec = FrameCodec::new();
+        codec.feed(&wire);
+        let mut values = Vec::new();
+        while let Some(msg) = codec.next().unwrap() {
+            match msg {
+                Message::PutReq { ref value, .. } | Message::FetchResp { ref value, .. } => {
+                    values.push(value.clone());
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(codec.is_idle());
+        assert_eq!(values.len(), 3);
+        let (large, small, fetched) = (&values[0], &values[1], &values[2]);
+        assert_eq!(large, &crate::payload::pattern(1, DEFAULT_PIN_THRESHOLD));
+        assert_eq!(fetched, &crate::payload::pattern(9, 700));
+        for v in [large, fetched] {
+            assert_eq!(v.allocation_size(), v.len(), "diverted value is exact");
+        }
+        assert!(!large.shares_allocation_with(fetched));
+        assert!(!large.shares_allocation_with(small) && !fetched.shares_allocation_with(small));
+        assert!(small.allocation_size() > small.len(), "short value is a view of the buffer");
+    }
+
+    #[test]
+    fn update_values_from_the_threshold_up_are_copied_out_of_the_frame() {
+        let item =
+            |key, len| UpdateItem { key, version: 1, value: crate::payload::pattern(key, len) };
+        let msg =
+            Message::Update { seq: 1, items: vec![item(1, 100), item(2, DEFAULT_PIN_THRESHOLD)] };
+        let Message::Update { items, .. } = roundtrip(&msg) else { panic!("wrong variant") };
+        assert_eq!(items[1].value.allocation_size(), DEFAULT_PIN_THRESHOLD);
+        assert!(items[0].value.allocation_size() > 100, "short items stay views");
+        assert!(!items[0].value.shares_allocation_with(&items[1].value));
+    }
+
+    /// Bytes of memory the codec holds: its buffer's allocation plus
+    /// every diverted payload's, partial or complete.
+    fn held(codec: &FrameCodec) -> usize {
+        let diverting = codec.diverting.as_ref().map_or(0, |d| d.value.capacity());
+        let ready: usize = codec.ready.iter().map(Bytes::allocation_size).sum();
+        codec.buf.capacity() + diverting + ready
+    }
+
+    #[test]
+    fn a_hostile_value_size_reserves_only_what_arrived() {
+        // A PutReq declaring a full MAX_VALUE payload, followed by one
+        // payload byte: legal so far, so the codec waits — holding
+        // memory for the bytes it got, not the 16 MiB it was promised.
+        let mut prefix = BytesMut::new();
+        prefix.put_u32((33 + MAX_VALUE) as u32);
+        prefix.put_u8(TAG_PUT_REQ);
+        prefix.put_u64(1); // request id
+        prefix.put_u64(1); // key
+        prefix.put_u32(MAX_VALUE as u32); // value_size
+        prefix.put_u64(0); // ttl
+        prefix.put_u8(0xAB); // the one payload byte
+        let mut codec = FrameCodec::new();
+        codec.feed(&prefix);
+        assert_eq!(codec.next(), Ok(None));
+        assert!(!codec.has_frame() && !codec.is_idle());
+        assert!(
+            held(&codec) <= prefix.len() + 64 * 1024,
+            "codec holds {} bytes after being fed {}",
+            held(&codec),
+            prefix.len()
+        );
+        // A trickle keeps the allocation in proportion to the bytes.
+        for _ in 0..100 {
+            codec.feed(&[0xCD; 1000]);
+        }
+        assert!(held(&codec) <= 2 * (prefix.len() + 100_000) + 64 * 1024);
     }
 
     #[test]
@@ -1178,6 +1447,206 @@ mod tests {
         codec.feed(&wire[3..]);
         codec.next().unwrap().expect("complete frame");
         assert!(codec.is_idle(), "back on a frame boundary");
+    }
+
+    /// Value lengths around the divert threshold, plus empty and short.
+    fn value_len() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), 1usize..64, 500usize..530, 530usize..1100]
+    }
+
+    /// One message of every tag, values straddling the threshold.
+    fn any_message() -> impl Strategy<Value = Message> {
+        use crate::payload::pattern;
+        prop_oneof![
+            (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..4))
+                .prop_map(|(seq, keys)| Message::Invalidate { seq, keys }),
+            (any::<u64>(), proptest::collection::vec((any::<u64>(), value_len()), 0..3)).prop_map(
+                |(seq, items)| Message::Update {
+                    seq,
+                    items: items
+                        .into_iter()
+                        .map(|(key, len)| UpdateItem { key, version: 1, value: pattern(key, len) })
+                        .collect(),
+                }
+            ),
+            any::<u64>().prop_map(|seq| Message::Ack { seq }),
+            any::<u64>().prop_map(|key| Message::GetReq {
+                id: RequestId(key),
+                key,
+                max_staleness: 9
+            }),
+            (any::<u64>(), value_len()).prop_map(|(key, len)| Message::GetResp {
+                id: RequestId(key),
+                key,
+                version: 2,
+                value: pattern(key, len),
+                age: 3,
+                status: GetStatus::ServedStale,
+            }),
+            (any::<u64>(), value_len()).prop_map(|(key, len)| Message::PutReq {
+                id: RequestId(key),
+                key,
+                value: pattern(key, len),
+                ttl: 5,
+            }),
+            any::<u64>().prop_map(|key| Message::PutResp { id: RequestId(key), key, version: 4 }),
+            any::<u64>().prop_map(|key| Message::FetchReq { key }),
+            (any::<u64>(), value_len()).prop_map(|(key, len)| Message::FetchResp {
+                key,
+                version: 6,
+                value: pattern(key, len),
+            }),
+            (any::<u64>(), any::<u32>()).prop_map(|(key, reads)| Message::ReadStats {
+                entries: vec![ReadStat { key, reads }],
+            }),
+            Just(Message::StatsReq),
+            any::<u64>().prop_map(|n| Message::StatsResp {
+                refetches: n,
+                refetch_coalesced: 1,
+                origin_errors: 2,
+                cross_core_forwards: 3,
+                slab_entries: 4,
+                slab_capacity: 5,
+                epoch: 6,
+                handoff_in: 7,
+                handoff_out: 8,
+            }),
+            any::<u64>().prop_map(|epoch| Message::RingUpdate {
+                epoch,
+                members: vec!["10.0.0.1:7001".into()],
+            }),
+            any::<u64>().prop_map(|epoch| Message::RingAck { epoch }),
+            Just(Message::RingReq),
+            Just(Message::JoinReq { node: "10.0.0.3:7003".into() }),
+            Just(Message::LeaveReq { node: "10.0.0.3:7003".into() }),
+        ]
+    }
+
+    /// Encode `msg`, then break it by `(kind, param)`: 4 moves a single-value frame's `value_size` off the
+    /// frame's length; 5 declares a value over [`MAX_VALUE`]; 6 writes an
+    /// invalid length prefix; 7 appends bytes the prefix then covers;
+    /// any other kind leaves it valid.
+    fn mangled_frame(msg: &Message, kind: u8, param: u32) -> Vec<u8> {
+        let mut wire = BytesMut::new();
+        FrameCodec::encode(msg, &mut wire);
+        let mut frame = wire.to_vec();
+        let value_size_at = match frame[4] {
+            TAG_PUT_REQ | TAG_FETCH_RESP => Some(VALUE_SIZE_AT),
+            TAG_GET_RESP => Some(29),
+            _ => None,
+        };
+        let set_u32 = |frame: &mut Vec<u8>, at: usize, v: u32| {
+            frame[at..at + 4].copy_from_slice(&v.to_be_bytes());
+        };
+        let read_u32 = |frame: &[u8], at: usize| {
+            u32::from_be_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
+        };
+        match (kind, value_size_at) {
+            (4, Some(at)) => {
+                let delta = param % 5 + 1;
+                let old = read_u32(&frame, at);
+                let new = if param.is_multiple_of(2) {
+                    old.wrapping_add(delta)
+                } else {
+                    old.wrapping_sub(delta)
+                };
+                set_u32(&mut frame, at, new);
+            }
+            (5, Some(at)) => set_u32(&mut frame, at, MAX_VALUE as u32 + 1 + param % 3),
+            (6, _) => {
+                let bad = [0, 4, MAX_FRAME as u32 + 1, u32::MAX][param as usize % 4];
+                set_u32(&mut frame, 0, bad);
+            }
+            (7, _) => {
+                frame.extend(std::iter::repeat_n(0xEE, param as usize % 7 + 1));
+                let len = frame.len() as u32;
+                set_u32(&mut frame, 0, len);
+            }
+            _ => {}
+        }
+        frame
+    }
+
+    /// A codec fed `bytes` in one chunk, with its first `taken`
+    /// messages already taken.
+    fn one_chunk(bytes: &[u8], taken: usize) -> FrameCodec {
+        let mut codec = FrameCodec::new();
+        codec.feed(bytes);
+        for _ in 0..taken {
+            assert!(matches!(codec.next(), Ok(Some(_))), "the reference yields what was taken");
+        }
+        codec
+    }
+
+    /// Decode `stream` fed in chunks of the cycled `sizes`, checking
+    /// after every feed that `has_frame`/`is_idle` and every `next`
+    /// agree with a codec fed the same prefix in one chunk. Returns the
+    /// messages and the first error.
+    fn decode_chunked(
+        stream: &[u8],
+        sizes: &[usize],
+    ) -> Result<(Vec<Message>, Option<CodecError>), TestCaseError> {
+        let mut codec = FrameCodec::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        for &size in sizes.iter().cycle() {
+            if fed == stream.len() {
+                break;
+            }
+            let end = (fed + size).min(stream.len());
+            codec.feed(&stream[fed..end]);
+            fed = end;
+            let mut reference = one_chunk(&stream[..fed], got.len());
+            prop_assert_eq!(
+                (codec.has_frame(), codec.is_idle()),
+                (reference.has_frame(), reference.is_idle()),
+                "after feeding {} bytes",
+                fed
+            );
+            loop {
+                let next = codec.next();
+                prop_assert_eq!(&next, &reference.next(), "after feeding {} bytes", fed);
+                match next {
+                    Ok(Some(msg)) => {
+                        if let Message::PutReq { value, .. } | Message::FetchResp { value, .. } =
+                            &msg
+                        {
+                            if value.len() >= DEFAULT_PIN_THRESHOLD {
+                                prop_assert_eq!(value.allocation_size(), value.len());
+                            }
+                        }
+                        got.push(msg);
+                    }
+                    Ok(None) => break,
+                    Err(e) => return Ok((got, Some(e))),
+                }
+            }
+            prop_assert!(!codec.has_frame(), "has_frame promised progress `next` did not make");
+            prop_assert_eq!(
+                (codec.has_frame(), codec.is_idle()),
+                (reference.has_frame(), reference.is_idle())
+            );
+        }
+        Ok((got, None))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn decoding_does_not_depend_on_how_bytes_arrive(
+            frames in proptest::collection::vec((any_message(), 0u8..24, any::<u32>()), 2..8),
+            sizes in proptest::collection::vec(
+                prop_oneof![1usize..8, 8usize..600, 600usize..3000],
+                1..12,
+            ),
+        ) {
+            let stream: Vec<u8> =
+                frames.iter().flat_map(|(msg, kind, param)| mangled_frame(msg, *kind, *param)).collect();
+            let whole = decode_chunked(&stream, &[stream.len()])?;
+            prop_assert_eq!(&decode_chunked(&stream, &[1])?, &whole, "single bytes");
+            prop_assert_eq!(&decode_chunked(&stream, &sizes)?, &whole, "chunks {:?}", sizes);
+        }
     }
 
     proptest! {

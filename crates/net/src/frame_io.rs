@@ -25,6 +25,17 @@
 //! fall back transparently: the default `write_vectored` writes the
 //! first non-empty slice, and the flush loop simply comes around again.
 //!
+//! ## The read path
+//!
+//! `read(2)` fills a scratch chunk — the stream's own, or one an event
+//! loop shares across all its streams via
+//! [`NonBlockingFramedStream::poll_recv_with`] — and the codec copies
+//! each chunk out once, since the scratch is reused. A large `PutReq`
+//! or `FetchResp` value is copied into an allocation of its own exact
+//! size, so a node that caches it pins nothing else; every other byte
+//! goes to the codec's accumulation buffer, and `GetResp` payloads are
+//! handed out as zero-copy views of it (see [`crate::codec`]).
+//!
 //! Both transports are generic over the stream so the protocol logic is
 //! testable against in-memory buffers; in production `S` is a
 //! [`std::net::TcpStream`].

@@ -15,8 +15,10 @@
 //! * [`codec`] — a length-prefixed binary framing codec on [`bytes`]
 //!   (`u32` length + type byte + fields), one encoding per message,
 //!   with a streaming decoder that tolerates partial frames and rejects
-//!   oversized or malformed ones. Value payloads are real bytes,
-//!   decoded as refcounted zero-copy slices of the receive buffer.
+//!   oversized or malformed ones. Value payloads are real bytes: a
+//!   large `PutReq`/`FetchResp` value is routed from the read chunk
+//!   into its own exact allocation, everything else is decoded as a
+//!   refcounted zero-copy slice of the receive buffer.
 //! * [`frame_io`] — framed transports that run the codec over any
 //!   `Read + Write` stream: the blocking [`FramedStream`] and the
 //!   non-blocking [`NonBlockingFramedStream`], which accumulates partial
@@ -28,10 +30,10 @@
 //! * [`payload`] — deterministic, checksummable value payloads: every
 //!   writer fills values with the same seeded pattern, so any reader can
 //!   verify integrity end-to-end from the key and bytes alone.
-//! * [`pin`] — the receive-buffer pinning heuristic: small values about
-//!   to be *cached* out of a large read chunk are re-materialized into
-//!   an exact allocation, so a long-lived 100 B value cannot pin a
-//!   64 KiB receive buffer.
+//! * [`pin`] — the rule that a *cached* value owns exactly its bytes:
+//!   short values sliced out of a read chunk are copied into an exact
+//!   allocation at install, so a long-lived 100 B value cannot pin a
+//!   64 KiB receive buffer (longer ones arrive exact from the codec).
 //! * [`simnet`] — a deterministic simulated network: configurable delay
 //!   distribution plus smoltcp-style fault injection (drop, duplicate,
 //!   reorder), driven entirely by the caller's scheduler.

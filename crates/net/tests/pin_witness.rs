@@ -1,17 +1,20 @@
-//! Witness test for the receive-buffer pinning heuristic: a small value
-//! decoded zero-copy out of a large codec read chunk is re-materialized
-//! by [`fresca_net::pin::repin_small`] before caching, while a large
-//! value keeps its zero-copy view of the chunk.
+//! Witness test for "a cached value owns exactly its bytes": values
+//! decoded out of one read chunk and passed through
+//! [`fresca_net::pin::repin_small`] (what every cache-install point
+//! does) each own an exact, unshared allocation — the 16 KiB one
+//! because the codec routed it out of the chunk, the 100 B one because
+//! the install copied it — while `GetResp` payloads, which clients
+//! decode and drop, stay zero-copy views of the chunk.
 
 use bytes::{Bytes, BytesMut};
-use fresca_net::msg::{Message, RequestId};
+use fresca_net::msg::{GetStatus, Message, RequestId};
 use fresca_net::payload;
 use fresca_net::pin::{repin_small, DEFAULT_PIN_THRESHOLD};
 use fresca_net::FrameCodec;
 
 /// Feed `frames` to a decoder as one simulated `read()` chunk and
-/// return the decoded messages (all sharing one accumulation buffer,
-/// exactly like the reactor's scratch-buffer feed).
+/// return the decoded messages, exactly like the reactor's
+/// scratch-buffer feed.
 fn decode_chunk(frames: &[u8]) -> Vec<Message> {
     let mut codec = FrameCodec::new();
     codec.feed(frames);
@@ -22,79 +25,54 @@ fn decode_chunk(frames: &[u8]) -> Vec<Message> {
     out
 }
 
-fn put_value(msg: &Message) -> Bytes {
+fn value_of(msg: &Message) -> Bytes {
     match msg {
-        Message::PutReq { value, .. } => value.clone(),
-        other => panic!("expected PutReq, got {other:?}"),
+        Message::PutReq { value, .. } | Message::GetResp { value, .. } => value.clone(),
+        other => panic!("expected a value-carrying message, got {other:?}"),
     }
 }
 
 #[test]
-fn small_cached_value_is_repinned_large_keeps_zero_copy() {
+fn small_and_large_puts_from_one_chunk_are_cached_exact_and_unshared() {
     // One receive chunk carrying a 100 B put and a 16 KiB put — the
     // shape a pipelining client produces and one read() delivers.
-    let small_payload = payload::pattern(1, 100);
-    let large_payload = payload::pattern(2, 16 * 1024);
     let mut wire = BytesMut::new();
-    FrameCodec::encode(
-        &Message::PutReq { id: RequestId(1), key: 1, value: small_payload, ttl: 0 },
-        &mut wire,
-    );
-    FrameCodec::encode(
-        &Message::PutReq { id: RequestId(2), key: 2, value: large_payload, ttl: 0 },
-        &mut wire,
-    );
+    for (key, len) in [(1, 100), (2, 16 * 1024)] {
+        let value = payload::pattern(key, len);
+        FrameCodec::encode(&Message::PutReq { id: RequestId(key), key, value, ttl: 0 }, &mut wire);
+    }
     let msgs = decode_chunk(&wire);
     assert_eq!(msgs.len(), 2);
-    let small = put_value(&msgs[0]);
-    let large = put_value(&msgs[1]);
+    let cached: Vec<Bytes> =
+        msgs.iter().map(|m| repin_small(value_of(m), DEFAULT_PIN_THRESHOLD)).collect();
 
-    // Zero-copy decode: both values are views of the same receive
-    // chunk, so the 100 B value currently pins the whole ~16 KiB
-    // allocation.
-    assert!(
-        small.shares_allocation_with(&large),
-        "decoded values must share the receive chunk (zero-copy decode)"
-    );
-    assert!(
-        small.allocation_size() >= 16 * 1024,
-        "the small view pins the whole chunk: {} bytes",
-        small.allocation_size()
-    );
-
-    // The cache-install hand-off: the small value is copied into an
-    // exact allocation; the large one keeps its view.
-    let small_cached = repin_small(small.clone(), DEFAULT_PIN_THRESHOLD);
-    let large_cached = repin_small(large.clone(), DEFAULT_PIN_THRESHOLD);
-    assert_eq!(small_cached, small, "bytes are unchanged by the copy");
-    assert!(
-        !small_cached.shares_allocation_with(&large),
-        "small cached value must no longer share the codec chunk"
-    );
-    assert_eq!(small_cached.allocation_size(), 100, "re-pinned allocation is exact");
-    assert!(
-        large_cached.shares_allocation_with(&large),
-        "large cached value still shares the codec chunk (no copy)"
-    );
-    assert!(payload::verify(1, &small_cached), "re-pinned bytes still verify");
+    for (key, value) in [1, 2].into_iter().zip(&cached) {
+        assert!(payload::verify(key, value), "key {key}: bytes survive decode and install");
+        assert_eq!(
+            value.allocation_size(),
+            value.len(),
+            "key {key}: the cached value owns exactly its bytes"
+        );
+    }
+    assert!(!cached[0].shares_allocation_with(&cached[1]), "no shared chunk between entries");
 }
 
 #[test]
-fn small_value_from_small_read_is_not_copied() {
-    // The same 100 B put arriving alone in a tiny read: amplification
-    // is under 8x, so the heuristic leaves the zero-copy view alone.
+fn get_responses_from_one_chunk_still_share_it() {
     let mut wire = BytesMut::new();
-    FrameCodec::encode(
-        &Message::PutReq { id: RequestId(1), key: 1, value: payload::pattern(1, 100), ttl: 0 },
-        &mut wire,
-    );
+    for key in [1, 2] {
+        let resp = Message::GetResp {
+            id: RequestId(key),
+            key,
+            version: 1,
+            value: payload::pattern(key, 4096),
+            age: 0,
+            status: GetStatus::Fresh,
+        };
+        FrameCodec::encode(&resp, &mut wire);
+    }
     let msgs = decode_chunk(&wire);
-    let value = put_value(&msgs[0]);
-    let cached = repin_small(value.clone(), DEFAULT_PIN_THRESHOLD);
-    assert!(
-        cached.shares_allocation_with(&value),
-        "no amplification, no copy: allocation is {} bytes for a {} byte value",
-        value.allocation_size(),
-        value.len()
-    );
+    let (a, b) = (value_of(&msgs[0]), value_of(&msgs[1]));
+    assert!(a.shares_allocation_with(&b), "GetResp payloads are sliced, not copied");
+    assert!(payload::verify(1, &a) && payload::verify(2, &b));
 }

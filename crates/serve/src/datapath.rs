@@ -35,11 +35,14 @@
 //! wire as a [`GetStatus`] so the client can count staleness violations
 //! end-to-end.
 //!
-//! Small values decoded from large receive chunks are **re-pinned**
-//! before they are cached ([`fresca_net::pin::repin_small`], threshold
-//! [`DEFAULT_PIN_THRESHOLD`]): a 100-byte payload sliced out of a
-//! 64 KiB read would otherwise hold the whole chunk alive for as long
-//! as the entry stays cached.
+//! Every cached value **owns exactly its bytes**, so the slab's byte
+//! accounting is the node's memory. Values of
+//! [`DEFAULT_PIN_THRESHOLD`] bytes or more arrive that way from the
+//! codec; shorter ones are zero-copy slices of a receive chunk and are
+//! copied by [`fresca_net::pin::repin_small`] at the three install
+//! sites (`put`, `update`, `fetched`) — a 100-byte value sliced out of
+//! a 64 KiB read would otherwise hold the whole chunk alive for as
+//! long as the entry stays cached.
 //!
 //! ## The refetch path
 //!
@@ -475,10 +478,8 @@ impl Owner {
     }
 
     /// Write: allocate a serving version and install into the owned
-    /// shard. The value handle moves into the cache as-is (the
-    /// refcounted slice the codec cut from the receive buffer) unless it
-    /// is small enough relative to its backing chunk to be worth
-    /// re-pinning.
+    /// shard. The value handle moves into the cache as-is unless it is
+    /// a short slice of a receive chunk, which is re-pinned.
     fn put(&mut self, key: u64, value: Bytes, ttl: u64, now: SimTime) -> u64 {
         let expires_at = (ttl > 0).then(|| now + SimDuration::from_nanos(ttl));
         let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
@@ -866,6 +867,110 @@ mod tests {
         // Told the link is back, reads park again.
         o.origin_link(true);
         assert!(matches!(get(&mut o, A, 2, NONE, 200), Applied::Parked { fetch: Some(2) }));
+    }
+
+    /// Decode `wire` fed in pieces cut at `cuts` and apply every message
+    /// the way the reactor does: puts and updates through `apply` (the
+    /// first `Update` in place, the second as a handoff install), the
+    /// `FetchResp` through `fetched`.
+    fn serve_wire(o: &mut Owner, wire: &[u8], cuts: &[usize]) {
+        let mut codec = fresca_net::FrameCodec::new();
+        let mut updates = 0;
+        let mut from = 0;
+        for &to in cuts.iter().chain([&wire.len()]) {
+            codec.feed(&wire[from..to]);
+            from = to;
+            while let Some(msg) = codec.next().expect("well-formed frames") {
+                match msg {
+                    Message::PutReq { id, key, value, ttl } => {
+                        o.apply(A, Op::Put { id, key, value, ttl }, at(1));
+                    }
+                    Message::FetchResp { key, value, .. } => {
+                        o.fetched(key, value, at(1));
+                    }
+                    Message::Update { items, .. } => {
+                        updates += 1;
+                        push(o, Op::UpdateItems { batch: 7, items, install: updates == 2 }, 1);
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert!(codec.is_idle());
+    }
+
+    #[test]
+    fn every_cached_value_owns_exactly_its_bytes() {
+        use fresca_net::payload::pattern;
+        let put = |key: u64, len| Message::PutReq {
+            id: RequestId(key),
+            key,
+            value: pattern(key, len),
+            ttl: 0,
+        };
+        let update = |items: &[(u64, usize)]| Message::Update {
+            seq: 1,
+            items: items
+                .iter()
+                .map(|&(key, len)| UpdateItem { key, version: 1, value: pattern(key, len) })
+                .collect(),
+        };
+        let msgs = [
+            put(1, 100),
+            put(2, 511),
+            put(3, 512),
+            put(4, 513),
+            put(5, 4096),
+            put(6, 16 * 1024),
+            Message::FetchResp { key: 7, version: 1, value: pattern(7, 3000) },
+            update(&[(2, 800), (3, 100)]),   // in place
+            update(&[(9, 300), (10, 2048)]), // handoff install
+        ];
+        let mut wire = bytes::BytesMut::new();
+        let mut starts = Vec::new();
+        for m in &msgs {
+            starts.push(wire.len());
+            fresca_net::FrameCodec::encode(m, &mut wire);
+        }
+        // One chunk; then cuts inside a header (put 4, the fetch), inside
+        // a payload (put 6) and inside an update item.
+        let split = [starts[3] + 10, starts[5] + 33 + 5000, starts[6] + 20, starts[7] + 40];
+        let want: [(u64, usize); 9] = [
+            (1, 100),
+            (2, 800),
+            (3, 100),
+            (4, 513),
+            (5, 4096),
+            (6, 16384),
+            (7, 3000),
+            (9, 300),
+            (10, 2048),
+        ];
+        for cuts in [&[][..], &split[..]] {
+            let (mut o, _) = owner(false);
+            serve_wire(&mut o, &wire, cuts);
+            let mut cached = Vec::new();
+            for shard in &o.shards {
+                for key in shard.keys() {
+                    cached.push((key, shard.peek(key).expect("listed key").value.clone()));
+                }
+            }
+            cached.sort_by_key(|(key, _)| *key);
+            let lens: Vec<(u64, usize)> = cached.iter().map(|(k, v)| (*k, v.len())).collect();
+            assert_eq!(lens, want, "cuts {cuts:?}");
+            for (i, (key, value)) in cached.iter().enumerate() {
+                assert!(fresca_net::payload::verify(*key, value), "key {key}: bytes intact");
+                assert_eq!(
+                    value.allocation_size(),
+                    value.len(),
+                    "key {key} ({} B, cuts {cuts:?}) pins more than its bytes",
+                    value.len()
+                );
+                for (other, v) in &cached[i + 1..] {
+                    assert!(!value.shares_allocation_with(v), "keys {key} and {other} share");
+                }
+            }
+        }
     }
 
     #[test]
