@@ -28,8 +28,12 @@
 //! backing allocation (zero-copy decode), and two `PutReq` frames fed
 //! in one chunk come back as values that each own exactly their bytes
 //! (the codec routed them out of the chunk, so caching them pins
-//! nothing else). Results go to stdout and to `BENCH_wire.json`
-//! (uploaded by CI) with the 4 KiB speedup the acceptance bar reads.
+//! nothing else). It also counts allocator calls (a counting global
+//! allocator, per thread) on two paths and asserts the counts: a 4 KiB
+//! `PutReq` value arriving whole in one read is one allocation, and a
+//! warm connection queues and flushes 64 mixed replies with none.
+//! Results go to stdout and to `BENCH_wire.json` (uploaded by CI) with
+//! the 4 KiB speedup the acceptance bar reads.
 //!
 //! ```sh
 //! cargo bench -p fresca-bench --bench wire_codec
@@ -37,9 +41,57 @@
 
 use bytes::{Bytes, BytesMut};
 use criterion::black_box;
-use fresca_net::{payload, FrameCodec, GetStatus, Message, RequestId};
+use fresca_net::{payload, FrameCodec, GetStatus, Message, NonBlockingFramedStream, RequestId};
 use serde::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{self, IoSlice, Read, Write};
 use std::time::Instant;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract. Counting only bumps a
+// const-initialised thread-local `Cell` without a destructor, which
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's guarantees on `layout` pass through to `System`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` was allocated by this allocator, i.e. by `System`,
+    // with `layout`, as the caller guarantees.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: as for `dealloc`, plus the caller's guarantees on
+    // `new_size`, all passed through to `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls (`alloc` and `realloc`) `f` makes on this thread.
+fn allocs(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
 
 /// Value sizes under test; 4096 is the acceptance-bar size.
 const SIZES: &[usize] = &[0, 64, 4096, 65536];
@@ -67,6 +119,12 @@ struct WireReport {
     /// Witnessed by allocation size and identity: 4 KiB `PutReq` values
     /// decoded from one chunk each own an exact, unshared allocation.
     exact_put_decode: bool,
+    /// Allocator calls `feed` makes for one 4 KiB `PutReq` arriving
+    /// whole in one read, on a warm codec: the value's single block.
+    put_decode_allocs: usize,
+    /// Allocator calls for queueing and flushing 64 `GetResp`s (64 B
+    /// inline and 4 KiB segment payloads) on a warm connection.
+    reply_queue_allocs: usize,
     /// Speedup at the 4 KiB acceptance size (copying / zero-copy).
     speedup_4k: f64,
     rows: Vec<SizeRow>,
@@ -196,6 +254,62 @@ fn verify_exact_put_decode() -> bool {
         && va == payload::pattern(7, 4096)
 }
 
+/// Allocator calls `feed` makes for one 4 KiB `PutReq` frame fed in
+/// one chunk, after a first round has sized the codec.
+fn count_put_decode_allocs() -> usize {
+    let put =
+        Message::PutReq { id: RequestId(1), key: 1, value: payload::pattern(1, 4096), ttl: 0 };
+    let mut wire = BytesMut::new();
+    FrameCodec::encode(&put, &mut wire);
+    let mut codec = FrameCodec::new();
+    let mut fed = 0;
+    for _ in 0..2 {
+        fed = allocs(|| codec.feed(&wire));
+        assert_eq!(codec.next().unwrap(), Some(put.clone()));
+    }
+    fed
+}
+
+/// A socket that takes everything it is offered and keeps nothing.
+struct Sink;
+
+impl Read for Sink {
+    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+        Err(io::ErrorKind::WouldBlock.into())
+    }
+}
+
+impl Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        Ok(bufs.iter().map(|b| b.len()).sum())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Allocator calls for queueing and flushing 64 mixed replies, after a
+/// first round has sized the connection's outbound queue.
+fn count_reply_queue_allocs() -> usize {
+    let replies: Vec<Message> = (0..64)
+        .map(|key| response_with(payload::pattern(key, if key % 2 == 0 { 64 } else { 4096 })))
+        .collect();
+    let mut conn = NonBlockingFramedStream::new(Sink);
+    let mut queued = 0;
+    for _ in 0..2 {
+        queued = allocs(|| {
+            for reply in &replies {
+                conn.queue(reply);
+            }
+            assert!(conn.flush().unwrap(), "the sink takes everything");
+        });
+    }
+    queued
+}
+
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let (iters, samples) = if test_mode { (1, 1) } else { (2_000, 15) };
@@ -204,6 +318,10 @@ fn main() {
     assert!(zero_copy_decode, "decode materialized a payload copy");
     let exact_put_decode = verify_exact_put_decode();
     assert!(exact_put_decode, "a decoded PutReq value pins more than its bytes");
+    let put_decode_allocs = count_put_decode_allocs();
+    assert_eq!(put_decode_allocs, 1, "a value arriving whole is one allocation");
+    let reply_queue_allocs = count_reply_queue_allocs();
+    assert_eq!(reply_queue_allocs, 0, "a warm connection queues and flushes without allocating");
 
     let mut rows = Vec::new();
     for &size in SIZES {
@@ -251,7 +369,14 @@ fn main() {
 
     let speedup_4k =
         rows.iter().find(|r| r.value_bytes == 4096).map_or(0.0, |r| r.speedup);
-    let report = WireReport { zero_copy_decode, exact_put_decode, speedup_4k, rows };
+    let report = WireReport {
+        zero_copy_decode,
+        exact_put_decode,
+        put_decode_allocs,
+        reply_queue_allocs,
+        speedup_4k,
+        rows,
+    };
     if !test_mode {
         // Cargo runs bench binaries from the package dir; drop the
         // artifact at the workspace root where CI picks it up.

@@ -484,9 +484,8 @@ impl SlabCache {
 
     /// Evict until within capacity; never evicts `protect` (the key just
     /// inserted — evicting it immediately would make the insert a lie).
-    /// Returns the evicted keys.
-    fn enforce_capacity(&mut self, protect: u64, now: SimTime) -> Vec<u64> {
-        let mut evicted = Vec::new();
+    /// Hands each evicted key to `evicted`, in eviction order.
+    fn enforce_capacity(&mut self, protect: u64, now: SimTime, mut evicted: impl FnMut(u64)) {
         while self.over_capacity() {
             let victim = self.pick_victim(protect, now);
             if victim == NIL {
@@ -495,9 +494,8 @@ impl SlabCache {
             let key = self.slots[victim as usize].key;
             self.remove_idx(key, victim);
             self.stats.evictions += 1;
-            evicted.push(key);
+            evicted(key);
         }
-        evicted
     }
 
     fn remove_idx(&mut self, key: u64, idx: u32) {
@@ -510,12 +508,12 @@ impl SlabCache {
     }
 
     /// New entries always start on the main (probationary) list.
-    fn insert_slot(&mut self, key: u64, entry: Entry, now: SimTime) -> Vec<u64> {
+    fn insert_slot(&mut self, key: u64, entry: Entry, now: SimTime, evicted: impl FnMut(u64)) {
         self.bytes += entry.value_size as u64;
         let idx = self.alloc(key, entry);
         self.push_front(idx);
         self.map.insert(key, idx);
-        self.enforce_capacity(key, now)
+        self.enforce_capacity(key, now, evicted);
     }
 
     /// Insert or overwrite `key` with a fresh metadata-only entry
@@ -538,13 +536,18 @@ impl SlabCache {
             self.touch(idx);
             return Vec::new();
         }
-        self.insert_slot(key, Entry::new(version, value_size, now, expires_at), now)
+        let mut evicted = Vec::new();
+        let entry = Entry::new(version, value_size, now, expires_at);
+        self.insert_slot(key, entry, now, |k| evicted.push(k));
+        evicted
     }
 
     /// Insert or overwrite `key` with a fresh entry carrying real value
     /// bytes — the serving path. Byte accounting uses the payload's
     /// actual length; the stored handle is the caller's refcounted
-    /// [`Bytes`], so nothing is copied. Returns the keys evicted.
+    /// [`Bytes`], so nothing is copied. Returns how many entries it
+    /// evicted (counting, unlike [`SlabCache::insert`], allocates
+    /// nothing).
     pub fn insert_value(
         &mut self,
         key: u64,
@@ -552,7 +555,7 @@ impl SlabCache {
         value: Bytes,
         now: SimTime,
         expires_at: Option<SimTime>,
-    ) -> Vec<u64> {
+    ) -> usize {
         if let Some(&idx) = self.map.get(&key) {
             let value_size = value.len() as u32;
             let slot = &mut self.slots[idx as usize];
@@ -560,9 +563,12 @@ impl SlabCache {
             slot.entry.refresh_value(version, value, now, expires_at);
             self.bytes += value_size as u64;
             self.touch(idx);
-            return Vec::new();
+            return 0;
         }
-        self.insert_slot(key, Entry::with_value(version, value, now, expires_at), now)
+        let mut evicted = 0;
+        let entry = Entry::with_value(version, value, now, expires_at);
+        self.insert_slot(key, entry, now, |_| evicted += 1);
+        evicted
     }
 
     /// Remove `key` outright (proactive TTL expiry / external eviction).
@@ -1192,7 +1198,7 @@ mod tests {
                     let absent = !c.contains(key);
                     match r % 8 {
                         0 => drop(c.insert(key, step, size, now, Some(now + SimDuration::from_secs(3)))),
-                        1 => drop(c.insert_value(key, step, Bytes::from(vec![0u8; size as usize]), now, None)),
+                        1 => _ = c.insert_value(key, step, Bytes::from(vec![0u8; size as usize]), now, None),
                         2 | 3 => drop(c.get(key, now)),
                         4 => drop(c.get_bounded(key, now, bound(r % 5))),
                         5 => drop(c.apply_invalidate(key)),

@@ -14,8 +14,9 @@
 //!   preceded by a `// SAFETY:` comment explaining why it is sound.
 //! * **R3 `panic-free-hot-path`** — the node (`server.rs` and the
 //!   files cut from it, `datapath.rs`, `mailbox.rs`, `handoff.rs` and
-//!   `stats.rs`, in `crates/serve/src`) and the codec
-//!   (`crates/net/src/codec.rs`) contain no `unwrap`/`expect` calls or
+//!   `stats.rs`, in `crates/serve/src`), the codec
+//!   (`crates/net/src/codec.rs`) and the framed transport
+//!   (`crates/net/src/frame_io.rs`) contain no `unwrap`/`expect` calls or
 //!   panicking macros outside `#[cfg(test)]` regions: a malformed
 //!   frame or a racing peer must surface as an error, never a panic.
 //! * **R4 `no-blocking-io-under-lock`** — no blocking I/O call while a
@@ -855,7 +856,8 @@ fn has_safety_comment(lines: &[&str], line: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Files that must never panic in production code: the node (the
-/// reactor and the files cut from it) and the wire codec. A panic here
+/// reactor and the files cut from it), the wire codec and the framed
+/// transport every reply is queued and flushed through. A panic here
 /// takes down an event loop mid-frame.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/server.rs",
@@ -864,6 +866,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/handoff.rs",
     "crates/serve/src/stats.rs",
     "crates/net/src/codec.rs",
+    "crates/net/src/frame_io.rs",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];

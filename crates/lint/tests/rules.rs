@@ -339,6 +339,21 @@ fn unwrap_in_the_files_cut_from_the_reactor_is_flagged_too() {
 }
 
 #[test]
+fn expect_in_the_framed_transport_is_flagged() {
+    let fx = Fixture::new("panic-hot-frame-io");
+    fx.file(
+        "crates/net/src/frame_io.rs",
+        "fn consume(q: &mut Vec<u8>) -> u8 {\n\x20   q.pop().expect(\"queued\")\n}\n",
+    );
+    let v = fx.lint();
+    let v = violations(&v, "panic-free-hot-path");
+    assert_eq!(
+        v.iter().map(|v| (v.file.as_str(), v.line)).collect::<Vec<_>>(),
+        [("crates/net/src/frame_io.rs", 2)]
+    );
+}
+
+#[test]
 fn panic_outside_hot_path_files_is_allowed() {
     let fx = Fixture::new("panic-cold");
     fx.file("crates/serve/src/loadgen.rs", "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n");

@@ -19,16 +19,19 @@
 //!   or more is always its frame's tail. `feed` routes those bytes from
 //!   the chunk straight into an allocation of exactly the value's size,
 //!   and [`FrameCodec::next`] hands that allocation out as the value.
-//!   The allocation grows with the bytes that arrive, so a declared
-//!   size reserves nothing the peer has not sent.
+//!   When the whole payload lies in the chunk being fed, the value is a
+//!   single-block [`Bytes`] (`Bytes::copy_from_slice`: the refcount and
+//!   the bytes in one allocation). A payload that spans reads lands in
+//!   a `Vec` that grows with the bytes that arrive, so a declared size
+//!   reserves nothing the peer has not sent.
 //! * Everything else — headers, `GetResp` payloads (which clients decode
 //!   and drop), shorter values — goes to the accumulation buffer, and
 //!   values are sliced out of it as refcounted [`Bytes`] views
 //!   (`split_to().freeze()`) without another copy. A short value that
 //!   is cached is copied by [`crate::pin::repin_small`] at install.
 //! * `Update` item values of the threshold or more (store pushes and
-//!   handoff streams, the cold path) are copied out of the frame at
-//!   decode.
+//!   handoff streams, the cold path) are copied out of the frame into
+//!   single blocks at decode.
 //!
 //! Encoding has two shapes: [`FrameCodec::encode`] renders a frame
 //! contiguously into one buffer (payload copied — right for the blocking
@@ -439,9 +442,9 @@ impl FrameCodec {
     }
 
     /// Feed raw bytes into the decoder. Each byte is copied once: a
-    /// large `PutReq`/`FetchResp` payload into its own exact allocation,
-    /// everything else into the accumulation buffer (see the module
-    /// docs).
+    /// large `PutReq`/`FetchResp` payload into its own exact allocation
+    /// (one block when it arrives whole), everything else into the
+    /// accumulation buffer (see the module docs).
     pub fn feed(&mut self, mut data: &[u8]) {
         while !data.is_empty() {
             let Some(d) = self.diverting.as_mut() else {
@@ -449,7 +452,14 @@ impl FrameCodec {
                 self.buf.extend_from_slice(&data[..keep]);
                 data = &data[keep..];
                 if let Some(declared) = divert {
-                    self.diverting = Some(Diverting { value: Vec::new(), declared });
+                    if let Some(whole) = data.get(..declared) {
+                        // All of it is here: one block holding the
+                        // refcount and the bytes, filled by one memcpy.
+                        self.ready.push_back(Bytes::copy_from_slice(whole));
+                        data = &data[declared..];
+                    } else {
+                        self.diverting = Some(Diverting { value: Vec::new(), declared });
+                    }
                 }
                 continue;
             };

@@ -15,15 +15,19 @@
 //! ## The zero-copy write path
 //!
 //! `queue` does **not** render frames into one contiguous buffer.
-//! Headers and small payloads append to an open *staging* buffer; a
-//! value payload of [`INLINE_PAYLOAD_MAX`] bytes or more closes the
-//! staging segment and enters the outbound queue as its own refcounted
-//! [`Bytes`] segment — the payload handed to `queue` is never memcpy'd.
-//! `flush` then drains the queue with [`Write::write_vectored`], so one
-//! syscall gathers many small frames *and* large payloads straight from
-//! the cache's allocations. Streams without real scatter-gather support
-//! fall back transparently: the default `write_vectored` writes the
-//! first non-empty slice, and the flush loop simply comes around again.
+//! Headers and small payloads append to one *staging* buffer and are
+//! queued as a *staged run* — a count of its bytes; a value payload of
+//! [`INLINE_PAYLOAD_MAX`] bytes or more ends the run and is queued as its
+//! own refcounted [`Bytes`] segment — the payload handed to `queue` is
+//! never memcpy'd. `flush` then drains the queue with
+//! [`Write::write_vectored`], so one syscall gathers many small frames
+//! *and* large payloads straight from the cache's allocations. Written
+//! bytes are consumed from the front of the staging buffer, which is
+//! never frozen or split and is cleared whenever the queue drains: once
+//! a connection has warmed up, queueing and flushing replies allocates
+//! nothing. Streams without real scatter-gather support fall back
+//! transparently: the default `write_vectored` writes the first
+//! non-empty slice, and the flush loop simply comes around again.
 //!
 //! ## The read path
 //!
@@ -32,7 +36,8 @@
 //! [`NonBlockingFramedStream::poll_recv_with`] — and the codec copies
 //! each chunk out once, since the scratch is reused. A large `PutReq`
 //! or `FetchResp` value is copied into an allocation of its own exact
-//! size, so a node that caches it pins nothing else; every other byte
+//! size — one block with its refcount when the whole value is in the
+//! chunk — so a node that caches it pins nothing else; every other byte
 //! goes to the codec's accumulation buffer, and `GetResp` payloads are
 //! handed out as zero-copy views of it (see [`crate::codec`]).
 //!
@@ -42,7 +47,7 @@
 
 use crate::codec::{CodecError, FrameCodec};
 use crate::msg::Message;
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -154,66 +159,86 @@ pub enum PollRecv {
     Closed,
 }
 
-/// The outbound side of a [`NonBlockingFramedStream`]: an open staging
-/// buffer for headers and small payloads, plus closed segments queued in
-/// send order. Large payloads enter as refcounted [`Bytes`] handles —
-/// never copied — and leave through `write_vectored`.
+/// The outbound side of a [`NonBlockingFramedStream`]: one staging
+/// buffer holding the headers and small payloads of every queued frame,
+/// and the unsent bytes as segments in wire order. Large payloads enter
+/// as refcounted [`Bytes`] handles — never copied — and leave through
+/// `write_vectored`.
 #[derive(Debug, Default)]
 struct SegmentQueue {
-    /// Open segment: frame headers and sub-[`INLINE_PAYLOAD_MAX`]
-    /// payloads accumulate here until a large payload (or a flush)
-    /// closes it.
+    /// Frame headers and sub-[`INLINE_PAYLOAD_MAX`] payloads, unsent
+    /// bytes only: written bytes are consumed from the front. Never
+    /// frozen or split, so it stays one allocation that `consume` clears
+    /// when the queue drains.
     staging: BytesMut,
-    /// Closed segments, in wire order.
-    segs: VecDeque<Bytes>,
-    /// Bytes of `segs[0]` already written to the stream.
-    front_off: usize,
-    /// Total unsent bytes across `segs` (net of `front_off`) and
-    /// `staging`.
+    /// Unsent bytes, in wire order.
+    segs: VecDeque<Segment>,
+    /// Total unsent bytes across `segs`.
     len: usize,
+}
+
+/// A run of unsent bytes.
+#[derive(Debug)]
+enum Segment {
+    /// The next this-many bytes of `staging`, after those of every
+    /// `Staged` segment ahead of it.
+    Staged(usize),
+    /// A large payload, sent from the allocation the caller queued.
+    Payload(Bytes),
+}
+
+impl Segment {
+    fn len(&self) -> usize {
+        match self {
+            Segment::Staged(len) => *len,
+            Segment::Payload(payload) => payload.len(),
+        }
+    }
 }
 
 impl SegmentQueue {
     fn queue(&mut self, msg: &Message) {
         let segs = &mut self.segs;
+        let mut staged = self.staging.len();
         FrameCodec::encode_into(msg, &mut self.staging, |staging, payload| {
             if payload.len() < INLINE_PAYLOAD_MAX {
                 staging.extend_from_slice(payload);
             } else {
                 // Wire order: everything staged so far precedes this
-                // payload, so close the staging segment first. The
-                // payload itself enters as a refcount bump.
-                if !staging.is_empty() {
-                    let closed = staging.split_to(staging.len()).freeze();
-                    segs.push_back(closed);
-                }
-                segs.push_back(payload.clone());
+                // payload. The payload itself enters as a refcount bump.
+                Self::stage(segs, staging.len() - staged);
+                staged = staging.len();
+                segs.push_back(Segment::Payload(payload.clone()));
             }
         });
+        Self::stage(segs, self.staging.len() - staged);
         self.len += msg.wire_size();
     }
 
-    /// Close the staging buffer into the segment queue so `fill_iov`
-    /// sees every unsent byte.
-    fn close_staging(&mut self) {
-        if !self.staging.is_empty() {
-            let closed = self.staging.split_to(self.staging.len()).freeze();
-            self.segs.push_back(closed);
+    /// Account the `n` bytes just appended to `staging` as the queue's
+    /// tail, joining the staged run already there.
+    fn stage(segs: &mut VecDeque<Segment>, n: usize) {
+        if let Some(Segment::Staged(run)) = segs.back_mut() {
+            *run += n;
+        } else if n > 0 {
+            segs.push_back(Segment::Staged(n));
         }
     }
 
     /// Borrow up to [`MAX_IOV`] unsent slices for one gather write.
     fn fill_iov<'a>(&'a self, iov: &mut [IoSlice<'a>; MAX_IOV]) -> usize {
+        let mut staged: &[u8] = &self.staging;
         let mut n = 0;
-        for (i, seg) in self.segs.iter().enumerate() {
-            if n == MAX_IOV {
-                break;
-            }
-            let slice = if i == 0 { &seg[self.front_off..] } else { &seg[..] };
-            if slice.is_empty() {
-                continue;
-            }
-            iov[n] = IoSlice::new(slice);
+        for (slot, seg) in iov.iter_mut().zip(&self.segs) {
+            let slice = match seg {
+                Segment::Staged(len) => {
+                    let Some((run, rest)) = staged.split_at_checked(*len) else { break };
+                    staged = rest;
+                    run
+                }
+                Segment::Payload(payload) => payload,
+            };
+            *slot = IoSlice::new(slice);
             n += 1;
         }
         n
@@ -221,17 +246,24 @@ impl SegmentQueue {
 
     /// Account `written` bytes as gone, popping drained segments.
     fn consume(&mut self, mut written: usize) {
-        self.len -= written;
         while written > 0 {
-            let front = self.segs.front().expect("consumed more than was queued");
-            let avail = front.len() - self.front_off;
-            if written < avail {
-                self.front_off += written;
-                return;
+            let Some(front) = self.segs.front_mut() else { break };
+            let n = written.min(front.len());
+            match front {
+                Segment::Staged(len) => {
+                    *len -= n;
+                    self.staging.advance(n);
+                }
+                Segment::Payload(payload) => payload.advance(n),
             }
-            written -= avail;
-            self.front_off = 0;
-            self.segs.pop_front();
+            if front.len() == 0 {
+                self.segs.pop_front();
+            }
+            written -= n;
+            self.len -= n;
+        }
+        if self.segs.is_empty() {
+            self.staging.clear();
         }
     }
 }
@@ -337,7 +369,6 @@ impl<S: Read + Write> NonBlockingFramedStream<S> {
     /// buffer fully drained, `Ok(false)` when the stream would block
     /// with bytes still pending.
     pub fn flush(&mut self) -> io::Result<bool> {
-        self.out.close_staging();
         while self.out.len > 0 {
             let mut iov: [IoSlice<'_>; MAX_IOV] = std::array::from_fn(|_| IoSlice::new(&[]));
             let n = self.out.fill_iov(&mut iov);
@@ -422,6 +453,7 @@ mod tests {
     use super::*;
     use crate::msg::{GetStatus, RequestId};
     use crate::payload;
+    use proptest::prelude::*;
     use std::io::{Cursor, Seek, SeekFrom};
 
     /// Write messages into an in-memory cursor, rewind, and hand back a
@@ -662,7 +694,10 @@ mod tests {
         s.queue(&msg);
         // The queue holds the refcounted handle itself, not a copy.
         assert!(
-            s.out.segs.iter().any(|seg| seg.shares_allocation_with(&value)),
+            s.out
+                .segs
+                .iter()
+                .any(|seg| matches!(seg, Segment::Payload(p) if p.shares_allocation_with(&value))),
             "large payload should sit in the queue as a shared segment"
         );
     }
@@ -747,6 +782,132 @@ mod tests {
             }
         };
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A writer whose calls accept a scripted byte count each, cutting
+    /// anywhere: inside a staged run, inside a payload, between them.
+    /// A count of 0 is `WouldBlock`. `budget`, when set, caps the total
+    /// it takes until reset.
+    struct Cutter {
+        output: Vec<u8>,
+        cuts: Vec<usize>,
+        calls: usize,
+        budget: Option<usize>,
+    }
+
+    impl Read for Cutter {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    impl Write for Cutter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut take = self.cuts[self.calls % self.cuts.len()];
+            self.calls += 1;
+            if let Some(budget) = &mut self.budget {
+                take = take.min(*budget);
+                *budget -= take;
+            }
+            if take == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let start = self.output.len();
+            for b in bufs {
+                let left = take - (self.output.len() - start);
+                self.output.extend_from_slice(&b[..left.min(b.len())]);
+            }
+            Ok(self.output.len() - start)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reply or request with a payload of `len` bytes, or an `Ack`.
+    fn message(kind: u8, len: usize) -> Message {
+        let value = payload::pattern(len as u64, len);
+        match kind {
+            0 => Message::GetResp {
+                id: RequestId(len as u64),
+                key: 1,
+                version: 2,
+                value,
+                age: 3,
+                status: GetStatus::Fresh,
+            },
+            1 => Message::PutReq { id: RequestId(4), key: 5, value, ttl: 6 },
+            _ => Message::Ack { seq: len as u64 },
+        }
+    }
+
+    /// Messages with payloads of 0–2 KiB, straddling `INLINE_PAYLOAD_MAX`,
+    /// each with whether to flush right after queueing it.
+    fn messages() -> impl Strategy<Value = Vec<(Message, bool)>> {
+        let len = prop_oneof![0usize..2048, 500usize..530];
+        proptest::collection::vec(
+            (0u8..3, len, any::<bool>()).prop_map(|(kind, len, flush)| (message(kind, len), flush)),
+            1..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn segment_queue_survives_any_cut(
+            msgs in messages(),
+            cuts in proptest::collection::vec(
+                prop_oneof![Just(0usize), 1usize..64, 64usize..3000],
+                1..8,
+            ),
+        ) {
+            // Each cycle of cuts ends with a call that takes all it is
+            // offered, so every flush loop makes progress.
+            let mut cuts = cuts;
+            cuts.push(usize::MAX);
+            let writer = Cutter { output: Vec::new(), cuts, calls: 0, budget: None };
+            let mut s = NonBlockingFramedStream::new(writer);
+            let mut wire = BytesMut::new();
+            for (msg, flush_now) in &msgs {
+                s.queue(msg);
+                FrameCodec::encode(msg, &mut wire);
+                if *flush_now {
+                    s.flush().unwrap();
+                }
+                prop_assert_eq!(s.pending_out(), wire.len() - s.get_ref().output.len());
+            }
+            while !s.flush().unwrap() {}
+            prop_assert_eq!(&s.get_ref().output[..], &wire[..]);
+            prop_assert_eq!(s.out.staging.len(), 0);
+        }
+
+        #[test]
+        fn a_queue_that_never_drains_reclaims_what_it_sent(msgs in messages()) {
+            // The reader accepts half of what is pending on each flush
+            // while the writer keeps queueing, so the queue never
+            // empties and staging is never cleared: only reclaiming the
+            // consumed prefix keeps its capacity in proportion.
+            let writer = Cutter { output: Vec::new(), cuts: vec![usize::MAX], calls: 0, budget: None };
+            let mut s = NonBlockingFramedStream::new(writer);
+            for _ in 0..100 {
+                for (msg, _) in &msgs {
+                    s.queue(msg);
+                }
+                s.get_mut().budget = Some(s.pending_out() / 2);
+                s.flush().unwrap();
+                prop_assert!(s.wants_write());
+                let cap = s.out.staging.capacity();
+                prop_assert!(
+                    cap <= 4 * s.pending_out() + 64 * 1024,
+                    "staging holds {} bytes for {} pending", cap, s.pending_out()
+                );
+                s.get_mut().output.clear();
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * Shorter values are decoded as zero-copy views of the accumulation
 //!   buffer; [`repin_small`] copies them at every cache-install point.
 //!
+//! Every copy goes through `Bytes::copy_from_slice`, which makes one
+//! block holding the refcount and the bytes: a value copied here costs
+//! one allocation, and its `allocation_size()` is its length. Only a
+//! large payload that spans two reads keeps a separate refcount header.
+//!
 //! One constant decides "small enough to copy" on both sides.
 
 use bytes::Bytes;

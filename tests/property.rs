@@ -315,7 +315,7 @@ proptest! {
                 CacheOp::InsertValue(k, len) => {
                     let got = real.insert_value(k, 1, vec![0u8; len as usize].into(), t, None);
                     let want = model.insert(k, len, now, None);
-                    prop_assert_eq!(got, want, "insert_value({}) evicted differently", k);
+                    prop_assert_eq!(got, want.len(), "insert_value({}) evicted differently", k);
                 }
                 CacheOp::Invalidate(k) => {
                     prop_assert_eq!(real.apply_invalidate(k), model.invalidate(k), "invalidate({})", k);
