@@ -1,9 +1,9 @@
 //! Ablation: eviction policy × freshness (paper §5, open question 3).
 //!
 //! "It is unclear how invalidation and updates can be co-designed with
-//! eviction." This ablation runs the invalidation policy under four
-//! eviction policies — LRU, FIFO, SLRU, and the freshness-aware LRU
-//! variant that prefers already-stale victims — on a cache sized well
+//! eviction." This ablation runs the invalidation policy under five
+//! eviction policies — LRU, FIFO, SLRU, the freshness-aware LRU variant
+//! that prefers already-stale victims, and ARC — on a cache sized well
 //! below the key space, and reports hit ratio, staleness cost and
 //! freshness cost. The freshness-aware policy's bet: evicting stale
 //! entries is free (they would miss anyway), so fresh entries live
@@ -12,7 +12,19 @@
 //! ```sh
 //! cargo run --release -p fresca-bench --bin ablate_eviction
 //! ```
+//!
+//! With `--sweep` it instead runs the policy × traffic grid of
+//! [`fresca_bench::evict`] — the node's sharding, ~750 k ops per cell —
+//! prints each row's hit ratios and each policy's verdict under the
+//! default rule, and writes them to `BENCH_evict.json` at the workspace
+//! root (`BENCH_EVICT_OUT` overrides the path). It exits 1 when the
+//! policy `ServerConfig::default()` runs fails the rule:
+//!
+//! ```sh
+//! cargo run --release -p fresca-bench --bin ablate_eviction -- --sweep
+//! ```
 
+use fresca_bench::evict::{self, Verdict, POLICIES};
 use fresca_bench::{fmt_pct, fmt_sig, write_json, Table};
 use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
 use fresca_core::engine::{EngineConfig, PolicyConfig, TraceEngine};
@@ -31,7 +43,104 @@ struct Row {
     evictions: u64,
 }
 
+/// Ops per sweep cell: 500 k measured after a ⅓ warm-up.
+const SWEEP_OPS: usize = 750_000;
+
+#[derive(Serialize)]
+struct Sweep {
+    keys: u64,
+    shards: usize,
+    ops_per_cell: usize,
+    warmup_ops: usize,
+    seed: u64,
+    policies: Vec<&'static str>,
+    /// The policy `ServerConfig::default()` runs.
+    node_default: &'static str,
+    verdicts: Vec<Verdict>,
+    rows: Vec<evict::Row>,
+}
+
+fn sweep() {
+    let cells = evict::grid();
+    let policies: Vec<_> = POLICIES.iter().map(|&(_, p)| p).collect();
+    let rows = evict::sweep(&cells, &policies, SWEEP_OPS);
+    let mut headers = vec!["keys/cap", "zipf", "puts", "hot set", "ttl"];
+    headers.extend(POLICIES.iter().map(|&(name, _)| name));
+    let mut table = Table::new(headers);
+    for row in &rows {
+        let c = row.cell;
+        let mut cols = vec![
+            c.keys_per_entry.to_string(),
+            c.zipf.to_string(),
+            c.put_share.to_string(),
+            format!("{:?}", c.hot_set),
+            if c.ttl { "yes".into() } else { "-".into() },
+        ];
+        cols.extend(row.outcomes.iter().map(|o| match o.refused {
+            Some(refused) => format!("{:.3} ({:.3} refused)", o.hit, refused),
+            None => format!("{:.3}", o.hit),
+        }));
+        table.row(cols);
+    }
+    table.print();
+    let verdicts: Vec<Verdict> =
+        POLICIES.iter().enumerate().map(|(i, &(name, _))| evict::verdict(&rows, name, i, 0)).collect();
+    println!(
+        "\n== default rule: worst row without a TTL >= LRU - 1 pt, churn-large > LRU x 1.02 ==\n"
+    );
+    let mut table = Table::new(vec![
+        "policy",
+        "churn-large",
+        "vs LRU",
+        "worst row",
+        "at",
+        "passes",
+        "worst TTL'd row",
+    ]);
+    for v in &verdicts {
+        let w = v.worst_row;
+        table.row(vec![
+            v.policy.clone(),
+            format!("{:.3}", v.churn_large),
+            format!("{:.3}", v.churn_large_vs_lru),
+            format!("{:+.1} pt", v.worst_row_pt),
+            format!("{}x zipf {} puts {} {:?}", w.keys_per_entry, w.zipf, w.put_share, w.hot_set),
+            v.passes.to_string(),
+            v.ttl_worst_row_pt.map_or("-".into(), |pt| format!("{pt:+.1} pt")),
+        ]);
+    }
+    table.print();
+    let node = fresca_serve::ServerConfig::default().cache.eviction;
+    let node_default =
+        POLICIES.iter().find(|&&(_, p)| p == node).map_or("unlisted", |&(name, _)| name);
+    let node_passes = verdicts.iter().any(|v| v.policy == node_default && v.passes);
+    let out = Sweep {
+        keys: evict::KEYS,
+        shards: evict::SHARDS,
+        ops_per_cell: SWEEP_OPS,
+        warmup_ops: SWEEP_OPS / 3,
+        seed: evict::SEED,
+        policies: POLICIES.iter().map(|&(name, _)| name).collect(),
+        node_default,
+        verdicts,
+        rows,
+    };
+    let path = std::env::var("BENCH_EVICT_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_evict.json").to_string()
+    });
+    let json = serde_json::to_string_pretty(&out).expect("serialize the sweep");
+    std::fs::write(&path, json + "\n").expect("write BENCH_evict.json");
+    eprintln!("[saved {path}]");
+    if !node_passes {
+        eprintln!("the node's default eviction ({node_default}) fails the default rule");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--sweep") {
+        return sweep();
+    }
     // Cache holds 15% of the key space; moderate write share keeps a
     // standing population of invalidated entries for the freshness-aware
     // policy to harvest.
@@ -62,6 +171,7 @@ fn main() {
         ("fifo", EvictionPolicy::Fifo),
         ("slru-80", EvictionPolicy::Slru { protected_pct: 80 }),
         ("freshness-aware", EvictionPolicy::FreshnessAware { probe_depth: 16 }),
+        ("adaptive", EvictionPolicy::Adaptive),
     ] {
         let cfg = EngineConfig {
             staleness_bound: SimDuration::from_secs(1),

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
+pub mod evict;
 
 use serde::Serialize;
 use std::fmt::Write as _;

@@ -32,6 +32,14 @@ pub enum EvictionPolicy {
         /// in percent (1..=99). The common choice is 80.
         protected_pct: u8,
     },
+    /// ARC (Megiddo & Modha, FAST '03): a recency list T1 and a
+    /// frequency list T2 (a key's second touch moves it there), with
+    /// the split between them tuned online by ghost hits — a key
+    /// re-inserted soon after its eviction from T1 grows T1's target, one
+    /// evicted from T2 grows T2's. Scan-resistant like SLRU, with no
+    /// knob to set and no loss where recency is what matters. See
+    /// [`slab`](crate::slab) for the exact rules.
+    Adaptive,
     /// The §5 extension: like LRU, but probe the cold end for an
     /// already-stale entry first — evicting stale data is free in
     /// freshness terms, keeping fresh entries alive longer.

@@ -24,6 +24,34 @@
 //! head/tail pair for its protected segment, with a per-slot flag naming
 //! the list a slot is on.
 //!
+//! ARC ([`EvictionPolicy::Adaptive`], Megiddo & Modha, FAST '03) runs on
+//! the same two lists — T1 is the main list, T2 the protected one — and
+//! adds only key-only ghost lists B1/B2 (keys recently evicted from T1
+//! and T2) and its self-tuning target `p` for |T1|. With c the entry
+//! capacity (the resident count under a byte budget):
+//!
+//! * a hit anywhere moves the key to the head of T2; a put or install
+//!   over a resident key is a hit;
+//! * the insert of a key found in B1 sets p ← min(c, p + max(|B2|/|B1|, 1)),
+//!   one found in B2 sets p ← max(0, p − max(|B1|/|B2|, 1)); either goes
+//!   to the head of T2, any other insert to the head of T1;
+//! * while the shard is over capacity, REPLACE evicts T1's tail into B1
+//!   when |T1| > p (or |T1| = p on a B2 hit), else T2's tail into B2 —
+//!   |T1| not counting the key being inserted, which is never evicted;
+//! * then the ghosts are trimmed from their tails to |T1|+|B1| ≤ c and
+//!   |T1|+|T2|+|B1|+|B2| ≤ 2c (B1 first, then B2) — on a full shard
+//!   exactly ARC's case-IV deletions, done after REPLACE instead of
+//!   before.
+//!
+//! A ghost is never a slab slot and never holds a payload: it is a key
+//! whose entry in the key index is tagged `GHOST` and names a node of
+//! the small ghost list instead of a slot, so an eviction rewrites the
+//! victim's index entry in place and a ghost hit is found by the lookup
+//! every insert makes anyway. `len`, `keys`, `peek` and
+//! [`SlabCache::slab_capacity`] count resident entries only, as under
+//! every other policy. [`SlabCache::remove`] and every insert drop the
+//! key's ghost.
+//!
 //! Free slots are chained through the same `next` field (a freed slot's
 //! payload handle is dropped eagerly so a dead entry cannot pin a shared
 //! receive-buffer allocation), so the slab's high-water mark —
@@ -38,6 +66,10 @@ use std::hash::{BuildHasher, Hasher};
 
 /// Index sentinel: "no slot".
 const NIL: u32 = u32::MAX;
+
+/// Tags a key-index value that names an ARC ghost node, not a slab slot
+/// (slots and ghost nodes are numbered below it).
+const GHOST: u32 = 1 << 31;
 
 #[inline]
 fn splitmix(mut z: u64) -> u64 {
@@ -89,9 +121,11 @@ impl BuildHasher for SplitMixBuild {
     }
 }
 
-/// The main recency list (SLRU's probationary segment).
+/// The main recency list (SLRU's probationary segment, ARC's T1); also
+/// names ARC's ghost list B1.
 const MAIN: usize = 0;
-/// SLRU's protected segment; empty under every other policy.
+/// SLRU's protected segment (ARC's T2); empty under every other policy.
+/// Also names ARC's ghost list B2.
 const PROTECTED: usize = 1;
 
 /// One slab slot: the entry plus its intrusive list links. Occupied
@@ -119,6 +153,89 @@ struct List {
     tail: u32,
 }
 
+/// One ghost: a key recently evicted under ARC, linked into B1 or B2.
+#[derive(Debug)]
+struct Ghost {
+    key: u64,
+    prev: u32,
+    next: u32,
+    list: usize,
+}
+
+/// ARC's ghost lists B1 ([`MAIN`]) and B2 ([`PROTECTED`]): keys only,
+/// most recent at the head, in their own small slab with a free list.
+/// The key index maps each ghost's key to `GHOST | node`.
+#[derive(Debug)]
+struct Ghosts {
+    nodes: Vec<Ghost>,
+    lists: [List; 2],
+    lens: [usize; 2],
+    free: u32,
+}
+
+impl Ghosts {
+    fn new() -> Self {
+        Ghosts { nodes: Vec::new(), lists: [List { head: NIL, tail: NIL }; 2], lens: [0; 2], free: NIL }
+    }
+
+    fn total(&self) -> usize {
+        self.lens[MAIN] + self.lens[PROTECTED]
+    }
+
+    /// Link `key` at the head of `list`; returns its node.
+    fn push(&mut self, list: usize, key: u64) -> u32 {
+        let head = self.lists[list].head;
+        let node = Ghost { key, prev: NIL, next: head, list };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        } else {
+            let idx = self.nodes.len() as u32;
+            assert!(idx < GHOST, "ghost slab full: 2^31 nodes");
+            self.nodes.push(node);
+            idx
+        };
+        if head == NIL {
+            self.lists[list].tail = idx;
+        } else {
+            self.nodes[head as usize].prev = idx;
+        }
+        self.lists[list].head = idx;
+        self.lens[list] += 1;
+        idx
+    }
+
+    /// Unlink and free node `idx`; returns the list it was on.
+    fn unlink(&mut self, idx: u32) -> usize {
+        let Ghost { prev, next, list, .. } = self.nodes[idx as usize];
+        if prev == NIL {
+            self.lists[list].head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.lists[list].tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
+        }
+        self.lens[list] -= 1;
+        self.nodes[idx as usize].next = self.free;
+        self.free = idx;
+        list
+    }
+
+    /// Unlink the oldest ghost of `list`; returns its key.
+    fn pop_tail(&mut self, list: usize) -> Option<u64> {
+        let tail = self.lists[list].tail;
+        (tail != NIL).then(|| {
+            self.unlink(tail);
+            self.nodes[tail as usize].key
+        })
+    }
+}
+
 /// Single-owner slab cache: contiguous entry storage, intrusive recency
 /// lists, SplitMix-indexed. See the [module docs](self) for the design.
 ///
@@ -135,6 +252,7 @@ struct List {
 pub struct SlabCache {
     config: CacheConfig,
     slots: Vec<Slot>,
+    /// Key → slab slot, or → `GHOST | node` for an ARC ghost.
     map: HashMap<u64, u32, SplitMixBuild>,
     /// `[MAIN, PROTECTED]`, indexed by `Slot::protected`.
     lists: [List; 2],
@@ -144,13 +262,17 @@ pub struct SlabCache {
     free: u32,
     bytes: u64,
     stats: CacheStats,
+    /// ARC's target size for T1; 0 under every other policy.
+    arc_p: usize,
+    /// ARC's ghost lists; empty under every other policy.
+    ghosts: Ghosts,
 }
 
 impl std::fmt::Debug for SlabCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlabCache")
             .field("config", &self.config)
-            .field("len", &self.map.len())
+            .field("len", &self.len())
             .field("slab_capacity", &self.slots.len())
             .finish()
     }
@@ -175,7 +297,7 @@ impl SlabCache {
                 (1..=99).contains(&protected_pct),
                 "protected_pct must be in 1..=99, got {protected_pct}"
             ),
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {}
+            EvictionPolicy::Lru | EvictionPolicy::Fifo | EvictionPolicy::Adaptive => {}
         }
         SlabCache {
             config,
@@ -186,17 +308,25 @@ impl SlabCache {
             free: NIL,
             bytes: 0,
             stats: CacheStats::default(),
+            arc_p: 0,
+            ghosts: Ghosts::new(),
         }
     }
 
     /// Number of cached entries (including stale ones).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len() - self.ghosts.total()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+
+    /// The slot holding `key`, if it is resident.
+    #[inline]
+    fn slot(&self, key: u64) -> Option<u32> {
+        self.map.get(&key).copied().filter(|&i| i & GHOST == 0)
     }
 
     /// Total value bytes currently cached.
@@ -217,24 +347,24 @@ impl SlabCache {
 
     /// True if `key` is present (fresh or stale).
     pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.slot(key).is_some()
     }
 
     /// Peek at an entry without touching recency or stats.
     pub fn peek(&self, key: u64) -> Option<&Entry> {
-        self.map.get(&key).map(|&i| &self.slots[i as usize].entry)
+        self.slot(key).map(|i| &self.slots[i as usize].entry)
     }
 
     /// Age of the entry for `key` at `now` (time since it was last made
     /// fresh), without touching recency or stats. `None` if absent.
     pub fn entry_age(&self, key: u64, now: SimTime) -> Option<SimDuration> {
-        self.map.get(&key).map(|&i| self.slots[i as usize].entry.age(now))
+        self.slot(key).map(|i| self.slots[i as usize].entry.age(now))
     }
 
     /// Iterate over the cached keys (arbitrary order; for state mirrors
     /// and debugging, not for anything order-sensitive).
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.map.keys().copied()
+        self.map.iter().filter(|&(_, &i)| i & GHOST == 0).map(|(&k, _)| k)
     }
 
     // ---- intrusive recency lists --------------------------------------
@@ -295,26 +425,42 @@ impl SlabCache {
         match self.config.eviction {
             EvictionPolicy::Fifo => {}
             EvictionPolicy::Lru | EvictionPolicy::FreshnessAware { .. } => self.move_to_front(idx),
-            EvictionPolicy::Slru { protected_pct } => self.promote(idx, protected_pct),
+            EvictionPolicy::Adaptive => _ = self.promote(idx),
+            EvictionPolicy::Slru { protected_pct } => {
+                if self.promote(idx) {
+                    self.rebalance(protected_pct);
+                }
+            }
         }
     }
 
-    /// SLRU hit: a probationary entry moves to the protected segment,
-    /// whose coldest entries drop back to probationary MRU while the
-    /// segment is over its budget (demotion is not eviction).
-    fn promote(&mut self, idx: u32, protected_pct: u8) {
+    /// Move `idx` to the head of the protected list (SLRU's protected
+    /// segment, ARC's T2); true when it came from the main list.
+    fn promote(&mut self, idx: u32) -> bool {
         if self.slots[idx as usize].protected {
-            return self.move_to_front(idx);
+            self.move_to_front(idx);
+            return false;
         }
         self.move_to_list(idx, true);
         self.protected_len += 1;
-        // The budget is a share of the entry capacity, or — with a byte
-        // or unbounded capacity — of the current population.
-        let entries = match self.config.capacity {
+        true
+    }
+
+    /// The entry count SLRU's budget and ARC's c are shares of: the
+    /// entry capacity, or — with a byte or unbounded capacity — the
+    /// current population.
+    fn entry_budget(&self) -> usize {
+        match self.config.capacity {
             Capacity::Entries(n) => n,
-            Capacity::Bytes(_) | Capacity::Unbounded => self.map.len(),
-        };
-        let budget = (entries * protected_pct as usize / 100).max(1);
+            Capacity::Bytes(_) | Capacity::Unbounded => self.len(),
+        }
+    }
+
+    /// After an SLRU promotion, the protected segment's coldest entries
+    /// drop back to probationary MRU while it is over its budget
+    /// (demotion is not eviction).
+    fn rebalance(&mut self, protected_pct: u8) {
+        let budget = (self.entry_budget() * protected_pct as usize / 100).max(1);
         while self.protected_len > budget {
             self.move_to_list(self.lists[PROTECTED].tail, false);
             self.protected_len -= 1;
@@ -336,7 +482,7 @@ impl SlabCache {
             idx
         } else {
             let idx = self.slots.len() as u32;
-            assert!(idx < NIL, "slab full: 2^32-1 slots");
+            assert!(idx < GHOST, "slab full: 2^31 slots");
             self.slots.push(Slot { key, entry, prev: NIL, next: NIL, protected: false });
             idx
         }
@@ -359,7 +505,7 @@ impl SlabCache {
     /// (for every policy but FIFO) recency. The caller is responsible for
     /// the consequent backend fetch on misses.
     pub fn get(&mut self, key: u64, now: SimTime) -> GetResult {
-        let Some(&idx) = self.map.get(&key) else {
+        let Some(idx) = self.slot(key) else {
             self.stats.cold_misses += 1;
             return GetResult::ColdMiss;
         };
@@ -401,7 +547,7 @@ impl SlabCache {
         now: SimTime,
         max_staleness: Option<SimDuration>,
     ) -> BoundedGet {
-        let Some(&idx) = self.map.get(&key) else {
+        let Some(idx) = self.slot(key) else {
             self.stats.cold_misses += 1;
             return BoundedGet::Miss;
         };
@@ -431,7 +577,7 @@ impl SlabCache {
 
     fn over_capacity(&self) -> bool {
         match self.config.capacity {
-            Capacity::Entries(n) => self.map.len() > n,
+            Capacity::Entries(n) => self.len() > n,
             Capacity::Bytes(b) => self.bytes > b,
             Capacity::Unbounded => false,
         }
@@ -448,15 +594,32 @@ impl SlabCache {
         }
     }
 
+    /// The coldest slot of `first`, else of `second` (never `protect`).
+    fn coldest_of(&self, first: usize, second: usize, protect: u64) -> u32 {
+        match self.coldest(first, protect) {
+            NIL => self.coldest(second, protect),
+            victim => victim,
+        }
+    }
+
     /// The slot to evict next, or `NIL` when only `protect` remains.
-    fn pick_victim(&self, protect: u64, now: SimTime) -> u32 {
+    /// `ghost` is the ghost list `protect` was found on (ARC only).
+    fn pick_victim(&self, protect: u64, ghost: Option<usize>, now: SimTime) -> u32 {
         match self.config.eviction {
             EvictionPolicy::Lru | EvictionPolicy::Fifo => self.coldest(MAIN, protect),
-            EvictionPolicy::Slru { .. } => match self.coldest(MAIN, protect) {
-                // Probationary segment empty: take the protected tail.
-                NIL => self.coldest(PROTECTED, protect),
-                victim => victim,
-            },
+            // Probationary segment empty: take the protected tail.
+            EvictionPolicy::Slru { .. } => self.coldest_of(MAIN, PROTECTED, protect),
+            EvictionPolicy::Adaptive => {
+                // REPLACE, with |T1| not counting the key being inserted
+                // (it sits at T1's head unless it came from a ghost list).
+                let t1 = self.len() - self.protected_len - ghost.is_none() as usize;
+                let p = self.arc_p;
+                if t1 > 0 && (t1 > p || (ghost == Some(PROTECTED) && t1 == p)) {
+                    self.coldest_of(MAIN, PROTECTED, protect)
+                } else {
+                    self.coldest_of(PROTECTED, MAIN, protect)
+                }
+            }
             EvictionPolicy::FreshnessAware { probe_depth } => {
                 // The coldest already-stale entry among the `probe_depth`
                 // coldest, else the coldest outright.
@@ -484,22 +647,58 @@ impl SlabCache {
 
     /// Evict until within capacity; never evicts `protect` (the key just
     /// inserted — evicting it immediately would make the insert a lie).
-    /// Hands each evicted key to `evicted`, in eviction order.
-    fn enforce_capacity(&mut self, protect: u64, now: SimTime, mut evicted: impl FnMut(u64)) {
+    /// Hands each evicted key to `evicted`, in eviction order. Under ARC
+    /// each victim becomes a ghost on the list named after its own.
+    fn enforce_capacity(
+        &mut self,
+        protect: u64,
+        ghost: Option<usize>,
+        now: SimTime,
+        mut evicted: impl FnMut(u64),
+    ) {
         while self.over_capacity() {
-            let victim = self.pick_victim(protect, now);
+            let victim = self.pick_victim(protect, ghost, now);
             if victim == NIL {
                 break; // only the protected key remains
             }
-            let key = self.slots[victim as usize].key;
-            self.remove_idx(key, victim);
+            let Slot { key, protected, .. } = self.slots[victim as usize];
+            self.drop_slot(victim);
+            if self.config.eviction == EvictionPolicy::Adaptive {
+                let node = self.ghosts.push(protected as usize, key);
+                self.map.insert(key, GHOST | node);
+            } else {
+                self.map.remove(&key);
+            }
             self.stats.evictions += 1;
             evicted(key);
         }
     }
 
+    /// ARC's ghost bounds: trim B1 from its tail to |T1|+|B1| ≤ c, then
+    /// B2 (B1 if B2 is empty) to a directory of at most 2c, and keep
+    /// p ≤ c (c moves with the population under a byte budget).
+    fn trim_ghosts(&mut self) {
+        let c = self.entry_budget();
+        let t1 = self.len() - self.protected_len;
+        while t1 + self.ghosts.lens[MAIN] > c && self.drop_oldest_ghost(MAIN) {}
+        while self.len() + self.ghosts.total() > 2 * c
+            && (self.drop_oldest_ghost(PROTECTED) || self.drop_oldest_ghost(MAIN))
+        {}
+        self.arc_p = self.arc_p.min(c);
+    }
+
+    /// Forget the oldest ghost of `list`; false when it is empty.
+    fn drop_oldest_ghost(&mut self, list: usize) -> bool {
+        self.ghosts.pop_tail(list).map(|key| self.map.remove(&key)).is_some()
+    }
+
     fn remove_idx(&mut self, key: u64, idx: u32) {
         self.map.remove(&key);
+        self.drop_slot(idx);
+    }
+
+    /// Unlink and free slot `idx`, leaving the key index alone.
+    fn drop_slot(&mut self, idx: u32) {
         let slot = &self.slots[idx as usize];
         self.bytes -= slot.entry.value_size as u64;
         self.protected_len -= slot.protected as usize;
@@ -507,13 +706,47 @@ impl SlabCache {
         self.release(idx);
     }
 
-    /// New entries always start on the main (probationary) list.
-    fn insert_slot(&mut self, key: u64, entry: Entry, now: SimTime, evicted: impl FnMut(u64)) {
+    /// Insert absent `key`, whose key-index value (`GHOST | node` for a
+    /// ghost, else none) the caller looked up. New entries start on the
+    /// main list (SLRU's probationary segment, ARC's T1) — except, under
+    /// ARC, a ghost, which adapts `p` and starts on T2.
+    fn insert_slot(
+        &mut self,
+        key: u64,
+        entry: Entry,
+        ghost: Option<u32>,
+        now: SimTime,
+        evicted: impl FnMut(u64),
+    ) {
+        let ghost = ghost.map(|tagged| self.adapt(tagged & !GHOST));
         self.bytes += entry.value_size as u64;
         let idx = self.alloc(key, entry);
+        if ghost.is_some() {
+            self.slots[idx as usize].protected = true;
+            self.protected_len += 1;
+        }
         self.push_front(idx);
         self.map.insert(key, idx);
-        self.enforce_capacity(key, now, evicted);
+        self.enforce_capacity(key, ghost, now, evicted);
+        if self.config.eviction == EvictionPolicy::Adaptive {
+            self.trim_ghosts();
+        }
+    }
+
+    /// ARC's learning step for the insert of a key whose ghost is
+    /// `node`: a B1 ghost says T1 was too small, a B2 ghost that T2 was.
+    /// Unlinks the ghost (its index entry is about to name the new slot)
+    /// and returns the list it was on.
+    fn adapt(&mut self, node: u32) -> usize {
+        let [b1, b2] = self.ghosts.lens;
+        let c = self.entry_budget();
+        let list = self.ghosts.unlink(node);
+        self.arc_p = if list == MAIN {
+            (self.arc_p + (b2 / b1).max(1)).min(c)
+        } else {
+            self.arc_p.saturating_sub((b1 / b2).max(1))
+        };
+        list
     }
 
     /// Insert or overwrite `key` with a fresh metadata-only entry
@@ -528,7 +761,8 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> Vec<u64> {
-        if let Some(&idx) = self.map.get(&key) {
+        let found = self.map.get(&key).copied();
+        if let Some(idx) = found.filter(|&i| i & GHOST == 0) {
             let slot = &mut self.slots[idx as usize];
             self.bytes -= slot.entry.value_size as u64;
             slot.entry.refresh(version, value_size, now, expires_at);
@@ -538,7 +772,7 @@ impl SlabCache {
         }
         let mut evicted = Vec::new();
         let entry = Entry::new(version, value_size, now, expires_at);
-        self.insert_slot(key, entry, now, |k| evicted.push(k));
+        self.insert_slot(key, entry, found, now, |k| evicted.push(k));
         evicted
     }
 
@@ -556,7 +790,8 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> usize {
-        if let Some(&idx) = self.map.get(&key) {
+        let found = self.map.get(&key).copied();
+        if let Some(idx) = found.filter(|&i| i & GHOST == 0) {
             let value_size = value.len() as u32;
             let slot = &mut self.slots[idx as usize];
             self.bytes -= slot.entry.value_size as u64;
@@ -567,27 +802,32 @@ impl SlabCache {
         }
         let mut evicted = 0;
         let entry = Entry::with_value(version, value, now, expires_at);
-        self.insert_slot(key, entry, now, |_| evicted += 1);
+        self.insert_slot(key, entry, found, now, |_| evicted += 1);
         evicted
     }
 
-    /// Remove `key` outright (proactive TTL expiry / external eviction).
-    /// Returns true if it was present.
+    /// Remove `key` outright (proactive TTL expiry / external eviction,
+    /// a handoff), dropping its ARC ghost too. Returns true if it was
+    /// present.
     pub fn remove(&mut self, key: u64) -> bool {
-        match self.map.get(&key) {
-            Some(&idx) => {
-                self.remove_idx(key, idx);
-                true
-            }
-            None => false,
+        let Some(idx) = self.map.get(&key).copied() else { return false };
+        if idx & GHOST != 0 {
+            self.ghosts.unlink(idx & !GHOST);
+            self.map.remove(&key);
+        } else {
+            self.remove_idx(key, idx);
         }
+        if self.config.eviction == EvictionPolicy::Adaptive {
+            self.trim_ghosts();
+        }
+        idx & GHOST == 0
     }
 
     /// Apply a backend invalidation: mark the entry stale in place.
     /// Returns true if the entry was present (and is now invalidated).
     pub fn apply_invalidate(&mut self, key: u64) -> bool {
-        match self.map.get(&key) {
-            Some(&idx) => {
+        match self.slot(key) {
+            Some(idx) => {
                 self.slots[idx as usize].entry.state = Freshness::Invalidated;
                 self.stats.invalidations_applied += 1;
                 true
@@ -610,8 +850,8 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> bool {
-        match self.map.get(&key) {
-            Some(&idx) => {
+        match self.slot(key) {
+            Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
                 self.bytes -= slot.entry.value_size as u64;
                 slot.entry.refresh(version, value_size, now, expires_at);
@@ -638,8 +878,8 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> bool {
-        match self.map.get(&key) {
-            Some(&idx) => {
+        match self.slot(key) {
+            Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
                 self.bytes -= slot.entry.value_size as u64;
                 self.bytes += value.len() as u64;
@@ -664,8 +904,8 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> bool {
-        match self.map.get(&key) {
-            Some(&idx) => {
+        match self.slot(key) {
+            Some(idx) => {
                 self.slots[idx as usize].entry.rearm(version, now, expires_at);
                 self.stats.refreshes += 1;
                 true
@@ -680,8 +920,11 @@ impl SlabCache {
     /// Every slot is on exactly one of the free / main / protected lists,
     /// the two live lists hold exactly the indexed entries with
     /// consistent back-links and segment flags, and the byte gauge is
-    /// the sum of the live entries' sizes.
+    /// the sum of the live entries' sizes. ARC's ghost lists are
+    /// well-formed, never name a resident key and stay within
+    /// |T1|+|B1| ≤ c and |T1|+|T2|+|B1|+|B2| ≤ 2c, with 0 ≤ p ≤ c.
     fn check_invariants(&self) {
+        self.check_ghosts();
         let mut seen = vec![false; self.slots.len()];
         let mut mark = |idx: u32| {
             assert!(!std::mem::replace(&mut seen[idx as usize], true), "slot {idx} is on two lists");
@@ -711,6 +954,31 @@ impl SlabCache {
         assert_eq!(linked[MAIN] + linked[PROTECTED], self.len());
         assert_eq!(linked[PROTECTED], self.protected_len);
         assert_eq!(bytes, self.bytes());
+    }
+
+    fn check_ghosts(&self) {
+        let g = &self.ghosts;
+        if self.config.eviction != EvictionPolicy::Adaptive {
+            assert_eq!((g.total(), self.arc_p), (0, 0), "ghost state outside ARC");
+            return;
+        }
+        for list in [MAIN, PROTECTED] {
+            let (mut prev, mut cur, mut len) = (NIL, g.lists[list].head, 0);
+            while cur != NIL {
+                let node = &g.nodes[cur as usize];
+                assert_eq!((node.list, node.prev), (list, prev), "ghost {cur} links");
+                assert_eq!(self.map.get(&node.key), Some(&(GHOST | cur)), "ghost {cur} not indexed");
+                assert!(!self.contains(node.key), "ghost {} is resident", node.key);
+                (prev, cur, len) = (cur, node.next, len + 1);
+            }
+            assert_eq!((g.lists[list].tail, g.lens[list]), (prev, len), "ghost list {list}");
+        }
+        assert_eq!(self.map.values().filter(|&&i| i & GHOST != 0).count(), g.total());
+        let c = self.entry_budget();
+        let t1 = self.len() - self.protected_len;
+        assert!(t1 + g.lens[MAIN] <= c, "|T1|+|B1| = {} > c = {c}", t1 + g.lens[MAIN]);
+        assert!(self.len() + g.total() <= 2 * c, "directory over 2c = {}", 2 * c);
+        assert!(self.arc_p <= c, "p = {} > c = {c}", self.arc_p);
     }
 }
 
@@ -1163,6 +1431,94 @@ mod tests {
         assert!(c.get(1, t(4)).is_fresh_hit());
     }
 
+    fn arc(entries: usize) -> SlabCache {
+        SlabCache::with_config(CacheConfig {
+            capacity: Capacity::Entries(entries),
+            eviction: EvictionPolicy::Adaptive,
+        })
+    }
+
+    /// Whether `key` is resident on T2 (the protected list).
+    fn in_t2(c: &SlabCache, key: u64) -> bool {
+        c.slot(key).is_some_and(|i| c.slots[i as usize].protected)
+    }
+
+    fn is_ghost(c: &SlabCache, key: u64) -> bool {
+        c.map.get(&key).is_some_and(|&i| i & GHOST != 0)
+    }
+
+    #[test]
+    fn arc_scan_resistance() {
+        // Keys 1 and 2 are inserted and hit once -> T2. A scan of
+        // one-shot keys larger than the whole cache churns T1 only.
+        let mut c = arc(8);
+        for k in [1, 2] {
+            c.insert(k, 1, 1, t(0), None);
+            assert!(c.get(k, t(1)).is_fresh_hit());
+            assert!(in_t2(&c, k), "a hit moves {k} to T2");
+        }
+        for k in 100..120 {
+            c.insert(k, 1, 1, t(k), None);
+            c.check_invariants();
+        }
+        assert!(c.contains(1) && c.contains(2), "T2 survives the scan");
+        assert_eq!(c.len(), 8);
+    }
+
+    #[test]
+    fn arc_ghost_hits_adapt_p_and_land_in_t2() {
+        let mut c = arc(4);
+        for k in 1..=4 {
+            c.insert(k, 1, 1, t(k), None);
+        }
+        c.get(4, t(5)); // T1 = [3, 2, 1], T2 = [4]
+        // p = 0 and |T1| = 3 > 0: REPLACE takes T1's tail into B1.
+        assert_eq!(c.insert(5, 1, 1, t(6), None), vec![1]);
+        assert_eq!(c.ghosts.lens, [1, 0]);
+        // Key 1 comes back: B1 hit, p ← 0 + max(0/1, 1) = 1, straight to T2.
+        let evicted = c.insert(1, 1, 1, t(7), None);
+        assert_eq!(c.arc_p, 1);
+        assert!(in_t2(&c, 1), "a ghost hit installs into T2");
+        assert_eq!(evicted, vec![2], "|T1| = 3 > p = 1: T1's tail goes");
+        assert!(is_ghost(&c, 2) && !is_ghost(&c, 1));
+        c.check_invariants();
+        // Fill T2 so REPLACE has a choice, then hit the B2 ghost.
+        c.get(3, t(8));
+        c.get(5, t(8)); // T1 = [], T2 = [5, 3, 1, 4]
+        assert_eq!(c.insert(6, 1, 1, t(9), None), vec![4], "T1 empty: T2's tail");
+        assert_eq!(c.ghosts.lens, [1, 1]);
+        c.insert(4, 1, 1, t(10), None); // B2 hit: p ← 1 − max(1/1, 1) = 0
+        assert_eq!(c.arc_p, 0);
+        assert!(in_t2(&c, 4));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn arc_remove_drops_the_ghost() {
+        let mut c = arc(2);
+        c.insert(1, 1, 1, t(1), None);
+        c.insert(2, 1, 1, t(2), None);
+        c.get(2, t(2));
+        c.insert(3, 1, 1, t(3), None);
+        assert!(is_ghost(&c, 1));
+        assert!(!c.remove(1), "a ghost is not resident");
+        assert!(!is_ghost(&c, 1), "remove drops the ghost");
+        assert_eq!(c.len(), 2);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn arc_full_t1_evicts_outright() {
+        // Only one-shot inserts: T1 holds all c entries, so case IV-A
+        // evicts T1's tail without keeping a ghost.
+        let mut c = arc(3);
+        for k in 0..10 {
+            c.insert(k, 1, 1, t(k), None);
+            c.check_invariants();
+        }
+        assert_eq!(c.ghosts.total(), 0);
+    }
+
     #[test]
     #[should_panic(expected = "protected_pct")]
     fn slru_rejects_bad_pct() {
@@ -1179,6 +1535,7 @@ mod tests {
             EvictionPolicy::Fifo,
             EvictionPolicy::Slru { protected_pct: 50 },
             EvictionPolicy::FreshnessAware { probe_depth: 4 },
+            EvictionPolicy::Adaptive,
         ] {
             for capacity in [Capacity::Entries(32), Capacity::Bytes(1024)] {
                 let mut c = SlabCache::with_config(CacheConfig { capacity, eviction });

@@ -8,10 +8,12 @@
 //!
 //! Binds the address, then prints a serving-counter line every
 //! `--stats-every` seconds until killed. `--capacity-entries 0` means
-//! unbounded. `--event-loops` sets how many reactor threads connections
-//! are multiplexed onto (each one comfortably serves thousands of
-//! connections; raise it to use more cores — cache shards are
-//! partitioned across the loops and requests route by key). `--origin`
+//! unbounded. Every shard evicts by `ServerConfig::default()`'s policy,
+//! ARC — there is no flag; the first line names it. `--event-loops`
+//! sets how many reactor threads connections are multiplexed onto
+//! (each one comfortably serves thousands of connections; raise it to
+//! use more cores — cache shards are partitioned across the loops and
+//! requests route by key). `--origin`
 //! points at a store-push node's origin endpoint
 //! (`store-push --origin ADDR`): bounded reads that would be refused or
 //! missed then refetch through it instead of failing — see
@@ -30,7 +32,7 @@
 //! the chaos harness sends) is the abrupt-death case; clients observe
 //! dropped connections and re-route.
 
-use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
+use fresca_cache::{CacheConfig, Capacity};
 use fresca_serve::cli::arg;
 use fresca_serve::server::{self, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,8 +98,9 @@ fn main() {
     };
     let capacity =
         if capacity == 0 { Capacity::Unbounded } else { Capacity::Entries(capacity) };
+    let defaults = ServerConfig::default();
     let config = ServerConfig {
-        cache: CacheConfig { capacity, eviction: EvictionPolicy::Lru },
+        cache: CacheConfig { capacity, ..defaults.cache },
         shards,
         event_loops,
         origin,
@@ -112,11 +115,12 @@ fn main() {
     };
     install_sigterm_handler();
     println!(
-        "serving on {} as {} ({} shards, {:?}, {} event loops{})",
+        "serving on {} as {} ({} shards, {:?}, {:?} eviction, {} event loops{})",
         handle.addr(),
         handle.advertise(),
         shards,
         capacity,
+        config.cache.eviction,
         handle.event_loops(),
         origin.map(|o| format!(", origin {o}")).unwrap_or_default()
     );

@@ -114,12 +114,15 @@ impl Topology {
         self.num_loops
     }
 
-    fn total_shards(&self) -> usize {
+    /// How many shards there are (a power of two).
+    pub fn total_shards(&self) -> usize {
         self.shard_mask as usize + 1
     }
 
+    /// The global shard `key` lives in — what routing and replays of
+    /// the node's sharding key on.
     #[inline]
-    fn shard_of(&self, key: u64) -> usize {
+    pub fn shard_of(&self, key: u64) -> usize {
         (shard_hash(key) & self.shard_mask) as usize
     }
 
@@ -362,12 +365,15 @@ impl Owner {
         self.counters.versions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Live entries and allocated slab slots (the storage high-water
-    /// mark) across every owned shard.
-    pub fn gauges(&self) -> (u64, u64) {
-        let entries = self.shards.iter().map(|s| s.len() as u64).sum();
-        let capacity = self.shards.iter().map(|s| s.slab_capacity() as u64).sum();
-        (entries, capacity)
+    /// Live entries, allocated slab slots (the storage high-water mark)
+    /// and evictions so far, each summed across every owned shard.
+    pub fn gauges(&self) -> [u64; 3] {
+        let sum = |f: fn(&SlabCache) -> u64| self.shards.iter().map(f).sum();
+        [
+            sum(|s| s.len() as u64),
+            sum(|s| s.slab_capacity() as u64),
+            sum(|s| s.stats().evictions),
+        ]
     }
 
     /// Tell the owner whether the reactor's origin link is up. While it
@@ -773,6 +779,44 @@ mod tests {
         assert_eq!(tally, [3, 4, 2, 1], "every read counted once, under its outcome");
     }
 
+    /// One shard of 8 entries under `eviction`, then a script through
+    /// `apply`: keys 1 and 2 are put and read once; a handoff burst
+    /// installs 20 one-shot keys; the last of those the burst evicted is
+    /// put again; a second burst installs 20 more. Returns which of 1, 2
+    /// and that key are resident after each burst.
+    fn scan_script(eviction: EvictionPolicy) -> [[bool; 3]; 2] {
+        let cache = CacheConfig { capacity: Capacity::Entries(8), eviction };
+        let mut o = Owner::new(0, Topology::new(1, 1), cache, Arc::default(), false);
+        for key in [1, 2] {
+            put(&mut o, key, bytes(key as u8, 4), 0, 0);
+            assert_eq!(read(&mut o, key, NONE, 0).0, GetStatus::Fresh);
+        }
+        let burst = |o: &mut Owner, keys: std::ops::Range<u64>| {
+            let items = keys.map(|key| UpdateItem { key, version: 1, value: bytes(0, 4) }).collect();
+            push(o, Op::UpdateItems { batch: 7, items, install: true }, 1);
+        };
+        burst(&mut o, 100..120);
+        // The one-shots leave oldest first.
+        let back = (100..120).rev().find(|&key| !o.shards[0].contains(key)).unwrap_or(0);
+        let resident = |o: &Owner| [1, 2, back].map(|key| o.shards[0].contains(key));
+        let first = resident(&o);
+        put(&mut o, back, bytes(3, 4), 0, 2);
+        burst(&mut o, 200..220);
+        [first, resident(&o)]
+    }
+
+    #[test]
+    fn twice_read_keys_survive_a_handoff_burst_under_the_node_default() {
+        // ARC: the reads moved 1 and 2 to T2, which one-shot installs do
+        // not reach; the key put back came from its B1 ghost straight
+        // into T2.
+        let arc = scan_script(crate::ServerConfig::default().cache.eviction);
+        assert_eq!(arc, [[true, true, false], [true, true, true]]);
+        // LRU: each burst flushes everything that was there before it.
+        let lru = scan_script(EvictionPolicy::Lru);
+        assert_eq!(lru, [[false, false, false], [false, false, false]]);
+    }
+
     #[test]
     fn versions_rise_with_every_install_of_a_key() {
         let (mut o, _) = owner(false);
@@ -999,6 +1043,6 @@ mod tests {
             let gone = read(&mut o, key, NONE, 500).0 == GetStatus::Miss;
             assert_eq!(gone, leaving(&key), "key {key}");
         }
-        assert_eq!(o.gauges().0, (0..90).filter(|k| !leaving(k)).count() as u64);
+        assert_eq!(o.gauges()[0], (0..90).filter(|k| !leaving(k)).count() as u64);
     }
 }

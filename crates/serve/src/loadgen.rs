@@ -945,24 +945,27 @@ impl<'a> Driver<'a> {
     fn run<'o>(mut self, ops: impl Iterator<Item = (usize, &'o TimedOp)>) -> io::Result<Vec<Lane>> {
         for (index, op) in ops {
             let at = self.started + Duration::from_nanos(op.at.as_nanos());
+            let mut lane = self.route(op.op.key());
             // Collect what is ready (which sends what is queued) until
-            // the op is due. A closed loop with room in its window skips
-            // this, so a whole top-up leaves in one write; an open loop
-            // always collects, so its requests leave even when behind.
+            // the op is due. A closed loop with room in its lane's window
+            // skips this, so a whole top-up leaves in one write; an open
+            // loop always collects, so its requests leave even when behind.
             let open = self.window.is_none();
-            if open || !self.due(at) {
+            if open || !self.due(lane, at) {
                 loop {
                     let ready = self.drain()?;
-                    if self.due(at) {
+                    if self.due(lane, at) {
                         break;
                     }
                     if ready == 0 {
                         self.wait(open.then_some(at))?;
                     }
                 }
+                // Live membership may have moved the key while we waited.
+                lane = self.route(op.op.key());
             }
             let issued = if open { at } else { Instant::now() };
-            self.submit(index, op, issued)?;
+            self.submit(index, op, lane, issued)?;
         }
         // Collect the tail. Under live membership a connection that stays
         // silent for a second is dead, losing its tail like any death.
@@ -977,11 +980,12 @@ impl<'a> Driver<'a> {
         Ok(self.lanes)
     }
 
-    /// True when the next op may go: every window has room (closed
-    /// loop) or its deadline `at` has passed (open loop).
-    fn due(&self, at: Instant) -> bool {
+    /// True when the next op, routed to `lane`, may go: that lane's
+    /// window has room (closed loop) or its deadline `at` has passed
+    /// (open loop).
+    fn due(&self, lane: Option<usize>, at: Instant) -> bool {
         match self.window {
-            Some(depth) => self.lanes.iter().all(|lane| lane.in_flight() < depth),
+            Some(depth) => closed_due(|i| self.lanes[i].in_flight(), lane, depth),
             None => Instant::now() >= at,
         }
     }
@@ -990,10 +994,11 @@ impl<'a> Driver<'a> {
         self.lanes.iter_mut().map(Lane::drain).sum()
     }
 
-    /// Send what is queued, then sleep in one `poll(2)` over the
-    /// connections with requests in flight until one can be read (or
-    /// written, when bytes are pending) or `until` passes. Returns how
-    /// many are ready: 0 means `until` passed.
+    /// Send what is queued, then sleep in one poll over the connections
+    /// with requests in flight until one can be read (or written, when
+    /// bytes are pending) or `until` passes — to the microsecond, since
+    /// `minipoll` waits in `ppoll(2)` on Linux. Returns how many are
+    /// ready: 0 means `until` passed.
     fn wait(&mut self, until: Option<Instant>) -> io::Result<usize> {
         self.poll.clear();
         for lane in &mut self.lanes {
@@ -1010,19 +1015,24 @@ impl<'a> Driver<'a> {
         }
         let timeout = until.map(|at| at.saturating_duration_since(Instant::now()));
         if self.poll.is_empty() {
-            // Nothing to hear from: sleep out the wait exactly, where
-            // poll(2) would round it up to a whole millisecond.
+            // Nothing to hear from: sleep out the wait.
             std::thread::sleep(timeout.unwrap_or_default());
             return Ok(0);
         }
         self.poll.poll(timeout)
     }
 
-    /// Queue one op on its owner's connection, reconnecting first under
-    /// live membership; an op whose owner cannot be reached is lost to
-    /// that node's window.
-    fn submit(&mut self, index: usize, op: &TimedOp, issued: Instant) -> io::Result<()> {
-        let Some(i) = self.route(op.op.key()) else { return Ok(()) };
+    /// Queue one op on `lane`, its owner's connection, reconnecting
+    /// first under live membership; an op whose owner cannot be reached
+    /// is lost to that node's window.
+    fn submit(
+        &mut self,
+        index: usize,
+        op: &TimedOp,
+        lane: Option<usize>,
+        issued: Instant,
+    ) -> io::Result<()> {
+        let Some(i) = lane else { return Ok(()) };
         let lane = &mut self.lanes[i];
         if let Some(shared) = self.live {
             lane.reconnect(shared, i);
@@ -1062,6 +1072,15 @@ impl<'a> Driver<'a> {
         let owner = self.ring.node_for(key)?;
         self.lanes.iter().position(|lane| lane.name == owner)
     }
+}
+
+/// Closed-loop admission: an op routed to lane `to` is due once that
+/// lane has fewer than `depth` requests in flight, whatever the other
+/// lanes hold — one full or slow node must not stall ops bound for the
+/// rest. An op no lane owns (`None`) is due at once: it is lost to its
+/// node's window, not queued.
+fn closed_due(in_flight: impl Fn(usize) -> usize, to: Option<usize>, depth: usize) -> bool {
+    to.is_none_or(|lane| in_flight(lane) < depth)
 }
 
 fn build_report(r: &WorkerResult, wall: Duration) -> LoadReport {
@@ -1344,6 +1363,16 @@ mod tests {
         ] {
             assert!(json.contains(field), "JSON missing {field}: {json}");
         }
+    }
+
+    #[test]
+    fn a_full_lane_stalls_only_its_own_ops() {
+        // Two lanes, the first at its depth of 4.
+        let in_flight = [4, 1];
+        let of = |lane: usize| in_flight[lane];
+        assert!(closed_due(of, Some(1), 4), "an op for the other lane is due");
+        assert!(!closed_due(of, Some(0), 4), "an op for the full lane waits");
+        assert!(closed_due(of, None, 4), "an op no lane owns is not held back");
     }
 
     /// An open loop against a node that answers at once sends every op

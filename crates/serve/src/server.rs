@@ -87,7 +87,7 @@ use crate::ring::DEFAULT_VNODES;
 use crate::stats::ServerStats;
 pub use crate::stats::ServerStatsSnapshot;
 use crate::ServeClock;
-use fresca_cache::CacheConfig;
+use fresca_cache::{CacheConfig, EvictionPolicy};
 use fresca_net::{Message, NonBlockingFramedStream, PollRecv};
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
@@ -106,6 +106,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Total cache capacity, divided across the shards, and the
     /// eviction policy every shard runs (see [`fresca_cache::slab`]).
+    /// The default is ARC ([`EvictionPolicy::Adaptive`]): the policy the
+    /// eviction sweep (`ablate_eviction --sweep`) chose.
     pub cache: CacheConfig,
     /// Number of cache shards (rounded up to a power of two). Shards
     /// are partitioned across the event loops at startup; shard `s`
@@ -126,7 +128,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            cache: CacheConfig::default(),
+            cache: CacheConfig { eviction: EvictionPolicy::Adaptive, ..CacheConfig::default() },
             shards: 16,
             event_loops: 2,
             origin: None,
@@ -147,10 +149,10 @@ struct Shared {
     /// instead of closing connections immediately.
     drain: AtomicBool,
     topo: Topology,
-    /// Per-loop slab gauges, published by each owner at end of tick and
-    /// summed for stats and `StatsResp`.
-    slab_entries: Vec<AtomicU64>,
-    slab_capacity: Vec<AtomicU64>,
+    /// Per-loop `[entries, slab slots, evictions]` of the owned shards,
+    /// published by each owner at end of tick and summed for stats and
+    /// `StatsResp`.
+    gauges: Vec<[AtomicU64; 3]>,
     /// The epoch-stamped member list this node routes ownership by.
     /// Locked only for short view reads/updates on membership frames —
     /// never held across I/O or shard access.
@@ -184,8 +186,9 @@ impl Shared {
             origin_errors: load(&c.origin_errors),
             cross_core_forwards: load(&s.cross_core_forwards),
             reply_writes: load(&s.reply_writes),
-            slab_entries: self.slab_entries.iter().map(load).sum(),
-            slab_capacity: self.slab_capacity.iter().map(load).sum(),
+            slab_entries: self.gauges.iter().map(|[g, _, _]| load(g)).sum(),
+            slab_capacity: self.gauges.iter().map(|[_, g, _]| load(g)).sum(),
+            evictions: self.gauges.iter().map(|[_, _, g]| load(g)).sum(),
             epoch: self.membership.lock().epoch,
             handoff_in: load(&c.handoff_in),
             handoff_out: self.streamer.streamed(),
@@ -261,8 +264,7 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
         stop: AtomicBool::new(false),
         drain: AtomicBool::new(false),
         topo,
-        slab_entries: (0..num_loops).map(|_| AtomicU64::new(0)).collect(),
-        slab_capacity: (0..num_loops).map(|_| AtomicU64::new(0)).collect(),
+        gauges: (0..num_loops).map(|_| Default::default()).collect(),
         membership: Mutex::new(Membership::solo()),
         advertise: advertise.unwrap_or_else(|| addr.to_string()),
         streamer: Streamer::spawn(),
@@ -836,15 +838,14 @@ impl EventLoop {
         }
     }
 
-    /// Publish this loop's slab occupancy into the shared per-loop
-    /// gauges (summed by stats snapshots and `StatsResp`).
+    /// Publish this loop's slab gauges — occupancy, slots, evictions —
+    /// into the shared per-loop slots (summed by stats snapshots and
+    /// `StatsResp`).
     fn publish_gauges(&self) {
-        let (entries, capacity) = self.owner.gauges();
-        if let Some(g) = self.shared.slab_entries.get(self.loop_id) {
-            g.store(entries, Ordering::Relaxed);
-        }
-        if let Some(g) = self.shared.slab_capacity.get(self.loop_id) {
-            g.store(capacity, Ordering::Relaxed);
+        if let Some(slots) = self.shared.gauges.get(self.loop_id) {
+            for (slot, value) in slots.iter().zip(self.owner.gauges()) {
+                slot.store(value, Ordering::Relaxed);
+            }
         }
     }
 

@@ -74,6 +74,10 @@ pub struct ServerStatsSnapshot {
     /// Allocated slab slots across every owned shard — the storage
     /// high-water mark (gauge).
     pub slab_capacity: u64,
+    /// Entries evicted for capacity across every owned shard (refreshed
+    /// at each loop's end of tick, like the slab gauges). Not part of
+    /// `StatsResp`.
+    pub evictions: u64,
     /// Current membership epoch (0 = solo, see [`crate::membership`]).
     pub epoch: u64,
     /// Entries installed by inbound key handoff streams (a joining or
@@ -92,7 +96,7 @@ impl std::fmt::Display for ServerStatsSnapshot {
              refetches={} coalesced={} origin_errs={} forwards={} \
              push_batches={} keys_invalidated={} keys_updated={} \
              slab={}/{} conns={} open={} proto_errs={} \
-             epoch={} handoff_in={} handoff_out={}",
+             epoch={} handoff_in={} handoff_out={} evictions={}",
             self.gets,
             self.puts,
             self.fresh,
@@ -113,7 +117,8 @@ impl std::fmt::Display for ServerStatsSnapshot {
             self.protocol_errors,
             self.epoch,
             self.handoff_in,
-            self.handoff_out
+            self.handoff_out,
+            self.evictions
         )
     }
 }

@@ -1,9 +1,10 @@
 //! Golden counters for the `ablate_eviction` experiment: the same trace
 //! under each eviction policy must reproduce, counter for counter, the
 //! `CacheStats` recorded with the HashMap-backed cache the simulator ran
-//! on before it moved onto `SlabCache` (captured at commit 4f261e0). Any
-//! drift in touch order, victim choice or SLRU promotion/demotion shows
-//! up here as a changed eviction count.
+//! on before it moved onto `SlabCache` (captured at commit 4f261e0); the
+//! `adaptive` (ARC) row was recorded when that arm landed. Any drift in
+//! touch order, victim choice, SLRU promotion/demotion or ARC's ghost
+//! adaptation shows up here as a changed eviction count.
 
 use fresca::fresca_cache::CacheStats;
 use fresca::prelude::*;
@@ -54,6 +55,7 @@ fn ablate_eviction_counters_are_pinned_per_policy() {
             EvictionPolicy::FreshnessAware { probe_depth: 16 },
             golden(79338, 12445, 67402, 67102, 17796, 12456),
         ),
+        ("adaptive", EvictionPolicy::Adaptive, golden(84391, 16216, 58578, 58278, 19044, 11208)),
     ] {
         let cfg = EngineConfig {
             staleness_bound: SimDuration::from_secs(1),

@@ -29,19 +29,73 @@ impl ModelEntry {
     }
 }
 
-/// Naive reference cache for all four eviction policies: a map of
+/// Naive reference cache for all five eviction policies: a map of
 /// entries carrying recency stamps, with every "which is coldest"
-/// question answered by scanning. Times are nanoseconds.
+/// question answered by scanning. ARC's T1/T2 are the unprotected and
+/// protected entries, and its ghost lists B1/B2 are plain vectors
+/// (most recent first). Times are nanoseconds.
 struct ModelCache {
     config: CacheConfig,
     entries: HashMap<u64, ModelEntry>,
     clock: u64,
     stats: CacheStats,
+    /// ARC's `[B1, B2]`, most recent first.
+    ghosts: [Vec<u64>; 2],
+    /// ARC's target size for T1.
+    p: usize,
 }
 
 impl ModelCache {
     fn new(config: CacheConfig) -> Self {
-        ModelCache { config, entries: HashMap::new(), clock: 0, stats: CacheStats::default() }
+        ModelCache {
+            config,
+            entries: HashMap::new(),
+            clock: 0,
+            stats: CacheStats::default(),
+            ghosts: [Vec::new(), Vec::new()],
+            p: 0,
+        }
+    }
+
+    /// ARC's c: the entry capacity, or the population under a byte or
+    /// unbounded capacity.
+    fn c(&self) -> usize {
+        match self.config.capacity {
+            Capacity::Entries(n) => n,
+            _ => self.entries.len(),
+        }
+    }
+
+    fn t1_len(&self) -> usize {
+        self.entries.values().filter(|e| !e.protected).count()
+    }
+
+    /// Drop `key` from whichever ghost list holds it; returns which.
+    fn take_ghost(&mut self, key: u64) -> Option<usize> {
+        let list = self.ghosts.iter().position(|g| g.contains(&key))?;
+        self.ghosts[list].retain(|&k| k != key);
+        Some(list)
+    }
+
+    /// ARC's ghost bounds after an insert or a removal.
+    fn trim_ghosts(&mut self) {
+        let c = self.c();
+        while self.t1_len() + self.ghosts[0].len() > c && self.ghosts[0].pop().is_some() {}
+        while self.entries.len() + self.ghosts[0].len() + self.ghosts[1].len() > 2 * c {
+            if self.ghosts[1].pop().is_none() && self.ghosts[0].pop().is_none() {
+                break;
+            }
+        }
+        self.p = self.p.min(c);
+    }
+
+    fn remove(&mut self, key: u64) -> bool {
+        let present = self.entries.remove(&key).is_some();
+        if self.config.eviction == EvictionPolicy::Adaptive {
+            self.take_ghost(key);
+            self.trim_ghosts();
+        }
+        present
     }
 
     fn bytes(&self) -> u64 {
@@ -69,6 +123,7 @@ impl ModelCache {
         match self.config.eviction {
             EvictionPolicy::Fifo => {}
             EvictionPolicy::Lru | EvictionPolicy::FreshnessAware { .. } => self.restamp(key, false),
+            EvictionPolicy::Adaptive => self.restamp(key, true),
             EvictionPolicy::Slru { protected_pct } => {
                 let promoted = !self.entries[&key].protected;
                 self.restamp(key, true);
@@ -97,11 +152,19 @@ impl ModelCache {
         }
     }
 
-    fn pick_victim(&self, spare: u64, now: u64) -> Option<u64> {
+    /// `ghost` is the ARC ghost list `spare` came from.
+    fn pick_victim(&self, spare: u64, ghost: Option<usize>, now: u64) -> Option<u64> {
         let main = self.coldest_first(false);
         let other_than_spare = |keys: &[u64]| keys.iter().copied().find(|&k| k != spare);
         match self.config.eviction {
             EvictionPolicy::Lru | EvictionPolicy::Fifo => other_than_spare(&main),
+            EvictionPolicy::Adaptive => {
+                let t1 = main.iter().filter(|&&k| k != spare).count();
+                let t2 = self.coldest_first(true);
+                let from_t1 = t1 >= 1 && (t1 > self.p || (ghost == Some(1) && t1 == self.p));
+                let (first, second) = if from_t1 { (&main, &t2) } else { (&t2, &main) };
+                other_than_spare(first).or_else(|| other_than_spare(second))
+            }
             EvictionPolicy::Slru { .. } => {
                 other_than_spare(&main).or_else(|| other_than_spare(&self.coldest_first(true)))
             }
@@ -123,12 +186,20 @@ impl ModelCache {
             self.touch(key);
             return Vec::new();
         }
+        let adaptive = self.config.eviction == EvictionPolicy::Adaptive;
+        let [b1, b2] = [self.ghosts[0].len(), self.ghosts[1].len()];
+        let ghost = if adaptive { self.take_ghost(key) } else { None };
+        match ghost {
+            Some(0) => self.p = (self.p + (b2 / b1).max(1)).min(self.c()),
+            Some(_) => self.p = self.p.saturating_sub((b1 / b2).max(1)),
+            None => {}
+        }
         self.clock += 1;
         self.entries.insert(
             key,
             ModelEntry {
                 stamp: self.clock,
-                protected: false,
+                protected: ghost.is_some(),
                 invalidated: false,
                 size,
                 refreshed_at: now,
@@ -137,10 +208,16 @@ impl ModelCache {
         );
         let mut evicted = Vec::new();
         while self.over_capacity() {
-            let Some(victim) = self.pick_victim(key, now) else { break };
-            self.entries.remove(&victim);
+            let Some(victim) = self.pick_victim(key, ghost, now) else { break };
+            let e = self.entries.remove(&victim).expect("victim is resident");
+            if adaptive {
+                self.ghosts[e.protected as usize].insert(0, victim);
+            }
             self.stats.evictions += 1;
             evicted.push(victim);
+        }
+        if adaptive {
+            self.trim_ghosts();
         }
         evicted
     }
@@ -262,6 +339,7 @@ fn eviction_policies() -> impl Strategy<Value = EvictionPolicy> {
         Just(EvictionPolicy::Fifo),
         (1u8..=99).prop_map(|protected_pct| EvictionPolicy::Slru { protected_pct }),
         (1usize..6).prop_map(|probe_depth| EvictionPolicy::FreshnessAware { probe_depth }),
+        Just(EvictionPolicy::Adaptive),
     ]
 }
 
@@ -325,8 +403,7 @@ proptest! {
                     prop_assert_eq!(got, model.update(k, size, now), "apply_update({})", k);
                 }
                 CacheOp::Remove(k) => {
-                    let want = model.entries.remove(&k).is_some();
-                    prop_assert_eq!(real.remove(k), want, "remove({})", k);
+                    prop_assert_eq!(real.remove(k), model.remove(k), "remove({})", k);
                 }
             }
             prop_assert_eq!(real.len(), model.entries.len(), "size diverged");

@@ -110,7 +110,8 @@ fn client_observes_values_ttl_expiry_and_bound_rejection() {
 /// `ServerConfig.cache.eviction` reaches the shards: under the
 /// freshness-aware policy an overflow evicts the entry a backend
 /// invalidation already made worthless, not the colder entry that can
-/// still be served (plain LRU would evict key 1 here).
+/// still be served (plain LRU would evict key 1 here) — and the node
+/// counts the eviction.
 #[test]
 fn server_shards_run_the_configured_eviction_policy() {
     let handle = server::spawn(
@@ -135,7 +136,9 @@ fn server_shards_run_the_configured_eviction_policy() {
 
     assert_eq!(client.get(2, None).unwrap().status, GetStatus::Miss, "the stale entry was evicted");
     assert_eq!(client.get(1, None).unwrap().status, GetStatus::Fresh, "the coldest key survived");
-    handle.shutdown();
+    let stats = handle.shutdown();
+    assert_eq!(stats.evictions, 1, "the node reports the one eviction it made");
+    assert!(stats.to_string().ends_with(" evictions=1"), "counter line: {stats}");
 }
 
 #[test]
