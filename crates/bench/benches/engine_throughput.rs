@@ -1,9 +1,12 @@
 //! End-to-end engine throughput: requests replayed per second for each
-//! policy. Keeps the figure harnesses honest about their own runtime and
-//! catches accidental O(n²) regressions in the hot loop.
+//! policy on the ideal link, plus one lossy row (adaptive, 5 % drop,
+//! reliable) for the link path's replay cost. Keeps the figure harnesses
+//! honest about their own runtime and catches accidental O(n²)
+//! regressions in the hot loop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fresca_core::engine::{EngineConfig, PolicyConfig, TraceEngine};
+use fresca_core::engine::{EngineConfig, LinkConfig, PolicyConfig, Retransmit, TraceEngine};
+use fresca_net::FaultConfig;
 use fresca_sim::SimDuration;
 use fresca_workload::{PoissonZipfConfig, WorkloadGen};
 
@@ -40,6 +43,18 @@ fn bench_engine(c: &mut Criterion) {
             },
         );
     }
+    group.bench_function(BenchmarkId::new("replay", "adaptive-lossy"), |b| {
+        let cfg = EngineConfig {
+            staleness_bound: SimDuration::from_secs(1),
+            link: LinkConfig {
+                faults: FaultConfig { drop_prob: 0.05, ..FaultConfig::default() },
+                net_seed: 7,
+                reliable: Some(Retransmit { rto: SimDuration::from_millis(50), max_retries: 8 }),
+            },
+            ..EngineConfig::default()
+        };
+        b.iter(|| black_box(TraceEngine::new(cfg, PolicyConfig::adaptive()).run(&trace)));
+    });
     group.finish();
 }
 

@@ -7,8 +7,7 @@
 //! ```
 
 use fresca_bench::{fmt_pct, write_json, Table};
-use fresca_core::engine::system::{SystemConfig, SystemEngine};
-use fresca_core::engine::{EngineConfig, PolicyConfig};
+use fresca_core::engine::{EngineConfig, LinkConfig, PolicyConfig, Retransmit, TraceEngine};
 use fresca_core::experiment::workloads;
 use fresca_net::FaultConfig;
 use fresca_sim::SimDuration;
@@ -60,18 +59,19 @@ fn main() {
                 if matches!(policy, PolicyConfig::TtlExpiry) && reliable {
                     continue; // no messages to make reliable
                 }
-                let cfg = SystemConfig {
-                    engine: EngineConfig {
-                        staleness_bound: SimDuration::from_secs(1),
-                        ..EngineConfig::default()
+                let cfg = EngineConfig {
+                    staleness_bound: SimDuration::from_secs(1),
+                    link: LinkConfig {
+                        faults: FaultConfig { drop_prob: drop, ..FaultConfig::default() },
+                        net_seed: 7,
+                        reliable: reliable.then_some(Retransmit {
+                            rto: SimDuration::from_millis(50),
+                            max_retries: 8,
+                        }),
                     },
-                    faults: FaultConfig { drop_prob: drop, ..FaultConfig::default() },
-                    reliable,
-                    rto: SimDuration::from_millis(50),
-                    max_retries: 8,
-                    net_seed: 7,
+                    ..EngineConfig::default()
                 };
-                let r = SystemEngine::new(cfg, policy).run(&trace);
+                let r = TraceEngine::new(cfg, policy).run(&trace);
                 table.row(vec![
                     format!("{:.0}%{}", drop * 100.0, if reliable { " +rel" } else { "" }),
                     r.violations.to_string(),

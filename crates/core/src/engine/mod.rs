@@ -1,124 +1,64 @@
-//! Simulation engines.
+//! The simulation engine.
 //!
-//! * [`TraceEngine`] (this module) — the *analysis-mode* engine used for
-//!   Figures 2, 3 and 5: replays a trace against the cache + store with a
-//!   chosen freshness policy, metering `C_F`/`C_S`. Freshness messages are
-//!   applied at interval boundaries with no propagation delay, matching
-//!   the paper's simulation setup.
-//! * [`system`] — the *system-mode* engine: same components, but every
-//!   cache⇄store interaction is a real [`fresca_net::Message`] subject to
-//!   delay, loss and reordering; used for the §5 open-question experiments
-//!   (lost invalidates, reliable delivery).
-
-pub mod system;
+//! [`TraceEngine`] replays a trace against the cache + store with a chosen
+//! freshness policy, metering `C_F`/`C_S`. At every interval boundary the
+//! write buffer's decisions become [`Message::Invalidate`] and
+//! [`Message::Update`] frames sent over the store→cache link, a
+//! [`SimNetwork`]; the cache applies them when they are delivered.
+//!
+//! The link is a value, [`LinkConfig`]. Its default delivers instantly and
+//! never loses a message — the paper's simulation setup behind Figures 2,
+//! 3 and 5. A lossy one gives the §5 experiments: "lost or re-ordered
+//! updates and invalidates may cause a cached object to remain in a stale
+//! state in the cache indefinitely", and the classic fix (sequencing +
+//! acks + retransmission, [`Retransmit`]).
+//!
+//! Every run checks each fresh hit against the store's real write
+//! history: a **violation** is a read served as fresh whose data misses a
+//! write older than the bound `T`.
 
 use crate::cost::{CostModel, ObjectSize};
 use crate::metrics::{CostBreakdown, CostMeters};
+pub use crate::policy::{EstimatorConfig, PolicyConfig};
 use crate::policy::{AdaptivePolicy, FlushDecision, OraclePolicy, SloAdaptivePolicy};
-use fresca_cache::{CacheConfig, CacheStats, Capacity, EvictionPolicy, SlabCache};
+use fresca_cache::slab::SplitMixBuild;
+use fresca_cache::{CacheConfig, CacheStats, Capacity, EvictionPolicy, GetResult, SlabCache};
+use fresca_net::{
+    DedupReceiver, FaultConfig, Message, NetStats, ReliableSender, SimNetwork, UpdateItem,
+};
 use fresca_sim::{Scheduler, SimDuration, SimTime};
-use fresca_sketch::{CountMinEw, EwEstimator, ExactEw, TopKEw};
+use fresca_sketch::EwEstimator;
 use fresca_store::{CacheStateMirror, DataStore, InvalidationTracker, WriteBuffer};
 use fresca_workload::{Op, Trace};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
-/// Which `E[W]` estimator backs the adaptive policy.
+/// Retransmission settings of the reliability layer (sequence numbers,
+/// acks on a second link with the same fault model, retransmit on
+/// timeout, duplicate suppression at the cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EstimatorConfig {
-    /// Exact three-counter tracking (paper §3.3).
-    Exact,
-    /// Count-min sketches of the given geometry.
-    CountMin {
-        /// Columns per row.
-        width: usize,
-        /// Rows.
-        depth: usize,
-    },
-    /// Top-K exact entries over a Count-min tail.
-    TopK {
-        /// Exact slots.
-        k: usize,
-        /// Tail sketch columns.
-        width: usize,
-        /// Tail sketch rows.
-        depth: usize,
-    },
+pub struct Retransmit {
+    /// Retransmission timeout.
+    pub rto: SimDuration,
+    /// Retry budget per message.
+    pub max_retries: u32,
 }
 
-impl EstimatorConfig {
-    pub(crate) fn build(self) -> Box<dyn EwEstimator> {
-        match self {
-            EstimatorConfig::Exact => Box::new(ExactEw::new()),
-            EstimatorConfig::CountMin { width, depth } => Box::new(CountMinEw::new(width, depth)),
-            EstimatorConfig::TopK { k, width, depth } => Box::new(TopKEw::new(k, width, depth)),
-        }
-    }
-}
-
-/// The freshness policy to run (the seven bars of Figure 5, plus the
-/// §3.2 SLO-constrained variant).
+/// The store→cache freshness link every flush goes over.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PolicyConfig {
-    /// TTL-expiry: entries expire `T` after they were fetched.
-    TtlExpiry,
-    /// TTL-polling: entries re-fetch from the store every `T`.
-    TtlPolling,
-    /// Always send invalidates on writes (batched per `T`).
-    AlwaysInvalidate,
-    /// Always send updates on writes (batched per `T`).
-    AlwaysUpdate,
-    /// The paper's adaptive policy ("Adpt.").
-    Adaptive(EstimatorConfig),
-    /// Adaptive with backend knowledge of cache contents ("Adpt.+C.S.").
-    AdaptiveCacheState(EstimatorConfig),
-    /// §3.2's throughput-max-under-staleness-SLO adaptive policy.
-    AdaptiveSlo {
-        /// Upper bound on the acceptable stale-miss ratio, in `[0, 1]`.
-        staleness_slo: f64,
-    },
-    /// Omniscient optimal ("Opt.").
-    Oracle,
+pub struct LinkConfig {
+    /// Delay and fault model.
+    pub faults: FaultConfig,
+    /// RNG seed for the fault draws (the ack link uses `net_seed ^ 0xACED`).
+    pub net_seed: u64,
+    /// The reliability layer; `None` sends each message once.
+    pub reliable: Option<Retransmit>,
 }
 
-impl PolicyConfig {
-    /// `Adaptive` with the paper-recommended Top-K estimator.
-    pub fn adaptive() -> Self {
-        PolicyConfig::Adaptive(EstimatorConfig::TopK { k: 128, width: 1024, depth: 4 })
-    }
-
-    /// `AdaptiveCacheState` with the Top-K estimator.
-    pub fn adaptive_cache_state() -> Self {
-        PolicyConfig::AdaptiveCacheState(EstimatorConfig::TopK { k: 128, width: 1024, depth: 4 })
-    }
-
-    /// TTL-expiry shorthand.
-    pub fn ttl_expiry() -> Self {
-        PolicyConfig::TtlExpiry
-    }
-
-    /// TTL-polling shorthand.
-    pub fn ttl_polling() -> Self {
-        PolicyConfig::TtlPolling
-    }
-
-    /// Short display name used in reports and figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicyConfig::TtlExpiry => "ttl-expiry",
-            PolicyConfig::TtlPolling => "ttl-polling",
-            PolicyConfig::AlwaysInvalidate => "invalidate",
-            PolicyConfig::AlwaysUpdate => "update",
-            PolicyConfig::Adaptive(_) => "adaptive",
-            PolicyConfig::AdaptiveCacheState(_) => "adaptive+cs",
-            PolicyConfig::AdaptiveSlo { .. } => "adaptive-slo",
-            PolicyConfig::Oracle => "oracle",
-        }
-    }
-
-    /// True for the policies that react to writes (and therefore batch
-    /// flushes per interval).
-    pub fn reacts_to_writes(&self) -> bool {
-        !matches!(self, PolicyConfig::TtlExpiry | PolicyConfig::TtlPolling)
+impl Default for LinkConfig {
+    /// Instant, lossless delivery: the paper's simulation setup.
+    fn default() -> Self {
+        LinkConfig { faults: FaultConfig::reliable(SimDuration::ZERO), net_seed: 1, reliable: None }
     }
 }
 
@@ -133,6 +73,8 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Simulated key size in bytes (for byte-scaled cost models).
     pub key_size: u32,
+    /// The store→cache link.
+    pub link: LinkConfig,
 }
 
 impl Default for EngineConfig {
@@ -142,6 +84,7 @@ impl Default for EngineConfig {
             cache: CacheConfig { capacity: Capacity::Entries(512), eviction: EvictionPolicy::Lru },
             cost: CostModel::default(),
             key_size: 16,
+            link: LinkConfig::default(),
         }
     }
 }
@@ -187,6 +130,30 @@ pub struct RunReport {
     pub estimator_memory_bytes: Option<usize>,
     /// `(updates, invalidates)` decided by the adaptive policy.
     pub adaptive_decisions: Option<(u64, u64)>,
+    /// Reads served as fresh whose data misses a write older than the
+    /// bound, judged against the store's write history.
+    pub violations: u64,
+    /// Worst overage beyond the bound among the violations, in seconds.
+    pub max_overage_s: f64,
+    /// Counters of the store→cache link.
+    pub net: NetStats,
+    /// Retransmissions sent by the reliability layer.
+    pub retransmissions: u64,
+    /// Messages abandoned after the retry budget.
+    pub gave_up: u64,
+    /// Duplicate messages suppressed at the cache.
+    pub duplicates_suppressed: u64,
+}
+
+impl RunReport {
+    /// Fraction of reads that silently violated the bound.
+    pub fn violation_ratio(&self) -> f64 {
+        if self.reads == 0 {
+            0.0
+        } else {
+            self.violations as f64 / self.reads as f64
+        }
+    }
 }
 
 /// Engine-internal policy state.
@@ -200,16 +167,61 @@ enum PolicyState {
 }
 
 /// Events the engine schedules between requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineEvent {
-    /// Interval boundary: flush the write buffer.
+    /// Interval boundary: flush the write buffer onto the link.
     Flush,
     /// TTL-polling refresh for a key (with a generation guard so evicted
     /// and re-inserted entries don't double their polling chains).
     Refresh { key: u64, generation: u64 },
+    /// A freshness message (or, store-bound, an ack) arrives. Boxed so
+    /// the scheduler's heap entries stay small for the common events.
+    Deliver(Box<Message>),
+    /// Resend the messages whose retransmission timeout has passed.
+    RetransmitCheck,
 }
 
-/// The analysis-mode, trace-driven engine.
+/// Every write's time per key, recorded as the store applies it: the
+/// ground truth a served version is judged against. Store versions are
+/// dense per key, so a key's log is indexed by version − 1. Each key's
+/// slots are reserved from the trace up front, in one allocation, plus
+/// one; a slot not yet written reads `SimTime::MAX` (no write to miss).
+struct WriteLog {
+    /// key → (offset of its slots in `times`, writes recorded so far).
+    keys: HashMap<u64, (usize, usize), SplitMixBuild>,
+    times: Vec<SimTime>,
+}
+
+impl WriteLog {
+    fn for_trace(trace: &Trace) -> Self {
+        let mut keys: HashMap<u64, (usize, usize), SplitMixBuild> = HashMap::default();
+        for req in trace.iter().filter(|r| r.op == Op::Write) {
+            keys.entry(req.key.0).or_default().1 += 1;
+        }
+        let mut total = 0;
+        for slot in keys.values_mut() {
+            let writes = slot.1;
+            *slot = (total, 0);
+            total += writes + 1;
+        }
+        WriteLog { keys, times: vec![SimTime::MAX; total] }
+    }
+
+    fn record(&mut self, key: u64, version: u64, at: SimTime) {
+        let (offset, len) = self.keys.get_mut(&key).expect("every write comes from the trace");
+        debug_assert_eq!(*len as u64 + 1, version, "store versions are dense per key");
+        self.times[*offset + *len] = at;
+        *len += 1;
+    }
+
+    /// Time of the first write that `version` does not reflect
+    /// (`SimTime::MAX` if there is none yet).
+    fn first_unreflected(&self, key: u64, version: u64) -> SimTime {
+        let slots = self.keys.get(&key);
+        slots.map_or(SimTime::MAX, |&(offset, _)| self.times[offset + version as usize])
+    }
+}
+
+/// The trace-driven engine.
 pub struct TraceEngine {
     config: EngineConfig,
     policy_config: PolicyConfig,
@@ -231,17 +243,7 @@ impl TraceEngine {
         } else {
             SimTime::ZERO + trace.meta().horizon
         };
-
-        let mut cache = SlabCache::with_config(cfg.cache);
-        let mut store = DataStore::new();
-        let mut buffer = WriteBuffer::new();
-        let mut tracker = InvalidationTracker::new();
-        let mut mirror = CacheStateMirror::new();
-        let mut meters = CostMeters::new();
-        let mut sched: Scheduler<EngineEvent> = Scheduler::new();
-        let mut generations: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-
-        let mut policy = match self.policy_config {
+        let policy = match self.policy_config {
             PolicyConfig::TtlExpiry => PolicyState::TtlExpiry,
             PolicyConfig::TtlPolling => PolicyState::TtlPolling,
             PolicyConfig::AlwaysInvalidate => PolicyState::Static { update: false },
@@ -257,172 +259,293 @@ impl TraceEngine {
             }
             PolicyConfig::Oracle => PolicyState::Oracle(OraclePolicy::new(trace)),
         };
-
-        if self.policy_config.reacts_to_writes() {
-            sched.schedule(SimTime::ZERO + t, EngineEvent::Flush);
-        }
-
-        let handle_event = |now: SimTime,
-                                ev: EngineEvent,
-                                cache: &mut SlabCache,
-                                store: &mut DataStore,
-                                buffer: &mut WriteBuffer,
-                                tracker: &mut InvalidationTracker,
-                                mirror: &mut CacheStateMirror,
-                                meters: &mut CostMeters,
-                                sched: &mut Scheduler<EngineEvent>,
-                                generations: &mut std::collections::HashMap<u64, u64>,
-                                policy: &mut PolicyState| {
-            match ev {
-                EngineEvent::Flush => {
-                    for key in buffer.drain() {
-                        let value_size =
-                            store.peek(key).map(|r| r.value_size).unwrap_or(0);
-                        let size = ObjectSize { key: cfg.key_size, value: value_size };
-                        let decision = match policy {
-                            PolicyState::Static { update: true } => FlushDecision::Update,
-                            PolicyState::Static { update: false } => FlushDecision::Invalidate,
-                            PolicyState::Adaptive { policy, cache_state } => {
-                                if *cache_state && !mirror.should_send(key) {
-                                    FlushDecision::Nothing
-                                } else {
-                                    policy.decide(key, &cfg.cost, size)
-                                }
-                            }
-                            PolicyState::Slo(policy) => policy.decide(key, &cfg.cost, size),
-                            PolicyState::Oracle(oracle) => oracle.decide(
-                                key,
-                                now,
-                                cache.contains(key),
-                                tracker.is_invalidated(key),
-                                &cfg.cost,
-                                size,
-                            ),
-                            PolicyState::TtlExpiry | PolicyState::TtlPolling => {
-                                unreachable!("TTL policies never flush")
-                            }
-                        };
-                        match decision {
-                            FlushDecision::Update => {
-                                meters.on_update_sent(cfg.cost.update_cost(size));
-                                let rec = store
-                                    .peek(key)
-                                    .expect("dirty key must exist in the store");
-                                if cache.apply_update(key, rec.version, rec.value_size, now, None)
-                                {
-                                    tracker.clear(key);
-                                }
-                            }
-                            FlushDecision::Invalidate => {
-                                if tracker.should_send(key) {
-                                    meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
-                                    cache.apply_invalidate(key);
-                                }
-                            }
-                            FlushDecision::Nothing => {}
-                        }
-                    }
-                    let next = now + t;
-                    if next <= horizon {
-                        sched.schedule(next, EngineEvent::Flush);
-                    }
-                }
-                EngineEvent::Refresh { key, generation } => {
-                    if generations.get(&key) == Some(&generation) && cache.contains(key) {
-                        let value_size = cache.peek(key).map(|e| e.value_size).unwrap_or(0);
-                        let size = ObjectSize { key: cfg.key_size, value: value_size };
-                        meters.on_polling_refresh(cfg.cost.miss_cost(size));
-                        let rec = store.read(key, value_size);
-                        cache.apply_refresh(key, rec.version, now, None);
-                        let next = now + t;
-                        if next <= horizon {
-                            sched.schedule(next, EngineEvent::Refresh { key, generation });
-                        }
-                    }
-                }
-            }
+        let link = cfg.link;
+        let mut run = Run {
+            cfg,
+            horizon,
+            policy,
+            cache: SlabCache::with_config(cfg.cache),
+            store: DataStore::new(),
+            buffer: WriteBuffer::new(),
+            tracker: InvalidationTracker::new(),
+            mirror: CacheStateMirror::new(),
+            meters: CostMeters::new(),
+            sched: Scheduler::new(),
+            generations: HashMap::default(),
+            net: SimNetwork::new(link.faults, link.net_seed),
+            ack_net: SimNetwork::new(link.faults, link.net_seed ^ 0xACED),
+            sender: link.reliable.map(|r| ReliableSender::new(r.rto, r.max_retries)),
+            dedup: DedupReceiver::new(),
+            writes: WriteLog::for_trace(trace),
+            violations: 0,
+            max_overage: SimDuration::ZERO,
         };
-
+        if self.policy_config.reacts_to_writes() {
+            run.sched.schedule(SimTime::ZERO + t, EngineEvent::Flush);
+        }
         for req in trace {
-            // Boundary/refresh events due at or before this request run
-            // first (a flush at exactly `at` covers the *previous*
-            // interval).
-            while let Some((et, ev)) = sched.pop_until(req.at) {
-                handle_event(
-                    et, ev, &mut cache, &mut store, &mut buffer, &mut tracker, &mut mirror,
-                    &mut meters, &mut sched, &mut generations, &mut policy,
-                );
-            }
-            let now = req.at;
-            let key = req.key.0;
+            // Events due at or before this request run first (a flush at
+            // exactly `at` covers the *previous* interval).
+            run.advance(req.at);
             let size = ObjectSize { key: cfg.key_size, value: req.value_size };
             match req.op {
-                Op::Read => {
-                    meters.on_read(cfg.cost.hit_cost(size));
-                    match &mut policy {
-                        PolicyState::Adaptive { policy, .. } => policy.on_read(key),
-                        PolicyState::Slo(policy) => policy.on_read(key),
-                        _ => {}
-                    }
-                    let expires = match policy {
-                        PolicyState::TtlExpiry => Some(now + t),
-                        _ => None,
-                    };
-                    match cache.get(key, now) {
-                        fresca_cache::GetResult::FreshHit(_) => {}
-                        fresca_cache::GetResult::StaleMiss(_) => {
-                            meters.on_stale_fetch(cfg.cost.miss_cost(size));
-                            let rec = store.read(key, req.value_size);
-                            let evicted = cache.insert(key, rec.version, rec.value_size, now, expires);
-                            debug_assert!(evicted.is_empty(), "in-place refresh never evicts");
-                            tracker.clear(key);
+                Op::Read => run.read(req.at, req.key.0, size),
+                Op::Write => run.write(req.at, req.key.0, req.value_size),
+            }
+        }
+        // Drain events through the horizon so trailing flushes (and their
+        // costs) are accounted.
+        run.advance(horizon);
+        run.report(self.policy_config, trace)
+    }
+}
+
+/// One run's state.
+struct Run<'a> {
+    cfg: &'a EngineConfig,
+    horizon: SimTime,
+    policy: PolicyState,
+    cache: SlabCache,
+    store: DataStore,
+    buffer: WriteBuffer,
+    tracker: InvalidationTracker,
+    mirror: CacheStateMirror,
+    meters: CostMeters,
+    sched: Scheduler<EngineEvent>,
+    generations: HashMap<u64, u64, SplitMixBuild>,
+    net: SimNetwork,
+    ack_net: SimNetwork,
+    /// `Some` iff the link is reliable.
+    sender: Option<ReliableSender>,
+    dedup: DedupReceiver,
+    writes: WriteLog,
+    violations: u64,
+    max_overage: SimDuration,
+}
+
+impl Run<'_> {
+    #[inline]
+    fn advance(&mut self, until: SimTime) {
+        while let Some((now, ev)) = self.sched.pop_until(until) {
+            match ev {
+                EngineEvent::Flush => self.flush(now),
+                EngineEvent::Refresh { key, generation } => self.refresh(now, key, generation),
+                EngineEvent::Deliver(msg) => self.deliver(now, *msg),
+                EngineEvent::RetransmitCheck => {
+                    let sender = self.sender.as_mut().expect("only a reliable link retransmits");
+                    for msg in sender.due(now) {
+                        for d in self.net.send(now, msg) {
+                            self.sched.schedule(d.at, EngineEvent::Deliver(Box::new(d.msg)));
                         }
-                        fresca_cache::GetResult::ColdMiss => {
-                            meters.on_cold_fetch();
-                            let rec = store.read(key, req.value_size);
-                            let evicted = cache.insert(key, rec.version, rec.value_size, now, expires);
-                            mirror.on_populate(key);
-                            tracker.clear(key);
-                            for ek in evicted {
-                                mirror.on_evict(ek);
-                                generations.remove(&ek);
-                            }
-                            if matches!(policy, PolicyState::TtlPolling) {
-                                let generation = generations.entry(key).or_insert(0);
-                                *generation += 1;
-                                let generation = *generation;
-                                let next = now + t;
-                                if next <= horizon {
-                                    sched.schedule(next, EngineEvent::Refresh { key, generation });
-                                }
-                            }
-                        }
                     }
-                }
-                Op::Write => {
-                    store.write(key, req.value_size, now);
-                    match &mut policy {
-                        PolicyState::Adaptive { policy, .. } => policy.on_write(key),
-                        PolicyState::Slo(policy) => policy.on_write(key),
-                        _ => {}
-                    }
-                    if self.policy_config.reacts_to_writes() {
-                        buffer.mark_dirty(key);
+                    if let Some(deadline) = sender.next_deadline() {
+                        self.sched.schedule(deadline, EngineEvent::RetransmitCheck);
                     }
                 }
             }
         }
-        // Drain boundary events through the horizon so trailing flushes
-        // (and their costs) are accounted.
-        while let Some((et, ev)) = sched.pop_until(horizon) {
-            handle_event(
-                et, ev, &mut cache, &mut store, &mut buffer, &mut tracker, &mut mirror,
-                &mut meters, &mut sched, &mut generations, &mut policy,
-            );
-        }
+    }
 
-        let cache_stats = cache.stats();
-        let (estimator_memory_bytes, adaptive_decisions) = match &policy {
+    fn decide(&mut self, key: u64, now: SimTime, size: ObjectSize) -> FlushDecision {
+        let cost = &self.cfg.cost;
+        match &mut self.policy {
+            PolicyState::Static { update: true } => FlushDecision::Update,
+            PolicyState::Static { update: false } => FlushDecision::Invalidate,
+            PolicyState::Adaptive { policy, cache_state } => {
+                if *cache_state && !self.mirror.should_send(key) {
+                    FlushDecision::Nothing
+                } else {
+                    policy.decide(key, cost, size)
+                }
+            }
+            PolicyState::Slo(policy) => policy.decide(key, cost, size),
+            PolicyState::Oracle(oracle) => oracle.decide(
+                key,
+                now,
+                self.cache.contains(key),
+                self.tracker.is_invalidated(key),
+                cost,
+                size,
+            ),
+            PolicyState::TtlExpiry | PolicyState::TtlPolling => {
+                unreachable!("TTL policies never flush")
+            }
+        }
+    }
+
+    /// Interval boundary: decide per dirty key, meter what is sent, and
+    /// send one invalidate and one update frame over the link.
+    fn flush(&mut self, now: SimTime) {
+        let cfg = self.cfg;
+        let mut keys: Vec<u64> = Vec::new();
+        let mut items: Vec<UpdateItem> = Vec::new();
+        for key in self.buffer.drain() {
+            let rec = self.store.peek(key).expect("dirty key must exist in the store");
+            let size = ObjectSize { key: cfg.key_size, value: rec.value_size };
+            match self.decide(key, now, size) {
+                FlushDecision::Update => {
+                    self.meters.on_update_sent(cfg.cost.update_cost(size));
+                    // The simulator never reads value bytes; zeroes()
+                    // slices a shared buffer, so the size costs nothing.
+                    let value = fresca_net::payload::zeroes(rec.value_size as usize);
+                    items.push(UpdateItem { key, version: rec.version, value });
+                }
+                FlushDecision::Invalidate => {
+                    if self.tracker.should_send(key) {
+                        self.meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
+                        keys.push(key);
+                    }
+                }
+                FlushDecision::Nothing => {}
+            }
+        }
+        if !keys.is_empty() {
+            self.send(now, |seq| Message::Invalidate { seq, keys });
+        }
+        if !items.is_empty() {
+            self.send(now, |seq| Message::Update { seq, items });
+        }
+        self.next_interval(now, EngineEvent::Flush);
+    }
+
+    /// Send a sequenced frame (sequence 0 on an unreliable link).
+    fn send(&mut self, now: SimTime, frame: impl FnOnce(u64) -> Message) {
+        let msg = frame(self.sender.as_mut().map_or(0, |s| s.next_seq()));
+        if let (Some(sender), Some(r)) = (&mut self.sender, self.cfg.link.reliable) {
+            sender.track(msg.clone(), now);
+            self.sched.schedule(now + r.rto, EngineEvent::RetransmitCheck);
+        }
+        for d in self.net.send(now, msg) {
+            self.sched.schedule(d.at, EngineEvent::Deliver(Box::new(d.msg)));
+        }
+    }
+
+    /// The cache applies a delivered freshness message (the store takes
+    /// an ack).
+    fn deliver(&mut self, now: SimTime, msg: Message) {
+        if let Message::Ack { seq } = msg {
+            self.sender.as_mut().expect("only a reliable link acks").on_ack(seq);
+            return;
+        }
+        if let (Some(_), Some(seq)) = (&self.sender, msg.seq()) {
+            // Always (re-)ack; apply only if new.
+            for d in self.ack_net.send(now, Message::Ack { seq }) {
+                self.sched.schedule(d.at, EngineEvent::Deliver(Box::new(d.msg)));
+            }
+            if !self.dedup.observe(seq) {
+                return;
+            }
+        }
+        match msg {
+            Message::Invalidate { keys, .. } => {
+                for key in keys {
+                    self.cache.apply_invalidate(key);
+                }
+            }
+            Message::Update { items, .. } => {
+                for it in items {
+                    // Version guard: a delayed update must not overwrite
+                    // newer data installed by a re-fetch.
+                    let newer = self.cache.peek(it.key).is_some_and(|e| e.version > it.version);
+                    if !newer
+                        && self.cache.apply_update(it.key, it.version, it.value_size(), now, None)
+                    {
+                        self.tracker.clear(it.key);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn refresh(&mut self, now: SimTime, key: u64, generation: u64) {
+        if self.generations.get(&key) == Some(&generation) && self.cache.contains(key) {
+            let value_size = self.cache.peek(key).map(|e| e.value_size).unwrap_or(0);
+            let size = ObjectSize { key: self.cfg.key_size, value: value_size };
+            self.meters.on_polling_refresh(self.cfg.cost.miss_cost(size));
+            let rec = self.store.read(key, value_size);
+            self.cache.apply_refresh(key, rec.version, now, None);
+            self.next_interval(now, EngineEvent::Refresh { key, generation });
+        }
+    }
+
+    /// Schedule `ev` one interval after `now`, if that is within the horizon.
+    fn next_interval(&mut self, now: SimTime, ev: EngineEvent) {
+        let next = now + self.cfg.staleness_bound;
+        if next <= self.horizon {
+            self.sched.schedule(next, ev);
+        }
+    }
+
+    #[inline]
+    fn read(&mut self, now: SimTime, key: u64, size: ObjectSize) {
+        let cfg = self.cfg;
+        self.meters.on_read(cfg.cost.hit_cost(size));
+        match &mut self.policy {
+            PolicyState::Adaptive { policy, .. } => policy.on_read(key),
+            PolicyState::Slo(policy) => policy.on_read(key),
+            _ => {}
+        }
+        let expires = match self.policy {
+            PolicyState::TtlExpiry => Some(now + cfg.staleness_bound),
+            _ => None,
+        };
+        let cold = match self.cache.get(key, now) {
+            GetResult::FreshHit(entry) => {
+                // Served as fresh: judge it against the write history.
+                let age = now.saturating_since(self.writes.first_unreflected(key, entry.version));
+                if age > cfg.staleness_bound {
+                    self.violations += 1;
+                    self.max_overage = self.max_overage.max(age - cfg.staleness_bound);
+                }
+                return;
+            }
+            GetResult::StaleMiss(_) => {
+                self.meters.on_stale_fetch(cfg.cost.miss_cost(size));
+                false
+            }
+            GetResult::ColdMiss => {
+                self.meters.on_cold_fetch();
+                true
+            }
+        };
+        let rec = self.store.read(key, size.value);
+        let evicted = self.cache.insert(key, rec.version, rec.value_size, now, expires);
+        self.tracker.clear(key);
+        if !cold {
+            debug_assert!(evicted.is_empty(), "in-place refresh never evicts");
+            return;
+        }
+        self.mirror.on_populate(key);
+        for ek in evicted {
+            self.mirror.on_evict(ek);
+            self.generations.remove(&ek);
+        }
+        if matches!(self.policy, PolicyState::TtlPolling) {
+            let generation = self.generations.entry(key).or_insert(0);
+            *generation += 1;
+            let generation = *generation;
+            self.next_interval(now, EngineEvent::Refresh { key, generation });
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, now: SimTime, key: u64, value_size: u32) {
+        let rec = self.store.write(key, value_size, now);
+        self.writes.record(key, rec.version, now);
+        match &mut self.policy {
+            PolicyState::Adaptive { policy, .. } => policy.on_write(key),
+            PolicyState::Slo(policy) => policy.on_write(key),
+            _ => {}
+        }
+        if !matches!(self.policy, PolicyState::TtlExpiry | PolicyState::TtlPolling) {
+            self.buffer.mark_dirty(key);
+        }
+    }
+
+    fn report(self, policy_config: PolicyConfig, trace: &Trace) -> RunReport {
+        let cache_stats = self.cache.stats();
+        let (estimator_memory_bytes, adaptive_decisions) = match &self.policy {
             PolicyState::Adaptive { policy, .. } => {
                 (Some(policy.estimator().memory_bytes()), Some(policy.decision_counts()))
             }
@@ -432,25 +555,31 @@ impl TraceEngine {
             _ => (None, None),
         };
         RunReport {
-            policy: self.policy_config.name().into(),
+            policy: policy_config.name().into(),
             workload: trace.meta().generator.clone(),
-            staleness_bound_s: t.as_secs_f64(),
+            staleness_bound_s: self.cfg.staleness_bound.as_secs_f64(),
             requests: trace.len() as u64,
             reads: trace.num_reads() as u64,
             writes: trace.num_writes() as u64,
-            cf_total: meters.cf_total(),
-            cs_events: meters.cs_total(),
-            cf_normalized: meters.cf_normalized(),
-            cs_normalized: meters.cs_normalized(cache_stats.present_reads()),
-            breakdown: meters.breakdown(),
+            cf_total: self.meters.cf_total(),
+            cs_events: self.meters.cs_total(),
+            cf_normalized: self.meters.cf_normalized(),
+            cs_normalized: self.meters.cs_normalized(cache_stats.present_reads()),
+            breakdown: self.meters.breakdown(),
             cache: cache_stats,
-            store_reads: store.stats().reads,
-            store_writes: store.stats().writes,
-            tracker_suppressed: tracker.suppressed(),
-            buffer_coalesced: buffer.coalesced(),
-            mirror_skipped: mirror.skipped(),
+            store_reads: self.store.stats().reads,
+            store_writes: self.store.stats().writes,
+            tracker_suppressed: self.tracker.suppressed(),
+            buffer_coalesced: self.buffer.coalesced(),
+            mirror_skipped: self.mirror.skipped(),
             estimator_memory_bytes,
             adaptive_decisions,
+            violations: self.violations,
+            max_overage_s: self.max_overage.as_secs_f64(),
+            net: self.net.stats(),
+            retransmissions: self.sender.as_ref().map_or(0, |s| s.retransmissions()),
+            gave_up: self.sender.as_ref().map_or(0, |s| s.gave_up()),
+            duplicates_suppressed: self.dedup.duplicates(),
         }
     }
 }
@@ -471,6 +600,7 @@ mod tests {
             cache: CacheConfig { capacity: Capacity::Entries(64), eviction: EvictionPolicy::Lru },
             cost: CostModel::unit(1.0, 0.1, 0.5, 1.0),
             key_size: 16,
+            link: LinkConfig::default(),
         }
     }
 
@@ -748,5 +878,117 @@ mod tests {
             TraceEngine::new(cfg, PolicyConfig::Adaptive(EstimatorConfig::Exact)).run(&trace);
         let (upd, inv) = adaptive.adaptive_decisions.unwrap();
         assert!(inv > upd, "write-heavy keys should invalidate: {inv} vs {upd}");
+    }
+
+    fn lossy_workload() -> Trace {
+        use fresca_workload::{PoissonZipfConfig, WorkloadGen};
+        PoissonZipfConfig {
+            rate: 50.0,
+            num_keys: 50,
+            zipf_exponent: 1.0,
+            read_ratio: 0.8,
+            horizon: SimDuration::from_secs(300),
+            ..Default::default()
+        }
+        .generate(11)
+    }
+
+    fn lossy_config(drop: f64, reliable: bool) -> EngineConfig {
+        EngineConfig {
+            link: LinkConfig {
+                faults: FaultConfig { drop_prob: drop, ..FaultConfig::default() },
+                net_seed: 42,
+                reliable: reliable
+                    .then_some(Retransmit { rto: SimDuration::from_millis(50), max_retries: 8 }),
+            },
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn lossless_link_has_no_violations() {
+        let trace = lossy_workload();
+        for policy in [PolicyConfig::AlwaysInvalidate, PolicyConfig::AlwaysUpdate] {
+            let r = TraceEngine::new(lossy_config(0.0, false), policy).run(&trace);
+            assert_eq!(r.violations, 0, "{}: {:?}", r.policy, r.violations);
+            assert_eq!(r.net.dropped, 0);
+        }
+    }
+
+    #[test]
+    fn lossy_link_causes_violations_without_reliability() {
+        let trace = lossy_workload();
+        let r = TraceEngine::new(lossy_config(0.3, false), PolicyConfig::AlwaysInvalidate)
+            .run(&trace);
+        assert!(r.net.dropped > 0);
+        assert!(
+            r.violations > 0,
+            "dropped invalidates must produce bound violations (dropped {})",
+            r.net.dropped
+        );
+        assert!(r.max_overage_s > 0.0);
+    }
+
+    #[test]
+    fn reliability_layer_restores_the_bound() {
+        let trace = lossy_workload();
+        let lossy = TraceEngine::new(lossy_config(0.3, false), PolicyConfig::AlwaysInvalidate)
+            .run(&trace);
+        let fixed = TraceEngine::new(lossy_config(0.3, true), PolicyConfig::AlwaysInvalidate)
+            .run(&trace);
+        assert!(fixed.retransmissions > 0, "retransmissions expected under loss");
+        assert!(
+            fixed.violations * 10 < lossy.violations.max(1),
+            "reliable {} vs lossy {}",
+            fixed.violations,
+            lossy.violations
+        );
+    }
+
+    #[test]
+    fn ttl_expiry_is_immune_to_loss() {
+        let trace = lossy_workload();
+        let r = TraceEngine::new(lossy_config(0.5, false), PolicyConfig::TtlExpiry).run(&trace);
+        assert_eq!(r.violations, 0, "TTL freshness is local; loss cannot violate it");
+        assert_eq!(r.net.sent, 0, "no freshness messages at all");
+    }
+
+    #[test]
+    fn duplicates_are_suppressed_when_reliable() {
+        let trace = lossy_workload();
+        let mut cfg = lossy_config(0.0, true);
+        cfg.link.faults.duplicate_prob = 0.5;
+        let r = TraceEngine::new(cfg, PolicyConfig::AlwaysUpdate).run(&trace);
+        assert!(r.duplicates_suppressed > 0);
+        assert_eq!(r.violations, 0);
+    }
+
+    #[test]
+    fn every_policy_runs_on_a_lossy_link() {
+        let trace = lossy_workload();
+        for policy in [
+            PolicyConfig::TtlPolling,
+            PolicyConfig::adaptive_cache_state(),
+            PolicyConfig::AdaptiveSlo { staleness_slo: 0.01 },
+            PolicyConfig::Oracle,
+        ] {
+            let a = TraceEngine::new(lossy_config(0.2, true), policy).run(&trace);
+            let b = TraceEngine::new(lossy_config(0.2, true), policy).run(&trace);
+            assert_eq!(a.violations, b.violations, "{}", a.policy);
+            assert_eq!(a.net, b.net, "{}", a.policy);
+            assert_eq!(a.cf_total, b.cf_total, "{}", a.policy);
+        }
+    }
+
+    #[test]
+    fn lossy_runs_are_deterministic_given_the_seed() {
+        let trace = lossy_workload();
+        let a = TraceEngine::new(lossy_config(0.2, true), PolicyConfig::AlwaysInvalidate)
+            .run(&trace);
+        let b = TraceEngine::new(lossy_config(0.2, true), PolicyConfig::AlwaysInvalidate)
+            .run(&trace);
+        assert_eq!(a.violations, b.violations);
+        assert_eq!(a.net, b.net);
+        assert_eq!(a.retransmissions, b.retransmissions);
     }
 }

@@ -15,7 +15,7 @@
 //! | [`model`] | §2, §3.1 | closed-form `C_F`/`C_S` for TTL-expiry, TTL-polling, update, invalidate |
 //! | [`policy`] | §3.2–3.3 | decision rules (exact, `T→0`, `E[W]`, SLO-constrained), adaptive policy, omniscient oracle |
 //! | [`metrics`] | §2.1–2.2 | freshness/staleness cost meters and the `C'_F`/`C'_S` normalisations |
-//! | [`engine`] | §2.2, §3.4 | the trace-driven simulation engine (Figures 2, 3, 5) and the message-driven system engine (§5 lossy-delivery experiments) |
+//! | [`engine`] | §2.2, §3.4, §5 | the trace-driven simulation engine: flushes cross a store→cache link, ideal for Figures 2, 3, 5 and faulty for the §5 lossy-delivery experiments; every run counts ground-truth violations |
 //! | [`experiment`] | §3.4 | paper workload presets, parameter sweeps, JSON reports |
 //! | [`composite`] | §5 | many-to-many (composite object) freshness extension |
 //!
@@ -53,7 +53,7 @@ pub mod model;
 pub mod policy;
 
 pub use cost::{Bottleneck, CostModel, PrimitiveCosts};
-pub use engine::{EngineConfig, PolicyConfig, RunReport, TraceEngine};
+pub use engine::{EngineConfig, LinkConfig, PolicyConfig, Retransmit, RunReport, TraceEngine};
 pub use metrics::{CostBreakdown, CostMeters};
 pub use model::{policy_costs, PolicyCosts, WorkloadPoint};
 pub use policy::{rules, FlushDecision};

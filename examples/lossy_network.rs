@@ -4,7 +4,7 @@
 //! lost or re-ordered updates and invalidates may cause a cached object to
 //! remain in a stale state in the cache indefinitely." (§5)
 //!
-//! This example runs the message-driven system engine over a link with
+//! This example runs the trace engine over a store→cache link with
 //! increasing drop rates and reports *staleness violations* — reads served
 //! as fresh that silently broke the bound — with and without the
 //! reliability layer (sequence numbers + acks + retransmission), and for
@@ -34,22 +34,19 @@ fn main() {
     );
 
     for drop in [0.0, 0.05, 0.1, 0.2, 0.4] {
-        let mk = |reliable: bool| SystemConfig {
-            engine: EngineConfig {
-                staleness_bound: SimDuration::from_secs(1),
-                ..EngineConfig::default()
+        let mk = |reliable: bool| EngineConfig {
+            staleness_bound: SimDuration::from_secs(1),
+            link: LinkConfig {
+                faults: FaultConfig { drop_prob: drop, ..FaultConfig::default() },
+                net_seed: 7,
+                reliable: reliable
+                    .then_some(Retransmit { rto: SimDuration::from_millis(50), max_retries: 8 }),
             },
-            faults: FaultConfig { drop_prob: drop, ..FaultConfig::default() },
-            reliable,
-            rto: SimDuration::from_millis(50),
-            max_retries: 8,
-            net_seed: 7,
+            ..EngineConfig::default()
         };
-        let plain =
-            SystemEngine::new(mk(false), PolicyConfig::AlwaysInvalidate).run(&trace);
-        let reliable =
-            SystemEngine::new(mk(true), PolicyConfig::AlwaysInvalidate).run(&trace);
-        let ttl = SystemEngine::new(mk(false), PolicyConfig::TtlExpiry).run(&trace);
+        let plain = TraceEngine::new(mk(false), PolicyConfig::AlwaysInvalidate).run(&trace);
+        let reliable = TraceEngine::new(mk(true), PolicyConfig::AlwaysInvalidate).run(&trace);
+        let ttl = TraceEngine::new(mk(false), PolicyConfig::TtlExpiry).run(&trace);
         println!(
             "{:>5.0}% {:>12} ({:>5.2}%) {:>12} ({:>5.2}%) {:>14}",
             drop * 100.0,

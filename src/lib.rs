@@ -63,9 +63,9 @@ pub use fresca_workload;
 pub mod prelude {
     pub use fresca_cache::{CacheConfig, Capacity, EvictionPolicy, GetResult, SlabCache};
     pub use fresca_core::cost::{Bottleneck, CostModel, ObjectSize, PrimitiveCosts};
-    pub use fresca_core::engine::system::{SystemConfig, SystemEngine, SystemReport};
     pub use fresca_core::engine::{
-        EngineConfig, EstimatorConfig, PolicyConfig, RunReport, TraceEngine,
+        EngineConfig, EstimatorConfig, LinkConfig, PolicyConfig, Retransmit, RunReport,
+        TraceEngine,
     };
     pub use fresca_core::experiment::{staleness_sweep, theory, workloads};
     pub use fresca_core::model::WorkloadPoint;

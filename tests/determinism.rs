@@ -64,28 +64,28 @@ fn engine_runs_are_exactly_repeatable() {
 }
 
 #[test]
-fn system_engine_deterministic_under_faults() {
+fn lossy_link_runs_are_deterministic_under_faults() {
     let trace = PoissonZipfConfig {
         rate: 50.0,
         horizon: SimDuration::from_secs(200),
         ..Default::default()
     }
     .generate(4);
-    let cfg = SystemConfig {
-        engine: EngineConfig::default(),
-        faults: FaultConfig {
-            drop_prob: 0.25,
-            duplicate_prob: 0.1,
-            jitter: SimDuration::from_micros(500),
-            ..FaultConfig::default()
+    let cfg = EngineConfig {
+        link: LinkConfig {
+            faults: FaultConfig {
+                drop_prob: 0.25,
+                duplicate_prob: 0.1,
+                jitter: SimDuration::from_micros(500),
+                ..FaultConfig::default()
+            },
+            net_seed: 55,
+            reliable: Some(Retransmit { rto: SimDuration::from_millis(20), max_retries: 6 }),
         },
-        reliable: true,
-        rto: SimDuration::from_millis(20),
-        max_retries: 6,
-        net_seed: 55,
+        ..EngineConfig::default()
     };
-    let a = SystemEngine::new(cfg, PolicyConfig::AlwaysInvalidate).run(&trace);
-    let b = SystemEngine::new(cfg, PolicyConfig::AlwaysInvalidate).run(&trace);
+    let a = TraceEngine::new(cfg, PolicyConfig::AlwaysInvalidate).run(&trace);
+    let b = TraceEngine::new(cfg, PolicyConfig::AlwaysInvalidate).run(&trace);
     assert_eq!(a.violations, b.violations);
     assert_eq!(a.net, b.net);
     assert_eq!(a.retransmissions, b.retransmissions);

@@ -25,6 +25,7 @@ fn engine_config(t_s: f64) -> EngineConfig {
         cache: CacheConfig { capacity: Capacity::Entries(4096), eviction: EvictionPolicy::Lru },
         cost: CostModel::default(),
         key_size: 16,
+        link: LinkConfig::default(),
     }
 }
 

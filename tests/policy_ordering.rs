@@ -11,6 +11,7 @@ fn engine_config() -> EngineConfig {
         cache: CacheConfig { capacity: Capacity::Entries(512), eviction: EvictionPolicy::Lru },
         cost: CostModel::default(),
         key_size: 16,
+        link: LinkConfig::default(),
     }
 }
 
