@@ -257,7 +257,7 @@ impl TraceEngine {
             PolicyConfig::AdaptiveSlo { staleness_slo } => {
                 PolicyState::Slo(SloAdaptivePolicy::new(staleness_slo))
             }
-            PolicyConfig::Oracle => PolicyState::Oracle(OraclePolicy::new(trace)),
+            PolicyConfig::Oracle => PolicyState::Oracle(OraclePolicy::new(trace, t)),
         };
         let link = cfg.link;
         let mut run = Run {

@@ -33,6 +33,7 @@ fn ideal_link_never_violates_the_bound() {
         PolicyConfig::adaptive(),
         PolicyConfig::adaptive_cache_state(),
         PolicyConfig::AdaptiveSlo { staleness_slo: 0.01 },
+        PolicyConfig::Oracle,
     ];
     for (name, trace) in short_workloads() {
         for bound in [SimDuration::from_millis(100), SimDuration::from_secs(1)] {
