@@ -161,7 +161,8 @@ enum PolicyState {
     TtlExpiry,
     TtlPolling,
     Static { update: bool },
-    Adaptive { policy: AdaptivePolicy<Box<dyn EwEstimator>>, cache_state: bool },
+    /// `mirror` is the backend's view of the cache, for Adpt.+C.S. only.
+    Adaptive { policy: AdaptivePolicy<Box<dyn EwEstimator>>, mirror: Option<CacheStateMirror> },
     Slo(SloAdaptivePolicy),
     Oracle(OraclePolicy),
 }
@@ -249,10 +250,11 @@ impl TraceEngine {
             PolicyConfig::AlwaysInvalidate => PolicyState::Static { update: false },
             PolicyConfig::AlwaysUpdate => PolicyState::Static { update: true },
             PolicyConfig::Adaptive(est) => {
-                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), cache_state: false }
+                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror: None }
             }
             PolicyConfig::AdaptiveCacheState(est) => {
-                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), cache_state: true }
+                let mirror = Some(CacheStateMirror::new());
+                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror }
             }
             PolicyConfig::AdaptiveSlo { staleness_slo } => {
                 PolicyState::Slo(SloAdaptivePolicy::new(staleness_slo))
@@ -268,7 +270,6 @@ impl TraceEngine {
             store: DataStore::new(),
             buffer: WriteBuffer::new(),
             tracker: InvalidationTracker::new(),
-            mirror: CacheStateMirror::new(),
             meters: CostMeters::new(),
             sched: Scheduler::new(),
             generations: HashMap::default(),
@@ -309,7 +310,6 @@ struct Run<'a> {
     store: DataStore,
     buffer: WriteBuffer,
     tracker: InvalidationTracker,
-    mirror: CacheStateMirror,
     meters: CostMeters,
     sched: Scheduler<EngineEvent>,
     generations: HashMap<u64, u64, SplitMixBuild>,
@@ -351,8 +351,8 @@ impl Run<'_> {
         match &mut self.policy {
             PolicyState::Static { update: true } => FlushDecision::Update,
             PolicyState::Static { update: false } => FlushDecision::Invalidate,
-            PolicyState::Adaptive { policy, cache_state } => {
-                if *cache_state && !self.mirror.should_send(key) {
+            PolicyState::Adaptive { policy, mirror } => {
+                if mirror.as_mut().is_some_and(|m| !m.should_send(key)) {
                     FlushDecision::Nothing
                 } else {
                     policy.decide(key, cost, size)
@@ -450,11 +450,20 @@ impl Run<'_> {
                     if !newer
                         && self.cache.apply_update(it.key, it.version, it.value_size(), now, None)
                     {
-                        self.tracker.clear(it.key);
+                        self.clear_invalidated(it.key);
                     }
                 }
             }
             _ => {}
+        }
+    }
+
+    /// The entry holds the latest version again: the backend stops
+    /// counting it as invalidated. Skipped while nothing is invalidated,
+    /// as under most policies: `clear` hashes the key.
+    fn clear_invalidated(&mut self, key: u64) {
+        if !self.tracker.is_empty() {
+            self.tracker.clear(key);
         }
     }
 
@@ -511,14 +520,16 @@ impl Run<'_> {
         };
         let rec = self.store.read(key, size.value);
         let evicted = self.cache.insert(key, rec.version, rec.value_size, now, expires);
-        self.tracker.clear(key);
+        self.clear_invalidated(key);
         if !cold {
             debug_assert!(evicted.is_empty(), "in-place refresh never evicts");
             return;
         }
-        self.mirror.on_populate(key);
+        if let PolicyState::Adaptive { mirror: Some(mirror), .. } = &mut self.policy {
+            mirror.on_populate(key);
+            evicted.iter().for_each(|&ek| mirror.on_evict(ek));
+        }
         for ek in evicted {
-            self.mirror.on_evict(ek);
             self.generations.remove(&ek);
         }
         if matches!(self.policy, PolicyState::TtlPolling) {
@@ -554,6 +565,10 @@ impl Run<'_> {
             }
             _ => (None, None),
         };
+        let mirror_skipped = match &self.policy {
+            PolicyState::Adaptive { mirror: Some(mirror), .. } => mirror.skipped(),
+            _ => 0,
+        };
         RunReport {
             policy: policy_config.name().into(),
             workload: trace.meta().generator.clone(),
@@ -571,7 +586,7 @@ impl Run<'_> {
             store_writes: self.store.stats().writes,
             tracker_suppressed: self.tracker.suppressed(),
             buffer_coalesced: self.buffer.coalesced(),
-            mirror_skipped: self.mirror.skipped(),
+            mirror_skipped,
             estimator_memory_bytes,
             adaptive_decisions,
             violations: self.violations,
