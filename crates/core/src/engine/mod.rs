@@ -377,9 +377,10 @@ impl Run<'_> {
     /// send one invalidate and one update frame over the link.
     fn flush(&mut self, now: SimTime) {
         let cfg = self.cfg;
-        let mut keys: Vec<u64> = Vec::new();
         let mut items: Vec<UpdateItem> = Vec::new();
-        for key in self.buffer.drain() {
+        // The drained buffer keeps the keys to invalidate.
+        let mut keys = self.buffer.drain();
+        keys.retain(|&key| {
             let rec = self.store.peek(key).expect("dirty key must exist in the store");
             let size = ObjectSize { key: cfg.key_size, value: rec.value_size };
             match self.decide(key, now, size) {
@@ -389,16 +390,15 @@ impl Run<'_> {
                     // slices a shared buffer, so the size costs nothing.
                     let value = fresca_net::payload::zeroes(rec.value_size as usize);
                     items.push(UpdateItem { key, version: rec.version, value });
+                    false
                 }
-                FlushDecision::Invalidate => {
-                    if self.tracker.should_send(key) {
-                        self.meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
-                        keys.push(key);
-                    }
+                FlushDecision::Invalidate if self.tracker.should_send(key) => {
+                    self.meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
+                    true
                 }
-                FlushDecision::Nothing => {}
+                FlushDecision::Invalidate | FlushDecision::Nothing => false,
             }
-        }
+        });
         if !keys.is_empty() {
             self.send(now, |seq| Message::Invalidate { seq, keys });
         }
