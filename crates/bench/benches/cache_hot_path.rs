@@ -1,10 +1,10 @@
-//! Cache hot-path throughput: event-loop-owned `SlabCache` shards on
-//! the get-heavy churn the serving path actually sees.
+//! Cache hot-path throughput: partitioned `SlabCache` shards on the
+//! get-heavy churn the serving path actually sees.
 //!
-//! The thread-per-core reactor partitions shards across event loops at
-//! startup, so every owner-local operation reaches its shard through
-//! plain `&mut` — no lock, and entries live in the slab's index-linked
-//! slots instead of boxed nodes. This bench drives that path alone:
+//! The reactor partitions shards across event loops at startup, and an
+//! op reaches its shard through plain `&mut` under its partition's one
+//! lock — no lock per shard, and entries live in the slab's
+//! index-linked slots instead of boxed nodes. This bench drives that path alone:
 //!
 //! * ~90% `get_bounded` / ~10% `insert_value` (the serve mix: reads
 //!   dominate, writes churn the LRU),
@@ -120,9 +120,8 @@ fn bench_threads(threads: usize, ops_per_thread: u64, samples: usize, value: &By
         (0..threads).map(|t| op_stream(t, threads, ops_per_thread)).collect();
     let total_ops = ops_per_thread * threads as u64;
 
-    // Thread-per-core shape: each thread owns one slab sized to its
-    // share of the capacity (the per-loop partition `EventLoop::new`
-    // builds). Shards are rebuilt per sample — churn state must not
+    // Partitioned shape: each thread owns one slab sized to its share
+    // of the capacity (the per-loop partition the server builds). Shards are rebuilt per sample — churn state must not
     // leak across samples.
     let slab_secs = measure(
         || {

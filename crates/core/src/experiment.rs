@@ -93,11 +93,15 @@ pub struct TheoryPoint {
 pub mod theory {
     use super::*;
 
+    /// One point per touched key, in key order: the sums in `aggregate`
+    /// are then the same floating-point sums on every run.
     fn per_key_points(trace: &Trace, key_size: u32) -> (Vec<(WorkloadPoint, u64)>, f64, f64) {
         let stats = TraceStats::compute(trace);
         let span = trace.end_time().as_secs_f64().max(1e-9);
-        let mut points = Vec::with_capacity(stats.per_key.len());
-        for ks in stats.per_key.values() {
+        let mut keys: Vec<_> = stats.per_key.iter().collect();
+        keys.sort_unstable_by_key(|(key, _)| **key);
+        let mut points = Vec::with_capacity(keys.len());
+        for (_, ks) in keys {
             let total = ks.reads + ks.writes;
             if total == 0 {
                 continue;
@@ -189,6 +193,27 @@ mod tests {
         let b = theory::ttl_polling(&tr, &cost, 2.0, 16);
         assert!((a.cf_normalized / b.cf_normalized - 2.0).abs() < 1e-6);
         assert_eq!(a.cs_normalized, 0.0);
+    }
+
+    #[test]
+    fn theory_points_are_bit_identical_across_calls() {
+        let tr = workloads::poisson_mix().generate(3);
+        let cost = CostModel::default();
+        type Curve = fn(&Trace, &CostModel, f64, u32) -> TheoryPoint;
+        let curves: [Curve; 5] = [
+            theory::ttl_expiry,
+            theory::ttl_polling,
+            theory::invalidate,
+            theory::update,
+            theory::adaptive,
+        ];
+        for curve in curves {
+            for t in [0.5, 10.0] {
+                let (a, b) = (curve(&tr, &cost, t, 16), curve(&tr, &cost, t, 16));
+                assert_eq!(a.cf_normalized.to_bits(), b.cf_normalized.to_bits(), "t={t}");
+                assert_eq!(a.cs_normalized.to_bits(), b.cs_normalized.to_bits(), "t={t}");
+            }
+        }
     }
 
     #[test]

@@ -21,19 +21,20 @@
 //!   frame or a racing peer must surface as an error, never a panic.
 //! * **R4 `no-blocking-io-under-lock`** — no blocking I/O call while a
 //!   `parking_lot` lock in the serving or cache crates (a loop's inbox,
-//!   the refetch table) is held. A blocked holder stalls every loop
+//!   a partition of the shards) is held. A blocked holder stalls every loop
 //!   posting to that inbox; the freshness bound is only as good as the
 //!   worst hold time.
 //! * **R5 `lock-free-serve-path`** — the data path
 //!   (`crates/serve/src/datapath.rs`, outside `#[cfg(test)]`) calls no
 //!   `.lock()`/`.read()`/`.write()` and names no `parking_lot`,
 //!   `minipoll`, `std::net`, `std::io`, `std::os` or `Instant`.
-//!   Thread-per-core ownership is the whole point of routing requests
-//!   by key: each shard is touched through plain `&mut` by exactly one
-//!   loop, so a lock there means the partitioning invariant was
-//!   broken, not that a lock was needed — and a socket or a clock
-//!   means the serving logic stopped being a function of
-//!   `(owner, op, now)` that tests and the model checker can call.
+//!   The data path is lock-free because its callers serialise each
+//!   partition: the reactor holds one partition's lock around every
+//!   call into an `Owner`, which then touches its shards through plain
+//!   `&mut`. A lock inside would nest under that one (and the model
+//!   checker would no longer see one scheduling point per op) — and a
+//!   socket or a clock means the serving logic stopped being a function
+//!   of `(owner, op, now)` that tests and the model checker can call.
 //! * **R6 `panic-free-reconnect`** — the client-side reconnect paths
 //!   (`connect` in `crates/serve/src/client.rs`,
 //!   `connect`/`refresh`/`swap_view`/`with_owner` in
@@ -1107,8 +1108,8 @@ fn rule_lock_free_serve_path(root: &Path, path: &Path, tokens: &[Token], report:
             line: t.line,
             message: format!(
                 "{what} in the data path: an owner touches its shards through `&mut` only \
-                 and is handed `now` — a lock here breaks thread-per-core ownership, a \
-                 socket or a clock breaks calling it from a test"
+                 and is handed `now` — its caller holds the partition's lock, so a lock \
+                 here nests under it; a socket or a clock breaks calling it from a test"
             ),
         });
     }

@@ -382,6 +382,26 @@ fn blocking_write_under_let_bound_guard_is_flagged() {
 }
 
 #[test]
+fn partition_guard_held_across_a_connection_flush_is_flagged() {
+    // The reactor's partition locks: applying an op under one is the
+    // point, flushing a socket before the guard drops is the bug.
+    let fx = Fixture::new("lock-partition");
+    fx.file(
+        "crates/serve/src/server.rs",
+        "fn route(&mut self, i: usize, conn: &mut Conn, op: Op) {\n\
+         \x20   let p = self.shared.owners[i].lock();\n\
+         \x20   conn.io.queue(&p.apply(op));\n\
+         \x20   conn.io.flush();\n\
+         }\n",
+    );
+    let report = fx.lint();
+    let v = violations(&report, "no-blocking-io-under-lock");
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].line, 4);
+    assert!(v[0].message.contains("flush"));
+}
+
+#[test]
 fn statement_temporary_guard_does_not_leak_into_the_next_statement() {
     // The reactor's actual shape: push under the lock (a temporary,
     // dropped at the `;`), then nudge the wake pipe.

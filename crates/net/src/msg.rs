@@ -258,8 +258,8 @@ pub enum Message {
         /// Bounded reads degraded to `RefusedStale`/`Miss` because the
         /// origin was unreachable or a fetch failed.
         origin_errors: u64,
-        /// Requests whose key was owned by a different event loop and
-        /// was forwarded over the cross-core channel.
+        /// Ops applied on a different event loop's partition of the
+        /// shards than the loop that decoded them (see `docs/PROTOCOL.md`).
         cross_core_forwards: u64,
         /// Live entries across all event-loop-owned slab shards.
         slab_entries: u64,

@@ -26,8 +26,8 @@
 //! address than it bound (NAT, 0.0.0.0 binds).
 //!
 //! **SIGTERM drains before exiting**: no new connections are accepted,
-//! but every reply already queued — including requests forwarded
-//! cross-core or parked on an origin refetch — is written back before
+//! but every reply already queued — including reads parked on an
+//! origin refetch, on any loop's link — is written back before
 //! the process exits, and the final stats line is printed. SIGKILL (as
 //! the chaos harness sends) is the abrupt-death case; clients observe
 //! dropped connections and re-route.

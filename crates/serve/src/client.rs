@@ -57,7 +57,8 @@ pub struct ServerProbe {
     pub refetch_coalesced: u64,
     /// Reads degraded because the origin was unreachable, so far.
     pub origin_errors: u64,
-    /// Requests forwarded to the event loop owning their key's shard.
+    /// Ops applied on another event loop's partition than the loop that
+    /// decoded them.
     pub cross_core_forwards: u64,
     /// Live entries across all event-loop-owned slab shards (gauge).
     pub slab_entries: u64,

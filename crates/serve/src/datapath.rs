@@ -1,13 +1,14 @@
 //! The data path: everything a node does to the shards it owns, as
 //! plain calls on an [`Owner`].
 //!
-//! An [`Owner`] is the half of an event loop that is *data*: its slab
-//! shards, the in-flight-refetch table, version allocation and the
-//! serving counters. The other half — sockets, the poll set, inboxes,
-//! the origin link — is the reactor in [`crate::server`], which decides
-//! *where* an op runs and calls in here to run it. Nothing in this file
-//! does I/O, takes a lock or reads a clock (fresca-lint's
-//! `lock-free-serve-path` rule): every entry takes `now` as a
+//! An [`Owner`] is one partition of a node's data: its slab shards, the
+//! in-flight-refetch table, version allocation and the serving
+//! counters. The rest — sockets, the poll set, inboxes, the origin
+//! link, and the lock each partition sits behind — is the reactor in
+//! [`crate::server`], which serialises the calls on a partition and
+//! calls in here to run them. Nothing in this file does I/O, takes a
+//! lock or reads a clock (fresca-lint's `lock-free-serve-path` rule):
+//! every entry takes `now` as a
 //! parameter, is *told* whether the origin link is up
 //! ([`Owner::origin_link`]), and *hands back* what has to leave the
 //! node — the key to fetch, the `(ReplyTo, Message)` pairs to deliver —
@@ -17,16 +18,16 @@
 //!
 //! ## Ownership
 //!
-//! Cache shards are not shared behind locks — they are **partitioned
-//! across the event loops at startup and owned exclusively by one
-//! loop** for the server's lifetime. Shard `s` (of `S`, rounded up to a
-//! power of two) belongs to loop `s % L` ([`Topology`]); each owner
-//! keeps its shards in a plain `Vec<SlabCache>` (slab-backed storage
-//! with intrusive recency lists, evicting by
-//! `ServerConfig.cache.eviction` — see [`fresca_cache::slab`]) and
-//! mutates them through `&mut`. Because every key has exactly one
-//! owner, multi-step operations that used to need a shard lock
-//! ("allocate a version, then insert") are atomic by construction.
+//! Cache shards are **partitioned across the event loops at startup**,
+//! one [`Owner`] per loop, for the server's lifetime. Shard `s` (of `S`,
+//! rounded up to a power of two) belongs to partition `s % L`
+//! ([`Topology`]); each owner keeps its shards in a plain
+//! `Vec<SlabCache>` (slab-backed storage with intrusive recency lists,
+//! evicting by `ServerConfig.cache.eviction` — see
+//! [`fresca_cache::slab`]) and mutates them through `&mut`. The reactor
+//! holds a partition's lock around every call, so each call is atomic:
+//! multi-step operations ("allocate a version, then insert") cannot
+//! interleave with another op on the same key.
 //!
 //! Freshness is enforced *at the serving boundary*, per the paper's
 //! argument: a [`Op::Put`] installs its per-key TTL, and a
@@ -52,7 +53,7 @@
 //! ([`fresca_cache::refetch::RefetchTable`]) and hands the key back for
 //! the reactor to fetch. Concurrent readers of the same key coalesce
 //! onto the one in-flight fetch (dogpile guard — and because a key has
-//! one owner, coalescing is global, not per-loop); [`Owner::fetched`]
+//! one partition, coalescing is global, not per-loop); [`Owner::fetched`]
 //! installs the entry like a put and answers every parked reader
 //! `Fresh` at age 0. If the link dies ([`Owner::origin_lost`]) every
 //! parked reader immediately receives the refusal/miss it would have
@@ -151,8 +152,8 @@ impl Topology {
 pub struct Counters {
     // One global version counter: versions are monotone across all keys,
     // which is stronger than the per-key monotonicity clients rely on.
-    // Per-key alloc+insert needs no lock: a key's owner is the only
-    // writer of its shard, so the two steps cannot interleave.
+    // Per-key alloc+insert needs no lock of its own: both run in one
+    // call on the key's owner, which the reactor serialises.
     versions: AtomicU64,
     pub(crate) fresh: AtomicU64,
     pub(crate) stale_served: AtomicU64,
@@ -186,8 +187,8 @@ pub struct ReplyTo {
 }
 
 /// An operation on keys that all live in shards of one owner — what the
-/// reactor builds from a request, routes to the owner (inline or
-/// through its inbox), and [`Owner::apply`] runs.
+/// reactor builds from a request and [`Owner::apply`] runs under the
+/// owner's lock.
 #[derive(Debug)]
 pub enum Op {
     /// A bounded read; the owner replies or parks it on its refetch
@@ -212,20 +213,15 @@ pub enum Op {
         /// The entry's time to live.
         ttl: u64,
     },
-    /// One owner's sub-batch of a store-pushed `Invalidate`; its
-    /// completion names the home loop's pending batch `batch`.
+    /// One owner's share of a store-pushed `Invalidate`.
     InvalidateKeys {
-        /// The home loop's pending-batch id.
-        batch: u64,
         /// This owner's share of the batch.
         keys: Vec<u64>,
     },
-    /// One owner's sub-batch of a store-pushed `Update`. `install` is
-    /// true for handoff streams: absent keys are installed instead of
+    /// One owner's share of a store-pushed `Update`. `install` is true
+    /// for handoff streams: absent keys are installed instead of
     /// counting as missed updates.
     UpdateItems {
-        /// The home loop's pending-batch id.
-        batch: u64,
         /// This owner's share of the batch.
         items: Vec<UpdateItem>,
         /// Handoff stream: install absent keys.
@@ -233,23 +229,14 @@ pub enum Op {
     },
 }
 
-/// What a finished op owes its [`ReplyTo`].
-#[derive(Debug)]
-pub enum Completion {
-    /// A fully-formed reply to queue on the originating connection.
-    Reply(Message),
-    /// One owner finished its sub-batch of pending batch `batch`.
-    BatchPart {
-        /// The home loop's pending-batch id.
-        batch: u64,
-    },
-}
-
 /// What [`Owner::apply`] did with an op.
 #[derive(Debug)]
 pub enum Applied {
-    /// It ran; the completion goes to the op's `ReplyTo`.
-    Done(Completion),
+    /// A get or put ran; this reply goes to the op's `ReplyTo`.
+    Reply(Message),
+    /// A store-push share ran. It owes no reply of its own: the reactor
+    /// acknowledges the whole batch once every share is applied.
+    Pushed,
     /// A read that would have been refused or missed is parked on its
     /// key's refetch; [`Owner::fetched`] or [`Owner::origin_lost`]
     /// answers it. `fetch` names the key when this read opened the
@@ -300,8 +287,8 @@ const READ_STATS_FLUSH_KEYS: usize = 256;
 /// distinct keys — the estimator feed is advisory, memory is not.
 const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
 
-/// The slab shards one event loop exclusively owns, and every operation
-/// on them. See the module docs.
+/// One partition of the slab shards, and every operation on them. See
+/// the module docs.
 #[derive(Debug)]
 pub struct Owner {
     topo: Topology,
@@ -351,7 +338,7 @@ impl Owner {
         }
     }
 
-    /// `key`'s shard — only meaningful on the loop that owns it.
+    /// `key`'s shard — only meaningful on the partition that owns it.
     #[inline]
     fn shard_mut(&mut self, key: u64) -> Option<&mut SlabCache> {
         self.shards.get_mut(self.topo.local_index(key))
@@ -386,28 +373,26 @@ impl Owner {
     }
 
     /// Run `op` against the owned shards at time `now` — the single
-    /// entry for ops on owned keys, whether they arrived on this loop's
-    /// own connections (`to.home` is this loop) or were forwarded.
+    /// entry for ops on owned keys, whichever loop decoded them
+    /// (`to.home`).
     pub fn apply(&mut self, to: ReplyTo, op: Op, now: SimTime) -> Applied {
-        Applied::Done(match op {
-            Op::Get { id, key, max_staleness } => {
-                return self.get(to, id, key, max_staleness, now);
-            }
+        match op {
+            Op::Get { id, key, max_staleness } => self.get(to, id, key, max_staleness, now),
             Op::Put { id, key, value, ttl } => {
                 let version = self.put(key, value, ttl, now);
-                Completion::Reply(Message::PutResp { id, key, version })
+                Applied::Reply(Message::PutResp { id, key, version })
             }
-            Op::InvalidateKeys { batch, keys } => {
+            Op::InvalidateKeys { keys } => {
                 let applied = self.invalidate(&keys);
                 bump(&self.counters.keys_invalidated, applied);
-                Completion::BatchPart { batch }
+                Applied::Pushed
             }
-            Op::UpdateItems { batch, items, install } => {
+            Op::UpdateItems { items, install } => {
                 let applied = self.update(items, install, now);
                 bump(&self.counters.keys_updated, applied);
-                Completion::BatchPart { batch }
+                Applied::Pushed
             }
-        })
+        }
     }
 
     /// Bounded read (`bound` in nanoseconds, `u64::MAX` for none).
@@ -445,7 +430,7 @@ impl Owner {
             }
         }
         self.count_read_outcome(status);
-        Applied::Done(Completion::Reply(get_resp(id, key, status, age, served)))
+        Applied::Reply(get_resp(id, key, status, age, served))
     }
 
     /// Try to park a refused/missed bounded read on an origin refetch.
@@ -510,6 +495,12 @@ impl Owner {
             }
         }
         applied
+    }
+
+    /// Whether `key`'s fetch is in flight: a read parked on it and the
+    /// link has not failed it since.
+    pub fn fetching(&self, key: u64) -> bool {
+        self.refetch.as_ref().is_some_and(|r| r.table.is_in_flight(key))
     }
 
     /// A store push for `key` arrived: remember it if a fetch of the key
@@ -715,7 +706,7 @@ mod tests {
 
     fn put(o: &mut Owner, key: u64, value: Bytes, ttl: u64, now: u64) -> u64 {
         match o.apply(A, Op::Put { id: RequestId(1), key, value, ttl }, at(now)) {
-            Applied::Done(Completion::Reply(Message::PutResp { version, .. })) => version,
+            Applied::Reply(Message::PutResp { version, .. }) => version,
             other => panic!("put answered {other:?}"),
         }
     }
@@ -737,13 +728,13 @@ mod tests {
     /// A read that must answer at once.
     fn read(o: &mut Owner, key: u64, bound: u64, now: u64) -> (GetStatus, u64, u64, Bytes) {
         match get(o, A, key, bound, now) {
-            Applied::Done(Completion::Reply(reply)) => resp(&reply),
+            Applied::Reply(reply) => resp(&reply),
             other => panic!("read answered {other:?}"),
         }
     }
 
     fn push(o: &mut Owner, op: Op, now: u64) {
-        assert!(matches!(o.apply(B, op, at(now)), Applied::Done(Completion::BatchPart { batch: 7 })));
+        assert!(matches!(o.apply(B, op, at(now)), Applied::Pushed));
     }
 
     #[test]
@@ -793,7 +784,7 @@ mod tests {
         }
         let burst = |o: &mut Owner, keys: std::ops::Range<u64>| {
             let items = keys.map(|key| UpdateItem { key, version: 1, value: bytes(0, 4) }).collect();
-            push(o, Op::UpdateItems { batch: 7, items, install: true }, 1);
+            push(o, Op::UpdateItems { items, install: true }, 1);
         };
         burst(&mut o, 100..120);
         // The one-shots leave oldest first.
@@ -838,20 +829,20 @@ mod tests {
         let v1 = put(&mut o, 1, bytes(0x01, 4), 0, 10);
 
         // Present key: refreshed in place under a fresh serving version.
-        push(&mut o, Op::UpdateItems { batch: 7, items: vec![item(1, 0x02)], install: false }, 20);
+        push(&mut o, Op::UpdateItems { items: vec![item(1, 0x02)], install: false }, 20);
         let (status, age, v2, value) = read(&mut o, 1, NONE, 25);
         assert_eq!((status, age, &value[..]), (GetStatus::Fresh, 5, &[0x02; 4][..]));
         assert!(v2 > v1 && v2 != 999, "the store's version is another domain");
         assert_eq!(count(&c.keys_updated), 1);
 
         // Absent key, store push: nothing happens, no version is burned.
-        push(&mut o, Op::UpdateItems { batch: 7, items: vec![item(2, 0x03)], install: false }, 30);
+        push(&mut o, Op::UpdateItems { items: vec![item(2, 0x03)], install: false }, 30);
         assert_eq!(read(&mut o, 2, NONE, 30).0, GetStatus::Miss);
         assert_eq!((count(&c.keys_updated), count(&c.handoff_in)), (1, 0));
         assert_eq!(put(&mut o, 3, bytes(0, 1), 0, 30), v2 + 1);
 
         // Absent key, handoff stream: installed, fresh from now.
-        push(&mut o, Op::UpdateItems { batch: 7, items: vec![item(2, 0x04)], install: true }, 40);
+        push(&mut o, Op::UpdateItems { items: vec![item(2, 0x04)], install: true }, 40);
         let (status, age, _, value) = read(&mut o, 2, 10, 45);
         assert_eq!((status, age, &value[..]), (GetStatus::Fresh, 5, &[0x04; 4][..]));
         assert_eq!((count(&c.keys_updated), count(&c.handoff_in)), (2, 1));
@@ -863,8 +854,10 @@ mod tests {
         assert!(matches!(get(&mut o, A, 9, 50, 100), Applied::Parked { fetch: Some(9) }));
         assert!(matches!(get(&mut o, B, 9, NONE, 101), Applied::Parked { fetch: None }));
         assert_eq!((count(&c.refetches), count(&c.refetch_coalesced)), (1, 1));
+        assert!(o.fetching(9) && !o.fetching(8));
 
         let replies = o.fetched(9, bytes(0xCC, 16), at(200));
+        assert!(!o.fetching(9), "the fetch completed");
         assert_eq!(replies.iter().map(|(to, _)| *to).collect::<Vec<_>>(), [A, B]);
         for (_, reply) in &replies {
             let (status, age, version, value) = resp(reply);
@@ -880,7 +873,7 @@ mod tests {
     fn a_push_that_overtakes_a_fetch_leaves_the_installed_entry_known_stale() {
         let (mut o, _) = owner(true);
         assert!(matches!(get(&mut o, A, 9, NONE, 100), Applied::Parked { fetch: Some(9) }));
-        push(&mut o, Op::InvalidateKeys { batch: 7, keys: vec![9] }, 110);
+        push(&mut o, Op::InvalidateKeys { keys: vec![9] }, 110);
         // The waiter is still answered from the fetch it asked for…
         let replies = o.fetched(9, bytes(0xCC, 4), at(120));
         assert_eq!(resp(&replies[0].1).0, GetStatus::Fresh);
@@ -899,6 +892,7 @@ mod tests {
         assert!(matches!(get(&mut o, B, 2, NONE, 180), Applied::Parked { fetch: Some(2) }));
 
         let mut replies = o.origin_lost();
+        assert!(!o.fetching(1) && !o.fetching(2), "a lost link leaves no fetch to send");
         replies.sort_by_key(|(to, _)| to.slot);
         let fallbacks: Vec<_> = replies.iter().map(|(to, r)| (*to, resp(r).0, resp(r).1)).collect();
         assert_eq!(fallbacks, [(A, GetStatus::RefusedStale, 75), (B, GetStatus::Miss, 0)]);
@@ -934,7 +928,7 @@ mod tests {
                     }
                     Message::Update { items, .. } => {
                         updates += 1;
-                        push(o, Op::UpdateItems { batch: 7, items, install: updates == 2 }, 1);
+                        push(o, Op::UpdateItems { items, install: updates == 2 }, 1);
                     }
                     other => panic!("unexpected {other:?}"),
                 }

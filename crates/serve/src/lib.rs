@@ -5,20 +5,21 @@
 //! cares about: freshness guarantees only mean something end-to-end, once
 //! requests actually cross a network boundary. It provides:
 //!
-//! * [`server`] — an event-driven TCP cache server built thread-per-core:
-//!   a poll-based reactor (vendored `minipoll`, no external runtime)
-//!   multiplexes all connections onto a configurable number of
+//! * [`server`] — an event-driven TCP cache server, one reactor per
+//!   core: a poll-based reactor (vendored `minipoll`, no external
+//!   runtime) multiplexes all connections onto a configurable number of
 //!   event-loop threads, and the cache shards (each a slab-backed
 //!   [`fresca_cache::SlabCache`]) are partitioned across those loops at
-//!   startup. Requests route by key: owner-local keys are served inline
-//!   with no locking, cross-core operations are forwarded over the
-//!   wakeup channels as completion-style messages. The server speaks the
+//!   startup, one lock per partition. The loop that decodes a request
+//!   applies it under its key's partition lock and answers at once;
+//!   only origin fetches and their late replies cross between loops,
+//!   over the wakeup channels. The server speaks the
 //!   `fresca-net` framed protocol. Writes carry a per-key TTL; reads
 //!   carry a per-request max-staleness bound; responses say whether the
 //!   entry was served fresh, served stale, refused, or missed — and echo
 //!   each request's id, so responses to pipelined requests stay
 //!   matchable.
-//! * [`datapath`] — what a loop does to the shards it owns, as an
+//! * [`datapath`] — what is done to one partition of the shards, as an
 //!   I/O-free [`datapath::Owner`] whose every entry takes `now`: the
 //!   per-read freshness decision, version allocation, the refetch
 //!   table. The reactor calls it; so do tests and the model checker.

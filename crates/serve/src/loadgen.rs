@@ -251,9 +251,9 @@ pub struct LoadReport {
     /// Reads degraded to their fallback because the origin was
     /// unreachable during this run.
     pub origin_errors: u64,
-    /// Requests the server(s) forwarded to the event loop owning their
-    /// key's shard during this run (probed like the refetch counters).
-    /// Zero on a single-event-loop server.
+    /// Ops the server(s) applied on another event loop's partition than
+    /// the loop that decoded them during this run (probed like the
+    /// refetch counters). Zero on a single-event-loop server.
     pub cross_core_forwards: u64,
     /// Live entries across the server's event-loop-owned slab shards at
     /// the end of the run (a gauge, not a delta; summed across nodes in

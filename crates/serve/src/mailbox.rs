@@ -1,36 +1,32 @@
 //! How threads talk to an event loop: each loop has one [`Mailbox`] —
 //! an inbox of accepted sockets and cross-core messages ([`CoreMsg`])
 //! plus the self-pipe that wakes its poll — and every sender goes
-//! through [`Mailbox::post`].
+//! through [`Mailbox::post`]. Ops themselves never travel here: any
+//! loop applies any op under its partition's lock (see
+//! [`crate::server`]). What crosses is what stays with the partition's
+//! own loop: its origin link's fetches and their late replies.
 
-use crate::datapath::{Completion, Op, ReplyTo};
+use crate::datapath::ReplyTo;
+use fresca_net::Message;
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-/// A message between event loops (or from `ServerHandle`), carried
-/// through the destination's [`Mailbox`].
+/// A message between event loops, carried through the destination's
+/// [`Mailbox`].
 pub(crate) enum CoreMsg {
-    /// Forwarded operation; `to` names the originating connection and
-    /// the home loop its completion goes back to.
-    Op { to: ReplyTo, op: Op },
-    /// A completion routed back to the home loop's connection.
-    Done { to: ReplyTo, what: Completion },
-    /// Control-plane invalidation from `ServerHandle::invalidate`,
-    /// answered over the one-shot channel (`true` if the key was
-    /// cached). Always addressed to the key's owner loop.
-    Invalidate { key: u64, reply: mpsc::Sender<bool> },
-    /// The membership view changed: rescan this loop's owned shards and
-    /// stream entries that now belong to other nodes to the handoff
-    /// thread. Broadcast to every loop by whichever loop adopted the
-    /// new view.
-    Rebalance,
+    /// A late reply — to a read parked on another loop's partition —
+    /// routed back to the home loop's connection.
+    Done { to: ReplyTo, reply: Message },
+    /// A read parked on the destination's partition and opened `key`'s
+    /// fetch: the destination queues the `FetchReq` on its origin link
+    /// if the fetch is still in flight.
+    Fetch { key: u64 },
 }
 
-/// What the accept thread, peer loops and `ServerHandle` deposit for
-/// an event loop: freshly accepted sockets and cross-core messages,
+/// What the accept thread and peer loops deposit for an event loop: freshly accepted sockets and cross-core messages,
 /// drained together on the next wake.
 #[derive(Default)]
 pub(crate) struct LoopInbox {
@@ -40,7 +36,8 @@ pub(crate) struct LoopInbox {
 
 /// One event loop's mailbox: its inbox and the self-pipe that wakes its
 /// poll. Every thread that talks to the loop — the accept thread, each
-/// peer loop, the `ServerHandle` — holds the same `Arc<Mailbox>`.
+/// peer loop, the `ServerHandle`'s shutdown — holds the same
+/// `Arc<Mailbox>`.
 pub(crate) struct Mailbox {
     pub(crate) inbox: Mutex<LoopInbox>,
     // Writing one byte wakes the loop's poll; non-blocking, so a full

@@ -1,7 +1,7 @@
-//! The event-driven, thread-per-core TCP cache server: the reactor and
-//! the routing. What an op *does* once it reaches the loop owning its
-//! key — the freshness decision, the refetch table, version allocation
-//! — is [`crate::datapath`], which this file only calls.
+//! The event-driven TCP cache server, one reactor per core: the reactor
+//! and the routing. What an op *does* once its key's partition is
+//! locked — the freshness decision, the refetch table, version
+//! allocation — is [`crate::datapath`], which this file only calls.
 //!
 //! A small poll-based reactor replaces the original thread-per-connection
 //! design: one blocking accept thread hands sockets to a configurable
@@ -12,39 +12,44 @@
 //! thread count scales service capacity across cores, not connection
 //! count.
 //!
-//! ## Thread-per-core ownership
+//! ## Partitioned ownership under a lock
 //!
-//! An event loop is two fields: the reactor state in this file and one
-//! [`Owner`], the cache shards partitioned to this loop at startup,
-//! touched by no other thread and behind no lock. Requests are
-//! therefore routed *by key*, not just by connection, and every op on
-//! owned keys is served one way: `dispatch` describes it as an [`Op`],
-//! `route` finds the owner, and [`Owner::apply`] runs it and returns a
-//! [`Completion`]. Local and forwarded ops differ only in where that
-//! completion goes. When the owner is the loop the request arrived on,
-//! `apply` runs inline and the reply is queued on the connection then
-//! and there. Otherwise the op is **forwarded**: the home loop stages a
-//! `CoreMsg::Op` into a per-destination outbox, posts the batch to the
-//! owner's `Mailbox` at end of tick (one mutex append + one self-pipe
-//! wake byte per destination — the same call the accept thread
-//! deposits sockets through), and the request parks exactly like an
-//! origin refetch does. The owner applies it and stages the completion
-//! — the fully-formed reply — back to the home loop, which queues it on
-//! the original connection, matched by [`ReplyTo`]'s `(slot, token)` so
-//! a recycled slot can never receive a stranger's reply. The reactor
-//! never blocks on a forward; counted in `cross_core_forwards`.
+//! The cache shards are partitioned across the event loops at startup:
+//! shard `s` belongs to partition `s % L`, and each partition is one
+//! [`Owner`] behind its own mutex in `Shared::owners`. Any loop serves
+//! any key. Every op is served one way: `dispatch` describes it as an
+//! [`Op`], `route` locks the partition owning its key, calls
+//! [`Owner::apply`], releases the lock and queues the reply on the
+//! connection then and there, whichever partition the key is in. An op
+//! applied on another loop's partition is counted in
+//! `cross_core_forwards`; it costs one lock, not a hand-off between
+//! threads. A loop holds at most one partition lock at a time and never
+//! across socket I/O, a handoff send or a mailbox post (fresca-lint R4
+//! flags the blocking half of that).
+//!
+//! What a partition owns beyond its shards stays its own loop's work:
+//! the origin link, the refetch table and the read-count batch. A read
+//! that parks on another loop's partition and opens a fetch is handed
+//! to the owner loop as a `CoreMsg::Fetch`, and the replies to readers
+//! parked on a partition travel back to their home loops as
+//! `CoreMsg::Done`, matched by [`ReplyTo`]'s `(slot, token)` so a
+//! recycled slot can never receive a stranger's reply. Both ride the
+//! owner's `Mailbox` (one mutex append + one self-pipe wake byte per
+//! destination per tick — the same call the accept thread deposits
+//! sockets through).
 //!
 //! Late replies ride the tick exactly like local ones: a completion
-//! (from a peer loop, a finished store-push batch, or an origin
-//! refetch) is only *queued* on its connection, which is noted in a
-//! loop-local dirty list, and the reactor flushes each dirty connection
-//! **once** at end of tick. However many completions a wake-up brings
-//! for one connection, they leave in one `writev` — counted, together
-//! with the flush that follows `service`, in `reply_writes`.
+//! (from a peer loop or an origin refetch) is only *queued* on its
+//! connection, which is noted in a loop-local dirty list, and the
+//! reactor flushes each dirty connection **once** at end of tick.
+//! However many completions a wake-up brings for one connection, they
+//! leave in one `writev` — counted, together with the flush that follows
+//! `service`, in `reply_writes`.
 //!
 //! Per-key operation order is preserved end-to-end: a connection's
-//! requests are decoded in order, same-key operations always route to
-//! the same owner, and the inbox queues are FIFO.
+//! requests are decoded and applied in order, and same-key ops from
+//! different connections are serialised by their partition's lock, under
+//! which a version is allocated and installed in one step.
 //!
 //! Per connection the reactor keeps a [`NonBlockingFramedStream`]: reads
 //! accumulate into the streaming codec until frames complete, responses
@@ -52,25 +57,26 @@
 //! a slow reader never blocks the loop. Requests are processed in arrival
 //! order per connection and each response echoes its request's
 //! [`fresca_net::RequestId`], which is what lets clients pipeline many
-//! requests on one connection and match responses by id (forwarded
-//! requests may complete out of order with respect to later local ones,
-//! exactly like parked refetches always could).
+//! requests on one connection and match responses by id (a read parked
+//! on an origin refetch completes out of order with respect to later
+//! ones).
 //!
 //! The same socket also accepts the **store path**: a store-push node
 //! (see [`crate::push`]) sends batched `Invalidate { seq, keys }` /
-//! `Update { seq, items }` frames. The receiving loop splits a batch
-//! into per-owner sub-batches, each routed like any other op (its own
-//! share applied inline, the rest forwarded), and answers `Ack { seq }`
-//! once every forwarded sub-batch's completion has come back — the paper's
-//! write-triggered freshness pipeline running against a real cache node
-//! instead of the simulator.
+//! `Update { seq, items }` frames. The receiving loop splits a batch by
+//! partition, applies each part under its partition's lock, and answers
+//! `Ack { seq }` in the same tick, after every part is applied — the
+//! paper's write-triggered freshness pipeline running against a real
+//! cache node instead of the simulator.
 //!
 //! ## The origin link
 //!
 //! With [`ServerConfig::origin`] set, each event loop keeps one
-//! non-blocking connection to the origin. When [`Owner::apply`] parks a
-//! read and hands back its key, the reactor queues the `FetchReq` on
-//! that link; each `FetchResp` goes to [`Owner::fetched`], and the
+//! non-blocking connection to the origin, which carries its own
+//! partition's fetches. When [`Owner::apply`] parks a read and hands
+//! back its key, the `FetchReq` is queued on the owner loop's link —
+//! at once when the read arrived there, through a `CoreMsg::Fetch`
+//! otherwise; each `FetchResp` goes to [`Owner::fetched`], and the
 //! replies it returns are delivered like any other late completion. The
 //! event loop never blocks on the origin: parked requests cost a table
 //! entry and unrelated keys keep serving. If the link dies the owner is
@@ -79,7 +85,7 @@
 //! the link is back. The owner's batched read counts ride the same link
 //! as `ReadStats` frames.
 
-use crate::datapath::{Applied, Completion, Counters, Op, Owner, ReplyTo, Topology};
+use crate::datapath::{Applied, Counters, Op, Owner, ReplyTo, Topology};
 use crate::handoff::{Handoff, Streamer};
 use crate::mailbox::{CoreMsg, LoopInbox, Mailbox};
 use crate::membership::Membership;
@@ -91,13 +97,12 @@ use fresca_cache::{CacheConfig, EvictionPolicy};
 use fresca_net::{Message, NonBlockingFramedStream, PollRecv};
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,13 +116,13 @@ pub struct ServerConfig {
     pub cache: CacheConfig,
     /// Number of cache shards (rounded up to a power of two). Shards
     /// are partitioned across the event loops at startup; shard `s`
-    /// is owned by loop `s % event_loops`.
+    /// belongs to partition `s % event_loops`, one partition per loop.
     pub shards: usize,
     /// Number of event-loop threads. Connections are multiplexed onto
-    /// them round-robin at accept time; *requests* are then routed by
-    /// key to the loop owning the key's shard, so this is also the
-    /// serving parallelism. Raise it to spread request processing
-    /// across cores, not to admit more connections.
+    /// them round-robin at accept time, and each loop applies the
+    /// requests it decodes under the lock of their key's partition, so
+    /// this is also the serving parallelism. Raise it to spread request
+    /// processing across cores, not to admit more connections.
     pub event_loops: usize,
     /// Origin endpoint to refetch refused/missed keys through (see the
     /// module docs). `None` — the default — answers refusals and misses
@@ -145,14 +150,15 @@ struct Shared {
     clock: ServeClock,
     stop: AtomicBool,
     /// Graceful-shutdown mode: with `stop` set, event loops drain every
-    /// queued reply and in-flight forwarded request before exiting
-    /// instead of closing connections immediately.
+    /// queued reply and parked request before exiting instead of
+    /// closing connections immediately.
     drain: AtomicBool,
     topo: Topology,
-    /// Per-loop `[entries, slab slots, evictions]` of the owned shards,
-    /// published by each owner at end of tick and summed for stats and
-    /// `StatsResp`.
-    gauges: Vec<[AtomicU64; 3]>,
+    /// One partition of the shards per event loop, indexed by loop id
+    /// ([`Topology::owner_of`]). Any loop locks the partition a key
+    /// lives in to apply an op on it; at most one partition lock is held
+    /// at a time, never across socket I/O.
+    owners: Vec<Mutex<Owner>>,
     /// The epoch-stamped member list this node routes ownership by.
     /// Locked only for short view reads/updates on membership frames —
     /// never held across I/O or shard access.
@@ -168,6 +174,14 @@ impl Shared {
     fn snapshot(&self) -> ServerStatsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let (s, c) = (&self.stats, &*self.counters);
+        // Entries, slab slots and evictions, one partition lock at a time.
+        let mut gauges = [0u64; 3];
+        for owner in &self.owners {
+            let part = owner.lock().gauges();
+            for (sum, value) in gauges.iter_mut().zip(part) {
+                *sum += value;
+            }
+        }
         ServerStatsSnapshot {
             gets: load(&s.gets),
             puts: load(&s.puts),
@@ -186,23 +200,14 @@ impl Shared {
             origin_errors: load(&c.origin_errors),
             cross_core_forwards: load(&s.cross_core_forwards),
             reply_writes: load(&s.reply_writes),
-            slab_entries: self.gauges.iter().map(|[g, _, _]| load(g)).sum(),
-            slab_capacity: self.gauges.iter().map(|[_, g, _]| load(g)).sum(),
-            evictions: self.gauges.iter().map(|[_, _, g]| load(g)).sum(),
+            slab_entries: gauges[0],
+            slab_capacity: gauges[1],
+            evictions: gauges[2],
             epoch: self.membership.lock().epoch,
             handoff_in: load(&c.handoff_in),
             handoff_out: self.streamer.streamed(),
         }
     }
-
-}
-
-/// A store-push batch waiting on forwarded sub-batches; the `Ack` goes
-/// out to `to` when `remaining` owners have reported back.
-struct PendingBatch {
-    seq: u64,
-    to: ReplyTo,
-    remaining: u32,
 }
 
 /// Accept-side handle to one event loop.
@@ -257,14 +262,21 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
     let addr = listener.local_addr()?;
     let topo = Topology::new(config.shards, config.event_loops);
     let num_loops = topo.num_loops();
+    let counters = Arc::new(Counters::default());
+    let owners = (0..num_loops)
+        .map(|part| {
+            let counters = Arc::clone(&counters);
+            Mutex::new(Owner::new(part, topo, config.cache, counters, config.origin.is_some()))
+        })
+        .collect();
     let shared = Arc::new(Shared {
         stats: ServerStats::default(),
-        counters: Arc::default(),
+        counters,
         clock: ServeClock::start(),
         stop: AtomicBool::new(false),
         drain: AtomicBool::new(false),
         topo,
-        gauges: (0..num_loops).map(|_| Default::default()).collect(),
+        owners,
         membership: Mutex::new(Membership::solo()),
         advertise: advertise.unwrap_or_else(|| addr.to_string()),
         streamer: Streamer::spawn(),
@@ -276,15 +288,22 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
     let (mailboxes, wake_rxs): (Vec<_>, Vec<_>) =
         (0..num_loops).map(|_| Mailbox::new()).collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
 
-    let loops: Vec<LoopHandle> = wake_rxs
+    // Every loop is built — its origin link dialled and its partition
+    // told the outcome — before any starts serving: a loop parks reads
+    // on its peers' partitions from its first tick.
+    let event_loops: Vec<EventLoop> = wake_rxs
         .into_iter()
         .enumerate()
         .map(|(loop_id, wake_rx)| {
             let (shared, peers) = (Arc::clone(&shared), mailboxes.clone());
-            let join = std::thread::spawn(move || {
-                EventLoop::new(loop_id, wake_rx, peers, shared, config).run();
-            });
-            LoopHandle { mailbox: Arc::clone(&mailboxes[loop_id]), join }
+            EventLoop::new(loop_id, wake_rx, peers, shared, config)
+        })
+        .collect();
+    let loops: Vec<LoopHandle> = event_loops
+        .into_iter()
+        .map(|event_loop| LoopHandle {
+            mailbox: Arc::clone(&mailboxes[event_loop.loop_id]),
+            join: std::thread::spawn(move || event_loop.run()),
         })
         .collect();
 
@@ -320,16 +339,13 @@ impl ServerHandle {
     }
 
     /// Apply a backend-originated invalidation: mark `key`'s entry
-    /// known-stale on the event loop owning its shard. Returns `true`
-    /// if the key was cached. This is the operator-facing replacement
-    /// for reaching into the (now loop-owned, unlocked) shards
-    /// directly: it routes a control message through the owner's inbox
-    /// and waits briefly for the answer.
+    /// known-stale under the lock of the partition owning its shard.
+    /// Returns `true` if the key was cached.
     pub fn invalidate(&self, key: u64) -> bool {
-        let Some(l) = self.loops.get(self.shared.topo.owner_of(key)) else { return false };
-        let (tx, rx) = mpsc::channel();
-        l.mailbox.post(|inbox| inbox.msgs.push(CoreMsg::Invalidate { key, reply: tx }));
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)
+        let Some(owner) = self.shared.owners.get(self.shared.topo.owner_of(key)) else {
+            return false;
+        };
+        owner.lock().invalidate(&[key]) > 0
     }
 
     /// The server's clock, for callers that want to interpret entry ages
@@ -364,9 +380,8 @@ impl ServerHandle {
     }
 
     /// Stop the server *gracefully*: no new connections or requests are
-    /// accepted, but every reply already queued and every request still
-    /// in flight (forwarded cross-core, parked on an origin refetch, or
-    /// pending in a store-push batch) is answered and drained to the
+    /// accepted, but every reply already queued and every read still
+    /// parked on an origin refetch is answered and drained to the
     /// socket before its connection closes. This is what SIGTERM maps
     /// to in the `serve` binary — a killed node owes its clients every
     /// response for requests it already read.
@@ -406,12 +421,11 @@ struct Conn {
     /// answered every request it had read; the reactor keeps that
     /// property.
     closing: bool,
-    /// Requests read off this connection whose replies have not been
-    /// queued yet: forwarded cross-core operations, pending store-push
-    /// batches, and parked origin refetches. A closing connection
-    /// drains these too before it is dropped — a half-closing client is
-    /// owed every response, including the ones completing on another
-    /// core.
+    /// Reads from this connection parked on an origin refetch, whose
+    /// replies have not been queued yet. A closing connection drains
+    /// these too before it is dropped — a half-closing client is owed
+    /// every response, including the ones another loop's origin link
+    /// completes.
     in_flight: u32,
     /// True once a `RingUpdate` arrived on this connection — the marker
     /// a handoff streamer sends before its `Update` batches. Updates on
@@ -501,24 +515,22 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 enum Dispatch {
     /// Answer with this message.
     Reply(Message),
-    /// No reply now: the request was forwarded to its key's owner loop
-    /// or parked on an in-flight origin refetch, and will be answered
-    /// when the completion (or fetch) comes back.
+    /// No reply now: the read parked on an origin refetch and will be
+    /// answered when the fetch completes or fails.
     Pending,
     /// Not a request this node answers — protocol error, close after
     /// draining what was already queued.
     Close,
 }
 
-/// One event-loop thread: the poll reactor, and the [`Owner`] of the
-/// slab shards partitioned to this loop. The reactor decides where an
-/// op runs and where its completion goes; everything that touches a
-/// shard happens inside `owner`, on this thread, behind no lock.
+/// One event-loop thread: the poll reactor of its connections and the
+/// origin link of its partition (`Shared::owners[loop_id]`). Everything
+/// that touches a shard happens inside an [`Owner`], under that
+/// partition's lock.
 struct EventLoop {
     loop_id: usize,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
-    owner: Owner,
     /// Every loop's mailbox, indexed by loop id (the self entry is this
     /// loop's own inbox).
     peers: Vec<Arc<Mailbox>>,
@@ -530,9 +542,6 @@ struct EventLoop {
     free: Vec<usize>,
     next_token: u64,
     origin: Option<OriginCtx>,
-    /// Store-push batches waiting on forwarded sub-batches, by batch id.
-    pending: HashMap<u64, PendingBatch>,
-    next_batch: u64,
     /// Slots whose connection had a late reply queued on an empty
     /// outbound queue this tick (see `deliver`); flushed once each
     /// and cleared at end of tick, so an entry never outlives the tick
@@ -553,17 +562,15 @@ impl EventLoop {
         config: ServerConfig,
     ) -> Self {
         let mut origin = config.origin.map(|addr| OriginCtx { addr, link: None, retry_at: None });
-        let counters = Arc::clone(&shared.counters);
-        let mut owner = Owner::new(loop_id, shared.topo, config.cache, counters, origin.is_some());
         if let Some(ctx) = &mut origin {
             // Dial the origin eagerly so the first refused read parks
             // instead of degrading while the link is still down.
-            owner.origin_link(ctx.ensure_link());
+            let up = ctx.ensure_link();
+            shared.owners[loop_id].lock().origin_link(up);
         }
         EventLoop {
             loop_id,
             wake_rx,
-            owner,
             outbox: peers.iter().map(|_| Vec::new()).collect(),
             peers,
             shared,
@@ -571,8 +578,6 @@ impl EventLoop {
             free: Vec::new(),
             next_token: 0,
             origin,
-            pending: HashMap::new(),
-            next_batch: 0,
             dirty: Vec::new(),
             draining_since: None,
         }
@@ -669,7 +674,8 @@ impl EventLoop {
             // serviced below either parks on a live link or degrades
             // at once.
             if let Some(ctx) = self.origin.as_mut().filter(|ctx| ctx.link.is_none()) {
-                self.owner.origin_link(ctx.ensure_link());
+                let up = ctx.ensure_link();
+                self.shared.owners[self.loop_id].lock().origin_link(up);
             }
 
             if poll.readiness(0).readable() {
@@ -708,10 +714,9 @@ impl EventLoop {
                     }
                 }
                 // Cross-core traffic is serviced before this tick's new
-                // socket reads: completions answer requests that have
-                // been pending since at least the previous tick, and
-                // forwarded ops apply before any same-key op decoded
-                // this tick (per-key FIFO).
+                // socket reads: completions answer reads that have been
+                // parked since at least the previous tick, and fetches
+                // handed over by peers join this tick's origin flush.
                 for msg in msgs {
                     self.handle_core_msg(msg);
                 }
@@ -753,7 +758,10 @@ impl EventLoop {
             // queued while servicing connections. A write failure here is
             // an origin outage — fail every parked waiter to its fallback
             // and start the reconnect backoff.
-            let read_stats = self.owner.read_stats();
+            let read_stats = match self.origin {
+                Some(_) => self.shared.owners[self.loop_id].lock().read_stats(),
+                None => None,
+            };
             if let Some(link) = self.link_mut() {
                 if let Some(batch) = read_stats {
                     link.queue(&batch);
@@ -763,16 +771,15 @@ impl EventLoop {
                 }
             }
             // Then write out every late reply queued this tick and hand
-            // this tick's cross-core batches to their owners (both after
+            // this tick's cross-core batches to their loops (both after
             // the origin flush, which may have queued or staged fallback
-            // replies), and publish the slab gauges.
+            // replies).
             self.flush_dirty();
             self.flush_outboxes();
-            self.publish_gauges();
 
             // A draining loop exits once every connection — on every
-            // loop, since cross-core completions may still be owed to a
-            // peer's client — has been answered and dropped, or the
+            // loop, since this loop's origin link may still owe a peer's
+            // client a reply — has been answered and dropped, or the
             // grace period for unresponsive peers expires.
             if self.draining_since.is_some() && self.drain_done() {
                 self.close_all();
@@ -815,15 +822,14 @@ impl EventLoop {
         }
     }
 
-    /// Route a completion to the connection it is owed to — directly
+    /// Route a late reply to the connection it is owed to — directly
     /// into the local connection table when `to.home` is this loop,
     /// staged as a cross-core message otherwise.
-    fn stage_done(&mut self, to: ReplyTo, what: Completion) {
-        let done = CoreMsg::Done { to, what };
+    fn stage_done(&mut self, to: ReplyTo, reply: Message) {
         if to.home == self.loop_id {
-            self.handle_core_msg(done);
+            self.deliver(to, &reply);
         } else {
-            self.forward(to.home, done);
+            self.forward(to.home, CoreMsg::Done { to, reply });
         }
     }
 
@@ -838,46 +844,19 @@ impl EventLoop {
         }
     }
 
-    /// Publish this loop's slab gauges — occupancy, slots, evictions —
-    /// into the shared per-loop slots (summed by stats snapshots and
-    /// `StatsResp`).
-    fn publish_gauges(&self) {
-        if let Some(slots) = self.shared.gauges.get(self.loop_id) {
-            for (slot, value) in slots.iter().zip(self.owner.gauges()) {
-                slot.store(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Apply one message from a peer loop (or the server handle).
+    /// Apply one message from a peer loop.
     fn handle_core_msg(&mut self, msg: CoreMsg) {
         match msg {
-            CoreMsg::Op { to, op } => {
-                if let Some(what) = self.apply(to, op) {
-                    self.stage_done(to, what);
-                }
-            }
-            CoreMsg::Done { to, what } => match what {
-                Completion::Reply(reply) => self.deliver(to, &reply),
-                Completion::BatchPart { batch } => {
-                    let finished = match self.pending.get_mut(&batch) {
-                        Some(p) => {
-                            p.remaining = p.remaining.saturating_sub(1);
-                            p.remaining == 0
-                        }
-                        None => false,
-                    };
-                    if finished {
-                        if let Some(p) = self.pending.remove(&batch) {
-                            self.deliver(p.to, &Message::Ack { seq: p.seq });
-                        }
+            CoreMsg::Done { to, reply } => self.deliver(to, &reply),
+            CoreMsg::Fetch { key } => {
+                // The link may have died and failed the key's waiters
+                // since the peer parked its read: then no one waits.
+                if self.shared.owners[self.loop_id].lock().fetching(key) {
+                    if let Some(link) = self.link_mut() {
+                        link.queue(&Message::FetchReq { key });
                     }
                 }
-            },
-            CoreMsg::Invalidate { key, reply } => {
-                let _ = reply.send(self.owner.invalidate(&[key]) > 0);
             }
-            CoreMsg::Rebalance => self.rebalance(),
         }
     }
 
@@ -950,8 +929,10 @@ impl EventLoop {
             let Some(link) = self.link_mut() else { return };
             match link.poll_recv_with(scratch) {
                 Ok(PollRecv::Msg(Message::FetchResp { key, version: _, value })) => {
-                    for (to, reply) in self.owner.fetched(key, value, self.shared.clock.now()) {
-                        self.stage_done(to, Completion::Reply(reply));
+                    let now = self.shared.clock.now();
+                    let replies = self.shared.owners[self.loop_id].lock().fetched(key, value, now);
+                    for (to, reply) in replies {
+                        self.stage_done(to, reply);
                     }
                 }
                 Ok(PollRecv::WouldBlock) => return,
@@ -971,8 +952,9 @@ impl EventLoop {
             ctx.link = None;
             ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
         }
-        for (to, reply) in self.owner.origin_lost() {
-            self.stage_done(to, Completion::Reply(reply));
+        let replies = self.shared.owners[self.loop_id].lock().origin_lost();
+        for (to, reply) in replies {
+            self.stage_done(to, reply);
         }
     }
 
@@ -1050,7 +1032,7 @@ impl EventLoop {
     /// Serving-path requests (`GetReq`, `PutReq`) come from clients,
     /// store-path batches (`Invalidate`, `Update`) from a store-push
     /// node: each is described as an [`Op`] (a batch as one per
-    /// owner, acknowledged by `seq` once every sub-batch completes) and
+    /// partition, acknowledged by `seq` once every part is applied) and
     /// handed to [`route`](Self::route). `StatsReq` comes from a load
     /// generator pinning down the refetch and forwarding counters.
     /// Membership frames (`RingReq`, `RingUpdate`, `JoinReq`,
@@ -1082,23 +1064,21 @@ impl EventLoop {
                 self.route_request(key, to, Op::Put { id, key, value, ttl })
             }
             Message::Invalidate { seq, keys } => {
-                // A store-pushed batch: every owner marks its share of
-                // the keys stale, and the whole batch is acked by seq
-                // once every part reports back.
-                self.route_batch(to, seq, keys, |&key| key, |batch, keys| {
-                    Op::InvalidateKeys { batch, keys }
-                })
+                // A store-pushed batch: every partition marks its share
+                // of the keys stale, then the whole batch is acked by seq.
+                self.route_batch(to, seq, keys, |&key| key, |keys| Op::InvalidateKeys { keys })
             }
             Message::Update { seq, items } => {
                 // A store-pushed refresh batch: re-freshen every cached
-                // entry in it, split by owner like an invalidation.
+                // entry in it, split by partition like an invalidation.
                 // Handoff streams reuse the Update machinery in install
                 // mode (see `Conn::handoff`): absent keys are installed,
                 // moving ownership, instead of counting as missed
                 // updates.
                 let install = conn.handoff;
-                self.route_batch(to, seq, items, |item| item.key, |batch, items| {
-                    Op::UpdateItems { batch, items, install }
+                self.route_batch(to, seq, items, |item| item.key, |items| Op::UpdateItems {
+                    items,
+                    install,
                 })
             }
             Message::RingReq => {
@@ -1117,7 +1097,7 @@ impl EventLoop {
                 conn.handoff = true;
                 let adopted = self.shared.membership.lock().adopt(epoch, &members);
                 if adopted {
-                    self.broadcast_rebalance();
+                    self.rebalance();
                 }
                 let now = self.shared.membership.lock().epoch;
                 Dispatch::Reply(Message::RingAck { epoch: now })
@@ -1150,7 +1130,7 @@ impl EventLoop {
         departed: Option<&str>,
     ) -> Dispatch {
         if let Some((epoch, members)) = changed {
-            self.broadcast_rebalance();
+            self.rebalance();
             for dest in members.iter().map(String::as_str).chain(departed) {
                 if dest != self.shared.advertise {
                     self.shared.streamer.send(Handoff {
@@ -1167,76 +1147,79 @@ impl EventLoop {
         Dispatch::Reply(Message::RingUpdate { epoch: view.epoch, members: view.members })
     }
 
-    /// Tell every event loop (this one inline) to rescan its owned
-    /// shards against the just-adopted view and stream moved keys out.
-    fn broadcast_rebalance(&mut self) {
-        for dest in 0..self.peers.len() {
-            if dest == self.loop_id {
-                self.rebalance();
-            } else {
-                self.forward(dest, CoreMsg::Rebalance);
-            }
-        }
-    }
-
-    /// Rescan this loop's owned shards against the current membership
-    /// view: entries whose owner is now another node are removed here
-    /// ([`Owner::moved`]) and the servably fresh ones handed to the
-    /// streamer thread, grouped per destination. Handoff is an
-    /// optimisation, not a correctness requirement: any key that fails
-    /// to move is re-fetched or re-written at its new owner like any
-    /// cold key.
-    fn rebalance(&mut self) {
+    /// Rescan every partition against the current membership view,
+    /// one partition lock at a time: entries whose owner is now another
+    /// node are removed ([`Owner::moved`]) and the servably fresh ones
+    /// handed to the streamer thread, grouped per destination, after
+    /// the lock is released. Handoff is an optimisation, not a
+    /// correctness requirement: any key that fails to move is
+    /// re-fetched or re-written at its new owner like any cold key.
+    fn rebalance(&self) {
         let view = self.shared.membership.lock().clone();
         // Solo nodes (empty view) keep everything: there is no
         // "elsewhere" to stream to.
         let Some(ring) = view.ring(DEFAULT_VNODES) else { return };
-        let moved = self.owner.moved(&ring, &self.shared.advertise, self.shared.clock.now());
-        for (dest, items) in moved {
-            self.shared.streamer.send(Handoff {
-                dest,
-                epoch: view.epoch,
-                members: view.members.clone(),
-                items,
-            });
+        for owner in &self.shared.owners {
+            let now = self.shared.clock.now();
+            let moved = owner.lock().moved(&ring, &self.shared.advertise, now);
+            for (dest, items) in moved {
+                self.shared.streamer.send(Handoff {
+                    dest,
+                    epoch: view.epoch,
+                    members: view.members.clone(),
+                    items,
+                });
+            }
         }
     }
 
-    /// Hand `op` to the loop owning its keys. When that is this loop
-    /// the op is applied inline and its completion returned — `None`
-    /// if it parked on an origin refetch. Otherwise it is staged for
-    /// `owner` (counted as a cross-core forward) and `None` returned:
-    /// either way, `None` means a completion will arrive later through
-    /// [`deliver`](Self::deliver).
-    fn route(&mut self, owner: usize, to: ReplyTo, op: Op) -> Option<Completion> {
-        if owner == self.loop_id {
-            return self.apply(to, op);
+    /// Run `op` on partition `part`, under its lock, on this thread —
+    /// whichever loop owns the partition (counted as a cross-core
+    /// forward when it is not this one). The read that opens a fetch
+    /// gets its `FetchReq` sent by the partition's own loop: queued on
+    /// this loop's link when that is this one, handed over as a
+    /// `CoreMsg::Fetch` otherwise.
+    fn route(&mut self, part: usize, to: ReplyTo, op: Op) -> Applied {
+        if part != self.loop_id {
+            self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
-        self.forward(owner, CoreMsg::Op { to, op });
-        None
+        // The clock is read after the op's socket read, so the op is
+        // judged no earlier than it arrived — and before the lock, which
+        // keeps the read out of the time the lock is held.
+        let now = self.shared.clock.now();
+        let applied = self.shared.owners[part].lock().apply(to, op, now);
+        if let Applied::Parked { fetch: Some(key) } = applied {
+            if part != self.loop_id {
+                self.forward(part, CoreMsg::Fetch { key });
+            } else if let Some(link) = self.link_mut() {
+                // The owner only parks while told the link is up; the
+                // if-let keeps this path structurally panic-free
+                // regardless.
+                link.queue(&Message::FetchReq { key });
+            }
+        }
+        applied
     }
 
-    /// Route a client's single-key request: answered now when the owner
-    /// is this loop and the read did not park.
+    /// Route a client's single-key request: answered now unless the
+    /// read parked.
     fn route_request(&mut self, key: u64, to: ReplyTo, op: Op) -> Dispatch {
         match self.route(self.shared.topo.owner_of(key), to, op) {
-            Some(Completion::Reply(reply)) => Dispatch::Reply(reply),
+            Applied::Reply(reply) => Dispatch::Reply(reply),
             _ => Dispatch::Pending,
         }
     }
 
-    /// Split a store-push batch by owner and route each non-empty part
-    /// (`make_op` wraps one owner's share). This loop's own share
-    /// completes inline; the `Ack` goes out now if that was all of it,
-    /// otherwise once every forwarded part has reported back.
+    /// Split a store-push batch by partition, apply each non-empty part
+    /// (`make_op` wraps one partition's share) and acknowledge the
+    /// whole batch: every part is applied before the `Ack` is queued.
     fn route_batch<T>(
         &mut self,
         to: ReplyTo,
         seq: u64,
         items: Vec<T>,
         key_of: impl Fn(&T) -> u64,
-        make_op: impl Fn(u64, Vec<T>) -> Op,
+        make_op: impl Fn(Vec<T>) -> Op,
     ) -> Dispatch {
         self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
         let mut parts: Vec<Vec<T>> = Vec::new();
@@ -1246,39 +1229,12 @@ impl EventLoop {
                 part.push(item);
             }
         }
-        let batch = self.next_batch + 1;
-        let mut remaining = 0u32;
-        for (owner, part) in parts.into_iter().enumerate() {
-            if !part.is_empty() && self.route(owner, to, make_op(batch, part)).is_none() {
-                remaining += 1;
+        for (part, share) in parts.into_iter().enumerate() {
+            if !share.is_empty() {
+                self.route(part, to, make_op(share));
             }
         }
-        if remaining == 0 {
-            return Dispatch::Reply(Message::Ack { seq });
-        }
-        self.next_batch = batch;
-        self.pending.insert(batch, PendingBatch { seq, to, remaining });
-        Dispatch::Pending
-    }
-
-    /// Run `op` on this loop's owner, now — for ops that arrived on
-    /// this loop's own connections and forwarded ones alike. `None`
-    /// means a read parked on an origin refetch (`drain_origin` will
-    /// complete it); the read that opens a key's fetch also gets its
-    /// `FetchReq` queued on the link here, flushed at end of tick.
-    fn apply(&mut self, to: ReplyTo, op: Op) -> Option<Completion> {
-        match self.owner.apply(to, op, self.shared.clock.now()) {
-            Applied::Done(what) => Some(what),
-            Applied::Parked { fetch } => {
-                // The owner only parks while told the link is up; the
-                // if-let keeps this path structurally panic-free
-                // regardless.
-                if let (Some(key), Some(link)) = (fetch, self.link_mut()) {
-                    link.queue(&Message::FetchReq { key });
-                }
-                None
-            }
-        }
+        Dispatch::Reply(Message::Ack { seq })
     }
 }
 

@@ -6,7 +6,7 @@
 use std::sync::atomic::AtomicU64;
 
 /// The reactor's own monotonically updated counters, shared across
-/// event-loop threads; the serving counters live with the owners (see
+/// event-loop threads; the serving counters live with the partitions (see
 /// [`crate::datapath::Counters`]). Relaxed ordering everywhere: these are statistics,
 /// not synchronisation.
 #[derive(Debug, Default)]
@@ -59,24 +59,26 @@ pub struct ServerStatsSnapshot {
     /// Reads answered with their fallback refusal/miss because the
     /// origin was unreachable or its connection died mid-fetch.
     pub origin_errors: u64,
-    /// Operations forwarded to the event loop owning their key's shard
-    /// (requests arriving on the owner loop serve inline and do not
-    /// count here).
+    /// Operations applied on another event loop's partition of the
+    /// shards than the loop that decoded them — one per request, one
+    /// per partition's part of a store-push batch (ops on the decoding
+    /// loop's own partition do not count here). The name is kept from
+    /// when such ops were forwarded to the owning loop; each now costs
+    /// that partition's lock instead.
     pub cross_core_forwards: u64,
     /// Flushes of a client connection that had reply bytes to send —
     /// one per connection per tick however many replies it carries, so
     /// `reply_writes / (gets + puts)` is the write syscalls a request
     /// costs. Not part of `Display` or `StatsResp`.
     pub reply_writes: u64,
-    /// Live entries across every owned slab shard (gauge, refreshed at
-    /// each loop's end of tick).
+    /// Live entries across every slab shard (gauge, read from each
+    /// partition when the snapshot is taken).
     pub slab_entries: u64,
-    /// Allocated slab slots across every owned shard — the storage
+    /// Allocated slab slots across every shard — the storage
     /// high-water mark (gauge).
     pub slab_capacity: u64,
-    /// Entries evicted for capacity across every owned shard (refreshed
-    /// at each loop's end of tick, like the slab gauges). Not part of
-    /// `StatsResp`.
+    /// Entries evicted for capacity across every shard (read with the
+    /// slab gauges). Not part of `StatsResp`.
     pub evictions: u64,
     /// Current membership epoch (0 = solo, see [`crate::membership`]).
     pub epoch: u64,

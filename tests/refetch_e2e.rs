@@ -20,11 +20,12 @@
 
 use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
 use fresca_net::{payload, FramedStream, GetStatus, Message, RequestId, UpdateItem};
+use fresca_serve::datapath::Topology;
 use fresca_serve::origin::{self, OriginState, DEFAULT_ORIGIN_VALUE_SIZE};
 use fresca_serve::server::{self, ServerConfig};
 use fresca_serve::{CacheClient, PipelinedClient, Response};
 use fresca_sim::SimDuration;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -368,6 +369,62 @@ fn late_completion_never_lands_on_a_connection_that_reused_the_slot() {
     let stats = handle.shutdown();
     assert_eq!(stats.refetches, 8);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// On a two-loop node, a read of a cold key in the *other* loop's
+/// partition parks there: its `FetchReq` leaves on the owner loop's
+/// origin link, not the reader's, and the reply comes back to the
+/// reader's own connection. When that link dies mid-fetch, the reader
+/// is answered its fallback instead.
+#[test]
+fn foreign_park_fetches_on_the_owner_loops_link_and_falls_back_when_it_dies() {
+    let (mut origin, handle) = HeldOrigin::with_node(2);
+    let topo = Topology::new(8, 2);
+    let home_key = (1000u64..).find(|&k| topo.owner_of(k) == 0).unwrap();
+    let foreign: Vec<u64> = (1000u64..).filter(|&k| topo.owner_of(k) == 1).take(2).collect();
+    let wait = Duration::from_secs(10);
+
+    // First connection → loop 0.
+    let mut c = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    let read = |c: &mut FramedStream<TcpStream>, key: u64| {
+        c.send(&Message::GetReq { id: RequestId(key), key, max_staleness: u64::MAX }).unwrap();
+    };
+    let answer = |c: &mut FramedStream<TcpStream>| match c.recv().unwrap() {
+        Some(Message::GetResp { id, key, status, value, .. }) => {
+            assert_eq!(id.0, key, "the reply is this connection's own");
+            (key, status, value)
+        }
+        other => panic!("expected a GetResp, got {other:?}"),
+    };
+
+    // A cold key of loop 0's own partition names loop 0's link.
+    read(&mut c, home_key);
+    let (home_link, key) = origin.next_fetch(wait).expect("a fetch for the local key");
+    assert_eq!(key, home_key);
+    origin.respond(home_link, home_key, 32);
+    assert_eq!(answer(&mut c), (home_key, GetStatus::Fresh, payload::pattern(home_key, 32)));
+
+    // A cold key of loop 1's partition, read on loop 0.
+    let before = handle.stats();
+    read(&mut c, foreign[0]);
+    let (owner_link, key) = origin.next_fetch(wait).expect("a fetch for the foreign key");
+    assert_eq!(key, foreign[0]);
+    assert_ne!(owner_link, home_link, "the fetch left on the reader's link, not the owner's");
+    origin.respond(owner_link, foreign[0], 48);
+    assert_eq!(answer(&mut c), (foreign[0], GetStatus::Fresh, payload::pattern(foreign[0], 48)));
+    let after = handle.stats();
+    assert_eq!(after.cross_core_forwards - before.cross_core_forwards, 1, "{after:?}");
+    assert_eq!(after.refetches, 2, "{after:?}");
+
+    // The owner loop's link dies with the next foreign read parked.
+    read(&mut c, foreign[1]);
+    assert_eq!(origin.next_fetch(wait), Some((owner_link, foreign[1])));
+    origin.links[owner_link].get_ref().shutdown(Shutdown::Both).unwrap();
+    let (key, status, value) = answer(&mut c);
+    assert_eq!((key, status, value.len()), (foreign[1], GetStatus::Miss, 0), "the fallback");
+    let stats = handle.shutdown();
+    assert_eq!(stats.origin_errors, 1, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
 }
 
 /// Eight reads of one cold key, pipelined in one segment, coalesce to

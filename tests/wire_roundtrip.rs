@@ -14,6 +14,7 @@
 
 use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
 use fresca_net::{payload, GetStatus};
+use fresca_serve::datapath::Topology;
 use fresca_serve::loadgen::{self, LoadGenConfig, Mode};
 use fresca_serve::server::{self, ServerConfig};
 use fresca_serve::CacheClient;
@@ -625,6 +626,44 @@ fn forwarded_completions_share_one_write_per_tick() {
     let writes = after.reply_writes - before.reply_writes;
     assert!(forwards >= 16, "64 keys must span both owners, only {forwards} forwarded");
     assert!(writes <= 8, "{writes} reply writes for one burst with {forwards} forwards");
+}
+
+/// A store-pushed `Invalidate` whose keys span both partitions of a
+/// two-loop node is acknowledged once, and a get of any of its keys sent
+/// after the `Ack` — from either loop — is refused.
+#[test]
+fn store_push_batch_across_partitions_is_acked_once_and_refuses_after_its_ack() {
+    use fresca_net::{FramedStream, Message, RequestId};
+    use std::net::TcpStream;
+
+    const KEYS: u64 = 32;
+    let handle = spawn_server_with_loops(2);
+    let topo = Topology::new(8, 2);
+    assert!((0..KEYS).any(|k| topo.owner_of(k) == 0) && (0..KEYS).any(|k| topo.owner_of(k) == 1));
+    // First connection → loop 0, second → loop 1.
+    let mut client = CacheClient::connect(handle.addr()).unwrap();
+    for key in 0..KEYS {
+        client.put(key, payload::pattern(key, 16), None).unwrap();
+    }
+    let mut store = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    store.send(&Message::Invalidate { seq: 9, keys: (0..KEYS).collect() }).unwrap();
+    assert_eq!(store.recv().unwrap(), Some(Message::Ack { seq: 9 }));
+
+    for key in 0..KEYS {
+        assert_eq!(client.get(key, None).unwrap().status, GetStatus::RefusedStale, "key {key}");
+        store.send(&Message::GetReq { id: RequestId(key), key, max_staleness: u64::MAX }).unwrap();
+        match store.recv().unwrap() {
+            Some(Message::GetResp { id, status, .. }) => {
+                assert_eq!((id.0, status), (key, GetStatus::RefusedStale), "key {key}");
+            }
+            other => panic!("expected a GetResp, got {other:?}"),
+        }
+    }
+    store.get_ref().set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    assert!(store.recv().is_err(), "a second Ack or a stray frame followed");
+
+    let stats = handle.shutdown();
+    assert_eq!((stats.push_batches, stats.keys_invalidated), (1, KEYS), "{stats:?}");
 }
 
 /// A reader that stops reading until the socket buffers fill: the
