@@ -127,3 +127,57 @@ fn reports_serialize_to_json() {
     assert_eq!(report.cf_total, back.cf_total);
     assert_eq!(report.breakdown, back.breakdown);
 }
+
+/// The store side of every policy on one short preset trace at T = 1 s.
+/// Each row is `(policy, [violations, cf_total bits, cs_events,
+/// invalidates_sent, updates_sent, tracker_suppressed, buffer_coalesced,
+/// mirror_skipped, store_reads, net.sent], adaptive_decisions)`. A
+/// refactor of the flush path must leave every digit where it is.
+#[test]
+fn store_side_golden_for_every_policy() {
+    type Row = (&'static str, [u64; 10], Option<(u64, u64)>);
+    #[rustfmt::skip]
+    const GOLDEN: [Row; 8] = [
+        ("ttl-expiry", [0, 4656781388328992768, 2075, 0, 0, 0, 0, 0, 2431, 0], None),
+        ("ttl-polling", [0, 4683982928043048960, 0, 0, 0, 0, 0, 0, 138393, 0], None),
+        ("invalidate", [0, 4645714583893101783, 333, 653, 0, 1699, 466, 0, 689, 389], None),
+        ("update", [0, 4652886918143410176, 0, 0, 2352, 0, 466, 0, 356, 596], None),
+        ("adaptive", [0, 4648271608134657640, 197, 293, 698, 1361, 466, 0, 553, 640], Some((698, 1654))),
+        ("adaptive+cs", [0, 4644947564581565236, 197, 227, 270, 1202, 466, 653, 553, 408], Some((270, 1429))),
+        ("adaptive-slo", [0, 4652886918143410176, 0, 0, 2352, 0, 466, 0, 356, 596], Some((2352, 0))),
+        ("oracle", [0, 4644117213400268800, 0, 0, 615, 0, 466, 0, 356, 392], None),
+    ];
+    let trace = PoissonMixConfig {
+        horizon: SimDuration::from_secs(600),
+        ..workloads::poisson_mix()
+    }
+    .generate(workloads::SEED);
+    let cfg = EngineConfig { staleness_bound: SimDuration::from_secs(1), ..EngineConfig::default() };
+    let policies = [
+        PolicyConfig::TtlExpiry,
+        PolicyConfig::TtlPolling,
+        PolicyConfig::AlwaysInvalidate,
+        PolicyConfig::AlwaysUpdate,
+        PolicyConfig::adaptive(),
+        PolicyConfig::adaptive_cache_state(),
+        PolicyConfig::AdaptiveSlo { staleness_slo: 0.01 },
+        PolicyConfig::Oracle,
+    ];
+    for (policy, (name, row, decisions)) in policies.into_iter().zip(GOLDEN) {
+        let r = TraceEngine::new(cfg, policy).run(&trace);
+        assert_eq!(r.policy, name);
+        let got = [
+            r.violations,
+            r.cf_total.to_bits(),
+            r.cs_events,
+            r.breakdown.invalidates_sent,
+            r.breakdown.updates_sent,
+            r.tracker_suppressed,
+            r.buffer_coalesced,
+            r.mirror_skipped,
+            r.store_reads,
+            r.net.sent,
+        ];
+        assert_eq!((got, r.adaptive_decisions), (row, decisions), "{name}");
+    }
+}
