@@ -17,6 +17,7 @@
 //! history: a **violation** is a read served as fresh whose data misses a
 //! write older than the bound `T`.
 
+use crate::backend::{Backend, Batch, Rule};
 use crate::cost::{CostModel, ObjectSize};
 use crate::metrics::{CostBreakdown, CostMeters};
 pub use crate::policy::{EstimatorConfig, PolicyConfig};
@@ -27,8 +28,7 @@ use fresca_net::{
     DedupReceiver, FaultConfig, Message, NetStats, ReliableSender, SimNetwork, UpdateItem,
 };
 use fresca_sim::{Scheduler, SimDuration, SimTime};
-use fresca_sketch::EwEstimator;
-use fresca_store::{CacheStateMirror, DataStore, InvalidationTracker, WriteBuffer};
+use fresca_store::{CacheStateMirror, InvalidationTracker};
 use fresca_workload::{Op, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -156,17 +156,6 @@ impl RunReport {
     }
 }
 
-/// Engine-internal policy state.
-enum PolicyState {
-    TtlExpiry,
-    TtlPolling,
-    Static { update: bool },
-    /// `mirror` is the backend's view of the cache, for Adpt.+C.S. only.
-    Adaptive { policy: AdaptivePolicy<Box<dyn EwEstimator>>, mirror: Option<CacheStateMirror> },
-    Slo(SloAdaptivePolicy),
-    Oracle(OraclePolicy),
-}
-
 /// Events the engine schedules between requests.
 enum EngineEvent {
     /// Interval boundary: flush the write buffer onto the link.
@@ -244,32 +233,33 @@ impl TraceEngine {
         } else {
             SimTime::ZERO + trace.meta().horizon
         };
-        let policy = match self.policy_config {
-            PolicyConfig::TtlExpiry => PolicyState::TtlExpiry,
-            PolicyConfig::TtlPolling => PolicyState::TtlPolling,
-            PolicyConfig::AlwaysInvalidate => PolicyState::Static { update: false },
-            PolicyConfig::AlwaysUpdate => PolicyState::Static { update: true },
+        let rule = match self.policy_config {
+            PolicyConfig::TtlExpiry | PolicyConfig::TtlPolling => Rule::Off,
+            PolicyConfig::AlwaysInvalidate => Rule::Static(FlushDecision::Invalidate),
+            PolicyConfig::AlwaysUpdate => Rule::Static(FlushDecision::Update),
             PolicyConfig::Adaptive(est) => {
-                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror: None }
+                Rule::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror: None }
             }
             PolicyConfig::AdaptiveCacheState(est) => {
                 let mirror = Some(CacheStateMirror::new());
-                PolicyState::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror }
+                Rule::Adaptive { policy: AdaptivePolicy::new(est.build()), mirror }
             }
             PolicyConfig::AdaptiveSlo { staleness_slo } => {
-                PolicyState::Slo(SloAdaptivePolicy::new(staleness_slo))
+                Rule::Slo(SloAdaptivePolicy::new(staleness_slo))
             }
-            PolicyConfig::Oracle => PolicyState::Oracle(OraclePolicy::new(trace, t)),
+            // Opt. decides through the flush hook; the rule never runs.
+            PolicyConfig::Oracle => Rule::Static(FlushDecision::Nothing),
         };
+        let oracle = matches!(self.policy_config, PolicyConfig::Oracle)
+            .then(|| OraclePolicy::new(trace, t));
         let link = cfg.link;
         let mut run = Run {
             cfg,
             horizon,
-            policy,
+            policy: self.policy_config,
+            backend: Backend::new(rule),
+            oracle,
             cache: SlabCache::with_config(cfg.cache),
-            store: DataStore::new(),
-            buffer: WriteBuffer::new(),
-            tracker: InvalidationTracker::new(),
             meters: CostMeters::new(),
             sched: Scheduler::new(),
             generations: HashMap::default(),
@@ -305,11 +295,12 @@ impl TraceEngine {
 struct Run<'a> {
     cfg: &'a EngineConfig,
     horizon: SimTime,
-    policy: PolicyState,
+    policy: PolicyConfig,
+    backend: Backend,
+    /// Opt. reads the trace's future, so it stays here and decides
+    /// through the backend's flush hook.
+    oracle: Option<OraclePolicy>,
     cache: SlabCache,
-    store: DataStore,
-    buffer: WriteBuffer,
-    tracker: InvalidationTracker,
     meters: CostMeters,
     sched: Scheduler<EngineEvent>,
     generations: HashMap<u64, u64, SplitMixBuild>,
@@ -346,59 +337,37 @@ impl Run<'_> {
         }
     }
 
-    fn decide(&mut self, key: u64, now: SimTime, size: ObjectSize) -> FlushDecision {
-        let cost = &self.cfg.cost;
-        match &mut self.policy {
-            PolicyState::Static { update: true } => FlushDecision::Update,
-            PolicyState::Static { update: false } => FlushDecision::Invalidate,
-            PolicyState::Adaptive { policy, mirror } => {
-                if mirror.as_mut().is_some_and(|m| !m.should_send(key)) {
-                    FlushDecision::Nothing
-                } else {
-                    policy.decide(key, cost, size)
-                }
-            }
-            PolicyState::Slo(policy) => policy.decide(key, cost, size),
-            PolicyState::Oracle(oracle) => oracle.decide(
-                key,
-                now,
-                self.cache.contains(key),
-                self.tracker.is_invalidated(key),
-                cost,
-                size,
-            ),
-            PolicyState::TtlExpiry | PolicyState::TtlPolling => {
-                unreachable!("TTL policies never flush")
-            }
-        }
-    }
-
-    /// Interval boundary: decide per dirty key, meter what is sent, and
-    /// send one invalidate and one update frame over the link.
+    /// Interval boundary: the backend decides per dirty key; meter what
+    /// is sent and send one invalidate and one update frame over the link.
     fn flush(&mut self, now: SimTime) {
         let cfg = self.cfg;
-        let mut items: Vec<UpdateItem> = Vec::new();
-        // The drained buffer keeps the keys to invalidate.
-        let mut keys = self.buffer.drain();
-        keys.retain(|&key| {
-            let rec = self.store.peek(key).expect("dirty key must exist in the store");
-            let size = ObjectSize { key: cfg.key_size, value: rec.value_size };
-            match self.decide(key, now, size) {
-                FlushDecision::Update => {
-                    self.meters.on_update_sent(cfg.cost.update_cost(size));
-                    // The simulator never reads value bytes; zeroes()
-                    // slices a shared buffer, so the size costs nothing.
-                    let value = fresca_net::payload::zeroes(rec.value_size as usize);
-                    items.push(UpdateItem { key, version: rec.version, value });
-                    false
-                }
-                FlushDecision::Invalidate if self.tracker.should_send(key) => {
-                    self.meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
-                    true
-                }
-                FlushDecision::Invalidate | FlushDecision::Nothing => false,
-            }
-        });
+        let (cache, oracle) = (&self.cache, &mut self.oracle);
+        let hook = |key, size, tracker: &InvalidationTracker| {
+            let oracle = oracle.as_mut()?;
+            let invalidated = tracker.is_invalidated(key);
+            Some(oracle.decide(key, now, cache.contains(key), invalidated, &cfg.cost, size))
+        };
+        let batch = self.backend.drain(&cfg.cost, cfg.key_size, 1, |_| 0, hook).pop();
+        let Batch { invalidate, update } = batch.expect("one part");
+        let keys: Vec<u64> = invalidate
+            .into_iter()
+            .map(|(key, rec)| {
+                let size = ObjectSize { key: cfg.key_size, value: rec.value_size };
+                self.meters.on_invalidate_sent(cfg.cost.invalidate_cost(size));
+                key
+            })
+            .collect();
+        let items: Vec<UpdateItem> = update
+            .into_iter()
+            .map(|(key, rec)| {
+                let size = ObjectSize { key: cfg.key_size, value: rec.value_size };
+                self.meters.on_update_sent(cfg.cost.update_cost(size));
+                // The simulator never reads value bytes; zeroes() slices
+                // a shared buffer, so the size costs nothing.
+                let value = fresca_net::payload::zeroes(rec.value_size as usize);
+                UpdateItem { key, version: rec.version, value }
+            })
+            .collect();
         if !keys.is_empty() {
             self.send(now, |seq| Message::Invalidate { seq, keys });
         }
@@ -450,20 +419,11 @@ impl Run<'_> {
                     if !newer
                         && self.cache.apply_update(it.key, it.version, it.value_size(), now, None)
                     {
-                        self.clear_invalidated(it.key);
+                        self.backend.refreshed(it.key);
                     }
                 }
             }
             _ => {}
-        }
-    }
-
-    /// The entry holds the latest version again: the backend stops
-    /// counting it as invalidated. Skipped while nothing is invalidated,
-    /// as under most policies: `clear` hashes the key.
-    fn clear_invalidated(&mut self, key: u64) {
-        if !self.tracker.is_empty() {
-            self.tracker.clear(key);
         }
     }
 
@@ -472,7 +432,7 @@ impl Run<'_> {
             let value_size = self.cache.peek(key).map(|e| e.value_size).unwrap_or(0);
             let size = ObjectSize { key: self.cfg.key_size, value: value_size };
             self.meters.on_polling_refresh(self.cfg.cost.miss_cost(size));
-            let rec = self.store.read(key, value_size);
+            let rec = self.backend.fetched(key, value_size);
             self.cache.apply_refresh(key, rec.version, now, None);
             self.next_interval(now, EngineEvent::Refresh { key, generation });
         }
@@ -490,13 +450,9 @@ impl Run<'_> {
     fn read(&mut self, now: SimTime, key: u64, size: ObjectSize) {
         let cfg = self.cfg;
         self.meters.on_read(cfg.cost.hit_cost(size));
-        match &mut self.policy {
-            PolicyState::Adaptive { policy, .. } => policy.on_read(key),
-            PolicyState::Slo(policy) => policy.on_read(key),
-            _ => {}
-        }
+        self.backend.on_read(key);
         let expires = match self.policy {
-            PolicyState::TtlExpiry => Some(now + cfg.staleness_bound),
+            PolicyConfig::TtlExpiry => Some(now + cfg.staleness_bound),
             _ => None,
         };
         let cold = match self.cache.get(key, now) {
@@ -518,21 +474,17 @@ impl Run<'_> {
                 true
             }
         };
-        let rec = self.store.read(key, size.value);
+        let rec = self.backend.fetched(key, size.value);
         let evicted = self.cache.insert(key, rec.version, rec.value_size, now, expires);
-        self.clear_invalidated(key);
         if !cold {
             debug_assert!(evicted.is_empty(), "in-place refresh never evicts");
             return;
         }
-        if let PolicyState::Adaptive { mirror: Some(mirror), .. } = &mut self.policy {
-            mirror.on_populate(key);
-            evicted.iter().for_each(|&ek| mirror.on_evict(ek));
-        }
+        self.backend.on_populate(key, &evicted);
         for ek in evicted {
             self.generations.remove(&ek);
         }
-        if matches!(self.policy, PolicyState::TtlPolling) {
+        if matches!(self.policy, PolicyConfig::TtlPolling) {
             let generation = self.generations.entry(key).or_insert(0);
             *generation += 1;
             let generation = *generation;
@@ -542,33 +494,22 @@ impl Run<'_> {
 
     #[inline]
     fn write(&mut self, now: SimTime, key: u64, value_size: u32) {
-        let rec = self.store.write(key, value_size, now);
+        let rec = self.backend.write(key, value_size, now);
         self.writes.record(key, rec.version, now);
-        match &mut self.policy {
-            PolicyState::Adaptive { policy, .. } => policy.on_write(key),
-            PolicyState::Slo(policy) => policy.on_write(key),
-            _ => {}
-        }
-        if !matches!(self.policy, PolicyState::TtlExpiry | PolicyState::TtlPolling) {
-            self.buffer.mark_dirty(key);
-        }
     }
 
     fn report(self, policy_config: PolicyConfig, trace: &Trace) -> RunReport {
         let cache_stats = self.cache.stats();
-        let (estimator_memory_bytes, adaptive_decisions) = match &self.policy {
-            PolicyState::Adaptive { policy, .. } => {
-                (Some(policy.estimator().memory_bytes()), Some(policy.decision_counts()))
-            }
-            PolicyState::Slo(policy) => {
-                (Some(policy.memory_bytes()), Some(policy.decision_counts()))
-            }
-            _ => (None, None),
+        let rule = self.backend.rule();
+        let (estimator_memory_bytes, mirror_skipped) = match rule {
+            Rule::Adaptive { policy, mirror } => (
+                Some(policy.estimator().memory_bytes()),
+                mirror.as_ref().map_or(0, CacheStateMirror::skipped),
+            ),
+            Rule::Slo(policy) => (Some(policy.memory_bytes()), 0),
+            Rule::Off | Rule::Static(_) => (None, 0),
         };
-        let mirror_skipped = match &self.policy {
-            PolicyState::Adaptive { mirror: Some(mirror), .. } => mirror.skipped(),
-            _ => 0,
-        };
+        let store = self.backend.store().stats();
         RunReport {
             policy: policy_config.name().into(),
             workload: trace.meta().generator.clone(),
@@ -582,13 +523,13 @@ impl Run<'_> {
             cs_normalized: self.meters.cs_normalized(cache_stats.present_reads()),
             breakdown: self.meters.breakdown(),
             cache: cache_stats,
-            store_reads: self.store.stats().reads,
-            store_writes: self.store.stats().writes,
-            tracker_suppressed: self.tracker.suppressed(),
-            buffer_coalesced: self.buffer.coalesced(),
+            store_reads: store.reads,
+            store_writes: store.writes,
+            tracker_suppressed: self.backend.tracker().suppressed(),
+            buffer_coalesced: self.backend.buffer().coalesced(),
             mirror_skipped,
             estimator_memory_bytes,
-            adaptive_decisions,
+            adaptive_decisions: rule.decision_counts(),
             violations: self.violations,
             max_overage_s: self.max_overage.as_secs_f64(),
             net: self.net.stats(),

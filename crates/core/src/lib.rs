@@ -14,10 +14,10 @@
 //! | [`cost`] | §3.3, Table 1 | `c_m`/`c_i`/`c_u`/`c_h` cost model, ser/deser breakdown, bottleneck-based estimation |
 //! | [`model`] | §2, §3.1 | closed-form `C_F`/`C_S` for TTL-expiry, TTL-polling, update, invalidate |
 //! | [`policy`] | §3.2–3.3 | decision rules (exact, `T→0`, `E[W]`, SLO-constrained), adaptive policy, omniscient oracle |
+//! | [`backend`] | §3.1, §3.3, Fig. 4 | the store's half of the loop, I/O-free: store, write buffer, invalidation tracker and decision rule; one flush loop for the simulator and the live store-push node |
 //! | [`metrics`] | §2.1–2.2 | freshness/staleness cost meters and the `C'_F`/`C'_S` normalisations |
 //! | [`engine`] | §2.2, §3.4, §5 | the trace-driven simulation engine: flushes cross a store→cache link, ideal for Figures 2, 3, 5 and faulty for the §5 lossy-delivery experiments; every run counts ground-truth violations |
 //! | [`experiment`] | §3.4 | paper workload presets, parameter sweeps, JSON reports |
-//! | [`composite`] | §5 | many-to-many (composite object) freshness extension |
 //!
 //! ## Quick start
 //!
@@ -40,11 +40,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod composite;
+pub mod backend;
 pub mod cost;
 pub mod engine;
 pub mod experiment;

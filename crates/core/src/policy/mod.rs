@@ -53,7 +53,7 @@ pub enum EstimatorConfig {
 }
 
 impl EstimatorConfig {
-    pub(crate) fn build(self) -> Box<dyn EwEstimator> {
+    pub(crate) fn build(self) -> Box<dyn EwEstimator + Send> {
         match self {
             EstimatorConfig::Exact => Box::new(ExactEw::new()),
             EstimatorConfig::CountMin { width, depth } => Box::new(CountMinEw::new(width, depth)),

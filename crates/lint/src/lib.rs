@@ -25,16 +25,20 @@
 //!   posting to that inbox; the freshness bound is only as good as the
 //!   worst hold time.
 //! * **R5 `lock-free-serve-path`** — the data path
-//!   (`crates/serve/src/datapath.rs`, outside `#[cfg(test)]`) calls no
-//!   `.lock()`/`.read()`/`.write()` and names no `parking_lot`,
-//!   `minipoll`, `std::net`, `std::io`, `std::os` or `Instant`.
-//!   The data path is lock-free because its callers serialise each
-//!   partition: the reactor holds one partition's lock around every
-//!   call into an `Owner`, which then touches its shards through plain
-//!   `&mut`. A lock inside would nest under that one (and the model
+//!   (`crates/serve/src/datapath.rs`) and the store backend
+//!   (`crates/core/src/backend.rs`), outside `#[cfg(test)]`, call no
+//!   `.lock()` and name no `parking_lot`, `minipoll`, `std::net`,
+//!   `std::io`, `std::os` or `Instant`; the data path calls no
+//!   `.read()`/`.write()` either (the backend's own store has those).
+//!   Both are lock-free because their callers serialise them: the
+//!   reactor holds one partition's lock around every call into an
+//!   `Owner`, which then touches its shards through plain `&mut`, and
+//!   the store-push node holds the origin state's lock around the
+//!   backend. A lock inside would nest under that one (and the model
 //!   checker would no longer see one scheduling point per op) — and a
-//!   socket or a clock means the serving logic stopped being a function
-//!   of `(owner, op, now)` that tests and the model checker can call.
+//!   socket or a clock means the logic stopped being a function of its
+//!   state, its input and `now` that tests, the simulator and the model
+//!   checker can call.
 //! * **R6 `panic-free-reconnect`** — the client-side reconnect paths
 //!   (`connect` in `crates/serve/src/client.rs`,
 //!   `connect`/`refresh`/`swap_view`/`with_owner` in
@@ -1061,16 +1065,18 @@ fn scan_lock_scope(
 }
 
 // ---------------------------------------------------------------------------
-// R5: lock-free owner-local serve path
+// R5: lock-free, I/O-free serve path and store backend
 // ---------------------------------------------------------------------------
 
-/// The data-path file: every operation on owned shards, I/O-free.
-pub const SERVE_PATH_FILE: &str = "crates/serve/src/datapath.rs";
-
-/// Lock-acquiring method names. `read`/`write` cover `RwLock` guards
-/// (and, usefully, raw socket I/O — neither belongs in an owner-local
-/// shard operation).
-const LOCK_ACQUIRE_CALLS: &[&str] = &["lock", "read", "write"];
+/// The files that stay lock-free and I/O-free, each with the method
+/// calls it may not make: the data path (every operation on owned
+/// shards) none of `lock`/`read`/`write` — `read`/`write` cover `RwLock`
+/// guards and, usefully, raw socket I/O — and the store backend, whose
+/// own `DataStore` has `read`/`write`, no `lock`.
+pub const SERVE_PATH_FILES: &[(&str, &[&str])] = &[
+    ("crates/serve/src/datapath.rs", &["lock", "read", "write"]),
+    ("crates/core/src/backend.rs", &["lock"]),
+];
 
 /// Names the data path must not mention anywhere: locks, the poll set
 /// and the wall clock…
@@ -1079,7 +1085,13 @@ const SERVE_PATH_BANNED_NAMES: &[&str] = &["parking_lot", "minipoll", "Instant"]
 /// …and, after `std::`, sockets, I/O and file descriptors.
 const SERVE_PATH_BANNED_STD: &[&str] = &["net", "io", "os"];
 
-fn rule_lock_free_serve_path(root: &Path, path: &Path, tokens: &[Token], report: &mut Report) {
+fn rule_lock_free_serve_path(
+    root: &Path,
+    path: &Path,
+    lock_calls: &[&str],
+    tokens: &[Token],
+    report: &mut Report,
+) {
     let spans = cfg_test_spans(tokens);
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokenKind::Ident || in_spans(&spans, t.line) {
@@ -1093,7 +1105,7 @@ fn rule_lock_free_serve_path(root: &Path, path: &Path, tokens: &[Token], report:
             && tokens[i - 1].is_punct(':')
             && tokens[i - 2].is_punct(':')
             && tokens[i - 3].is_ident("std");
-        let what = if method_call && LOCK_ACQUIRE_CALLS.contains(&name) {
+        let what = if method_call && lock_calls.contains(&name) {
             format!("`.{name}()`")
         } else if SERVE_PATH_BANNED_NAMES.contains(&name) {
             format!("`{name}`")
@@ -1107,9 +1119,9 @@ fn rule_lock_free_serve_path(root: &Path, path: &Path, tokens: &[Token], report:
             file: rel(root, path),
             line: t.line,
             message: format!(
-                "{what} in the data path: an owner touches its shards through `&mut` only \
-                 and is handed `now` — its caller holds the partition's lock, so a lock \
-                 here nests under it; a socket or a clock breaks calling it from a test"
+                "{what} in a lock-free, I/O-free file: its state is touched through `&mut` \
+                 only and it is handed `now` — its caller holds the lock, so a lock here \
+                 nests under it; a socket or a clock breaks calling it from a test"
             ),
         });
     }
@@ -1204,8 +1216,8 @@ pub fn lint_workspace(root: &Path) -> Report {
         if lock_dirs.iter().any(|d| path.starts_with(d)) {
             rule_no_blocking_under_lock(root, path, &tokens, &mut report);
         }
-        if *path == root.join(SERVE_PATH_FILE) {
-            rule_lock_free_serve_path(root, path, &tokens, &mut report);
+        if let Some((_, calls)) = SERVE_PATH_FILES.iter().find(|(f, _)| *path == root.join(f)) {
+            rule_lock_free_serve_path(root, path, calls, &tokens, &mut report);
         }
         if RECONNECT_PATH_FILES.iter().any(|f| *path == root.join(f)) {
             rule_panic_free_reconnect(root, path, &tokens, &mut report);

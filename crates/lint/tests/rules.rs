@@ -499,6 +499,31 @@ fn sockets_poll_sets_lock_crates_and_clocks_in_the_data_path_are_flagged() {
 }
 
 #[test]
+fn locks_sockets_and_clocks_in_the_store_backend_are_flagged() {
+    // The backend's own `DataStore` reads and writes; a lock, a socket
+    // or a wall clock would stop the simulator and the store-push node
+    // sharing it.
+    let fx = Fixture::new("servepath-backend");
+    fx.file(
+        "crates/core/src/backend.rs",
+        "fn write(&mut self, key: u64) -> Record {\n\
+         \x20   let rec = self.store.write(key, 8, now);\n\
+         \x20   self.store.read(key, 8);\n\
+         \x20   let g = self.shared.lock();\n\
+         \x20   let t = std::time::Instant::now();\n\
+         \x20   let s: std::net::TcpStream = connect();\n\
+         \x20   let m: parking_lot::Mutex<u8> = lock();\n\
+         }\n",
+    );
+    let report = fx.lint();
+    let v = violations(&report, "lock-free-serve-path");
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, vec![4, 5, 6, 7], "store `read`/`write` calls are fine: {v:?}");
+    assert!(v.iter().all(|v| v.file == "crates/core/src/backend.rs"));
+    assert!(v[0].message.contains(".lock()"), "{}", v[0].message);
+}
+
+#[test]
 fn locks_and_sockets_outside_the_data_path_file_are_allowed() {
     // The reactor legitimately locks (the mailbox) and owns every
     // socket; other files lock freely — the rule is scoped to

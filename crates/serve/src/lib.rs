@@ -41,15 +41,15 @@
 //!   [`client::PipelinedClient`] per ring member and routes every
 //!   `get`/`put` to the node owning the key.
 //! * [`push`] — the store side of the paper's freshness pipeline on the
-//!   wire: [`push::StorePusher`] buffers writes in a real
-//!   `fresca-store` backend and pushes per-node `Invalidate`/`Update`
+//!   wire: [`push::StorePusher`] buffers writes in the one store
+//!   backend (`fresca_core::backend`) and pushes per-node `Invalidate`/`Update`
 //!   batches to the ring members owning each key, collecting per-node
 //!   acks by sequence number. The policy is selectable — including
 //!   `adaptive`, which decides invalidate-vs-update per key from live
 //!   read-frequency estimates.
 //! * [`origin`] — the origin endpoint cache servers refetch through
-//!   when a bounded read would be refused or missed: shared
-//!   store/tracker/estimator state ([`origin::OriginState`]) behind a
+//!   when a bounded read would be refused or missed: the shared
+//!   backend ([`origin::OriginState`]) behind a
 //!   blocking listener, closing the paper's §3.1 backchannel (a
 //!   refetch clears invalidation suppression) and feeding the adaptive
 //!   policy's per-key read rates.

@@ -2,19 +2,21 @@
 //!
 //! The paper's backend can track invalidations precisely (§3.1) and
 //! choose invalidate-vs-update per key (§3.3) *because* cache refetches
-//! flow through it. [`OriginState`] is that backend brain: a versioned
-//! [`DataStore`], the §3.1 [`InvalidationTracker`], and a live
-//! [`AdaptivePolicy`] fed by read statistics from the serving tier. It
-//! is shared — behind `Arc<Mutex<_>>` — between two frontends:
+//! flow through it. [`OriginState`] is that backend on the live path: the
+//! one I/O-free [`Backend`] the simulator also runs (versioned store,
+//! dirty-key buffer, §3.1 tracker and an adaptive rule whose `E[W]`
+//! estimator is fed by read statistics from the serving tier), plus a
+//! clock and fetch counters. It is shared — behind `Arc<Mutex<_>>` —
+//! between two frontends:
 //!
 //! * the origin **listener** ([`spawn`]): a blocking TCP endpoint cache
 //!   servers refetch through. `FetchReq { key }` clears the key's
 //!   invalidation mark and answers `FetchResp` with the store's record;
 //!   `ReadStats` batches feed the per-key read-frequency estimator.
 //! * the **pusher** ([`crate::push::StorePusher`]): applies writes and
-//!   flushes per-node `Invalidate`/`Update` batches, consulting the
-//!   same tracker for suppression and (under the adaptive policy) the
-//!   same estimator for the `E[W]·c_u < c_m + c_i` decision.
+//!   runs [`Backend::drain`], which drains the dirty keys, suppresses
+//!   invalidates the tracker already counts as sent and (under the
+//!   adaptive policy) decides `E[W]·c_u < c_m + c_i` per key.
 //!
 //! Sharing one state is the whole point: a refetch arriving on the
 //! listener un-suppresses the key for the pusher's next flush, and read
@@ -24,11 +26,12 @@
 //! outside it, so a slow peer never stalls the other frontend.
 
 use crate::ServeClock;
+use fresca_core::backend::{Backend, Rule};
 use fresca_core::cost::{CostModel, ObjectSize};
 use fresca_core::policy::{AdaptivePolicy, FlushDecision};
 use fresca_net::{FramedStream, Message, ReadStat};
 use fresca_sketch::{EwEstimator, TopKEw};
-use fresca_store::{DataStore, InvalidationTracker, Record};
+use fresca_store::Record;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -57,9 +60,7 @@ const ESTIMATOR_DEPTH: usize = 4;
 /// The shared store-side state of the freshness loop. See the module
 /// docs for the sharing contract.
 pub struct OriginState {
-    store: DataStore,
-    tracker: InvalidationTracker,
-    policy: AdaptivePolicy<Box<dyn EwEstimator + Send>>,
+    pub(crate) backend: Backend,
     clock: ServeClock,
     default_size: u32,
     fetches: u64,
@@ -73,7 +74,7 @@ impl std::fmt::Debug for OriginState {
         f.debug_struct("OriginState")
             .field("fetches", &self.fetches)
             .field("reads_recorded", &self.reads_recorded)
-            .field("invalidated", &self.tracker.len())
+            .field("invalidated", &self.backend.tracker().len())
             .finish()
     }
 }
@@ -81,10 +82,9 @@ impl std::fmt::Debug for OriginState {
 impl OriginState {
     /// New state around an explicit read-frequency estimator.
     pub fn new(estimator: Box<dyn EwEstimator + Send>, default_size: u32) -> Self {
+        let rule = Rule::Adaptive { policy: AdaptivePolicy::new(estimator), mirror: None };
         OriginState {
-            store: DataStore::new(),
-            tracker: InvalidationTracker::new(),
-            policy: AdaptivePolicy::new(estimator),
+            backend: Backend::new(rule),
             clock: ServeClock::start(),
             default_size,
             fetches: 0,
@@ -105,10 +105,9 @@ impl OriginState {
     /// mark (the backchannel that re-arms suppression) and return the
     /// store's record, materialising a default-size one on first touch.
     pub fn serve_fetch(&mut self, key: u64) -> Record {
-        self.tracker.clear(key);
         self.fetches += 1;
         *self.fetches_by_key.entry(key).or_insert(0) += 1;
-        self.store.read(key, self.default_size)
+        self.backend.fetched(key, self.default_size)
     }
 
     /// Fold a `ReadStats` batch from the serving tier into the per-key
@@ -118,54 +117,23 @@ impl OriginState {
         for e in entries {
             let n = e.reads.min(MAX_READS_PER_STAT);
             for _ in 0..n {
-                self.policy.on_read(e.key);
+                self.backend.on_read(e.key);
             }
             self.reads_recorded += u64::from(n);
         }
     }
 
-    /// Apply a write: bump the store record and feed the estimator's
-    /// write stream. The caller (the pusher) marks the key dirty.
+    /// Apply a write: bump the store record, feed the estimator's write
+    /// stream and mark the key dirty for the next flush.
     pub fn write(&mut self, key: u64, value_size: u32) -> Record {
-        self.policy.on_write(key);
-        self.store.write(key, value_size, self.clock.now())
-    }
-
-    /// The §3.1 backchannel outside the listener path: a refetch the
-    /// embedder observed elsewhere. Clears suppression and returns the
-    /// store's record.
-    pub fn refetched(&mut self, key: u64, default_size: u32) -> Record {
-        self.tracker.clear(key);
-        self.store.read(key, default_size)
+        self.backend.write(key, value_size, self.clock.now())
     }
 
     /// Invalidate-vs-update decision for `key` under `cost`, from the
     /// live `E[W]` estimate (`rules::should_update_ew`; unknown keys
     /// default to update).
     pub fn decide(&mut self, key: u64, cost: &CostModel, size: ObjectSize) -> FlushDecision {
-        self.policy.decide(key, cost, size)
-    }
-
-    /// §3.1 suppression check for an invalidate of `key` (mutates the
-    /// tracker: a `true` marks the key invalidated).
-    pub fn should_send_invalidate(&mut self, key: u64) -> bool {
-        self.tracker.should_send(key)
-    }
-
-    /// Clear `key`'s invalidation mark (an update re-freshens it; also
-    /// the rollback path for failed flushes).
-    pub fn clear_invalidated(&mut self, key: u64) {
-        self.tracker.clear(key);
-    }
-
-    /// The backing store (read-only view).
-    pub fn store(&self) -> &DataStore {
-        &self.store
-    }
-
-    /// The §3.1 tracker (read-only view).
-    pub fn tracker(&self) -> &InvalidationTracker {
-        &self.tracker
+        self.backend.decide(key, cost, size)
     }
 
     /// Fetches served, total.
@@ -192,7 +160,7 @@ impl OriginState {
 
     /// Cumulative `(update, invalidate)` decision counts.
     pub fn decision_counts(&self) -> (u64, u64) {
-        self.policy.decision_counts()
+        self.backend.rule().decision_counts().unwrap_or_default()
     }
 
     /// Wrap this state for [`spawn`] or
@@ -333,15 +301,24 @@ mod tests {
         spawn("127.0.0.1:0", state).expect("bind origin")
     }
 
+    /// Flush `key` as an invalidate: true if it went out, false if the
+    /// §3.1 tracker suppressed it.
+    fn invalidate_sent(s: &mut OriginState, key: u64) -> bool {
+        s.write(key, 16);
+        let invalidate = Some(FlushDecision::Invalidate);
+        let batches = s.backend.drain(&CostModel::default(), 8, 1, |_| 0, |_, _, _| invalidate);
+        batches[0].invalidate.iter().any(|&(k, _)| k == key)
+    }
+
     #[test]
     fn fetch_clears_tracker_and_counts_per_key() {
         let mut s = OriginState::with_default_estimator(32);
         s.write(7, 16);
-        assert!(s.should_send_invalidate(7), "first invalidate goes out");
-        assert!(!s.should_send_invalidate(7), "second is suppressed");
+        assert!(invalidate_sent(&mut s, 7), "first invalidate goes out");
+        assert!(!invalidate_sent(&mut s, 7), "second is suppressed");
         let rec = s.serve_fetch(7);
         assert_eq!(rec.value_size, 16);
-        assert!(s.should_send_invalidate(7), "refetch re-armed the key");
+        assert!(invalidate_sent(&mut s, 7), "refetch re-armed the key");
         // A never-written key materialises at the default size.
         let cold = s.serve_fetch(99);
         assert_eq!(cold.value_size, 32);

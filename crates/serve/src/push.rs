@@ -1,31 +1,39 @@
-//! The store-push node: a real `fresca-store` backend that batches
-//! writes and pushes `Invalidate`/`Update` batches to the cache nodes
-//! owning each key.
+//! The store-push node: the live caller of the one store backend,
+//! pushing `Invalidate`/`Update` batches to the cache nodes owning each
+//! key.
 //!
 //! This is the paper's Figure-4 pipeline lifted off the simulator and
-//! onto the wire. A [`StorePusher`] drives the store-side freshness
-//! machinery — the shared [`OriginState`] (versioned store, §3.1
-//! [`fresca_store::InvalidationTracker`], live adaptive policy) plus
-//! the per-interval dirty-key [`WriteBuffer`] — over one framed TCP
-//! connection per cache node, routed by the same [`HashRing`] every
-//! other cluster participant computes. Writes mark keys dirty;
-//! [`StorePusher::flush`] drains the buffer, partitions the dirty keys
-//! by ring owner, and sends each node `Invalidate { seq, keys }` and/or
-//! `Update { seq, items }` frames, then blocks for the `Ack { seq }`
-//! each node owes.
+//! onto the wire. The store side — versioned store, dirty-key buffer,
+//! §3.1 tracker, decision rule — is the I/O-free
+//! [`Backend`](fresca_core::backend::Backend) the simulation engine
+//! also runs, held in the shared [`OriginState`]. Writes mark keys
+//! dirty; [`StorePusher::flush`] drains the backend partitioned by ring
+//! owner (the [`HashRing`] every cluster participant computes), sends
+//! each node `Invalidate { seq, keys }` and/or `Update { seq, items }`
+//! frames, then blocks for the `Ack { seq }` each node owes.
 //!
 //! Three policies mirror the paper's §3.3 spectrum:
 //!
 //! * [`PushPolicy::Invalidate`] / [`PushPolicy::Update`] — the static
-//!   always-invalidate and always-update policies of the simulation
-//!   engines (and the original `--policy` flag, kept as an override).
-//! * [`PushPolicy::Adaptive`] — per key, per flush: update iff
+//!   policies of the simulation engine, passed to the backend's drain
+//!   as its decision hook.
+//! * [`PushPolicy::Adaptive`] — the backend's own rule: update iff
 //!   `E[W]·c_u < c_m + c_i`, with `E[W]` estimated live from the read
 //!   statistics the serving tier reports to the shared origin state.
-//!   A mixed workload produces *mixed* batches — hot-read keys ride
-//!   `Update` frames, write-mostly keys ride `Invalidate` frames, and
-//!   both are counted in [`PushStats::decided_update`] /
-//!   [`PushStats::decided_invalidate`].
+//!   A mixed workload produces *mixed* batches, counted in
+//!   [`PushStats::decided_update`] / [`PushStats::decided_invalidate`].
+//!
+//! **Sharing.** An origin listener may share the backend
+//! ([`StorePusher::connect_shared`]). A flush decides under one lock
+//! acquisition and sends after releasing it, so a slow cache node never
+//! stalls the listener.
+//!
+//! **The tracker clear is at decision.** A key decided `Update` stops
+//! counting as invalidated before its batch is sent, not at the `Ack`:
+//! a node that applied the batch but whose `Ack` was lost holds the new
+//! value, and a tracker still saying "invalidated" would suppress the
+//! next write's invalidate and leave that node serving stale data as
+//! fresh. (The simulator clears when its `Update` lands.)
 //!
 //! Sequence numbers are **per node** (each connection is its own
 //! reliable channel, exactly like the simulation's per-link
@@ -46,10 +54,11 @@
 
 use crate::origin::{OriginState, DEFAULT_ORIGIN_VALUE_SIZE};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use fresca_core::cost::{CostModel, ObjectSize};
+use fresca_core::backend::Batch;
+use fresca_core::cost::CostModel;
 use fresca_core::policy::FlushDecision;
 use fresca_net::{payload, FramedStream, Message, UpdateItem};
-use fresca_store::{Record, WriteBuffer};
+use fresca_store::Record;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::io;
@@ -154,23 +163,6 @@ pub struct PushStats {
     pub decided_update: u64,
 }
 
-/// A batch built during a flush but not yet sent: the seq is assigned
-/// at send time, so an adaptive flush can give one node two frames.
-#[derive(Debug)]
-enum PendingBatch {
-    Invalidate(Vec<u64>),
-    Update(Vec<UpdateItem>),
-}
-
-impl PendingBatch {
-    fn keys(&self) -> usize {
-        match self {
-            PendingBatch::Invalidate(keys) => keys.len(),
-            PendingBatch::Update(items) => items.len(),
-        }
-    }
-}
-
 /// A live store node pushing freshness traffic into a cache cluster.
 pub struct StorePusher {
     ring: HashRing,
@@ -180,10 +172,9 @@ pub struct StorePusher {
     conns: Vec<FramedStream<TcpStream>>,
     /// Next sequence number per node, starting at 1.
     next_seq: Vec<u64>,
-    /// The store-side brain, shared with an origin listener when one is
-    /// serving refetches for the same backend (see [`crate::origin`]).
+    /// The store backend, shared with an origin listener when one is
+    /// serving refetches for it (see [`crate::origin`]).
     origin: Arc<Mutex<OriginState>>,
-    buffer: WriteBuffer,
     config: PushConfig,
     stats: PushStats,
 }
@@ -203,10 +194,8 @@ impl StorePusher {
     /// the addresses as given — all cluster participants must spell
     /// them identically), with a private backend state.
     pub fn connect<S: AsRef<str>>(addrs: &[S], config: PushConfig) -> io::Result<Self> {
-        let origin = Arc::new(Mutex::new(OriginState::with_default_estimator(
-            DEFAULT_ORIGIN_VALUE_SIZE,
-        )));
-        StorePusher::connect_shared(addrs, config, origin)
+        let origin = OriginState::with_default_estimator(DEFAULT_ORIGIN_VALUE_SIZE);
+        StorePusher::connect_shared(addrs, config, origin.into_shared())
     }
 
     /// [`StorePusher::connect`], but sharing an existing backend state —
@@ -235,7 +224,6 @@ impl StorePusher {
             conns,
             next_seq,
             origin,
-            buffer: WriteBuffer::new(),
             config,
             stats: PushStats::default(),
         })
@@ -246,7 +234,7 @@ impl StorePusher {
         &self.ring
     }
 
-    /// The shared backend state (store, tracker, adaptive policy).
+    /// The shared backend state.
     pub fn origin_state(&self) -> Arc<Mutex<OriginState>> {
         Arc::clone(&self.origin)
     }
@@ -254,8 +242,9 @@ impl StorePusher {
     /// Counters so far.
     pub fn stats(&self) -> PushStats {
         let mut s = self.stats;
-        s.suppressed = self.origin.lock().tracker().suppressed();
-        s.coalesced = self.buffer.coalesced();
+        let o = self.origin.lock();
+        s.suppressed = o.backend.tracker().suppressed();
+        s.coalesced = o.backend.buffer().coalesced();
         s
     }
 
@@ -263,30 +252,23 @@ impl StorePusher {
     /// for the next flush. Returns the store's new record.
     pub fn write(&mut self, key: u64, value_size: u32) -> Record {
         let rec = self.origin.lock().write(key, value_size);
-        self.buffer.mark_dirty(key);
         self.stats.writes += 1;
         rec
     }
 
-    /// The store served a miss-path read of `key` (the cache-aside
-    /// refetch after an invalidation): the backend no longer considers
-    /// the key invalidated, so the *next* write triggers a fresh
-    /// invalidate instead of being suppressed. Returns the store's
-    /// record for the read.
-    ///
-    /// This is the §3.1 backchannel the tracking assumption rests on.
-    /// When an origin listener serves refetches on this pusher's shared
-    /// state ([`StorePusher::connect_shared`] + [`crate::origin::spawn`])
-    /// the backchannel runs itself; this method remains for embedders
-    /// whose refetch traffic arrives out of band.
+    /// The store served a refetch of `key` out of band (an origin
+    /// listener on the shared state does this itself): the §3.1
+    /// backchannel, so the *next* write invalidates again instead of
+    /// being suppressed. Returns the store's record for the read.
     pub fn refetched(&mut self, key: u64, default_size: u32) -> Record {
         let mut o = self.origin.lock();
-        o.refetched(key, default_size)
+        o.backend.fetched(key, default_size)
     }
 
     /// Distinct keys dirty in the current interval.
     pub fn dirty(&self) -> usize {
-        self.buffer.len()
+        let o = self.origin.lock();
+        o.backend.buffer().len()
     }
 
     /// End-of-interval flush: drain the dirty set, partition it by ring
@@ -307,115 +289,81 @@ impl StorePusher {
     /// but whose ack was lost is harmless to resend.
     pub fn flush(&mut self) -> io::Result<Vec<BatchReceipt>> {
         self.stats.flushes += 1;
-        let dirty = self.buffer.drain();
-        let mut receipts = Vec::new();
-        if dirty.is_empty() {
-            return Ok(receipts);
-        }
-        // Build every batch before sending any — under ONE lock
-        // acquisition, released before the first blocking send — so a
-        // mid-flush failure knows exactly which keys still need
-        // pushing and a slow cache node never stalls the origin
-        // listener sharing this state.
-        let mut batches: Vec<(usize, PendingBatch)> = Vec::new();
-        {
+        let decision = match self.config.policy {
+            PushPolicy::Invalidate => Some(FlushDecision::Invalidate),
+            PushPolicy::Update => Some(FlushDecision::Update),
+            PushPolicy::Adaptive => None,
+        };
+        // Decide every batch before sending any, under one lock
+        // acquisition released before the first blocking send.
+        let mut batches = {
             let mut o = self.origin.lock();
-            for (node, keys) in self.ring.partition(dirty).into_iter().enumerate() {
-                if keys.is_empty() {
-                    continue;
+            let suppressed = o.backend.tracker().suppressed();
+            let ring = &self.ring;
+            let part_of = |key| ring.node_index_for(key).unwrap_or(0);
+            let parts = ring.nodes().len();
+            let batches = o.backend.drain(&self.config.cost, 8, parts, part_of, |_, _, _| decision);
+            for batch in &batches {
+                // Cleared at decision, not at the ack: see the module docs.
+                for &(key, _) in &batch.update {
+                    o.backend.refreshed(key);
                 }
-                let mut inv_keys: Vec<u64> = Vec::new();
-                let mut upd_items: Vec<UpdateItem> = Vec::new();
-                for k in keys {
-                    let rec = o.store().peek(k).expect("dirty keys were written");
-                    let decision = match self.config.policy {
-                        PushPolicy::Invalidate => FlushDecision::Invalidate,
-                        PushPolicy::Update => FlushDecision::Update,
-                        PushPolicy::Adaptive => o.decide(
-                            k,
-                            &self.config.cost,
-                            ObjectSize { key: 8, value: rec.value_size },
-                        ),
-                    };
-                    match decision {
-                        FlushDecision::Invalidate => {
-                            self.stats.decided_invalidate += 1;
-                            // §3.1 tracking: a key the backend already
-                            // believes invalidated needs no second
-                            // invalidate until a refetch clears it.
-                            if o.should_send_invalidate(k) {
-                                inv_keys.push(k);
-                            }
-                        }
-                        _ => {
-                            self.stats.decided_update += 1;
-                            // An update re-freshens the cached entry, so
-                            // the backend no longer considers the key
-                            // invalidated. The batch carries the store's
-                            // real bytes: the deterministic pattern every
-                            // writer uses, so checksum-verifying readers
-                            // accept refreshed entries.
-                            o.clear_invalidated(k);
-                            upd_items.push(UpdateItem {
-                                key: k,
-                                version: rec.version,
-                                value: payload::pattern(k, rec.value_size as usize),
-                            });
-                        }
-                    }
-                }
-                if !inv_keys.is_empty() {
-                    batches.push((node, PendingBatch::Invalidate(inv_keys)));
-                }
-                if !upd_items.is_empty() {
-                    batches.push((node, PendingBatch::Update(upd_items)));
-                }
+                self.stats.decided_update += batch.update.len() as u64;
+                self.stats.decided_invalidate += batch.invalidate.len() as u64;
             }
-        }
-        for i in 0..batches.len() {
-            let (node, ref batch) = batches[i];
-            match self.send_batch(node, batch) {
-                Ok(receipt) => receipts.push(receipt),
-                Err(e) => {
-                    self.restore_unsent(&batches[i..]);
-                    return Err(e);
-                }
+            self.stats.decided_invalidate += o.backend.tracker().suppressed() - suppressed;
+            batches
+        };
+        let mut receipts = Vec::new();
+        for node in 0..batches.len() {
+            if let Err(e) = self.send_node(node, &mut batches[node], &mut receipts) {
+                self.origin.lock().backend.restore(&batches[node..]);
+                return Err(e);
             }
         }
         Ok(receipts)
     }
 
-    /// A flush failed at some batch: put the failed and never-sent
-    /// batches' keys back into the dirty buffer (and roll back their
-    /// invalidation-tracker marks) so the next flush carries them.
-    fn restore_unsent(&mut self, unsent: &[(usize, PendingBatch)]) {
-        let mut o = self.origin.lock();
-        for (_, batch) in unsent {
-            match batch {
-                PendingBatch::Invalidate(keys) => {
-                    for &k in keys {
-                        o.clear_invalidated(k);
-                        self.buffer.mark_dirty(k);
-                    }
-                }
-                PendingBatch::Update(items) => {
-                    for it in items {
-                        self.buffer.mark_dirty(it.key);
-                    }
-                }
-            }
+    /// Send one node its invalidate frame, then its update frame, each
+    /// blocking for its ack. A sent invalidate list is emptied, so on an
+    /// error `batch` holds exactly what was not delivered.
+    fn send_node(
+        &mut self,
+        node: usize,
+        batch: &mut Batch,
+        receipts: &mut Vec<BatchReceipt>,
+    ) -> io::Result<()> {
+        if !batch.invalidate.is_empty() {
+            let keys = batch.invalidate.iter().map(|&(key, _)| key).collect();
+            let frame = |seq| Message::Invalidate { seq, keys };
+            receipts.push(self.send_batch(node, batch.invalidate.len(), frame)?);
+            batch.invalidate.clear();
         }
+        if !batch.update.is_empty() {
+            // The batch carries the store's real bytes: the deterministic
+            // pattern every writer uses, so checksum-verifying readers
+            // accept refreshed entries.
+            let item = |&(key, rec): &(u64, Record)| {
+                let value = payload::pattern(key, rec.value_size as usize);
+                UpdateItem { key, version: rec.version, value }
+            };
+            let items = batch.update.iter().map(item).collect();
+            let frame = |seq| Message::Update { seq, items };
+            receipts.push(self.send_batch(node, batch.update.len(), frame)?);
+        }
+        Ok(())
     }
 
-    /// Send one batch (stamping it with the node's next seq) and block
-    /// for its ack.
-    fn send_batch(&mut self, node: usize, batch: &PendingBatch) -> io::Result<BatchReceipt> {
+    /// Send one frame of `keys` keys, stamped with the node's next seq,
+    /// and block for its ack.
+    fn send_batch(
+        &mut self,
+        node: usize,
+        keys: usize,
+        frame: impl FnOnce(u64) -> Message,
+    ) -> io::Result<BatchReceipt> {
         let seq = self.next_seq[node];
-        let msg = match batch {
-            PendingBatch::Invalidate(keys) => Message::Invalidate { seq, keys: keys.clone() },
-            PendingBatch::Update(items) => Message::Update { seq, items: items.clone() },
-        };
-        let keys = batch.keys();
+        let msg = frame(seq);
         let wire_bytes = msg.wire_size();
         let addr = self.ring.nodes()[node].clone();
         self.conns[node].send(&msg)?;
@@ -534,6 +482,35 @@ mod tests {
         // suppressing everything into a silent empty Ok.
         assert!(pusher.flush().is_err(), "retry still pushes, not an empty success");
         assert_eq!(pusher.stats().suppressed, 0);
+    }
+
+    #[test]
+    fn lost_update_ack_leaves_the_key_dirty_and_not_invalidated() {
+        // A fake node: it acks the first (Invalidate) batch, then reads
+        // the Update batch and hangs up without acking it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let node = std::thread::spawn(move || {
+            let mut conn = FramedStream::new(listener.accept().unwrap().0);
+            let first = conn.recv().unwrap();
+            assert!(matches!(first, Some(Message::Invalidate { seq: 1, .. })), "{first:?}");
+            conn.send(&Message::Ack { seq: 1 }).unwrap();
+            let second = conn.recv().unwrap();
+            assert!(matches!(second, Some(Message::Update { seq: 2, .. })), "{second:?}");
+        });
+        let mut pusher = StorePusher::connect(&[addr], PushConfig::default()).unwrap();
+        pusher.write(7, 16);
+        assert_eq!(pusher.flush().unwrap().len(), 1);
+        assert!(pusher.origin.lock().backend.tracker().is_invalidated(7));
+        pusher.config.policy = PushPolicy::Update;
+        pusher.write(7, 16);
+        let failed = pusher.flush();
+        node.join().unwrap();
+        assert!(failed.is_err(), "a lost ack fails the flush");
+        assert_eq!(pusher.dirty(), 1, "the update is pushed again next flush");
+        // The node may hold the update: cleared at decision, the tracker
+        // lets the next write's invalidate through.
+        assert!(!pusher.origin.lock().backend.tracker().is_invalidated(7));
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl WriteBuffer {
         }
     }
 
-    /// True if `key` is currently dirty.
-    pub fn is_dirty(&self, key: u64) -> bool {
-        self.set.contains(&key)
-    }
-
     /// Number of distinct dirty keys.
     pub fn len(&self) -> usize {
         self.order.len()
@@ -61,18 +56,6 @@ impl WriteBuffer {
     pub fn drain(&mut self) -> Vec<u64> {
         self.set.clear();
         std::mem::take(&mut self.order)
-    }
-
-    /// Remove a single key from the buffer (e.g. its invalidation just
-    /// got cleared by a miss-refetch and the engine re-evaluates). Returns
-    /// true if it was dirty.
-    pub fn remove(&mut self, key: u64) -> bool {
-        if self.set.remove(&key) {
-            self.order.retain(|&k| k != key);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -107,16 +90,5 @@ mod tests {
         b.drain();
         assert!(b.mark_dirty(1), "key is dirty again in a new interval");
         assert_eq!(b.drain(), vec![1]);
-    }
-
-    #[test]
-    fn remove_unmarks() {
-        let mut b = WriteBuffer::new();
-        b.mark_dirty(1);
-        b.mark_dirty(2);
-        assert!(b.remove(1));
-        assert!(!b.remove(1));
-        assert!(!b.is_dirty(1));
-        assert_eq!(b.drain(), vec![2]);
     }
 }

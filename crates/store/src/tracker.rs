@@ -62,12 +62,6 @@ impl InvalidationTracker {
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }
-
-    /// Memory footprint of the tracker (the paper argues this is cheap;
-    /// the benches report it).
-    pub fn memory_bytes(&self) -> usize {
-        (self.invalidated.len() as f64 * 8.0 * 1.75) as usize
-    }
 }
 
 #[cfg(test)]
@@ -103,18 +97,5 @@ mod tests {
         assert!(!t.is_invalidated(1));
         assert!(t.is_invalidated(2));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn memory_scales_with_tracked_keys() {
-        let mut t = InvalidationTracker::new();
-        for k in 0..100 {
-            t.should_send(k);
-        }
-        let m100 = t.memory_bytes();
-        for k in 100..200 {
-            t.should_send(k);
-        }
-        assert!(t.memory_bytes() > m100);
     }
 }
