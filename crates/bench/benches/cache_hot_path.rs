@@ -26,6 +26,7 @@ use criterion::black_box;
 use fresca_cache::slab::SlabCache;
 use fresca_cache::{BoundedGet, Capacity};
 use fresca_net::payload;
+use fresca_sim::rng::splitmix64;
 use fresca_sim::SimTime;
 use serde::Serialize;
 use std::time::Instant;
@@ -58,15 +59,6 @@ struct CacheReport {
     rows: Vec<Row>,
 }
 
-/// SplitMix64 step — deterministic per-thread op stream, no rand dep.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The per-thread op stream: `(key, is_get)` pairs. Keys are striped
 /// by thread id the way the topology partitions them (`key % threads
 /// == id`), so each thread touches a disjoint keyspace.
@@ -74,7 +66,7 @@ fn op_stream(thread: usize, threads: usize, ops: u64) -> Vec<(u64, bool)> {
     let mut state = 0xFEED_u64 ^ ((thread as u64) << 32);
     (0..ops)
         .map(|_| {
-            let r = splitmix(&mut state);
+            let r = splitmix64(&mut state);
             let key = (r % (KEYSPACE / threads as u64)) * threads as u64 + thread as u64;
             (key, r >> 60 < GETS_PER_16)
         })

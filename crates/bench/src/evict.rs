@@ -26,6 +26,7 @@ use bytes::Bytes;
 use fresca_cache::slab::SlabCache;
 use fresca_cache::{BoundedGet, CacheConfig, Capacity, EvictionPolicy};
 use fresca_serve::datapath::Topology;
+use fresca_sim::rng::splitmix64;
 use fresca_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
@@ -108,15 +109,6 @@ pub fn grid() -> Vec<Cell> {
     cells
 }
 
-#[inline]
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Marks a put in a stream word (keys are below 2^63).
 const PUT: u64 = 1 << 63;
 
@@ -143,10 +135,10 @@ pub fn stream(cell: &Cell, ops: usize, seed: u64) -> Vec<u64> {
             if i > 0 && i % SHIFT_EVERY == 0 {
                 move_hot_set(&mut key_of, cell.hot_set, &mut rng);
             }
-            let draw = splitmix(&mut rng);
+            let draw = splitmix64(&mut rng);
             let rank = cdf.partition_point(|&c| c < draw);
             let key = key_of[rank];
-            if splitmix(&mut rng) < put_below {
+            if splitmix64(&mut rng) < put_below {
                 key | PUT
             } else {
                 key
@@ -160,14 +152,14 @@ fn move_hot_set(key_of: &mut [u64], hot_set: HotSet, rng: &mut u64) {
         HotSet::Static => {}
         HotSet::Swap10 => {
             for _ in 0..HOT_RANKS / 10 {
-                let hot = splitmix(rng) % HOT_RANKS;
-                let cold = HOT_RANKS + splitmix(rng) % (KEYS - HOT_RANKS);
+                let hot = splitmix64(rng) % HOT_RANKS;
+                let cold = HOT_RANKS + splitmix64(rng) % (KEYS - HOT_RANKS);
                 key_of.swap(hot as usize, cold as usize);
             }
         }
         HotSet::Reshuffle => {
             for i in (1..key_of.len()).rev() {
-                key_of.swap(i, (splitmix(rng) % (i as u64 + 1)) as usize);
+                key_of.swap(i, (splitmix64(rng) % (i as u64 + 1)) as usize);
             }
         }
     }

@@ -81,13 +81,6 @@ impl<W> RefetchTable<W> {
         self.inner.lock().remove(&key).unwrap_or_default()
     }
 
-    /// Drain the whole table (origin connection died: every in-flight
-    /// fetch is now unanswerable). Returns each key's waiters so the
-    /// caller can deliver fallbacks.
-    pub fn fail_all(&self) -> Vec<(u64, Vec<W>)> {
-        self.inner.lock().drain().collect()
-    }
-
     /// True while a fetch of `key` is in flight (at least one waiter is
     /// parked on it).
     pub fn is_in_flight(&self, key: u64) -> bool {
@@ -135,19 +128,5 @@ mod tests {
         assert_eq!(t.complete(1), vec![11]);
         // Completing an idle key is a no-op, not an error.
         assert!(t.complete(1).is_empty());
-    }
-
-    #[test]
-    fn fail_all_drains_every_key() {
-        let t: RefetchTable<u32> = RefetchTable::new();
-        t.park(1, 10);
-        t.park(1, 11);
-        t.park(2, 20);
-        let mut drained = t.fail_all();
-        drained.sort_by_key(|(k, _)| *k);
-        assert_eq!(drained, vec![(1, vec![10, 11]), (2, vec![20])]);
-        assert!(t.is_empty());
-        // The table remains usable after an outage drain.
-        assert_eq!(t.park(1, 30), Park::Fetch);
     }
 }

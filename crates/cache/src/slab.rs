@@ -60,6 +60,7 @@
 use crate::cache::{BoundedGet, CacheConfig, CacheStats, Capacity, EvictionPolicy, GetResult};
 use crate::entry::{Entry, Freshness};
 use bytes::Bytes;
+use fresca_sim::rng::mix64;
 use fresca_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -70,14 +71,6 @@ const NIL: u32 = u32::MAX;
 /// Tags a key-index value that names an ARC ghost node, not a slab slot
 /// (slots and ghost nodes are numbered below it).
 const GHOST: u32 = 1 << 31;
-
-#[inline]
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A [`Hasher`] that finalises `u64` keys with one SplitMix64 round —
 /// ~3 multiplies instead of SipHash's keyed rounds. Only suitable where
@@ -98,13 +91,13 @@ impl Hasher for SplitMixHasher {
     fn write(&mut self, bytes: &[u8]) {
         // Generic fallback (unused on the u64-key hot path).
         for &b in bytes {
-            self.state = splitmix(self.state ^ u64::from(b));
+            self.state = mix64(self.state ^ u64::from(b));
         }
     }
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.state = splitmix(n);
+        self.state = mix64(n);
     }
 }
 

@@ -16,10 +16,6 @@
 //! [`CostModel::unit`] gives the dimensionless constants used for the
 //! figure reproductions (where only ratios matter).
 
-pub mod probe;
-
-pub use probe::{BottleneckProbe, ResourceSample, SyntheticProbe};
-
 use serde::{Deserialize, Serialize};
 
 /// Which resource is saturated (§3.3: "The optimal strategy depends on

@@ -303,6 +303,9 @@ struct Run<'a> {
     cache: SlabCache,
     meters: CostMeters,
     sched: Scheduler<EngineEvent>,
+    /// Each key's TTL-polling generation, bumped at every cold insert
+    /// and kept across evictions: a chain scheduled before an eviction
+    /// never matches again, so a re-read key polls on one chain.
     generations: HashMap<u64, u64, SplitMixBuild>,
     net: SimNetwork,
     ack_net: SimNetwork,
@@ -481,9 +484,6 @@ impl Run<'_> {
             return;
         }
         self.backend.on_populate(key, &evicted);
-        for ek in evicted {
-            self.generations.remove(&ek);
-        }
         if matches!(self.policy, PolicyConfig::TtlPolling) {
             let generation = self.generations.entry(key).or_insert(0);
             *generation += 1;
@@ -647,6 +647,25 @@ mod tests {
         let report = TraceEngine::new(cfg, PolicyConfig::TtlPolling).run(&trace);
         // Key 1's chain dies at eviction; only key 2 polls: at 110..510 →
         // 4 in-horizon refreshes (110, 210, 310, 410).
+        assert_eq!(report.breakdown.polling_refreshes, 4);
+    }
+
+    #[test]
+    fn a_key_evicted_and_read_again_polls_on_one_chain() {
+        // Cache of 1 entry: k1 at 0, k2 at 10 evicts it, k1 at 20 evicts
+        // k2 and comes back. k1's first chain (due at 100) must stay
+        // dead: only the new one polls, at 120, 220, 320 and 420.
+        let mut cfg = config(100);
+        cfg.cache.capacity = Capacity::Entries(1);
+        let trace = mk_trace(
+            vec![
+                Request::read(t(0), Key(1), 8),
+                Request::read(t(10), Key(2), 8),
+                Request::read(t(20), Key(1), 8),
+            ],
+            500,
+        );
+        let report = TraceEngine::new(cfg, PolicyConfig::TtlPolling).run(&trace);
         assert_eq!(report.breakdown.polling_refreshes, 4);
     }
 

@@ -63,11 +63,6 @@ impl WorkloadPoint {
         1.0 - (-self.lambda * (1.0 - self.read_ratio) * t).exp()
     }
 
-    /// Expected number of reads over a horizon of `t_prime` seconds.
-    pub fn expected_reads(&self, t_prime: f64) -> f64 {
-        self.lambda * self.read_ratio * t_prime
-    }
-
     /// `E[W]` as the paper's three-counter scheme measures it: the mean
     /// length of a *non-empty* write run between consecutive reads. For a
     /// Bernoulli mix the run length is geometric, so `E[W] = 1/r` — which

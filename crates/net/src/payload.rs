@@ -15,33 +15,20 @@
 //! refcount bump, not an allocation.
 
 use bytes::Bytes;
+use fresca_sim::rng::splitmix64;
 use std::cell::RefCell;
 
-/// The SplitMix64 finalizer: a cheap, statistically solid 64-bit mix.
-/// Exposed so other deterministic draws (e.g. the load generator's
-/// per-op value-size hash) share one set of constants.
-#[inline]
-pub fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// SplitMix64 step — the tiny PRNG behind the pattern stream.
-#[inline]
-fn splitmix(state: &mut u64) -> u64 {
-    let out = mix(*state);
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    out
-}
+/// The SplitMix64 finalizer ([`fresca_sim::rng::mix64`]), re-exported
+/// so other deterministic draws (e.g. the load generator's per-op
+/// value-size hash) share one set of constants.
+pub use fresca_sim::rng::mix64 as mix;
 
 /// Pattern seed for `(key, len)`. The length is folded in so values of
 /// different sizes for the same key share no prefix.
 #[inline]
 fn seed(key: u64, len: usize) -> u64 {
     let mut s = key ^ (len as u64).rotate_left(32) ^ 0xA076_1D64_78BD_642F;
-    splitmix(&mut s)
+    splitmix64(&mut s)
 }
 
 /// Drive `emit` with the pattern bytes for `(key, len)`, 8 at a time.
@@ -50,7 +37,7 @@ fn stream(key: u64, len: usize, mut emit: impl FnMut(&[u8])) {
     let mut state = seed(key, len);
     let mut remaining = len;
     while remaining > 0 {
-        let word = splitmix(&mut state).to_le_bytes();
+        let word = splitmix64(&mut state).to_le_bytes();
         let take = remaining.min(8);
         emit(&word[..take]);
         remaining -= take;

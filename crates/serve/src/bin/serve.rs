@@ -12,8 +12,8 @@
 //! ARC — there is no flag; the first line names it. `--event-loops`
 //! sets how many reactor threads connections are multiplexed onto
 //! (each one comfortably serves thousands of connections; raise it to
-//! use more cores — cache shards are partitioned across the loops and
-//! requests route by key). `--origin`
+//! use more cores — any loop serves any shard, under that shard's
+//! lock). `--origin`
 //! points at a store-push node's origin endpoint
 //! (`store-push --origin ADDR`): bounded reads that would be refused or
 //! missed then refetch through it instead of failing — see

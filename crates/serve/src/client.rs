@@ -57,10 +57,9 @@ pub struct ServerProbe {
     pub refetch_coalesced: u64,
     /// Reads degraded because the origin was unreachable, so far.
     pub origin_errors: u64,
-    /// Ops applied on another event loop's partition than the loop that
-    /// decoded them.
+    /// Ops applied on a shard outside the decoding event loop's share.
     pub cross_core_forwards: u64,
-    /// Live entries across all event-loop-owned slab shards (gauge).
+    /// Live entries across all slab shards (gauge).
     pub slab_entries: u64,
     /// Allocated slab slots across all owned shards (gauge).
     pub slab_capacity: u64,

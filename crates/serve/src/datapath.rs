@@ -1,33 +1,32 @@
-//! The data path: everything a node does to the shards it owns, as
-//! plain calls on an [`Owner`].
+//! The data path: everything a node does to one shard, as plain calls
+//! on an [`Owner`].
 //!
-//! An [`Owner`] is one partition of a node's data: its slab shards, the
-//! in-flight-refetch table, version allocation and the serving
-//! counters. The rest — sockets, the poll set, inboxes, the origin
-//! link, and the lock each partition sits behind — is the reactor in
-//! [`crate::server`], which serialises the calls on a partition and
-//! calls in here to run them. Nothing in this file does I/O, takes a
-//! lock or reads a clock (fresca-lint's `lock-free-serve-path` rule):
-//! every entry takes `now` as a
-//! parameter, is *told* whether the origin link is up
-//! ([`Owner::origin_link`]), and *hands back* what has to leave the
-//! node — the key to fetch, the `(ReplyTo, Message)` pairs to deliver —
-//! instead of queuing it anywhere. So the one copy of the serving logic
-//! runs under the reactor at wall-clock time, under `#[test]` at a
-//! chosen `now`, and under the model checker (`tests/miniloom.rs`).
+//! An [`Owner`] is one shard of a node's data: its slab, the
+//! in-flight-refetch table of its keys, and the serving counters it
+//! shares with every other shard. The rest — sockets, the poll set,
+//! inboxes, the origin links, and the lock each shard sits behind — is
+//! the reactor in [`crate::server`], which serialises the calls on a
+//! shard and calls in here to run them. Nothing in this file does I/O,
+//! takes a lock or reads a clock (fresca-lint's `lock-free-serve-path`
+//! rule): every entry takes `now` as a parameter, is *told* the state
+//! of the calling loop's origin link ([`Link`], carried by
+//! [`Op::Get`]), and *hands back* what has to leave the node — the key
+//! to fetch, the `(ReplyTo, Message)` pairs to deliver — instead of
+//! queuing it anywhere. So the one copy of the serving logic runs under
+//! the reactor at wall-clock time, under `#[test]` at a chosen `now`,
+//! and under the model checker (`tests/miniloom.rs`).
 //!
 //! ## Ownership
 //!
-//! Cache shards are **partitioned across the event loops at startup**,
-//! one [`Owner`] per loop, for the server's lifetime. Shard `s` (of `S`,
-//! rounded up to a power of two) belongs to partition `s % L`
-//! ([`Topology`]); each owner keeps its shards in a plain
-//! `Vec<SlabCache>` (slab-backed storage with intrusive recency lists,
-//! evicting by `ServerConfig.cache.eviction` — see
-//! [`fresca_cache::slab`]) and mutates them through `&mut`. The reactor
-//! holds a partition's lock around every call, so each call is atomic:
-//! multi-step operations ("allocate a version, then insert") cannot
-//! interleave with another op on the same key.
+//! A node's keys are split over `S` shards (rounded up to a power of
+//! two; [`Topology::shard_of`]), one [`Owner`] each, for the server's
+//! lifetime. Each owner keeps its shard in one [`SlabCache`]
+//! (slab-backed storage with intrusive recency lists, evicting by
+//! `ServerConfig.cache.eviction` — see [`fresca_cache::slab`]) and
+//! mutates it through `&mut`. The reactor holds a shard's lock around
+//! every call, so each call is atomic: multi-step operations ("allocate
+//! a version, then insert") cannot interleave with another op on the
+//! same key.
 //!
 //! Freshness is enforced *at the serving boundary*, per the paper's
 //! argument: a [`Op::Put`] installs its per-key TTL, and a
@@ -50,24 +49,24 @@
 //! On a node with an origin, a bounded read that would come back
 //! `RefusedStale` or `Miss` does not answer at all — the owner parks
 //! the request on its in-flight-refetch table
-//! ([`fresca_cache::refetch::RefetchTable`]) and hands the key back for
-//! the reactor to fetch. Concurrent readers of the same key coalesce
-//! onto the one in-flight fetch (dogpile guard — and because a key has
-//! one partition, coalescing is global, not per-loop); [`Owner::fetched`]
-//! installs the entry like a put and answers every parked reader
-//! `Fresh` at age 0. If the link dies ([`Owner::origin_lost`]) every
-//! parked reader immediately receives the refusal/miss it would have
-//! gotten without an origin (counted in `origin_errors`), and so does
-//! every such read while the link stays down. A store push that reaches
-//! the owner while its key's fetch is in flight is remembered: the
-//! `FetchResp` on its way may have been read before that write, so once
-//! it has been installed and the parked readers answered, the entry is
-//! marked known-stale and the next read refetches. Refetching through
-//! the origin is also the paper's §3.1 backchannel — the fetch clears
-//! the key's invalidation-suppression mark at the store — and each
-//! owner batches per-key read counts for the origin
-//! ([`Owner::read_stats`]), which is what feeds the adaptive
-//! invalidate-vs-update policy's `E[W]` estimator.
+//! ([`fresca_cache::refetch::RefetchTable`]). Concurrent readers of the
+//! same key coalesce onto the one in-flight fetch (dogpile guard — and
+//! because a key has one shard, coalescing is global, not per-loop),
+//! whatever the state of their own loop's link. A read opens a fetch
+//! only when its loop's link is up, and then hands the key back: that
+//! loop sends the `FetchReq` and owes the shard its answer.
+//! [`Owner::fetched`] installs the entry like a put and answers every
+//! parked reader `Fresh` at age 0. If the link that carried the fetch
+//! dies ([`Owner::fetch_failed`]) every reader parked on the key
+//! immediately receives the refusal/miss it would have gotten without
+//! an origin (counted in `origin_errors`), and so does a read that
+//! would open a fetch while its loop's link is down. A store push that
+//! reaches the owner while its key's fetch is in flight is remembered:
+//! the `FetchResp` on its way may have been read before that write, so
+//! once it has been installed and the parked readers answered, the
+//! entry is marked known-stale and the next read refetches. Refetching
+//! through the origin is also the paper's §3.1 backchannel — the fetch
+//! clears the key's invalidation-suppression mark at the store.
 
 use crate::ring::HashRing;
 use bytes::Bytes;
@@ -76,7 +75,7 @@ use fresca_cache::refetch::{Park, RefetchTable};
 use fresca_cache::slab::SlabCache;
 use fresca_cache::{BoundedGet, CacheConfig, Capacity};
 use fresca_net::pin::{repin_small, DEFAULT_PIN_THRESHOLD};
-use fresca_net::{GetStatus, Message, ReadStat, RequestId, UpdateItem};
+use fresca_net::{GetStatus, Message, RequestId, UpdateItem};
 use fresca_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +93,8 @@ fn shard_hash(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The static shard → loop partition every thread routes by.
+/// The static key → shard map every thread routes by, and the share of
+/// the shards each loop counts as its own.
 #[derive(Debug, Clone, Copy)]
 pub struct Topology {
     /// Global shard count minus one (shard count is a power of two).
@@ -103,14 +103,14 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// `shards` (rounded up to a power of two) partitioned across
+    /// `shards` (rounded up to a power of two) shared out across
     /// `event_loops` loops; both are at least one.
     pub fn new(shards: usize, event_loops: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         Topology { shard_mask: shards as u64 - 1, num_loops: event_loops.max(1) }
     }
 
-    /// How many loops the shards are partitioned across.
+    /// How many loops the shards are shared out across.
     pub fn num_loops(&self) -> usize {
         self.num_loops
     }
@@ -120,28 +120,19 @@ impl Topology {
         self.shard_mask as usize + 1
     }
 
-    /// The global shard `key` lives in — what routing and replays of
-    /// the node's sharding key on.
+    /// The shard `key` lives in — what routing and replays of the
+    /// node's sharding key on.
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
         (shard_hash(key) & self.shard_mask) as usize
     }
 
-    /// The loop owning `key`'s shard.
+    /// The loop whose share holds `key`'s shard (shard `s` is in loop
+    /// `s % L`'s share). Any loop serves any key; an op applied outside
+    /// the decoding loop's share counts as a cross-core forward.
     #[inline]
     pub fn owner_of(&self, key: u64) -> usize {
         self.shard_of(key) % self.num_loops
-    }
-
-    /// Index of `key`'s shard within its owner's `Vec<SlabCache>`.
-    #[inline]
-    fn local_index(&self, key: u64) -> usize {
-        self.shard_of(key) / self.num_loops
-    }
-
-    /// How many shards `loop_id` owns.
-    fn owned_shards(&self, loop_id: usize) -> usize {
-        (loop_id..self.total_shards()).step_by(self.num_loops).count()
     }
 }
 
@@ -186,9 +177,23 @@ pub struct ReplyTo {
     pub token: u64,
 }
 
-/// An operation on keys that all live in shards of one owner — what the
-/// reactor builds from a request and [`Owner::apply`] runs under the
-/// owner's lock.
+/// The state of the reading loop's origin link, as [`Op::Get`] carries
+/// it: whether a read that wants a refetch may open one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// The node has no origin: refusals and misses are answered as they
+    /// are.
+    NoOrigin,
+    /// The link is down and its redial backoff running: a read joins a
+    /// fetch already in flight, or degrades to its fallback at once.
+    Down,
+    /// The link is up: a read may open a fetch on it.
+    Up,
+}
+
+/// An operation on keys that all live in one shard — what the reactor
+/// builds from a request and [`Owner::apply`] runs under the shard's
+/// lock.
 #[derive(Debug)]
 pub enum Op {
     /// A bounded read; the owner replies or parks it on its refetch
@@ -200,6 +205,8 @@ pub enum Op {
         key: u64,
         /// The read's staleness bound.
         max_staleness: u64,
+        /// The reading loop's origin link.
+        link: Link,
     },
     /// A write; the owner allocates the version and installs. `ttl` is
     /// in nanoseconds, 0 for none.
@@ -213,16 +220,16 @@ pub enum Op {
         /// The entry's time to live.
         ttl: u64,
     },
-    /// One owner's share of a store-pushed `Invalidate`.
+    /// One shard's share of a store-pushed `Invalidate`.
     InvalidateKeys {
-        /// This owner's share of the batch.
+        /// This shard's share of the batch.
         keys: Vec<u64>,
     },
-    /// One owner's share of a store-pushed `Update`. `install` is true
+    /// One shard's share of a store-pushed `Update`. `install` is true
     /// for handoff streams: absent keys are installed instead of
     /// counting as missed updates.
     UpdateItems {
-        /// This owner's share of the batch.
+        /// This shard's share of the batch.
         items: Vec<UpdateItem>,
         /// Handoff stream: install absent keys.
         install: bool,
@@ -238,10 +245,11 @@ pub enum Applied {
     /// acknowledges the whole batch once every share is applied.
     Pushed,
     /// A read that would have been refused or missed is parked on its
-    /// key's refetch; [`Owner::fetched`] or [`Owner::origin_lost`]
+    /// key's refetch; [`Owner::fetched`] or [`Owner::fetch_failed`]
     /// answers it. `fetch` names the key when this read opened the
-    /// fetch — the caller owes the origin exactly one `FetchReq` for it
-    /// — and is `None` when it coalesced onto one already in flight.
+    /// fetch — the caller owes the origin exactly one `FetchReq` for it,
+    /// on its own link — and is `None` when it joined one already in
+    /// flight.
     Parked {
         /// The key to ask the origin for, if this read is the first.
         fetch: Option<u64>,
@@ -259,11 +267,12 @@ struct Waiter {
     fallback_age: u64,
 }
 
-/// Refetch state of an owner whose node has an origin.
+/// One shard, and every operation on it. See the module docs.
 #[derive(Debug)]
-struct Refetch {
-    /// Whether the reactor's origin link is up, as last told.
-    link_up: bool,
+pub struct Owner {
+    shard: SlabCache,
+    counters: Arc<Counters>,
+    /// The readers parked on each of this shard's in-flight fetches.
     table: RefetchTable<Waiter>,
     /// Keys a store push reached while their fetch was in flight. The
     /// `FetchResp` on its way may predate that write, and the origin
@@ -271,51 +280,14 @@ struct Refetch {
     /// later push would correct it: `fetched` answers the parked
     /// readers and then invalidates the entry it just installed.
     overtaken: HashSet<u64>,
-    /// The read-count batch owed to the origin's `E[W]` estimator.
-    read_counts: HashMap<u64, u32>,
-    reads_pending: u32,
-}
-
-/// Hand the pending read-count batch over once this many reads
-/// accumulate…
-const READ_STATS_FLUSH_READS: u32 = 1024;
-
-/// …or once this many distinct keys do, whichever comes first.
-const READ_STATS_FLUSH_KEYS: usize = 256;
-
-/// With the origin link down, stop hoarding read counts past this many
-/// distinct keys — the estimator feed is advisory, memory is not.
-const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
-
-/// One partition of the slab shards, and every operation on them. See
-/// the module docs.
-#[derive(Debug)]
-pub struct Owner {
-    topo: Topology,
-    /// The owned shards, indexed by [`Topology::local_index`].
-    shards: Vec<SlabCache>,
-    counters: Arc<Counters>,
-    /// `None` on a node without an origin: refusals and misses are
-    /// answered directly.
-    refetch: Option<Refetch>,
 }
 
 impl Owner {
-    /// The owner of loop `loop_id`'s share of `topo`'s shards. `cache`
-    /// is the node's *total* capacity and the eviction policy every
-    /// shard runs; `origin` says whether the node refetches through an
-    /// origin (the link starts down until [`Owner::origin_link`] says
-    /// otherwise).
-    pub fn new(
-        loop_id: usize,
-        topo: Topology,
-        cache: CacheConfig,
-        counters: Arc<Counters>,
-        origin: bool,
-    ) -> Self {
+    /// The owner of one of `topo`'s shards. `cache` is the node's
+    /// *total* capacity and the eviction policy the shard runs.
+    pub fn new(topo: Topology, cache: CacheConfig, counters: Arc<Counters>) -> Self {
         // Per-shard capacity divides the configured total across the
-        // *global* shard count, so the aggregate matches the configured
-        // total.
+        // shards, so the aggregate matches the configured total.
         let total = topo.total_shards();
         let capacity = match cache.capacity {
             Capacity::Entries(e) => Capacity::Entries((e / total).max(1)),
@@ -323,25 +295,11 @@ impl Owner {
             Capacity::Unbounded => Capacity::Unbounded,
         };
         Owner {
-            topo,
-            shards: (0..topo.owned_shards(loop_id))
-                .map(|_| SlabCache::with_config(CacheConfig { capacity, ..cache }))
-                .collect(),
+            shard: SlabCache::with_config(CacheConfig { capacity, ..cache }),
             counters,
-            refetch: origin.then(|| Refetch {
-                link_up: false,
-                table: RefetchTable::new(),
-                overtaken: HashSet::new(),
-                read_counts: HashMap::new(),
-                reads_pending: 0,
-            }),
+            table: RefetchTable::new(),
+            overtaken: HashSet::new(),
         }
-    }
-
-    /// `key`'s shard — only meaningful on the partition that owns it.
-    #[inline]
-    fn shard_mut(&mut self, key: u64) -> Option<&mut SlabCache> {
-        self.shards.get_mut(self.topo.local_index(key))
     }
 
     /// The next serving version. The store's and a handoff donor's
@@ -353,31 +311,19 @@ impl Owner {
     }
 
     /// Live entries, allocated slab slots (the storage high-water mark)
-    /// and evictions so far, each summed across every owned shard.
+    /// and evictions so far.
     pub fn gauges(&self) -> [u64; 3] {
-        let sum = |f: fn(&SlabCache) -> u64| self.shards.iter().map(f).sum();
-        [
-            sum(|s| s.len() as u64),
-            sum(|s| s.slab_capacity() as u64),
-            sum(|s| s.stats().evictions),
-        ]
+        let s = &self.shard;
+        [s.len() as u64, s.slab_capacity() as u64, s.stats().evictions]
     }
 
-    /// Tell the owner whether the reactor's origin link is up. While it
-    /// is down, reads that want a refetch degrade to their fallback at
-    /// once instead of queueing behind a dead endpoint.
-    pub fn origin_link(&mut self, up: bool) {
-        if let Some(r) = self.refetch.as_mut() {
-            r.link_up = up;
-        }
-    }
-
-    /// Run `op` against the owned shards at time `now` — the single
-    /// entry for ops on owned keys, whichever loop decoded them
-    /// (`to.home`).
+    /// Run `op` against the shard at time `now` — the single entry for
+    /// ops on its keys, whichever loop decoded them (`to.home`).
     pub fn apply(&mut self, to: ReplyTo, op: Op, now: SimTime) -> Applied {
         match op {
-            Op::Get { id, key, max_staleness } => self.get(to, id, key, max_staleness, now),
+            Op::Get { id, key, max_staleness, link } => {
+                self.get(to, id, key, max_staleness, link, now)
+            }
             Op::Put { id, key, value, ttl } => {
                 let version = self.put(key, value, ttl, now);
                 Applied::Reply(Message::PutResp { id, key, version })
@@ -396,25 +342,24 @@ impl Owner {
     }
 
     /// Bounded read (`bound` in nanoseconds, `u64::MAX` for none).
-    fn get(&mut self, to: ReplyTo, id: RequestId, key: u64, bound: u64, now: SimTime) -> Applied {
-        if let Some(r) = self.refetch.as_mut() {
-            // Every read feeds the origin's E[W] estimator — parked or
-            // answered, each counts exactly once, on the owner.
-            *r.read_counts.entry(key).or_insert(0) += 1;
-            r.reads_pending += 1;
-        }
+    fn get(
+        &mut self,
+        to: ReplyTo,
+        id: RequestId,
+        key: u64,
+        bound: u64,
+        link: Link,
+        now: SimTime,
+    ) -> Applied {
         let bound = (bound != u64::MAX).then(|| SimDuration::from_nanos(bound));
-        // The bounded read clones the entry out of the owned shard — for
-        // the value that is a refcount bump on the cached Bytes handle.
-        // The same handle then rides the outbound segment queue (or the
-        // completion message), so a hit never copies the payload.
-        let looked_up = match self.shard_mut(key) {
-            Some(shard) => shard.get_bounded(key, now, bound),
-            None => BoundedGet::Miss,
-        };
+        // The bounded read clones the entry out of the shard — for the
+        // value that is a refcount bump on the cached Bytes handle. The
+        // same handle then rides the outbound segment queue (or the late
+        // reply), so a hit never copies the payload.
+        //
         // A refusal carries no value, only the entry's age, so the client
         // can see by how much the bound was missed.
-        let (status, age, served) = match looked_up {
+        let (status, age, served) = match self.shard.get_bounded(key, now, bound) {
             BoundedGet::Fresh(e) => (GetStatus::Fresh, e.age(now), Some((e.version, e.value))),
             BoundedGet::ServedStale(e) => {
                 (GetStatus::ServedStale, e.age(now), Some((e.version, e.value)))
@@ -424,36 +369,34 @@ impl Owner {
         };
         let age = age.as_nanos();
         if served.is_none() {
-            let waiter = Waiter { to, id, fallback_status: status, fallback_age: age };
-            if let Some(parked) = self.park(key, waiter) {
-                return parked;
+            // Join a fetch in flight whatever this loop's link; open one
+            // only on a live link.
+            let park = match link {
+                Link::NoOrigin => false,
+                Link::Down => self.table.is_in_flight(key),
+                Link::Up => true,
+            };
+            if park {
+                let waiter = Waiter { to, id, fallback_status: status, fallback_age: age };
+                let fetch = match self.table.park(key, waiter) {
+                    Park::Fetch => {
+                        bump(&self.counters.refetches, 1);
+                        Some(key)
+                    }
+                    Park::Coalesced => {
+                        bump(&self.counters.refetch_coalesced, 1);
+                        None
+                    }
+                };
+                return Applied::Parked { fetch };
+            }
+            if link == Link::Down {
+                // Origin down and the retry backoff running: degrade now.
+                bump(&self.counters.origin_errors, 1);
             }
         }
         self.count_read_outcome(status);
         Applied::Reply(get_resp(id, key, status, age, served))
-    }
-
-    /// Try to park a refused/missed bounded read on an origin refetch.
-    /// `None` when there is no origin or its link is down, in which case
-    /// the caller answers the fallback directly.
-    fn park(&mut self, key: u64, waiter: Waiter) -> Option<Applied> {
-        let r = self.refetch.as_mut()?;
-        if !r.link_up {
-            // Origin down and the retry backoff running: degrade now.
-            bump(&self.counters.origin_errors, 1);
-            return None;
-        }
-        let fetch = match r.table.park(key, waiter) {
-            Park::Fetch => {
-                bump(&self.counters.refetches, 1);
-                Some(key)
-            }
-            Park::Coalesced => {
-                bump(&self.counters.refetch_coalesced, 1);
-                None
-            }
-        };
-        Some(Applied::Parked { fetch })
     }
 
     /// Count one answered read under its outcome.
@@ -468,20 +411,18 @@ impl Owner {
         bump(counter, 1);
     }
 
-    /// Write: allocate a serving version and install into the owned
-    /// shard. The value handle moves into the cache as-is unless it is
-    /// a short slice of a receive chunk, which is re-pinned.
+    /// Write: allocate a serving version and install into the shard.
+    /// The value handle moves into the cache as-is unless it is a short
+    /// slice of a receive chunk, which is re-pinned.
     fn put(&mut self, key: u64, value: Bytes, ttl: u64, now: SimTime) -> u64 {
         let expires_at = (ttl > 0).then(|| now + SimDuration::from_nanos(ttl));
         let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
         let version = self.next_version();
-        if let Some(shard) = self.shard_mut(key) {
-            shard.insert_value(key, version, value, now, expires_at);
-        }
+        self.shard.insert_value(key, version, value, now, expires_at);
         version
     }
 
-    /// Mark `keys` known-stale — this owner's share of a store-pushed
+    /// Mark `keys` known-stale — this shard's share of a store-pushed
     /// invalidation batch, or one key from the operator's
     /// `ServerHandle::invalidate`. Returns how many were actually
     /// cached; keys the cache does not hold are no-ops (counted by the
@@ -490,30 +431,22 @@ impl Owner {
         let mut applied = 0u64;
         for &key in keys {
             self.note_push(key);
-            if self.shard_mut(key).is_some_and(|shard| shard.apply_invalidate(key)) {
+            if self.shard.apply_invalidate(key) {
                 applied += 1;
             }
         }
         applied
     }
 
-    /// Whether `key`'s fetch is in flight: a read parked on it and the
-    /// link has not failed it since.
-    pub fn fetching(&self, key: u64) -> bool {
-        self.refetch.as_ref().is_some_and(|r| r.table.is_in_flight(key))
-    }
-
     /// A store push for `key` arrived: remember it if a fetch of the key
-    /// is in flight (see `Refetch::overtaken`).
+    /// is in flight (see `Owner::overtaken`).
     fn note_push(&mut self, key: u64) {
-        if let Some(r) = self.refetch.as_mut() {
-            if r.table.is_in_flight(key) {
-                r.overtaken.insert(key);
-            }
+        if self.table.is_in_flight(key) {
+            self.overtaken.insert(key);
         }
     }
 
-    /// This owner's share of a store-pushed update batch; returns how
+    /// This shard's share of a store-pushed update batch; returns how
     /// many entries were re-freshened. Absent keys do nothing, per the
     /// paper's update semantics; pushed updates carry no TTL, so
     /// refreshed entries are fresh until invalidated or evicted. With
@@ -524,21 +457,20 @@ impl Owner {
         let mut applied = 0u64;
         for item in items {
             self.note_push(item.key);
-            let present = self.shard_mut(item.key).is_some_and(|s| s.contains(item.key));
+            let present = self.shard.contains(item.key);
             // A missed update burns no serving version on a key that is
             // not here.
             let version = if present || install { self.next_version() } else { 0 };
-            let Some(shard) = self.shard_mut(item.key) else { continue };
             let value = repin_small(item.value, DEFAULT_PIN_THRESHOLD);
             let refreshed = if present || !install {
                 // In place — or, on an absent key, counted by the cache
                 // as a missed update.
-                shard.apply_update_value(item.key, version, value, now, None)
+                self.shard.apply_update_value(item.key, version, value, now, None)
             } else {
                 // Handoff install: the donor streamed a key this node
                 // now owns. No TTL — fresh until invalidated/evicted,
                 // exactly like a refetch install.
-                shard.insert_value(item.key, version, value, now, None);
+                self.shard.insert_value(item.key, version, value, now, None);
                 bump(&self.counters.handoff_in, 1);
                 true
             };
@@ -555,11 +487,8 @@ impl Owner {
     pub fn fetched(&mut self, key: u64, value: Bytes, now: SimTime) -> Vec<(ReplyTo, Message)> {
         let value = repin_small(value, DEFAULT_PIN_THRESHOLD);
         let version = self.next_version();
-        if let Some(shard) = self.shard_mut(key) {
-            shard.insert_value(key, version, value.clone(), now, None);
-        }
-        let Some(r) = self.refetch.as_mut() else { return Vec::new() };
-        let replies = r
+        self.shard.insert_value(key, version, value.clone(), now, None);
+        let replies = self
             .table
             .complete(key)
             .into_iter()
@@ -569,55 +498,29 @@ impl Owner {
                 (w.to, get_resp(w.id, key, GetStatus::Fresh, 0, served))
             })
             .collect();
-        if r.overtaken.remove(&key) {
+        if self.overtaken.remove(&key) {
             // A push overtook this fetch: the value may be the one that
             // push superseded, so the next read refetches (re-clearing
             // the origin's mark).
-            if let Some(shard) = self.shard_mut(key) {
-                shard.apply_invalidate(key);
-            }
+            self.shard.apply_invalidate(key);
         }
         replies
     }
 
-    /// The origin link died: every parked reader gets the refusal/miss
-    /// it would have gotten without an origin, and the link counts as
-    /// down until [`Owner::origin_link`] says otherwise.
-    pub fn origin_lost(&mut self) -> Vec<(ReplyTo, Message)> {
-        let Some(r) = self.refetch.as_mut() else { return Vec::new() };
-        r.link_up = false;
-        r.overtaken.clear();
-        let failed = r.table.fail_all();
-        let mut replies = Vec::new();
-        for (key, waiters) in failed {
-            for w in waiters {
-                bump(&self.counters.origin_errors, 1);
+    /// The link that carried `key`'s fetch died: close the fetch and
+    /// answer every reader parked on it the refusal/miss it would have
+    /// gotten without an origin.
+    pub fn fetch_failed(&mut self, key: u64) -> Vec<(ReplyTo, Message)> {
+        self.overtaken.remove(&key);
+        let waiters = self.table.complete(key);
+        bump(&self.counters.origin_errors, waiters.len() as u64);
+        waiters
+            .into_iter()
+            .map(|w| {
                 self.count_read_outcome(w.fallback_status);
-                replies.push((w.to, get_resp(w.id, key, w.fallback_status, w.fallback_age, None)));
-            }
-        }
-        replies
-    }
-
-    /// The pending read-count batch as a `ReadStats` frame, when it is
-    /// due and the link is up to carry it (with the link down, the
-    /// batch is shed once it outgrows its cap).
-    pub fn read_stats(&mut self) -> Option<Message> {
-        let r = self.refetch.as_mut()?;
-        if !r.link_up {
-            if r.read_counts.len() > READ_STATS_MAX_BUFFERED_KEYS {
-                r.read_counts.clear();
-                r.reads_pending = 0;
-            }
-            return None;
-        }
-        if r.reads_pending < READ_STATS_FLUSH_READS && r.read_counts.len() < READ_STATS_FLUSH_KEYS {
-            return None;
-        }
-        r.reads_pending = 0;
-        let entries: Vec<ReadStat> =
-            r.read_counts.drain().map(|(key, reads)| ReadStat { key, reads }).collect();
-        (!entries.is_empty()).then_some(Message::ReadStats { entries })
+                (w.to, get_resp(w.id, key, w.fallback_status, w.fallback_age, None))
+            })
+            .collect()
     }
 
     /// The membership view changed: remove every entry whose owner on
@@ -635,26 +538,24 @@ impl Owner {
         now: SimTime,
     ) -> HashMap<String, Vec<UpdateItem>> {
         let mut moved: HashMap<String, Vec<UpdateItem>> = HashMap::new();
-        for shard in &mut self.shards {
-            let keys: Vec<u64> = shard.keys().collect();
-            for key in keys {
-                let Some(owner) = ring.node_for(key) else { continue };
-                if owner == me {
-                    continue;
-                }
-                if let Some(entry) = shard.peek(key) {
-                    let servable = entry.state == Freshness::Fresh
-                        && entry.expires_at.is_none_or(|at| now < at);
-                    if servable {
-                        moved.entry(owner.to_string()).or_default().push(UpdateItem {
-                            key,
-                            version: entry.version,
-                            value: entry.value.clone(),
-                        });
-                    }
-                }
-                shard.remove(key);
+        let keys: Vec<u64> = self.shard.keys().collect();
+        for key in keys {
+            let Some(owner) = ring.node_for(key) else { continue };
+            if owner == me {
+                continue;
             }
+            if let Some(entry) = self.shard.peek(key) {
+                let servable =
+                    entry.state == Freshness::Fresh && entry.expires_at.is_none_or(|at| now < at);
+                if servable {
+                    moved.entry(owner.to_string()).or_default().push(UpdateItem {
+                        key,
+                        version: entry.version,
+                        value: entry.value.clone(),
+                    });
+                }
+            }
+            self.shard.remove(key);
         }
         moved
     }
@@ -691,13 +592,11 @@ mod tests {
         Bytes::from(vec![b; len])
     }
 
-    /// One loop's owner over four shards; the origin link (if any) up.
-    fn owner(origin: bool) -> (Owner, Arc<Counters>) {
+    /// One unbounded LRU shard.
+    fn owner() -> (Owner, Arc<Counters>) {
         let counters = Arc::new(Counters::default());
         let cache = CacheConfig { capacity: Capacity::Unbounded, eviction: EvictionPolicy::Lru };
-        let mut owner = Owner::new(0, Topology::new(4, 1), cache, Arc::clone(&counters), origin);
-        owner.origin_link(true);
-        (owner, counters)
+        (Owner::new(Topology::new(1, 1), cache, Arc::clone(&counters)), counters)
     }
 
     fn count(c: &AtomicU64) -> u64 {
@@ -711,8 +610,17 @@ mod tests {
         }
     }
 
-    fn get(o: &mut Owner, to: ReplyTo, key: u64, max_staleness: u64, now: u64) -> Applied {
-        o.apply(to, Op::Get { id: RequestId(to.token), key, max_staleness }, at(now))
+    fn get(o: &mut Owner, to: ReplyTo, key: u64, bound: u64, link: Link, now: u64) -> Applied {
+        let max_staleness = bound;
+        o.apply(to, Op::Get { id: RequestId(to.token), key, max_staleness, link }, at(now))
+    }
+
+    /// A read that must park: the key it opened a fetch for, if any.
+    fn park(o: &mut Owner, to: ReplyTo, key: u64, bound: u64, link: Link, now: u64) -> Option<u64> {
+        match get(o, to, key, bound, link, now) {
+            Applied::Parked { fetch } => fetch,
+            other => panic!("did not park: {other:?}"),
+        }
     }
 
     /// `(status, age, version, value)` of a `GetResp`.
@@ -725,9 +633,9 @@ mod tests {
         }
     }
 
-    /// A read that must answer at once.
+    /// A read on a node without an origin: it answers at once.
     fn read(o: &mut Owner, key: u64, bound: u64, now: u64) -> (GetStatus, u64, u64, Bytes) {
-        match get(o, A, key, bound, now) {
+        match get(o, A, key, bound, Link::NoOrigin, now) {
             Applied::Reply(reply) => resp(&reply),
             other => panic!("read answered {other:?}"),
         }
@@ -740,7 +648,7 @@ mod tests {
     #[test]
     fn read_outcomes_turn_exactly_at_the_ttl_deadline_and_the_bound() {
         use GetStatus::*;
-        let (mut o, c) = owner(false);
+        let (mut o, c) = owner();
         // Written at 1000 with a TTL of 100: the deadline is 1100, and
         // "fresh strictly within the deadline".
         let v = put(&mut o, 5, bytes(0xAA, 8), 100, 1000);
@@ -777,7 +685,7 @@ mod tests {
     /// and that key are resident after each burst.
     fn scan_script(eviction: EvictionPolicy) -> [[bool; 3]; 2] {
         let cache = CacheConfig { capacity: Capacity::Entries(8), eviction };
-        let mut o = Owner::new(0, Topology::new(1, 1), cache, Arc::default(), false);
+        let mut o = Owner::new(Topology::new(1, 1), cache, Arc::default());
         for key in [1, 2] {
             put(&mut o, key, bytes(key as u8, 4), 0, 0);
             assert_eq!(read(&mut o, key, NONE, 0).0, GetStatus::Fresh);
@@ -788,8 +696,8 @@ mod tests {
         };
         burst(&mut o, 100..120);
         // The one-shots leave oldest first.
-        let back = (100..120).rev().find(|&key| !o.shards[0].contains(key)).unwrap_or(0);
-        let resident = |o: &Owner| [1, 2, back].map(|key| o.shards[0].contains(key));
+        let back = (100..120).rev().find(|&key| !o.shard.contains(key)).unwrap_or(0);
+        let resident = |o: &Owner| [1, 2, back].map(|key| o.shard.contains(key));
         let first = resident(&o);
         put(&mut o, back, bytes(3, 4), 0, 2);
         burst(&mut o, 200..220);
@@ -810,7 +718,7 @@ mod tests {
 
     #[test]
     fn versions_rise_with_every_install_of_a_key() {
-        let (mut o, _) = owner(false);
+        let (mut o, _) = owner();
         let mut last = [0u64; 2];
         for round in 0..4u64 {
             for key in 0..2u64 {
@@ -824,7 +732,7 @@ mod tests {
 
     #[test]
     fn update_refreshes_in_place_installs_only_on_a_handoff_stream() {
-        let (mut o, c) = owner(false);
+        let (mut o, c) = owner();
         let item = |key, b| UpdateItem { key, version: 999, value: bytes(b, 4) };
         let v1 = put(&mut o, 1, bytes(0x01, 4), 0, 10);
 
@@ -850,14 +758,15 @@ mod tests {
 
     #[test]
     fn parked_readers_coalesce_and_are_all_answered_fresh_at_age_zero() {
-        let (mut o, c) = owner(true);
-        assert!(matches!(get(&mut o, A, 9, 50, 100), Applied::Parked { fetch: Some(9) }));
-        assert!(matches!(get(&mut o, B, 9, NONE, 101), Applied::Parked { fetch: None }));
+        let (mut o, c) = owner();
+        assert_eq!(park(&mut o, A, 9, 50, Link::Up, 100), Some(9));
+        // B's own link is down, but a fetch is in flight: it joins.
+        assert_eq!(park(&mut o, B, 9, NONE, Link::Down, 101), None);
         assert_eq!((count(&c.refetches), count(&c.refetch_coalesced)), (1, 1));
-        assert!(o.fetching(9) && !o.fetching(8));
+        assert!(o.table.is_in_flight(9) && !o.table.is_in_flight(8));
 
         let replies = o.fetched(9, bytes(0xCC, 16), at(200));
-        assert!(!o.fetching(9), "the fetch completed");
+        assert!(!o.table.is_in_flight(9), "the fetch completed");
         assert_eq!(replies.iter().map(|(to, _)| *to).collect::<Vec<_>>(), [A, B]);
         for (_, reply) in &replies {
             let (status, age, version, value) = resp(reply);
@@ -867,44 +776,65 @@ mod tests {
         assert_eq!(count(&c.fresh), 2 + 2, "two waiters, two follow-up reads");
         assert_eq!((count(&c.refetches), count(&c.refetch_coalesced)), (1, 1));
         assert_eq!(count(&c.misses), 0, "a parked read is counted when it is answered");
+        assert_eq!(count(&c.origin_errors), 0, "joining with a down link is no error");
     }
 
     #[test]
     fn a_push_that_overtakes_a_fetch_leaves_the_installed_entry_known_stale() {
-        let (mut o, _) = owner(true);
-        assert!(matches!(get(&mut o, A, 9, NONE, 100), Applied::Parked { fetch: Some(9) }));
+        let (mut o, _) = owner();
+        assert_eq!(park(&mut o, A, 9, NONE, Link::Up, 100), Some(9));
         push(&mut o, Op::InvalidateKeys { keys: vec![9] }, 110);
         // The waiter is still answered from the fetch it asked for…
         let replies = o.fetched(9, bytes(0xCC, 4), at(120));
         assert_eq!(resp(&replies[0].1).0, GetStatus::Fresh);
         // …but the value may predate the push, so the next read refetches.
-        assert!(matches!(get(&mut o, A, 9, NONE, 121), Applied::Parked { fetch: Some(9) }));
+        assert_eq!(park(&mut o, A, 9, NONE, Link::Up, 121), Some(9));
         // A fetch nothing overtook installs a servable entry.
         o.fetched(9, bytes(0xDD, 4), at(130));
         assert_eq!(read(&mut o, 9, NONE, 131).0, GetStatus::Fresh);
+
+        // A failed fetch forgets its overtaking push: the next fetch of
+        // the key, which nothing overtook, installs a servable entry.
+        push(&mut o, Op::InvalidateKeys { keys: vec![9] }, 140);
+        assert_eq!(park(&mut o, A, 9, NONE, Link::Up, 141), Some(9));
+        push(&mut o, Op::InvalidateKeys { keys: vec![9] }, 142);
+        assert_eq!(o.fetch_failed(9).len(), 1);
+        assert_eq!(park(&mut o, A, 9, NONE, Link::Up, 150), Some(9));
+        o.fetched(9, bytes(0xEE, 4), at(160));
+        assert_eq!(read(&mut o, 9, NONE, 161).0, GetStatus::Fresh);
     }
 
     #[test]
-    fn a_lost_origin_answers_each_waiter_its_own_fallback_then_degrades_at_once() {
-        let (mut o, c) = owner(true);
+    fn a_failed_fetch_answers_each_waiter_its_own_fallback_and_a_down_link_degrades_at_once() {
+        let (mut o, c) = owner();
         put(&mut o, 1, bytes(0x01, 4), 0, 100);
-        assert!(matches!(get(&mut o, A, 1, 50, 175), Applied::Parked { fetch: Some(1) }));
-        assert!(matches!(get(&mut o, B, 2, NONE, 180), Applied::Parked { fetch: Some(2) }));
+        assert_eq!(park(&mut o, A, 1, 50, Link::Up, 175), Some(1));
+        assert_eq!(park(&mut o, B, 1, 50, Link::Down, 176), None);
+        assert_eq!(park(&mut o, B, 2, NONE, Link::Up, 180), Some(2));
 
-        let mut replies = o.origin_lost();
-        assert!(!o.fetching(1) && !o.fetching(2), "a lost link leaves no fetch to send");
-        replies.sort_by_key(|(to, _)| to.slot);
+        // Key 1's link died; key 2's fetch rode another and stays.
+        let replies = o.fetch_failed(1);
+        assert!(!o.table.is_in_flight(1) && o.table.is_in_flight(2));
         let fallbacks: Vec<_> = replies.iter().map(|(to, r)| (*to, resp(r).0, resp(r).1)).collect();
-        assert_eq!(fallbacks, [(A, GetStatus::RefusedStale, 75), (B, GetStatus::Miss, 0)]);
-        assert_eq!(count(&c.origin_errors), 2);
-        assert_eq!((count(&c.refused), count(&c.misses)), (1, 1));
+        assert_eq!(fallbacks, [(A, GetStatus::RefusedStale, 75), (B, GetStatus::RefusedStale, 76)]);
+        assert_eq!(count(&c.origin_errors), 2, "one per waiter");
+        assert_eq!(count(&c.refused), 2);
+        let (to, reply) = &o.fetch_failed(2)[0];
+        assert_eq!((*to, resp(reply).0, resp(reply).1), (B, GetStatus::Miss, 0));
+        assert_eq!((count(&c.origin_errors), count(&c.misses)), (3, 1));
 
-        // Link down: no parking, the fallback comes back from `apply`.
-        assert_eq!(read(&mut o, 2, NONE, 190).0, GetStatus::Miss);
-        assert_eq!((count(&c.origin_errors), count(&c.refetches)), (3, 2));
-        // Told the link is back, reads park again.
-        o.origin_link(true);
-        assert!(matches!(get(&mut o, A, 2, NONE, 200), Applied::Parked { fetch: Some(2) }));
+        // Link down and nothing in flight: the fallback comes back from
+        // `apply`, counted as an origin error; without an origin it is
+        // not one.
+        match get(&mut o, A, 2, NONE, Link::Down, 190) {
+            Applied::Reply(reply) => assert_eq!(resp(&reply).0, GetStatus::Miss),
+            other => panic!("parked with the link down: {other:?}"),
+        }
+        assert_eq!((count(&c.origin_errors), count(&c.refetches)), (4, 2));
+        assert_eq!(read(&mut o, 2, NONE, 195).0, GetStatus::Miss);
+        assert_eq!(count(&c.origin_errors), 4);
+        // On a live link, reads park again.
+        assert_eq!(park(&mut o, A, 2, NONE, Link::Up, 200), Some(2));
     }
 
     /// Decode `wire` fed in pieces cut at `cuts` and apply every message
@@ -985,13 +915,11 @@ mod tests {
             (10, 2048),
         ];
         for cuts in [&[][..], &split[..]] {
-            let (mut o, _) = owner(false);
+            let (mut o, _) = owner();
             serve_wire(&mut o, &wire, cuts);
             let mut cached = Vec::new();
-            for shard in &o.shards {
-                for key in shard.keys() {
-                    cached.push((key, shard.peek(key).expect("listed key").value.clone()));
-                }
+            for key in o.shard.keys() {
+                cached.push((key, o.shard.peek(key).expect("listed key").value.clone()));
             }
             cached.sort_by_key(|(key, _)| *key);
             let lens: Vec<(u64, usize)> = cached.iter().map(|(k, v)| (*k, v.len())).collect();
@@ -1013,7 +941,7 @@ mod tests {
 
     #[test]
     fn moved_ships_only_servably_fresh_entries_and_removes_the_rest() {
-        let (mut o, _) = owner(false);
+        let (mut o, _) = owner();
         let ring = HashRing::from_nodes(DEFAULT_VNODES, &["a", "b"]);
         // By key % 3: fresh for good, past its TTL at 500, invalidated.
         for key in 0..90u64 {

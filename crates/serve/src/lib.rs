@@ -8,18 +8,19 @@
 //! * [`server`] — an event-driven TCP cache server, one reactor per
 //!   core: a poll-based reactor (vendored `minipoll`, no external
 //!   runtime) multiplexes all connections onto a configurable number of
-//!   event-loop threads, and the cache shards (each a slab-backed
-//!   [`fresca_cache::SlabCache`]) are partitioned across those loops at
-//!   startup, one lock per partition. The loop that decodes a request
-//!   applies it under its key's partition lock and answers at once;
-//!   only origin fetches and their late replies cross between loops,
-//!   over the wakeup channels. The server speaks the
+//!   event-loop threads, and each cache shard (a slab-backed
+//!   [`fresca_cache::SlabCache`]) sits behind its own lock. The loop
+//!   that decodes a request applies it under its key's shard lock and
+//!   answers at once; each loop sends the origin fetches its reads open
+//!   on its own origin link, and only late replies to readers that
+//!   joined another loop's fetch cross between loops, over the wakeup
+//!   channels. The server speaks the
 //!   `fresca-net` framed protocol. Writes carry a per-key TTL; reads
 //!   carry a per-request max-staleness bound; responses say whether the
 //!   entry was served fresh, served stale, refused, or missed — and echo
 //!   each request's id, so responses to pipelined requests stay
 //!   matchable.
-//! * [`datapath`] — what is done to one partition of the shards, as an
+//! * [`datapath`] — what is done to one shard, as an
 //!   I/O-free [`datapath::Owner`] whose every entry takes `now`: the
 //!   per-read freshness decision, version allocation, the refetch
 //!   table. The reactor calls it; so do tests and the model checker.

@@ -251,15 +251,15 @@ pub struct LoadReport {
     /// Reads degraded to their fallback because the origin was
     /// unreachable during this run.
     pub origin_errors: u64,
-    /// Ops the server(s) applied on another event loop's partition than
-    /// the loop that decoded them during this run (probed like the
-    /// refetch counters). Zero on a single-event-loop server.
+    /// Ops the server(s) applied on a shard outside the decoding event
+    /// loop's share during this run (probed like the refetch counters).
+    /// Zero on a single-event-loop server.
     pub cross_core_forwards: u64,
-    /// Live entries across the server's event-loop-owned slab shards at
+    /// Live entries across the server's slab shards at
     /// the end of the run (a gauge, not a delta; summed across nodes in
     /// cluster runs).
     pub slab_entries: u64,
-    /// Allocated slab slots across the server's owned shards at the end
+    /// Allocated slab slots across the server's shards at the end
     /// of the run (gauge; the slab memory high-water mark).
     pub slab_capacity: u64,
 }

@@ -1,10 +1,11 @@
 //! How threads talk to an event loop: each loop has one [`Mailbox`] —
-//! an inbox of accepted sockets and cross-core messages ([`CoreMsg`])
-//! plus the self-pipe that wakes its poll — and every sender goes
-//! through [`Mailbox::post`]. Ops themselves never travel here: any
-//! loop applies any op under its partition's lock (see
-//! [`crate::server`]). What crosses is what stays with the partition's
-//! own loop: its origin link's fetches and their late replies.
+//! an inbox of accepted sockets and late replies, plus the self-pipe
+//! that wakes its poll — and every sender goes through
+//! [`Mailbox::post`]. Ops and fetches never travel here: any loop
+//! applies any op under its shard's lock and sends the fetches it opens
+//! on its own origin link (see [`crate::server`]). What crosses is a
+//! reply owed to another loop's connection: to a reader that joined a
+//! fetch this loop's link answered or failed.
 
 use crate::datapath::ReplyTo;
 use fresca_net::Message;
@@ -14,24 +15,13 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-/// A message between event loops, carried through the destination's
-/// [`Mailbox`].
-pub(crate) enum CoreMsg {
-    /// A late reply — to a read parked on another loop's partition —
-    /// routed back to the home loop's connection.
-    Done { to: ReplyTo, reply: Message },
-    /// A read parked on the destination's partition and opened `key`'s
-    /// fetch: the destination queues the `FetchReq` on its origin link
-    /// if the fetch is still in flight.
-    Fetch { key: u64 },
-}
-
-/// What the accept thread and peer loops deposit for an event loop: freshly accepted sockets and cross-core messages,
+/// What the accept thread and peer loops deposit for an event loop:
+/// freshly accepted sockets, and late replies for its connections,
 /// drained together on the next wake.
 #[derive(Default)]
 pub(crate) struct LoopInbox {
     pub(crate) conns: Vec<TcpStream>,
-    pub(crate) msgs: Vec<CoreMsg>,
+    pub(crate) replies: Vec<(ReplyTo, Message)>,
 }
 
 /// One event loop's mailbox: its inbox and the self-pipe that wakes its

@@ -23,6 +23,8 @@
 //! The default of 128 keeps nodes within a few percent of each other
 //! without making membership changes expensive.
 
+use fresca_sim::rng::mix64;
+
 /// Default number of virtual nodes per member.
 pub const DEFAULT_VNODES: usize = 128;
 
@@ -39,23 +41,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: decorrelates consecutive replica indices and
-/// spreads key identities uniformly over the circle.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Where `key` lands on the circle.
+/// Where `key` lands on the circle: the SplitMix64 finalizer spreads
+/// key identities uniformly over it.
 fn key_point(key: u64) -> u64 {
-    mix(key)
+    mix64(key)
 }
 
-/// Where replica `replica` of node `name` lands on the circle.
+/// Where replica `replica` of node `name` lands on the circle (the
+/// finalizer decorrelates consecutive replica indices).
 fn node_point(name: &str, replica: u32) -> u64 {
-    mix(fnv1a(name.as_bytes()) ^ (replica as u64).rotate_left(17))
+    mix64(fnv1a(name.as_bytes()) ^ (replica as u64).rotate_left(17))
 }
 
 /// A consistent-hash ring over named nodes (names are typically
@@ -98,11 +93,6 @@ impl HashRing {
     /// rounded up to 1).
     pub fn new(vnodes: usize) -> Self {
         HashRing { vnodes: vnodes.max(1), nodes: Vec::new(), points: Vec::new() }
-    }
-
-    /// Ring with [`DEFAULT_VNODES`] virtual nodes per member.
-    pub fn with_default_vnodes() -> Self {
-        Self::new(DEFAULT_VNODES)
     }
 
     /// Build a ring from a member list in one call. Duplicate names are

@@ -1,5 +1,5 @@
 //! The event-driven TCP cache server, one reactor per core: the reactor
-//! and the routing. What an op *does* once its key's partition is
+//! and the routing. What an op *does* once its key's shard is
 //! locked — the freshness decision, the refetch table, version
 //! allocation — is [`crate::datapath`], which this file only calls.
 //!
@@ -12,31 +12,28 @@
 //! thread count scales service capacity across cores, not connection
 //! count.
 //!
-//! ## Partitioned ownership under a lock
+//! ## Shards under locks
 //!
-//! The cache shards are partitioned across the event loops at startup:
-//! shard `s` belongs to partition `s % L`, and each partition is one
-//! [`Owner`] behind its own mutex in `Shared::owners`. Any loop serves
-//! any key. Every op is served one way: `dispatch` describes it as an
-//! [`Op`], `route` locks the partition owning its key, calls
-//! [`Owner::apply`], releases the lock and queues the reply on the
-//! connection then and there, whichever partition the key is in. An op
-//! applied on another loop's partition is counted in
+//! Each cache shard is one [`Owner`] behind its own mutex in
+//! `Shared::owners`, and any loop serves any key. Every op is served
+//! one way: `dispatch` describes it as an [`Op`], `route` locks the
+//! shard holding its key, calls [`Owner::apply`], releases the lock and
+//! queues the reply on the connection then and there. For counting,
+//! shard `s` is in loop `s % L`'s share ([`Topology::owner_of`]): an op
+//! applied on a shard outside the decoding loop's share is counted in
 //! `cross_core_forwards`; it costs one lock, not a hand-off between
-//! threads. A loop holds at most one partition lock at a time and never
+//! threads. A loop holds at most one shard lock at a time and never
 //! across socket I/O, a handoff send or a mailbox post (fresca-lint R4
 //! flags the blocking half of that).
 //!
-//! What a partition owns beyond its shards stays its own loop's work:
-//! the origin link, the refetch table and the read-count batch. A read
-//! that parks on another loop's partition and opens a fetch is handed
-//! to the owner loop as a `CoreMsg::Fetch`, and the replies to readers
-//! parked on a partition travel back to their home loops as
-//! `CoreMsg::Done`, matched by [`ReplyTo`]'s `(slot, token)` so a
-//! recycled slot can never receive a stranger's reply. Both ride the
-//! owner's `Mailbox` (one mutex append + one self-pipe wake byte per
-//! destination per tick — the same call the accept thread deposits
-//! sockets through).
+//! A loop's origin link is its own: the fetches its reads open leave
+//! on it, and the `FetchResp`s that come back on it are installed under
+//! their key's shard lock. A reader that joined a fetch another loop's
+//! link carries is answered through that loop: the reply travels to
+//! the reader's home loop's `Mailbox` (one mutex append + one self-pipe
+//! wake byte per destination per tick — the same call the accept thread
+//! deposits sockets through), matched by [`ReplyTo`]'s `(slot, token)`
+//! so a recycled slot can never receive a stranger's reply.
 //!
 //! Late replies ride the tick exactly like local ones: a completion
 //! (from a peer loop or an origin refetch) is only *queued* on its
@@ -48,7 +45,7 @@
 //!
 //! Per-key operation order is preserved end-to-end: a connection's
 //! requests are decoded and applied in order, and same-key ops from
-//! different connections are serialised by their partition's lock, under
+//! different connections are serialised by their shard's lock, under
 //! which a version is allocated and installed in one step.
 //!
 //! Per connection the reactor keeps a [`NonBlockingFramedStream`]: reads
@@ -64,7 +61,7 @@
 //! The same socket also accepts the **store path**: a store-push node
 //! (see [`crate::push`]) sends batched `Invalidate { seq, keys }` /
 //! `Update { seq, items }` frames. The receiving loop splits a batch by
-//! partition, applies each part under its partition's lock, and answers
+//! shard, applies each part under its shard's lock, and answers
 //! `Ack { seq }` in the same tick, after every part is applied — the
 //! paper's write-triggered freshness pipeline running against a real
 //! cache node instead of the simulator.
@@ -72,31 +69,33 @@
 //! ## The origin link
 //!
 //! With [`ServerConfig::origin`] set, each event loop keeps one
-//! non-blocking connection to the origin, which carries its own
-//! partition's fetches. When [`Owner::apply`] parks a read and hands
-//! back its key, the `FetchReq` is queued on the owner loop's link —
-//! at once when the read arrived there, through a `CoreMsg::Fetch`
-//! otherwise; each `FetchResp` goes to [`Owner::fetched`], and the
-//! replies it returns are delivered like any other late completion. The
-//! event loop never blocks on the origin: parked requests cost a table
-//! entry and unrelated keys keep serving. If the link dies the owner is
-//! told ([`Owner::origin_lost`]) and answers every parked reader its
-//! fallback; the reactor redials on a timer and tells the owner when
-//! the link is back. The owner's batched read counts ride the same link
-//! as `ReadStats` frames.
+//! non-blocking connection to the origin and the set of keys whose
+//! `FetchResp` that link still owes. When [`Owner::apply`] parks a read
+//! and hands back its key, the reading loop queues the `FetchReq` on
+//! its own link and remembers the key; the `FetchResp` goes to
+//! [`Owner::fetched`] on the key's shard, and the replies it returns
+//! are delivered like any other late completion. The event loop never
+//! blocks on the origin: parked requests cost a table entry and
+//! unrelated keys keep serving. If a link dies, the loop fails only the
+//! keys it carried ([`Owner::fetch_failed`], one shard lock at a time),
+//! which answers every reader parked on them their fallback; it redials
+//! on a timer, and until then its reads that would open a fetch degrade
+//! at once. Each loop also counts the reads it decodes and sends the
+//! batch on its link as `ReadStats` frames.
 
-use crate::datapath::{Applied, Counters, Op, Owner, ReplyTo, Topology};
+use crate::datapath::{Applied, Counters, Link, Op, Owner, ReplyTo, Topology};
 use crate::handoff::{Handoff, Streamer};
-use crate::mailbox::{CoreMsg, LoopInbox, Mailbox};
+use crate::mailbox::{LoopInbox, Mailbox};
 use crate::membership::Membership;
 use crate::ring::DEFAULT_VNODES;
 use crate::stats::ServerStats;
 pub use crate::stats::ServerStatsSnapshot;
 use crate::ServeClock;
 use fresca_cache::{CacheConfig, EvictionPolicy};
-use fresca_net::{Message, NonBlockingFramedStream, PollRecv};
+use fresca_net::{Message, NonBlockingFramedStream, PollRecv, ReadStat};
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -114,13 +113,14 @@ pub struct ServerConfig {
     /// The default is ARC ([`EvictionPolicy::Adaptive`]): the policy the
     /// eviction sweep (`ablate_eviction --sweep`) chose.
     pub cache: CacheConfig,
-    /// Number of cache shards (rounded up to a power of two). Shards
-    /// are partitioned across the event loops at startup; shard `s`
-    /// belongs to partition `s % event_loops`, one partition per loop.
+    /// Number of cache shards (rounded up to a power of two). Each
+    /// shard sits behind its own lock, and any event loop serves any
+    /// shard; shard `s` counts as loop `s % event_loops`'s share only
+    /// for `cross_core_forwards`.
     pub shards: usize,
     /// Number of event-loop threads. Connections are multiplexed onto
     /// them round-robin at accept time, and each loop applies the
-    /// requests it decodes under the lock of their key's partition, so
+    /// requests it decodes under the lock of their key's shard, so
     /// this is also the serving parallelism. Raise it to spread request
     /// processing across cores, not to admit more connections.
     pub event_loops: usize,
@@ -144,7 +144,7 @@ impl Default for ServerConfig {
 /// Everything an event loop needs to dispatch requests.
 struct Shared {
     stats: ServerStats,
-    /// The version counter and serving counters every loop's [`Owner`]
+    /// The version counter and serving counters every [`Owner`]
     /// shares.
     counters: Arc<Counters>,
     clock: ServeClock,
@@ -154,10 +154,9 @@ struct Shared {
     /// closing connections immediately.
     drain: AtomicBool,
     topo: Topology,
-    /// One partition of the shards per event loop, indexed by loop id
-    /// ([`Topology::owner_of`]). Any loop locks the partition a key
-    /// lives in to apply an op on it; at most one partition lock is held
-    /// at a time, never across socket I/O.
+    /// One owner per shard, indexed by [`Topology::shard_of`]. Any loop
+    /// locks the shard a key lives in to apply an op on it; at most one
+    /// shard lock is held at a time, never across socket I/O.
     owners: Vec<Mutex<Owner>>,
     /// The epoch-stamped member list this node routes ownership by.
     /// Locked only for short view reads/updates on membership frames —
@@ -174,7 +173,7 @@ impl Shared {
     fn snapshot(&self) -> ServerStatsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let (s, c) = (&self.stats, &*self.counters);
-        // Entries, slab slots and evictions, one partition lock at a time.
+        // Entries, slab slots and evictions, one shard lock at a time.
         let mut gauges = [0u64; 3];
         for owner in &self.owners {
             let part = owner.lock().gauges();
@@ -263,11 +262,8 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
     let topo = Topology::new(config.shards, config.event_loops);
     let num_loops = topo.num_loops();
     let counters = Arc::new(Counters::default());
-    let owners = (0..num_loops)
-        .map(|part| {
-            let counters = Arc::clone(&counters);
-            Mutex::new(Owner::new(part, topo, config.cache, counters, config.origin.is_some()))
-        })
+    let owners = (0..topo.total_shards())
+        .map(|_| Mutex::new(Owner::new(topo, config.cache, Arc::clone(&counters))))
         .collect();
     let shared = Arc::new(Shared {
         stats: ServerStats::default(),
@@ -287,23 +283,16 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
     // first tick.
     let (mailboxes, wake_rxs): (Vec<_>, Vec<_>) =
         (0..num_loops).map(|_| Mailbox::new()).collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
-
-    // Every loop is built — its origin link dialled and its partition
-    // told the outcome — before any starts serving: a loop parks reads
-    // on its peers' partitions from its first tick.
-    let event_loops: Vec<EventLoop> = wake_rxs
+    let loops: Vec<LoopHandle> = wake_rxs
         .into_iter()
         .enumerate()
         .map(|(loop_id, wake_rx)| {
             let (shared, peers) = (Arc::clone(&shared), mailboxes.clone());
-            EventLoop::new(loop_id, wake_rx, peers, shared, config)
-        })
-        .collect();
-    let loops: Vec<LoopHandle> = event_loops
-        .into_iter()
-        .map(|event_loop| LoopHandle {
-            mailbox: Arc::clone(&mailboxes[event_loop.loop_id]),
-            join: std::thread::spawn(move || event_loop.run()),
+            let event_loop = EventLoop::new(loop_id, wake_rx, peers, shared, config);
+            LoopHandle {
+                mailbox: Arc::clone(&mailboxes[loop_id]),
+                join: std::thread::spawn(move || event_loop.run()),
+            }
         })
         .collect();
 
@@ -339,10 +328,10 @@ impl ServerHandle {
     }
 
     /// Apply a backend-originated invalidation: mark `key`'s entry
-    /// known-stale under the lock of the partition owning its shard.
-    /// Returns `true` if the key was cached.
+    /// known-stale under its shard's lock. Returns `true` if the key was
+    /// cached.
     pub fn invalidate(&self, key: u64) -> bool {
-        let Some(owner) = self.shared.owners.get(self.shared.topo.owner_of(key)) else {
+        let Some(owner) = self.shared.owners.get(self.shared.topo.shard_of(key)) else {
             return false;
         };
         owner.lock().invalidate(&[key]) > 0
@@ -424,8 +413,8 @@ struct Conn {
     /// Reads from this connection parked on an origin refetch, whose
     /// replies have not been queued yet. A closing connection drains
     /// these too before it is dropped — a half-closing client is owed
-    /// every response, including the ones another loop's origin link
-    /// completes.
+    /// every response, including the ones of fetches another loop's
+    /// origin link carries.
     in_flight: u32,
     /// True once a `RingUpdate` arrived on this connection — the marker
     /// a handoff streamer sends before its `Update` batches. Updates on
@@ -438,15 +427,33 @@ struct Conn {
 }
 
 /// Per-event-loop origin state: where the origin is, the link to it
-/// (when up) and the redial backoff. What is parked on the link lives
-/// with the [`Owner`].
+/// (when up), the redial backoff, the keys the link owes a `FetchResp`
+/// for and the read-count batch it carries. The readers parked on a
+/// fetch live with the key's [`Owner`].
 struct OriginCtx {
     addr: SocketAddr,
     /// The non-blocking connection this event loop refetches through.
     link: Option<NonBlockingFramedStream<TcpStream>>,
     /// Don't re-attempt a failed connect before this instant.
     retry_at: Option<Instant>,
+    /// Keys whose `FetchReq` left on this link and whose `FetchResp`
+    /// has not come back: what an outage of the link fails.
+    owed: HashSet<u64>,
+    /// The read-count batch owed to the origin's `E[W]` estimator.
+    read_counts: HashMap<u64, u32>,
+    reads_pending: u32,
 }
+
+/// Hand the pending read-count batch over once this many reads
+/// accumulate…
+const READ_STATS_FLUSH_READS: u32 = 1024;
+
+/// …or once this many distinct keys do, whichever comes first.
+const READ_STATS_FLUSH_KEYS: usize = 256;
+
+/// With the origin link down, stop hoarding read counts past this many
+/// distinct keys — the estimator feed is advisory, memory is not.
+const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
 
 /// How long a (blocking, inline) origin connect attempt may take. Kept
 /// short: it runs on the event-loop thread, at the top of a tick that
@@ -458,17 +465,16 @@ const ORIGIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 const ORIGIN_RETRY: Duration = Duration::from_secs(1);
 
 impl OriginCtx {
-    /// True when the origin link is up — connecting now if it is down
-    /// and the retry backoff has expired. A failed attempt arms the
-    /// backoff and returns false, so callers degrade immediately
-    /// instead of queueing behind a dead endpoint.
-    fn ensure_link(&mut self) -> bool {
+    /// Connect the origin link if it is down and the retry backoff has
+    /// expired. A failed attempt arms the backoff, during which reads
+    /// degrade immediately instead of queueing behind a dead endpoint.
+    fn ensure_link(&mut self) {
         if self.link.is_some() {
-            return true;
+            return;
         }
         let now = Instant::now();
         if self.retry_at.is_some_and(|at| now < at) {
-            return false;
+            return;
         }
         match TcpStream::connect_timeout(&self.addr, ORIGIN_CONNECT_TIMEOUT)
             .and_then(|stream| {
@@ -479,13 +485,38 @@ impl OriginCtx {
             Ok(stream) => {
                 self.link = Some(NonBlockingFramedStream::new(stream));
                 self.retry_at = None;
-                true
             }
-            Err(_) => {
-                self.retry_at = Some(now + ORIGIN_RETRY);
-                false
-            }
+            Err(_) => self.retry_at = Some(now + ORIGIN_RETRY),
         }
+    }
+
+    /// Count one decoded read for the origin's estimator: every read
+    /// counts exactly once, parked or answered.
+    fn count_read(&mut self, key: u64) {
+        *self.read_counts.entry(key).or_insert(0) += 1;
+        self.reads_pending += 1;
+    }
+
+    /// The pending read-count batch as a `ReadStats` frame, when it is
+    /// due and the link is up to carry it (with the link down, the
+    /// batch is shed once it outgrows its cap).
+    fn read_stats(&mut self) -> Option<Message> {
+        if self.link.is_none() {
+            if self.read_counts.len() > READ_STATS_MAX_BUFFERED_KEYS {
+                self.read_counts.clear();
+                self.reads_pending = 0;
+            }
+            return None;
+        }
+        if self.reads_pending < READ_STATS_FLUSH_READS
+            && self.read_counts.len() < READ_STATS_FLUSH_KEYS
+        {
+            return None;
+        }
+        self.reads_pending = 0;
+        let entries: Vec<ReadStat> =
+            self.read_counts.drain().map(|(key, reads)| ReadStat { key, reads }).collect();
+        (!entries.is_empty()).then_some(Message::ReadStats { entries })
     }
 }
 
@@ -523,10 +554,9 @@ enum Dispatch {
     Close,
 }
 
-/// One event-loop thread: the poll reactor of its connections and the
-/// origin link of its partition (`Shared::owners[loop_id]`). Everything
-/// that touches a shard happens inside an [`Owner`], under that
-/// partition's lock.
+/// One event-loop thread: the poll reactor of its connections and its
+/// own origin link. Everything that touches a shard happens inside an
+/// [`Owner`], under that shard's lock.
 struct EventLoop {
     loop_id: usize,
     wake_rx: UnixStream,
@@ -534,9 +564,10 @@ struct EventLoop {
     /// Every loop's mailbox, indexed by loop id (the self entry is this
     /// loop's own inbox).
     peers: Vec<Arc<Mailbox>>,
-    /// Per-destination staging for cross-core messages; posted to the
-    /// peers' mailboxes (one lock + one wake each) at end of tick.
-    outbox: Vec<Vec<CoreMsg>>,
+    /// Per-destination staging for late replies owed to peers'
+    /// connections; posted to the peers' mailboxes (one lock + one wake
+    /// each) at end of tick.
+    outbox: Vec<Vec<(ReplyTo, Message)>>,
     /// Slot-indexed connection table; `None` slots are free and reused.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -561,12 +592,18 @@ impl EventLoop {
         shared: Arc<Shared>,
         config: ServerConfig,
     ) -> Self {
-        let mut origin = config.origin.map(|addr| OriginCtx { addr, link: None, retry_at: None });
+        let mut origin = config.origin.map(|addr| OriginCtx {
+            addr,
+            link: None,
+            retry_at: None,
+            owed: HashSet::new(),
+            read_counts: HashMap::new(),
+            reads_pending: 0,
+        });
         if let Some(ctx) = &mut origin {
             // Dial the origin eagerly so the first refused read parks
             // instead of degrading while the link is still down.
-            let up = ctx.ensure_link();
-            shared.owners[loop_id].lock().origin_link(up);
+            ctx.ensure_link();
         }
         EventLoop {
             loop_id,
@@ -586,6 +623,15 @@ impl EventLoop {
     /// The origin link, when this node has an origin and the link is up.
     fn link_mut(&mut self) -> Option<&mut NonBlockingFramedStream<TcpStream>> {
         self.origin.as_mut()?.link.as_mut()
+    }
+
+    /// What this loop's reads are told of its origin link.
+    fn link_state(&self) -> Link {
+        match &self.origin {
+            None => Link::NoOrigin,
+            Some(ctx) if ctx.link.is_some() => Link::Up,
+            Some(_) => Link::Down,
+        }
     }
 
     /// The reactor: multiplex every connection assigned to this loop
@@ -670,12 +716,10 @@ impl EventLoop {
             }
 
             // A downed origin link is redialled here, once its backoff
-            // has run out, and the owner told the outcome: a read
-            // serviced below either parks on a live link or degrades
-            // at once.
-            if let Some(ctx) = self.origin.as_mut().filter(|ctx| ctx.link.is_none()) {
-                let up = ctx.ensure_link();
-                self.shared.owners[self.loop_id].lock().origin_link(up);
+            // has run out: a read serviced below either opens its fetch
+            // on a live link or degrades at once.
+            if let Some(ctx) = self.origin.as_mut() {
+                ctx.ensure_link();
             }
 
             if poll.readiness(0).readable() {
@@ -694,7 +738,7 @@ impl EventLoop {
                 // releasing it: registration does syscalls per socket, and
                 // neither the accept thread nor peer loops must stall on
                 // the mutex during bursts.
-                let LoopInbox { conns: arrivals, msgs } =
+                let LoopInbox { conns: arrivals, replies } =
                     std::mem::take(&mut *self.peers[self.loop_id].inbox.lock());
                 for stream in arrivals {
                     self.next_token += 1;
@@ -713,12 +757,11 @@ impl EventLoop {
                         }
                     }
                 }
-                // Cross-core traffic is serviced before this tick's new
-                // socket reads: completions answer reads that have been
-                // parked since at least the previous tick, and fetches
-                // handed over by peers join this tick's origin flush.
-                for msg in msgs {
-                    self.handle_core_msg(msg);
+                // Late replies from peers are queued before this tick's
+                // new socket reads: they answer reads that have been
+                // parked since at least the previous tick.
+                for (to, reply) in replies {
+                    self.deliver(to, &reply);
                 }
             }
 
@@ -758,10 +801,7 @@ impl EventLoop {
             // queued while servicing connections. A write failure here is
             // an origin outage — fail every parked waiter to its fallback
             // and start the reconnect backoff.
-            let read_stats = match self.origin {
-                Some(_) => self.shared.owners[self.loop_id].lock().read_stats(),
-                None => None,
-            };
+            let read_stats = self.origin.as_mut().and_then(OriginCtx::read_stats);
             if let Some(link) = self.link_mut() {
                 if let Some(batch) = read_stats {
                     link.queue(&batch);
@@ -815,21 +855,14 @@ impl EventLoop {
         self.shared.stats.open_connections.load(Ordering::Relaxed) == 0
     }
 
-    /// Stage a cross-core message for `dest`, delivered at end of tick.
-    fn forward(&mut self, dest: usize, msg: CoreMsg) {
-        if let Some(out) = self.outbox.get_mut(dest) {
-            out.push(msg);
-        }
-    }
-
     /// Route a late reply to the connection it is owed to — directly
     /// into the local connection table when `to.home` is this loop,
-    /// staged as a cross-core message otherwise.
+    /// staged for the home loop's mailbox otherwise.
     fn stage_done(&mut self, to: ReplyTo, reply: Message) {
         if to.home == self.loop_id {
             self.deliver(to, &reply);
-        } else {
-            self.forward(to.home, CoreMsg::Done { to, reply });
+        } else if let Some(out) = self.outbox.get_mut(to.home) {
+            out.push((to, reply));
         }
     }
 
@@ -839,23 +872,7 @@ impl EventLoop {
     fn flush_outboxes(&mut self) {
         for (batch, peer) in self.outbox.iter_mut().zip(&self.peers) {
             if !batch.is_empty() {
-                peer.post(|inbox| inbox.msgs.append(batch));
-            }
-        }
-    }
-
-    /// Apply one message from a peer loop.
-    fn handle_core_msg(&mut self, msg: CoreMsg) {
-        match msg {
-            CoreMsg::Done { to, reply } => self.deliver(to, &reply),
-            CoreMsg::Fetch { key } => {
-                // The link may have died and failed the key's waiters
-                // since the peer parked its read: then no one waits.
-                if self.shared.owners[self.loop_id].lock().fetching(key) {
-                    if let Some(link) = self.link_mut() {
-                        link.queue(&Message::FetchReq { key });
-                    }
-                }
+                peer.post(|inbox| inbox.replies.append(batch));
             }
         }
     }
@@ -921,16 +938,19 @@ impl EventLoop {
     }
 
     /// Drain FetchResps from the origin link (bounded per tick, like any
-    /// other connection), handing each to the owner and delivering the
-    /// replies it returns for the readers parked on the key. Any
+    /// other connection), handing each to its key's owner and delivering
+    /// the replies it returns for the readers parked on the key. Any
     /// transport error or protocol violation on the link is an outage.
     fn drain_origin(&mut self, scratch: &mut [u8]) {
         for _ in 0..MAX_FRAMES_PER_TICK {
-            let Some(link) = self.link_mut() else { return };
+            let Some(ctx) = self.origin.as_mut() else { return };
+            let Some(link) = ctx.link.as_mut() else { return };
             match link.poll_recv_with(scratch) {
                 Ok(PollRecv::Msg(Message::FetchResp { key, version: _, value })) => {
+                    ctx.owed.remove(&key);
                     let now = self.shared.clock.now();
-                    let replies = self.shared.owners[self.loop_id].lock().fetched(key, value, now);
+                    let shard = self.shared.topo.shard_of(key);
+                    let replies = self.shared.owners[shard].lock().fetched(key, value, now);
                     for (to, reply) in replies {
                         self.stage_done(to, reply);
                     }
@@ -945,16 +965,19 @@ impl EventLoop {
     }
 
     /// The origin connection died: drop the link, arm the reconnect
-    /// backoff, and deliver the fallback the owner answers every parked
-    /// reader with.
+    /// backoff, and fail every fetch the link still owed, one shard lock
+    /// at a time, delivering the fallback each parked reader is
+    /// answered with.
     fn origin_outage(&mut self) {
-        if let Some(ctx) = self.origin.as_mut() {
-            ctx.link = None;
-            ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
-        }
-        let replies = self.shared.owners[self.loop_id].lock().origin_lost();
-        for (to, reply) in replies {
-            self.stage_done(to, reply);
+        let Some(ctx) = self.origin.as_mut() else { return };
+        ctx.link = None;
+        ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
+        for key in std::mem::take(&mut ctx.owed) {
+            let shard = self.shared.topo.shard_of(key);
+            let replies = self.shared.owners[shard].lock().fetch_failed(key);
+            for (to, reply) in replies {
+                self.stage_done(to, reply);
+            }
         }
     }
 
@@ -1027,12 +1050,12 @@ impl EventLoop {
         true
     }
 
-    /// Map one request onto the partitioned cache; [`Dispatch::Close`]
+    /// Map one request onto the sharded cache; [`Dispatch::Close`]
     /// for messages that do not belong on a cache node's socket.
     /// Serving-path requests (`GetReq`, `PutReq`) come from clients,
     /// store-path batches (`Invalidate`, `Update`) from a store-push
     /// node: each is described as an [`Op`] (a batch as one per
-    /// partition, acknowledged by `seq` once every part is applied) and
+    /// shard, acknowledged by `seq` once every part is applied) and
     /// handed to [`route`](Self::route). `StatsReq` comes from a load
     /// generator pinning down the refetch and forwarding counters.
     /// Membership frames (`RingReq`, `RingUpdate`, `JoinReq`,
@@ -1043,7 +1066,11 @@ impl EventLoop {
         match msg {
             Message::GetReq { id, key, max_staleness } => {
                 self.shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-                self.route_request(key, to, Op::Get { id, key, max_staleness })
+                if let Some(ctx) = self.origin.as_mut() {
+                    ctx.count_read(key);
+                }
+                let link = self.link_state();
+                self.route_request(key, to, Op::Get { id, key, max_staleness, link })
             }
             Message::StatsReq => {
                 let snap = self.shared.snapshot();
@@ -1064,13 +1091,13 @@ impl EventLoop {
                 self.route_request(key, to, Op::Put { id, key, value, ttl })
             }
             Message::Invalidate { seq, keys } => {
-                // A store-pushed batch: every partition marks its share
-                // of the keys stale, then the whole batch is acked by seq.
+                // A store-pushed batch: every shard marks its share of
+                // the keys stale, then the whole batch is acked by seq.
                 self.route_batch(to, seq, keys, |&key| key, |keys| Op::InvalidateKeys { keys })
             }
             Message::Update { seq, items } => {
                 // A store-pushed refresh batch: re-freshen every cached
-                // entry in it, split by partition like an invalidation.
+                // entry in it, split by shard like an invalidation.
                 // Handoff streams reuse the Update machinery in install
                 // mode (see `Conn::handoff`): absent keys are installed,
                 // moving ownership, instead of counting as missed
@@ -1147,8 +1174,8 @@ impl EventLoop {
         Dispatch::Reply(Message::RingUpdate { epoch: view.epoch, members: view.members })
     }
 
-    /// Rescan every partition against the current membership view,
-    /// one partition lock at a time: entries whose owner is now another
+    /// Rescan every shard against the current membership view, one
+    /// shard lock at a time: entries whose owner is now another
     /// node are removed ([`Owner::moved`]) and the servably fresh ones
     /// handed to the streamer thread, grouped per destination, after
     /// the lock is released. Handoff is an optimisation, not a
@@ -1173,29 +1200,29 @@ impl EventLoop {
         }
     }
 
-    /// Run `op` on partition `part`, under its lock, on this thread —
-    /// whichever loop owns the partition (counted as a cross-core
-    /// forward when it is not this one). The read that opens a fetch
-    /// gets its `FetchReq` sent by the partition's own loop: queued on
-    /// this loop's link when that is this one, handed over as a
-    /// `CoreMsg::Fetch` otherwise.
-    fn route(&mut self, part: usize, to: ReplyTo, op: Op) -> Applied {
-        if part != self.loop_id {
+    /// Run `op`, whose keys all live in `key`'s shard, under that
+    /// shard's lock on this thread (counted as a cross-core forward when
+    /// the shard is outside this loop's share). The read that opens a
+    /// fetch gets its `FetchReq` queued on this loop's own link, which
+    /// then owes the shard the answer.
+    fn route(&mut self, key: u64, to: ReplyTo, op: Op) -> Applied {
+        let topo = self.shared.topo;
+        if topo.owner_of(key) != self.loop_id {
             self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
         }
         // The clock is read after the op's socket read, so the op is
         // judged no earlier than it arrived — and before the lock, which
         // keeps the read out of the time the lock is held.
         let now = self.shared.clock.now();
-        let applied = self.shared.owners[part].lock().apply(to, op, now);
+        let applied = self.shared.owners[topo.shard_of(key)].lock().apply(to, op, now);
         if let Applied::Parked { fetch: Some(key) } = applied {
-            if part != self.loop_id {
-                self.forward(part, CoreMsg::Fetch { key });
-            } else if let Some(link) = self.link_mut() {
-                // The owner only parks while told the link is up; the
-                // if-let keeps this path structurally panic-free
-                // regardless.
-                link.queue(&Message::FetchReq { key });
+            // The owner only opens a fetch when told the link is up; the
+            // if-lets keep this path structurally panic-free regardless.
+            if let Some(ctx) = self.origin.as_mut() {
+                if let Some(link) = ctx.link.as_mut() {
+                    link.queue(&Message::FetchReq { key });
+                    ctx.owed.insert(key);
+                }
             }
         }
         applied
@@ -1204,15 +1231,15 @@ impl EventLoop {
     /// Route a client's single-key request: answered now unless the
     /// read parked.
     fn route_request(&mut self, key: u64, to: ReplyTo, op: Op) -> Dispatch {
-        match self.route(self.shared.topo.owner_of(key), to, op) {
+        match self.route(key, to, op) {
             Applied::Reply(reply) => Dispatch::Reply(reply),
             _ => Dispatch::Pending,
         }
     }
 
-    /// Split a store-push batch by partition, apply each non-empty part
-    /// (`make_op` wraps one partition's share) and acknowledge the
-    /// whole batch: every part is applied before the `Ack` is queued.
+    /// Split a store-push batch by shard, apply each non-empty part
+    /// (`make_op` wraps one shard's share) and acknowledge the whole
+    /// batch: every part is applied before the `Ack` is queued.
     fn route_batch<T>(
         &mut self,
         to: ReplyTo,
@@ -1223,15 +1250,15 @@ impl EventLoop {
     ) -> Dispatch {
         self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
         let mut parts: Vec<Vec<T>> = Vec::new();
-        parts.resize_with(self.shared.topo.num_loops(), Vec::new);
+        parts.resize_with(self.shared.topo.total_shards(), Vec::new);
         for item in items {
-            if let Some(part) = parts.get_mut(self.shared.topo.owner_of(key_of(&item))) {
+            if let Some(part) = parts.get_mut(self.shared.topo.shard_of(key_of(&item))) {
                 part.push(item);
             }
         }
-        for (part, share) in parts.into_iter().enumerate() {
-            if !share.is_empty() {
-                self.route(part, to, make_op(share));
+        for share in parts {
+            if let Some(key) = share.first().map(&key_of) {
+                self.route(key, to, make_op(share));
             }
         }
         Dispatch::Reply(Message::Ack { seq })

@@ -6,7 +6,7 @@
 use std::sync::atomic::AtomicU64;
 
 /// The reactor's own monotonically updated counters, shared across
-/// event-loop threads; the serving counters live with the partitions (see
+/// event-loop threads; the serving counters live with the shards (see
 /// [`crate::datapath::Counters`]). Relaxed ordering everywhere: these are statistics,
 /// not synchronisation.
 #[derive(Debug, Default)]
@@ -59,12 +59,11 @@ pub struct ServerStatsSnapshot {
     /// Reads answered with their fallback refusal/miss because the
     /// origin was unreachable or its connection died mid-fetch.
     pub origin_errors: u64,
-    /// Operations applied on another event loop's partition of the
-    /// shards than the loop that decoded them — one per request, one
-    /// per partition's part of a store-push batch (ops on the decoding
-    /// loop's own partition do not count here). The name is kept from
+    /// Operations applied on a shard outside the decoding event loop's
+    /// share (shard `s` is in loop `s % L`'s share) — one per request,
+    /// one per shard's part of a store-push batch. The name is kept from
     /// when such ops were forwarded to the owning loop; each now costs
-    /// that partition's lock instead.
+    /// that shard's lock instead.
     pub cross_core_forwards: u64,
     /// Flushes of a client connection that had reply bytes to send —
     /// one per connection per tick however many replies it carries, so
@@ -72,7 +71,7 @@ pub struct ServerStatsSnapshot {
     /// costs. Not part of `Display` or `StatsResp`.
     pub reply_writes: u64,
     /// Live entries across every slab shard (gauge, read from each
-    /// partition when the snapshot is taken).
+    /// shard when the snapshot is taken).
     pub slab_entries: u64,
     /// Allocated slab slots across every shard — the storage
     /// high-water mark (gauge).

@@ -1,10 +1,13 @@
-//! Exhaustive-interleaving checks for the reactor's partition locks:
-//! two event loops apply ops to one partition — a get decoded on loop
-//! A racing a store-pushed invalidate or update decoded on loop B —
-//! and no interleaving may produce a torn version/payload, serve a
-//! value past a push that was already applied, or complete an op other
-//! than exactly once. Includes the mutation test proving the checker
-//! catches a broken loop that drops the refusal-path completion.
+//! Exhaustive-interleaving checks for the reactor's shard locks: two
+//! event loops apply ops to one shard — a get decoded on loop A racing
+//! a store-pushed invalidate or update decoded on loop B, or a get
+//! decoded on loop B (its origin link down) racing the end of loop A's
+//! fetch of the key — and no interleaving may produce a torn
+//! version/payload, serve a value past a push that was already applied,
+//! or answer a read other than exactly once. Includes the mutation
+//! tests proving the checker catches a broken loop that drops the
+//! refusal-path completion, and one that parks with its link down on a
+//! fetch that is no longer in flight.
 //!
 //! Build and run with the model-checking facade active:
 //!
@@ -13,18 +16,22 @@
 //! ```
 //!
 //! The real `EventLoop` multiplexes sockets and cannot run under the
-//! model, but the half of it that serves can: the partition in these
+//! model, but the half of it that serves can: the shard in these
 //! tests is the server's own [`Owner`], and each loop calls the same
-//! [`Owner::apply`] the reactor's `route` calls. Only the concurrency
-//! skeleton around it is modelled — the same shape `server.rs`
-//! implements:
+//! [`Owner::apply`] the reactor's `route` calls, and the same
+//! [`Owner::fetched`] / [`Owner::fetch_failed`] its origin drain and
+//! outage call. Only the concurrency skeleton around it is modelled —
+//! the same shape `server.rs` implements:
 //!
-//! * the partition sits behind one mutex, which any loop locks to apply
-//!   an op on one of its keys and releases before it answers;
+//! * the shard sits behind one mutex, which any loop locks to apply an
+//!   op on one of its keys and releases before it answers;
 //! * the loop that decoded an op queues its reply on its own connection
 //!   (here: the loop thread's return value);
 //! * a store-pushed batch is acked by the loop that decoded it, after
-//!   its part is applied.
+//!   its part is applied;
+//! * a fetch ends on the loop whose link carried it, which delivers the
+//!   replies `fetched` / `fetch_failed` return, to whichever loop's
+//!   connection each is owed.
 //!
 //! The nondeterminism under test is which loop takes the lock first.
 //! Under `--cfg miniloom` the `parking_lot` shim is the scheduler-aware
@@ -38,7 +45,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use fresca_cache::{CacheConfig, Capacity, EvictionPolicy};
 use fresca_net::{GetStatus, Message, RequestId, UpdateItem};
-use fresca_serve::datapath::{Applied, Counters, Op, Owner, ReplyTo, Topology};
+use fresca_serve::datapath::{Applied, Counters, Link, Op, Owner, ReplyTo, Topology};
 use fresca_sim::SimTime;
 use miniloom::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
@@ -52,7 +59,7 @@ const KEY: u64 = 7;
 /// The connection on loop A the gets came in on.
 const HOME: ReplyTo = ReplyTo { home: 0, slot: 0, token: 1 };
 
-/// One partition as the reactor holds it: the owner behind its lock.
+/// One shard as the reactor holds it: the owner behind its lock.
 /// `applied` names, under the same lock, the ops in the order they were
 /// applied — the linearization every reply is checked against.
 struct Partition {
@@ -60,18 +67,23 @@ struct Partition {
     applied: Vec<&'static str>,
 }
 
-/// A node's only partition, holding `KEY` at version 1 (the first
-/// version it allocates) with payload `AA AA AA AA`.
-fn partition() -> Arc<Mutex<Partition>> {
+/// A node's only shard, empty.
+fn owner() -> Owner {
     let cache = CacheConfig { capacity: Capacity::Entries(8), eviction: EvictionPolicy::Lru };
-    let mut owner = Owner::new(0, Topology::new(1, 1), cache, Arc::new(Counters::default()), false);
+    Owner::new(Topology::new(1, 1), cache, Arc::new(Counters::default()))
+}
+
+/// A node's only shard, holding `KEY` at version 1 (the first version
+/// it allocates) with payload `AA AA AA AA`.
+fn partition() -> Arc<Mutex<Partition>> {
+    let mut owner = owner();
     let value = Bytes::from(vec![0xAA; 4]);
     owner.apply(HOME, Op::Put { id: RequestId(0), key: KEY, value, ttl: 0 }, t(0));
     Arc::new(Mutex::new(Partition { owner, applied: Vec::new() }))
 }
 
 fn get(id: u64) -> Op {
-    Op::Get { id: RequestId(id), key: KEY, max_staleness: u64::MAX }
+    Op::Get { id: RequestId(id), key: KEY, max_staleness: u64::MAX, link: Link::NoOrigin }
 }
 
 fn invalidate() -> Op {
@@ -85,7 +97,7 @@ fn update() -> Op {
     Op::UpdateItems { items: vec![item], install: false }
 }
 
-/// `EventLoop::route`'s shape: lock the partition, apply, release. The
+/// `EventLoop::route`'s shape: lock the shard, apply, release. The
 /// result is what the decoding loop now owes its connection.
 fn route(part: &Mutex<Partition>, name: &'static str, op: Op) -> Applied {
     let mut p = part.lock();
@@ -129,7 +141,7 @@ fn get_resp(reply: &Message) -> (u64, GetStatus, u64, &[u8]) {
     }
 }
 
-/// Run both loops against one partition with the store path carrying
+/// Run both loops against one shard with the store path carrying
 /// `push`; returns whether the get applied first, whether it was sent
 /// after the `Ack`, and each loop's replies.
 fn race(push: fn() -> Op) -> (Arc<Mutex<Partition>>, bool, bool, Replies, Replies) {
@@ -266,4 +278,128 @@ fn broken_loop_dropping_refusal_completion_is_caught() {
     let replayed = miniloom::replay(broken, &failure.schedule)
         .expect("replaying the schedule reproduces the dropped completion");
     assert_eq!(replayed.message, failure.message);
+}
+
+/// A key no one has cached, whose fetch loop A has opened.
+const COLD: u64 = 9;
+
+/// The connection on loop B its get of `COLD` came in on.
+const READER_B: ReplyTo = ReplyTo { home: 1, slot: 0, token: 2 };
+
+/// How the fetch on loop A's link ends.
+#[derive(Clone, Copy)]
+enum End {
+    /// The `FetchResp` arrived: `fetched`.
+    Fetched,
+    /// The link died: `fetch_failed`.
+    Failed,
+}
+
+/// A shard on which loop A's read of `COLD` parked and opened the
+/// fetch (its `FetchReq` left on A's link).
+fn fetching() -> Arc<Mutex<Partition>> {
+    let mut owner = owner();
+    let op = Op::Get { id: RequestId(1), key: COLD, max_staleness: u64::MAX, link: Link::Up };
+    assert!(matches!(owner.apply(HOME, op, t(0)), Applied::Parked { fetch: Some(COLD) }));
+    Arc::new(Mutex::new(Partition { owner, applied: Vec::new() }))
+}
+
+/// Loop A: the fetch on its link ends; the replies it must deliver.
+fn loop_a_ends(part: Arc<Mutex<Partition>>, end: End) -> Vec<(ReplyTo, Message)> {
+    let mut p = part.lock();
+    p.applied.push("end");
+    match end {
+        End::Fetched => p.owner.fetched(COLD, Bytes::from(vec![0xCC; 4]), t(1)),
+        End::Failed => p.owner.fetch_failed(COLD),
+    }
+}
+
+/// Loop B: a get of `COLD`, told its link is `link`. The reply it
+/// queues at once, if any. A parked read is answered by whoever ends
+/// the fetch it joined; one that opened a fetch would need B's link to
+/// send it, and B's link is down, so nothing would ever answer it.
+fn loop_b_reads(part: Arc<Mutex<Partition>>, link: Link) -> Option<Message> {
+    let mut p = part.lock();
+    p.applied.push("get");
+    let op = Op::Get { id: RequestId(2), key: COLD, max_staleness: u64::MAX, link };
+    match p.owner.apply(READER_B, op, t(1)) {
+        Applied::Reply(reply) => Some(reply),
+        Applied::Parked { .. } => None,
+        Applied::Pushed => panic!("a get answered as a push"),
+    }
+}
+
+/// Race loop A's end of the fetch against loop B's get (B told its
+/// link is `b_link`) and check that B is answered exactly once, with
+/// what the fetch's end gives it, and that no reader is left parked.
+fn join_race(end: End, b_link: Link) {
+    let part = fetching();
+    let a = {
+        let part = Arc::clone(&part);
+        miniloom::thread::spawn(move || loop_a_ends(part, end))
+    };
+    let b = {
+        let part = Arc::clone(&part);
+        miniloom::thread::spawn(move || loop_b_reads(part, b_link))
+    };
+    let a_replies = a.join();
+    let b_reply = b.join();
+    let owed_to = |to: ReplyTo| a_replies.iter().filter(move |(r, _)| *r == to).map(|(_, m)| m);
+    assert_eq!(owed_to(HOME).count(), 1, "A's own reader is answered once");
+    let to_b: Vec<&Message> = owed_to(READER_B).chain(&b_reply).collect();
+    assert_eq!(to_b.len(), 1, "B is answered exactly once");
+    let (id, status, _, value) = get_resp(to_b[0]);
+    assert_eq!(id, 2);
+    match end {
+        End::Fetched => assert_eq!((status, value), (GetStatus::Fresh, &[0xCC; 4][..])),
+        End::Failed => assert_eq!(status, GetStatus::Miss, "the fallback of a cold key"),
+    }
+    // Quiescent state: no reader is left parked on the key.
+    assert!(part.lock().owner.fetch_failed(COLD).is_empty(), "a reader is left parked");
+}
+
+/// Loop B, its link down, reads a key whose fetch rides loop A's link
+/// while that link dies. B joins the fetch if it is still in flight —
+/// and is answered its fallback by A — or degrades to it at once if A
+/// already failed the fetch; never both, never neither.
+#[test]
+fn join_vs_fetch_failed_answers_a_reader_with_a_down_link_exactly_once() {
+    let stats = miniloom::check(|| join_race(End::Failed, Link::Down))
+        .expect("a down-link reader is answered once in every interleaving");
+    assert!(stats.complete);
+    assert!(stats.executions > 1, "the lock race must produce multiple schedules");
+}
+
+/// As above, with the fetch completing instead: B joins and is
+/// answered the fetched value by A, or reads the entry A just
+/// installed.
+#[test]
+fn join_vs_fetched_answers_a_reader_with_a_down_link_exactly_once() {
+    let stats = miniloom::check(|| join_race(End::Fetched, Link::Down))
+        .expect("a down-link reader is answered once in every interleaving");
+    assert!(stats.complete);
+}
+
+/// Mutation test: a *broken* loop B that parks on a down link as if it
+/// were up — what a `park` that joins without checking that a fetch is
+/// in flight does. When A fails its fetch first, B opens a new fetch
+/// that B's dead link never sends: the reader waits forever. The
+/// checker must find that interleaving and hand back a replayable
+/// schedule.
+#[test]
+fn broken_loop_parking_on_a_down_link_without_a_fetch_in_flight_is_caught() {
+    let broken = || join_race(End::Failed, Link::Up);
+    let failure = miniloom::check(broken)
+        .expect_err("the fail-first interleaving must strand the down-link reader");
+    assert!(
+        failure.message.contains("answered exactly once"),
+        "expected the answer-count assertion, got: {failure}"
+    );
+    assert!(!failure.schedule.is_empty());
+    assert!(failure.to_string().contains("replayable schedule"), "{failure}");
+    let replayed = miniloom::replay(broken, &failure.schedule)
+        .expect("replaying the schedule reproduces the stranded reader");
+    assert_eq!(replayed.message, failure.message);
+    let again = miniloom::check(broken).expect_err("same failure on re-check");
+    assert_eq!((again.schedule, again.trace), (failure.schedule, failure.trace));
 }

@@ -16,14 +16,26 @@
 
 use rand::{Error, RngCore, SeedableRng};
 
-/// SplitMix64 step; used for seeding and for label hashing.
+/// The SplitMix64 output function of the state `x`: one golden-gamma
+/// increment, then the two-multiply finalizer. Cheap, well distributed
+/// and fixed forever — the one copy of these constants that every
+/// deterministic hash in the workspace (sketch rows, ring points,
+/// slab index, payload patterns, scenario sizes) goes through.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 step: the output for `state`, which then advances by the
+/// golden gamma. Used for seeding, label hashing and pattern streams.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    let out = mix64(*state);
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    out
 }
 
 /// The xoshiro256++ generator (Blackman & Vigna, 2019).

@@ -115,11 +115,6 @@ impl Histogram {
         }
     }
 
-    /// Record a [`SimDuration`] sample in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total

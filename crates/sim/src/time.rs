@@ -161,12 +161,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Duration as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// True if this duration is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

@@ -1,6 +1,7 @@
 //! Count-min sketch and the Count-min-backed `E[W]` estimator.
 
-use crate::{mix64, EwEstimator};
+use crate::EwEstimator;
+use fresca_sim::rng::mix64;
 
 /// A Count-min sketch (Cormode & Muthukrishnan 2005): a `depth × width`
 /// array of counters; each key hashes to one column per row; point

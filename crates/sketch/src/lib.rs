@@ -79,12 +79,3 @@ impl<T: EwEstimator + ?Sized> EwEstimator for Box<T> {
     }
 }
 
-/// SplitMix64-style mixing used for sketch hashing: cheap, well
-/// distributed, and stable forever (same rationale as the kernel RNG).
-#[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}

@@ -43,6 +43,7 @@
 use crate::arrival::{ArrivalProcess, DiurnalPoisson, Poisson};
 use crate::keyspace::KeySpace;
 use crate::replay::{TimedOp, WireOp};
+use fresca_sim::rng::mix64;
 use fresca_sim::{RngFactory, SimDuration, SimTime};
 use rand::Rng;
 
@@ -188,20 +189,12 @@ static SCENARIOS: [ScenarioDef; 7] = [
     },
 ];
 
-/// SplitMix64 finalizer for deterministic per-key value sizes, so a
-/// key's size is a pure function of its id (stable across runs and
-/// across read/write interleavings).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic per-key value size in `min..=max` bytes.
+/// Deterministic per-key value size in `min..=max` bytes: a SplitMix64
+/// hash of the key, so a key's size is a pure function of its id
+/// (stable across runs and across read/write interleavings).
 fn key_size(key: u64, min: u32, max: u32) -> u32 {
     debug_assert!(min >= 1 && min <= max);
-    min + (mix(key) % (max - min + 1) as u64) as u32
+    min + (mix64(key) % (max - min + 1) as u64) as u32
 }
 
 /// One homogeneous Poisson stream of mixed gets/puts over a Zipf

@@ -30,7 +30,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// One event loop keeps request ordering deterministic for the
-/// coalescing assertions; the refetch path itself is per-loop anyway.
+/// coalescing assertions.
 fn spawn_server(origin: Option<SocketAddr>) -> server::ServerHandle {
     spawn_server_with_loops(origin, 1)
 }
@@ -305,48 +305,80 @@ fn push_overtaking_an_in_flight_refetch_is_not_lost() {
     assert_eq!(stats.refetches, 4, "two fetches per key, none for the cached reads: {stats:?}");
 }
 
-/// A connection dies with reads parked (locally and on the other core);
-/// a new connection takes over its slot; then the fetches complete. The
-/// late replies name the dead connection's token, so the newcomer must
+/// A connection dies with reads parked — on fetches its own loop's link
+/// carries and on fetches another loop's link carries — and a new
+/// connection takes over its slot; then the fetches complete. The late
+/// replies name the dead connection's token, so the newcomer must
 /// neither receive them nor be flushed or dropped on their account.
 #[test]
 fn late_completion_never_lands_on_a_connection_that_reused_the_slot() {
     const COLD: std::ops::Range<u64> = 100..108;
+    const FIRST: std::ops::Range<u64> = 100..104;
     let (mut origin, handle) = HeldOrigin::with_node(2);
+    let wait = Duration::from_secs(10);
+    let get = |key: u64| Message::GetReq {
+        id: RequestId(1000 + key),
+        key,
+        max_staleness: 10_000_000_000,
+    };
 
-    // First connection → loop 0. One put (answered at once) and eight
-    // cold reads that park until the held origin answers.
+    // First connection → loop 0: four cold reads that open fetches on
+    // loop 0's link and park until the held origin answers.
     let mut a = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
-    a.send(&Message::PutReq { id: RequestId(999), key: 1, value: payload::pattern(1, 8), ttl: 0 })
+    for key in FIRST {
+        a.send(&get(key)).unwrap();
+    }
+    let mut held: Vec<(usize, u64)> =
+        FIRST.map(|_| origin.next_fetch(wait).expect("four fetches")).collect();
+
+    // Second connection → loop 1, the one that dies. One put (answered
+    // at once), then reads of all eight keys: the first four join loop
+    // 0's fetches, the last four open fetches on loop 1's own link.
+    let mut dying = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    dying
+        .send(&Message::PutReq { id: RequestId(999), key: 1, value: payload::pattern(1, 8), ttl: 0 })
         .unwrap();
     for key in COLD {
-        a.send(&Message::GetReq { id: RequestId(1000 + key), key, max_staleness: 10_000_000_000 })
-            .unwrap();
+        dying.send(&get(key)).unwrap();
     }
-    let held: Vec<(usize, u64)> = COLD
-        .map(|_| origin.next_fetch(Duration::from_secs(10)).expect("eight fetches"))
-        .collect();
-    assert!(held.iter().any(|&(link, _)| link == 0) && held.iter().any(|&(link, _)| link == 1));
+    held.extend((4..8).map(|_| origin.next_fetch(wait).expect("four more fetches")));
+    let link_of = |keys: std::ops::Range<u64>| {
+        let links: std::collections::HashSet<usize> =
+            held.iter().filter(|(_, key)| keys.contains(key)).map(|&(link, _)| link).collect();
+        assert_eq!(links.len(), 1, "{keys:?} fetched on one link: {held:?}");
+        links.into_iter().next().unwrap()
+    };
+    assert_ne!(link_of(FIRST), link_of(104..108), "fetches on both links: {held:?}");
+    assert_eq!(handle.stats().refetch_coalesced, 4, "the first four reads joined");
 
     // Closing with the PutResp unread resets the connection: the node
     // sees a transport error and frees the slot with reads in flight.
     let mut byte = [0u8; 1];
-    assert_eq!(a.get_ref().peek(&mut byte).unwrap(), 1, "PutResp is waiting unread");
-    drop(a);
-    wait_until("the reset connection is dropped", || handle.stats().open_connections == 0);
+    assert_eq!(dying.get_ref().peek(&mut byte).unwrap(), 1, "PutResp is waiting unread");
+    drop(dying);
+    wait_until("the reset connection is dropped", || handle.stats().open_connections == 1);
 
-    // Second connection → loop 1, third → loop 0, into the freed slot.
+    // Third connection → loop 0, fourth → loop 1, into the freed slot.
     let _filler = TcpStream::connect(handle.addr()).unwrap();
     let mut b = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
     b.send(&Message::PutReq { id: RequestId(1), key: 2, value: payload::pattern(2, 8), ttl: 0 })
         .unwrap();
     assert!(matches!(b.recv().unwrap(), Some(Message::PutResp { id: RequestId(1), .. })));
 
-    // Release the fetches; all eight dead readers are "answered".
+    // Release the fetches; all twelve parked readers are "answered",
+    // A's four for real.
     for (link, key) in held {
         origin.respond(link, key, 64);
     }
-    wait_until("every parked reader was completed", || handle.stats().fresh == 8);
+    wait_until("every parked reader was completed", || handle.stats().fresh == 12);
+    for _ in FIRST {
+        match a.recv().unwrap() {
+            Some(Message::GetResp { id, key, status, .. }) => {
+                assert_eq!((id.0, status), (1000 + key, GetStatus::Fresh));
+            }
+            other => panic!("expected a GetResp, got {other:?}"),
+        }
+    }
 
     // B reads the same keys: it gets exactly its own eight replies.
     for key in COLD {
@@ -371,21 +403,22 @@ fn late_completion_never_lands_on_a_connection_that_reused_the_slot() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-/// On a two-loop node, a read of a cold key in the *other* loop's
-/// partition parks there: its `FetchReq` leaves on the owner loop's
-/// origin link, not the reader's, and the reply comes back to the
-/// reader's own connection. When that link dies mid-fetch, the reader
-/// is answered its fallback instead.
+/// On a two-loop node, a read of a cold key outside the reading loop's
+/// share opens its fetch on the *reader's* origin link, and the reply
+/// comes back to the reader's own connection. A reader on the other
+/// loop joins that fetch instead of sending a second one. When the link
+/// dies mid-fetch, both readers are answered their fallback.
 #[test]
-fn foreign_park_fetches_on_the_owner_loops_link_and_falls_back_when_it_dies() {
+fn a_fetch_leaves_on_the_readers_link_and_falls_back_when_it_dies() {
     let (mut origin, handle) = HeldOrigin::with_node(2);
     let topo = Topology::new(8, 2);
     let home_key = (1000u64..).find(|&k| topo.owner_of(k) == 0).unwrap();
     let foreign: Vec<u64> = (1000u64..).filter(|&k| topo.owner_of(k) == 1).take(2).collect();
     let wait = Duration::from_secs(10);
 
-    // First connection → loop 0.
+    // First connection → loop 0, second → loop 1.
     let mut c = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    let mut d = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
     let read = |c: &mut FramedStream<TcpStream>, key: u64| {
         c.send(&Message::GetReq { id: RequestId(key), key, max_staleness: u64::MAX }).unwrap();
     };
@@ -397,40 +430,48 @@ fn foreign_park_fetches_on_the_owner_loops_link_and_falls_back_when_it_dies() {
         other => panic!("expected a GetResp, got {other:?}"),
     };
 
-    // A cold key of loop 0's own partition names loop 0's link.
+    // A cold key of loop 0's own share names loop 0's link.
     read(&mut c, home_key);
     let (home_link, key) = origin.next_fetch(wait).expect("a fetch for the local key");
     assert_eq!(key, home_key);
     origin.respond(home_link, home_key, 32);
     assert_eq!(answer(&mut c), (home_key, GetStatus::Fresh, payload::pattern(home_key, 32)));
 
-    // A cold key of loop 1's partition, read on loop 0.
+    // A cold key of loop 1's share, read on loop 0: the fetch leaves on
+    // loop 0's link all the same.
     let before = handle.stats();
     read(&mut c, foreign[0]);
-    let (owner_link, key) = origin.next_fetch(wait).expect("a fetch for the foreign key");
-    assert_eq!(key, foreign[0]);
-    assert_ne!(owner_link, home_link, "the fetch left on the reader's link, not the owner's");
-    origin.respond(owner_link, foreign[0], 48);
+    assert_eq!(origin.next_fetch(wait), Some((home_link, foreign[0])), "on the reader's link");
+    origin.respond(home_link, foreign[0], 48);
     assert_eq!(answer(&mut c), (foreign[0], GetStatus::Fresh, payload::pattern(foreign[0], 48)));
     let after = handle.stats();
     assert_eq!(after.cross_core_forwards - before.cross_core_forwards, 1, "{after:?}");
     assert_eq!(after.refetches, 2, "{after:?}");
 
-    // The owner loop's link dies with the next foreign read parked.
+    // The next foreign read opens a fetch on loop 0's link; a reader on
+    // loop 1 joins it rather than sending one on its own link.
     read(&mut c, foreign[1]);
-    assert_eq!(origin.next_fetch(wait), Some((owner_link, foreign[1])));
-    origin.links[owner_link].get_ref().shutdown(Shutdown::Both).unwrap();
-    let (key, status, value) = answer(&mut c);
-    assert_eq!((key, status, value.len()), (foreign[1], GetStatus::Miss, 0), "the fallback");
+    assert_eq!(origin.next_fetch(wait), Some((home_link, foreign[1])));
+    read(&mut d, foreign[1]);
+    wait_until("loop 1's reader joined", || handle.stats().refetch_coalesced == 1);
+    assert_eq!(origin.next_fetch(Duration::from_millis(100)), None, "one fetch for two readers");
+
+    // Loop 0's link dies with both readers parked on its fetch.
+    origin.links[home_link].get_ref().shutdown(Shutdown::Both).unwrap();
+    for conn in [&mut c, &mut d] {
+        let (key, status, value) = answer(conn);
+        assert_eq!((key, status, value.len()), (foreign[1], GetStatus::Miss, 0), "the fallback");
+    }
     let stats = handle.shutdown();
-    assert_eq!(stats.origin_errors, 1, "{stats:?}");
+    assert_eq!(stats.refetches, 3, "{stats:?}");
+    assert_eq!(stats.origin_errors, 2, "{stats:?}");
     assert_eq!(stats.protocol_errors, 0, "{stats:?}");
 }
 
 /// Eight reads of one cold key, pipelined in one segment, coalesce to
 /// one fetch and — answered together when it completes — leave in one
-/// write, whether the key's owner is the connection's own loop (the
-/// waiters are delivered directly) or the other one (as completions).
+/// write, whether the key's shard is in the connection's own loop's
+/// share or the other one's.
 #[test]
 fn coalesced_readers_are_answered_in_one_write() {
     use fresca_net::NonBlockingFramedStream;
