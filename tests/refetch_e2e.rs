@@ -335,9 +335,8 @@ fn late_completion_never_lands_on_a_connection_that_reused_the_slot() {
     // at once), then reads of all eight keys: the first four join loop
     // 0's fetches, the last four open fetches on loop 1's own link.
     let mut dying = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
-    dying
-        .send(&Message::PutReq { id: RequestId(999), key: 1, value: payload::pattern(1, 8), ttl: 0 })
-        .unwrap();
+    let put = Message::PutReq { id: RequestId(999), key: 1, value: payload::pattern(1, 8), ttl: 0 };
+    dying.send(&put).unwrap();
     for key in COLD {
         dying.send(&get(key)).unwrap();
     }
