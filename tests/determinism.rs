@@ -181,3 +181,90 @@ fn store_side_golden_for_every_policy() {
         assert_eq!((got, r.adaptive_decisions), (row, decisions), "{name}");
     }
 }
+
+/// The cache side of every policy on `store_side_golden_for_every_policy`'s
+/// trace: every `CacheStats` field, in declaration order. None of these
+/// runs evicts, so one more row runs Adpt.+C.S. under ARC with a byte
+/// budget, on the same preset with log-normal sizes: eviction by bytes
+/// and the mirror's eviction feed are pinned too (`mirror_skipped` is
+/// appended to its row). A refactor of the cache's write path must leave
+/// every digit where it is.
+#[test]
+fn cache_side_golden_for_every_policy() {
+    use fresca::fresca_cache::CacheStats;
+    use fresca::fresca_workload::gen::SizeModel;
+    fn fields(s: CacheStats) -> [u64; 11] {
+        let CacheStats {
+            fresh_hits,
+            stale_misses,
+            cold_misses,
+            evictions,
+            invalidations_applied,
+            invalidations_missed,
+            updates_applied,
+            updates_missed,
+            refreshes,
+            stale_served,
+            bound_refusals,
+        } = s;
+        [
+            fresh_hits,
+            stale_misses,
+            cold_misses,
+            evictions,
+            invalidations_applied,
+            invalidations_missed,
+            updates_applied,
+            updates_missed,
+            refreshes,
+            stale_served,
+            bound_refusals,
+        ]
+    }
+    #[rustfmt::skip]
+    const GOLDEN: [(&str, [u64; 11]); 8] = [
+        ("ttl-expiry", [809, 2075, 356, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("ttl-polling", [2884, 0, 356, 0, 0, 0, 0, 0, 138037, 0, 0]),
+        ("invalidate", [2551, 333, 356, 0, 389, 264, 0, 0, 0, 0, 0]),
+        ("update", [2884, 0, 356, 0, 0, 0, 1699, 653, 0, 0, 0]),
+        ("adaptive", [2687, 197, 356, 0, 227, 66, 270, 428, 0, 0, 0]),
+        ("adaptive+cs", [2687, 197, 356, 0, 227, 0, 270, 0, 0, 0, 0]),
+        ("adaptive-slo", [2884, 0, 356, 0, 0, 0, 1699, 653, 0, 0, 0]),
+        ("oracle", [2884, 0, 356, 0, 0, 0, 615, 0, 0, 0, 0]),
+    ];
+    const ARC_BYTES: [u64; 12] = [2519, 178, 543, 435, 208, 0, 181, 0, 0, 0, 0, 839];
+    let mix = PoissonMixConfig { horizon: SimDuration::from_secs(600), ..workloads::poisson_mix() };
+    let trace = mix.clone().generate(workloads::SEED);
+    let cfg = EngineConfig { staleness_bound: SimDuration::from_secs(1), ..EngineConfig::default() };
+    let policies = [
+        PolicyConfig::TtlExpiry,
+        PolicyConfig::TtlPolling,
+        PolicyConfig::AlwaysInvalidate,
+        PolicyConfig::AlwaysUpdate,
+        PolicyConfig::adaptive(),
+        PolicyConfig::adaptive_cache_state(),
+        PolicyConfig::AdaptiveSlo { staleness_slo: 0.01 },
+        PolicyConfig::Oracle,
+    ];
+    let rows: Vec<(String, [u64; 11])> = policies
+        .into_iter()
+        .map(|policy| {
+            let r = TraceEngine::new(cfg, policy).run(&trace);
+            (r.policy, fields(r.cache))
+        })
+        .collect();
+    let golden: Vec<(String, [u64; 11])> =
+        GOLDEN.iter().map(|&(name, row)| (name.to_string(), row)).collect();
+    assert_eq!(rows, golden);
+
+    let size = SizeModel::LogNormal { median: 512.0, sigma: 1.0, max: 16_384 };
+    let trace = PoissonMixConfig { size, ..mix }.generate(workloads::SEED);
+    let capacity = Capacity::Bytes(96 * 1024);
+    let cache = CacheConfig { capacity, eviction: EvictionPolicy::Adaptive };
+    let r = TraceEngine::new(EngineConfig { cache, ..cfg }, PolicyConfig::adaptive_cache_state())
+        .run(&trace);
+    let mut got = [0; 12];
+    got[..11].copy_from_slice(&fields(r.cache));
+    got[11] = r.mirror_skipped;
+    assert_eq!(got, ARC_BYTES, "adaptive+cs under ARC, byte budget");
+}
