@@ -1,10 +1,10 @@
 //! Cache hot-path throughput: partitioned `SlabCache` shards on the
 //! get-heavy churn the serving path actually sees.
 //!
-//! The reactor partitions shards across event loops at startup, and an
-//! op reaches its shard through plain `&mut` under its partition's one
-//! lock — no lock per shard, and entries live in the slab's
-//! index-linked slots instead of boxed nodes. This bench drives that path alone:
+//! On the node an op reaches its shard through plain `&mut` under that
+//! shard's lock, and entries live in the slab's index-linked slots
+//! instead of boxed nodes. This bench drives the slab alone, without
+//! the lock:
 //!
 //! * ~90% `get_bounded` / ~10% `insert_value` (the serve mix: reads
 //!   dominate, writes churn the LRU),

@@ -2,6 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fresca_cache::{Capacity, SlabCache};
+use fresca_net::payload::zeroes;
 use fresca_sim::SimTime;
 
 fn cache(entries: usize) -> SlabCache {
@@ -13,7 +14,7 @@ fn bench_cache_paths(c: &mut Criterion) {
     group.bench_function("get_hit", |b| {
         let mut ca = cache(4096);
         for k in 0..4096u64 {
-            ca.insert(k, 1, 64, SimTime::ZERO, None);
+            ca.insert_value(k, 1, zeroes(64), SimTime::ZERO, None);
         }
         let mut i = 0u64;
         b.iter(|| {
@@ -35,13 +36,13 @@ fn bench_cache_paths(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(ca.insert(i, 1, 64, SimTime::from_nanos(i), None))
+            black_box(ca.insert_value(i, 1, zeroes(64), SimTime::from_nanos(i), None))
         });
     });
     group.bench_function("apply_invalidate", |b| {
         let mut ca = cache(4096);
         for k in 0..4096u64 {
-            ca.insert(k, 1, 64, SimTime::ZERO, None);
+            ca.insert_value(k, 1, zeroes(64), SimTime::ZERO, None);
         }
         let mut i = 0u64;
         b.iter(|| {

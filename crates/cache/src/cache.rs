@@ -118,14 +118,6 @@ impl BoundedGet {
     pub fn is_served(&self) -> bool {
         matches!(self, BoundedGet::Fresh(_) | BoundedGet::ServedStale(_))
     }
-
-    /// The entry served, if any.
-    pub fn served_entry(&self) -> Option<&Entry> {
-        match self {
-            BoundedGet::Fresh(e) | BoundedGet::ServedStale(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 /// Counters exported by the cache.

@@ -10,11 +10,13 @@
 //! * [`SlabCache`] — the one store: a single-owner (deterministic) cache
 //!   with contiguous slab entry storage, intrusive recency lists and a
 //!   SplitMix key index; entry- or byte-based capacity, eviction chosen
-//!   by [`EvictionPolicy`] (LRU, FIFO, segmented LRU, or the
-//!   freshness-aware extension from the paper's §5), lazy TTL expiry,
-//!   and the exact freshness state machine the engines meter. The
-//!   simulation engines run one; the server runs one per shard, each
-//!   owned by exactly one event loop so reads need no lock at all.
+//!   by [`EvictionPolicy`] (LRU, FIFO, segmented LRU, ARC — the node's
+//!   default — or the freshness-aware extension from the paper's §5),
+//!   lazy TTL expiry, and the exact freshness state machine the engine
+//!   meters. An [`Entry`] holds its value's bytes, and its size is
+//!   their length. The simulation engine runs one; the server runs one
+//!   per shard, each behind its own lock, which any event loop takes to
+//!   serve a key of that shard.
 //! * [`RefetchTable`] — the per-key in-flight-refetch registry the
 //!   serving reactor parks refused/missed bounded reads on, coalescing
 //!   concurrent readers onto one origin fetch (the dogpile guard);

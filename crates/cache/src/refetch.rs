@@ -87,11 +87,6 @@ impl<W> RefetchTable<W> {
         self.inner.lock().contains_key(&key)
     }
 
-    /// Number of keys with a fetch currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inner.lock().len()
-    }
-
     /// True when no fetch is in flight.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
@@ -110,7 +105,6 @@ mod tests {
         assert_eq!(t.park(1, 12), Park::Coalesced);
         // A different key opens its own epoch.
         assert_eq!(t.park(2, 20), Park::Fetch);
-        assert_eq!(t.in_flight(), 2);
         assert!(t.is_in_flight(1) && t.is_in_flight(2) && !t.is_in_flight(3));
         assert_eq!(t.complete(1), vec![10, 11, 12]);
         assert!(!t.is_in_flight(1));

@@ -6,13 +6,15 @@
 //! SplitMix-based hasher instead of SipHash. A read touches exactly two
 //! arrays (index probe, slab slot) with no per-entry allocation and no
 //! DoS-resistant-but-slow hashing — the right trade for a store that is
-//! *owned by one thread* (a simulation engine, or one event loop's
-//! shard) and never sees attacker-controlled hash flooding across a lock
-//! (the serving path already partitions keys with the same function).
+//! used by one thread at a time (the simulation engine, or one node
+//! shard behind its lock) and never sees attacker-controlled hash
+//! flooding (the serving path already partitions keys with the same
+//! function).
 //!
 //! All mutating operations take `now` explicitly — the cache has no
-//! clock of its own, which is what makes it usable under the trace-driven
-//! engine, the message-driven engine and the wall-clock server alike.
+//! clock of its own, which is what makes it usable under the simulation
+//! engine and the wall-clock server alike. Both write the same way: an
+//! entry holds its value bytes, and its size is their length.
 //! Freshness semantics: lazy TTL expiry, invalidate-marks-in-place,
 //! update-rewrites-if-present, and the [`BoundedGet`] classification of
 //! staleness-bounded reads.
@@ -233,12 +235,14 @@ impl Ghosts {
 /// lists, SplitMix-indexed. See the [module docs](self) for the design.
 ///
 /// ```
+/// use bytes::Bytes;
 /// use fresca_cache::{slab::SlabCache, Capacity};
 /// use fresca_sim::{SimDuration, SimTime};
 ///
 /// let mut shard = SlabCache::new(Capacity::Entries(1024));
 /// let t0 = SimTime::ZERO;
-/// shard.insert(42, 1, 128, t0, Some(t0 + SimDuration::from_secs(10)));
+/// let value = Bytes::from(vec![0u8; 128]);
+/// shard.insert_value(42, 1, value, t0, Some(t0 + SimDuration::from_secs(10)));
 /// let read = shard.get_bounded(42, t0 + SimDuration::from_secs(3), Some(SimDuration::from_secs(5)));
 /// assert!(read.is_served());
 /// ```
@@ -346,12 +350,6 @@ impl SlabCache {
     /// Peek at an entry without touching recency or stats.
     pub fn peek(&self, key: u64) -> Option<&Entry> {
         self.slot(key).map(|i| &self.slots[i as usize].entry)
-    }
-
-    /// Age of the entry for `key` at `now` (time since it was last made
-    /// fresh), without touching recency or stats. `None` if absent.
-    pub fn entry_age(&self, key: u64, now: SimTime) -> Option<SimDuration> {
-        self.slot(key).map(|i| self.slots[i as usize].entry.age(now))
     }
 
     /// Iterate over the cached keys (arbitrary order; for state mirrors
@@ -485,7 +483,7 @@ impl SlabCache {
         // Drop the payload handle eagerly: a free-listed slot must not
         // keep a (possibly large, possibly shared) allocation alive.
         let slot = &mut self.slots[idx as usize];
-        slot.entry = Entry::new(0, 0, SimTime::ZERO, None);
+        slot.entry.value = Bytes::new();
         slot.prev = NIL;
         slot.next = self.free;
         slot.protected = false;
@@ -693,37 +691,10 @@ impl SlabCache {
     /// Unlink and free slot `idx`, leaving the key index alone.
     fn drop_slot(&mut self, idx: u32) {
         let slot = &self.slots[idx as usize];
-        self.bytes -= slot.entry.value_size as u64;
+        self.bytes -= slot.entry.value.len() as u64;
         self.protected_len -= slot.protected as usize;
         self.unlink(idx);
         self.release(idx);
-    }
-
-    /// Insert absent `key`, whose key-index value (`GHOST | node` for a
-    /// ghost, else none) the caller looked up. New entries start on the
-    /// main list (SLRU's probationary segment, ARC's T1) — except, under
-    /// ARC, a ghost, which adapts `p` and starts on T2.
-    fn insert_slot(
-        &mut self,
-        key: u64,
-        entry: Entry,
-        ghost: Option<u32>,
-        now: SimTime,
-        evicted: impl FnMut(u64),
-    ) {
-        let ghost = ghost.map(|tagged| self.adapt(tagged & !GHOST));
-        self.bytes += entry.value_size as u64;
-        let idx = self.alloc(key, entry);
-        if ghost.is_some() {
-            self.slots[idx as usize].protected = true;
-            self.protected_len += 1;
-        }
-        self.push_front(idx);
-        self.map.insert(key, idx);
-        self.enforce_capacity(key, ghost, now, evicted);
-        if self.config.eviction == EvictionPolicy::Adaptive {
-            self.trim_ghosts();
-        }
     }
 
     /// ARC's learning step for the insert of a key whose ghost is
@@ -742,39 +713,45 @@ impl SlabCache {
         list
     }
 
-    /// Insert or overwrite `key` with a fresh metadata-only entry
-    /// (declared size, no payload — the simulation path), evicting as
-    /// needed. Returns the keys evicted (so engines can cancel their
-    /// timers).
-    pub fn insert(
+    /// Insert or overwrite `key` with a fresh entry holding `value`,
+    /// evicting as needed and handing each evicted key to `on_evict`, in
+    /// eviction order (an overwrite never evicts). Byte accounting uses
+    /// the payload's length; the stored handle is the caller's
+    /// refcounted [`Bytes`], so nothing is copied. A new entry starts on
+    /// the main list (SLRU's probationary segment, ARC's T1) — except,
+    /// under ARC, a ghost's, which adapts `p` and starts on T2.
+    pub fn insert_with(
         &mut self,
         key: u64,
         version: u64,
-        value_size: u32,
+        value: Bytes,
         now: SimTime,
         expires_at: Option<SimTime>,
-    ) -> Vec<u64> {
+        on_evict: impl FnMut(u64),
+    ) {
+        let entry = Entry::with_value(version, value, now, expires_at);
         let found = self.map.get(&key).copied();
         if let Some(idx) = found.filter(|&i| i & GHOST == 0) {
-            let slot = &mut self.slots[idx as usize];
-            self.bytes -= slot.entry.value_size as u64;
-            slot.entry.refresh(version, value_size, now, expires_at);
-            self.bytes += value_size as u64;
+            self.rewrite(idx, entry);
             self.touch(idx);
-            return Vec::new();
+            return;
         }
-        let mut evicted = Vec::new();
-        let entry = Entry::new(version, value_size, now, expires_at);
-        self.insert_slot(key, entry, found, now, |k| evicted.push(k));
-        evicted
+        let ghost = found.map(|tagged| self.adapt(tagged & !GHOST));
+        self.bytes += entry.value.len() as u64;
+        let idx = self.alloc(key, entry);
+        if ghost.is_some() {
+            self.slots[idx as usize].protected = true;
+            self.protected_len += 1;
+        }
+        self.push_front(idx);
+        self.map.insert(key, idx);
+        self.enforce_capacity(key, ghost, now, on_evict);
+        if self.config.eviction == EvictionPolicy::Adaptive {
+            self.trim_ghosts();
+        }
     }
 
-    /// Insert or overwrite `key` with a fresh entry carrying real value
-    /// bytes — the serving path. Byte accounting uses the payload's
-    /// actual length; the stored handle is the caller's refcounted
-    /// [`Bytes`], so nothing is copied. Returns how many entries it
-    /// evicted (counting, unlike [`SlabCache::insert`], allocates
-    /// nothing).
+    /// [`SlabCache::insert_with`], returning how many entries it evicted.
     pub fn insert_value(
         &mut self,
         key: u64,
@@ -783,20 +760,16 @@ impl SlabCache {
         now: SimTime,
         expires_at: Option<SimTime>,
     ) -> usize {
-        let found = self.map.get(&key).copied();
-        if let Some(idx) = found.filter(|&i| i & GHOST == 0) {
-            let value_size = value.len() as u32;
-            let slot = &mut self.slots[idx as usize];
-            self.bytes -= slot.entry.value_size as u64;
-            slot.entry.refresh_value(version, value, now, expires_at);
-            self.bytes += value_size as u64;
-            self.touch(idx);
-            return 0;
-        }
         let mut evicted = 0;
-        let entry = Entry::with_value(version, value, now, expires_at);
-        self.insert_slot(key, entry, found, now, |_| evicted += 1);
+        self.insert_with(key, version, value, now, expires_at, |_| evicted += 1);
         evicted
+    }
+
+    /// Replace slot `idx`'s entry, keeping the byte count.
+    fn rewrite(&mut self, idx: u32, entry: Entry) {
+        self.bytes += entry.value.len() as u64;
+        let old = std::mem::replace(&mut self.slots[idx as usize].entry, entry);
+        self.bytes -= old.value.len() as u64;
     }
 
     /// Remove `key` outright (proactive TTL expiry / external eviction,
@@ -832,37 +805,9 @@ impl SlabCache {
         }
     }
 
-    /// Apply a backend update: rewrite the entry if present, *do nothing*
-    /// if absent (the paper's definition of an update message). Returns
-    /// true if applied.
-    pub fn apply_update(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_size: u32,
-        now: SimTime,
-        expires_at: Option<SimTime>,
-    ) -> bool {
-        match self.slot(key) {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                self.bytes -= slot.entry.value_size as u64;
-                slot.entry.refresh(version, value_size, now, expires_at);
-                self.bytes += value_size as u64;
-                self.stats.updates_applied += 1;
-                true
-            }
-            None => {
-                self.stats.updates_missed += 1;
-                false
-            }
-        }
-    }
-
-    /// Apply a backend update carrying real value bytes — the wire-level
-    /// store-push path. Same present-only semantics and accounting as
-    /// [`SlabCache::apply_update`], but the entry is refreshed with the
-    /// pushed payload (refcounted, not copied) and its actual length.
+    /// Apply a backend update: rewrite the entry with the pushed value
+    /// (refcounted, not copied) if present, *do nothing* if absent (the
+    /// paper's definition of an update message). Returns true if applied.
     pub fn apply_update_value(
         &mut self,
         key: u64,
@@ -873,10 +818,7 @@ impl SlabCache {
     ) -> bool {
         match self.slot(key) {
             Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                self.bytes -= slot.entry.value_size as u64;
-                self.bytes += value.len() as u64;
-                slot.entry.refresh_value(version, value, now, expires_at);
+                self.rewrite(idx, Entry::with_value(version, value, now, expires_at));
                 self.stats.updates_applied += 1;
                 true
             }
@@ -937,7 +879,7 @@ impl SlabCache {
                 assert_eq!(slot.protected as usize, list, "slot {cur} flags the other list");
                 assert_eq!(slot.prev, prev, "slot {cur} back-link");
                 assert_eq!(self.map.get(&slot.key), Some(&cur), "slot {cur} not indexed");
-                bytes += slot.entry.value_size as u64;
+                bytes += slot.entry.value.len() as u64;
                 linked[list] += 1;
                 (prev, cur) = (cur, slot.next);
             }
@@ -987,6 +929,21 @@ mod tests {
         Some(SimDuration::from_secs(s))
     }
 
+    /// Insert a `size`-byte value; returns the keys evicted, in order.
+    fn put(
+        c: &mut SlabCache,
+        key: u64,
+        version: u64,
+        size: usize,
+        now: SimTime,
+        expires_at: Option<SimTime>,
+    ) -> Vec<u64> {
+        let mut evicted = Vec::new();
+        let value = Bytes::from(vec![0; size]);
+        c.insert_with(key, version, value, now, expires_at, |k| evicted.push(k));
+        evicted
+    }
+
     fn small_cache(n: usize) -> SlabCache {
         SlabCache::new(Capacity::Entries(n))
     }
@@ -1002,7 +959,7 @@ mod tests {
     fn bounded_get_classifies_all_outcomes() {
         let mut c = SlabCache::new(Capacity::Entries(4));
         assert_eq!(c.get_bounded(1, t(0), bound(10)), BoundedGet::Miss);
-        c.insert(1, 1, 8, t(0), Some(t(10)));
+        put(&mut c, 1, 1, 8, t(0), Some(t(10)));
         assert!(matches!(c.get_bounded(1, t(5), bound(10)), BoundedGet::Fresh(_)));
         assert!(matches!(c.get_bounded(1, t(5), bound(2)), BoundedGet::Refused(_)));
         assert!(matches!(c.get_bounded(1, t(12), bound(20)), BoundedGet::ServedStale(_)));
@@ -1019,7 +976,7 @@ mod tests {
     #[test]
     fn invalidated_refused_at_any_bound_until_update_heals() {
         let mut c = SlabCache::new(Capacity::Entries(4));
-        c.insert(1, 1, 8, t(0), None);
+        put(&mut c, 1, 1, 8, t(0), None);
         assert!(c.apply_invalidate(1));
         assert!(matches!(c.get_bounded(1, t(0), None), BoundedGet::Refused(_)));
         assert!(c.apply_update_value(1, 2, Bytes::from(vec![7u8; 4]), t(1), None));
@@ -1032,10 +989,10 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = SlabCache::new(Capacity::Entries(2));
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
         c.get(1, t(2)); // touch 1 → 2 is now coldest
-        let evicted = c.insert(3, 1, 1, t(3), None);
+        let evicted = put(&mut c, 3, 1, 1, t(3), None);
         assert_eq!(evicted, vec![2]);
         assert!(c.contains(1) && c.contains(3) && !c.contains(2));
         assert_eq!(c.stats().evictions, 1);
@@ -1044,22 +1001,22 @@ mod tests {
     #[test]
     fn bounded_get_touches_recency() {
         let mut c = SlabCache::new(Capacity::Entries(2));
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
         c.get_bounded(1, t(2), bound(100));
-        let evicted = c.insert(3, 1, 1, t(3), None);
+        let evicted = put(&mut c, 3, 1, 1, t(3), None);
         assert_eq!(evicted, vec![2]);
     }
 
     #[test]
     fn byte_capacity_evicts_until_fit() {
         let mut c = SlabCache::new(Capacity::Bytes(100));
-        c.insert(1, 1, 40, t(0), None);
-        c.insert(2, 1, 40, t(1), None);
-        let evicted = c.insert(3, 1, 60, t(2), None);
+        put(&mut c, 1, 1, 40, t(0), None);
+        put(&mut c, 2, 1, 40, t(1), None);
+        let evicted = put(&mut c, 3, 1, 60, t(2), None);
         assert_eq!(evicted, vec![1]);
         assert_eq!(c.bytes(), 100);
-        let evicted = c.insert(4, 1, 90, t(3), None);
+        let evicted = put(&mut c, 4, 1, 90, t(3), None);
         assert_eq!(evicted, vec![2, 3]);
         assert_eq!(c.bytes(), 90);
     }
@@ -1067,8 +1024,8 @@ mod tests {
     #[test]
     fn protected_key_survives_single_slot() {
         let mut c = SlabCache::new(Capacity::Entries(1));
-        c.insert(1, 1, 1, t(0), None);
-        let evicted = c.insert(2, 1, 1, t(1), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        let evicted = put(&mut c, 2, 1, 1, t(1), None);
         assert_eq!(evicted, vec![1]);
         assert!(c.contains(2));
     }
@@ -1076,7 +1033,7 @@ mod tests {
     #[test]
     fn oversized_single_entry_stays() {
         let mut c = SlabCache::new(Capacity::Bytes(10));
-        c.insert(1, 1, 50, t(0), None);
+        put(&mut c, 1, 1, 50, t(0), None);
         assert!(c.contains(1));
         assert_eq!(c.len(), 1);
     }
@@ -1085,7 +1042,7 @@ mod tests {
     fn slab_reuses_freed_slots() {
         let mut c = SlabCache::new(Capacity::Entries(4));
         for k in 0..100u64 {
-            c.insert(k, 1, 8, t(k), None);
+            put(&mut c, k, 1, 8, t(k), None);
         }
         assert_eq!(c.len(), 4);
         // Eviction churn recycles slots through the free list: the slab
@@ -1095,7 +1052,7 @@ mod tests {
         assert_eq!(c.len(), 4);
         c.remove(99);
         assert_eq!(c.len(), 3);
-        c.insert(200, 1, 8, t(200), None);
+        put(&mut c, 200, 1, 8, t(200), None);
         assert!(c.slab_capacity() <= 5, "remove+insert must reuse the freed slot");
     }
 
@@ -1125,7 +1082,7 @@ mod tests {
         match c.get_bounded(1, t(1), None) {
             BoundedGet::Fresh(e) => {
                 assert!(e.value.shares_allocation_with(&payload), "hit must not copy");
-                assert_eq!(e.value_size, 300);
+                assert_eq!(e.value.len(), 300);
             }
             other => panic!("expected fresh, got {other:?}"),
         }
@@ -1145,8 +1102,8 @@ mod tests {
     #[test]
     fn reinsert_existing_key_updates_in_place() {
         let mut c = SlabCache::new(Capacity::Entries(2));
-        c.insert(1, 1, 10, t(0), None);
-        let evicted = c.insert(1, 2, 30, t(1), None);
+        put(&mut c, 1, 1, 10, t(0), None);
+        let evicted = put(&mut c, 1, 2, 30, t(1), None);
         assert!(evicted.is_empty());
         assert_eq!(c.len(), 1);
         assert_eq!(c.bytes(), 30);
@@ -1157,7 +1114,7 @@ mod tests {
     fn cold_then_fresh_then_stale() {
         let mut c = small_cache(4);
         assert_eq!(c.get(1, t(0)), GetResult::ColdMiss);
-        c.insert(1, 1, 100, t(0), Some(t(10)));
+        put(&mut c, 1, 1, 100, t(0), Some(t(10)));
         assert!(c.get(1, t(5)).is_fresh_hit());
         assert!(c.get(1, t(10)).is_stale_miss());
         let s = c.stats();
@@ -1170,17 +1127,17 @@ mod tests {
             capacity: Capacity::Entries(2),
             eviction: EvictionPolicy::Fifo,
         });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
         c.get(1, t(2)); // does not protect 1 under FIFO
-        let evicted = c.insert(3, 1, 1, t(3), None);
+        let evicted = put(&mut c, 3, 1, 1, t(3), None);
         assert_eq!(evicted, vec![1]);
     }
 
     #[test]
     fn invalidate_marks_stale_in_place() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), None);
+        put(&mut c, 1, 1, 1, t(0), None);
         assert!(c.apply_invalidate(1));
         assert!(c.contains(1), "invalidation must not remove the entry");
         assert!(c.get(1, t(1)).is_stale_miss());
@@ -1192,11 +1149,12 @@ mod tests {
     #[test]
     fn update_rewrites_or_does_nothing() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 10, t(0), None);
-        assert!(c.apply_update(1, 2, 20, t(1), None));
+        put(&mut c, 1, 1, 10, t(0), None);
+        assert!(c.apply_update_value(1, 2, Bytes::from(vec![0; 20]), t(1), None));
         assert_eq!(c.peek(1).unwrap().version, 2);
         assert_eq!(c.bytes(), 20);
-        assert!(!c.apply_update(2, 1, 10, t(1), None), "update of uncached key does nothing");
+        let value = Bytes::from(vec![0; 10]);
+        assert!(!c.apply_update_value(2, 1, value, t(1), None), "update of uncached key does nothing");
         assert!(!c.contains(2));
         let s = c.stats();
         assert_eq!((s.updates_applied, s.updates_missed), (1, 1));
@@ -1215,7 +1173,7 @@ mod tests {
         match c.get_bounded(1, t(1), None) {
             BoundedGet::Fresh(e) => {
                 assert!(e.value.shares_allocation_with(&payload), "hit must not copy");
-                assert_eq!(e.value_size, 60);
+                assert_eq!(e.value.len(), 60);
             }
             other => panic!("expected fresh, got {other:?}"),
         }
@@ -1235,7 +1193,7 @@ mod tests {
         assert!(c.apply_update_value(1, 2, Bytes::from(vec![2u8; 25]), t(1), None));
         assert_eq!(c.bytes(), 25);
         let e = c.peek(1).unwrap();
-        assert_eq!((e.version, e.value_size), (2, 25));
+        assert_eq!((e.version, e.value.len()), (2, 25));
         assert_eq!(&e.value[..], &[2u8; 25]);
         assert!(
             !c.apply_update_value(9, 1, Bytes::from(vec![0u8; 5]), t(1), None),
@@ -1249,9 +1207,9 @@ mod tests {
     #[test]
     fn update_heals_invalidated_entry() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), None);
+        put(&mut c, 1, 1, 1, t(0), None);
         c.apply_invalidate(1);
-        c.apply_update(1, 2, 1, t(1), None);
+        c.apply_update_value(1, 2, Bytes::from(vec![0; 1]), t(1), None);
         assert!(c.get(1, t(2)).is_fresh_hit());
     }
 
@@ -1259,10 +1217,10 @@ mod tests {
     fn stale_read_then_refetch_cycle() {
         let mut c = small_cache(4);
         let ttl = SimDuration::from_secs(10);
-        c.insert(1, 1, 1, t(0), Some(t(0) + ttl));
+        put(&mut c, 1, 1, 1, t(0), Some(t(0) + ttl));
         assert!(c.get(1, t(12)).is_stale_miss());
         // Engine refetches and re-inserts.
-        c.insert(1, 2, 1, t(12), Some(t(12) + ttl));
+        put(&mut c, 1, 2, 1, t(12), Some(t(12) + ttl));
         assert!(c.get(1, t(13)).is_fresh_hit());
     }
 
@@ -1272,13 +1230,13 @@ mod tests {
             capacity: Capacity::Entries(3),
             eviction: EvictionPolicy::FreshnessAware { probe_depth: 3 },
         });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        c.insert(3, 1, 1, t(2), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
+        put(&mut c, 3, 1, 1, t(2), None);
         // Recency order (cold→hot): 1, 2, 3. Invalidate 2: it should be
         // evicted instead of the colder-but-fresh 1.
         c.apply_invalidate(2);
-        let evicted = c.insert(4, 1, 1, t(3), None);
+        let evicted = put(&mut c, 4, 1, 1, t(3), None);
         assert_eq!(evicted, vec![2]);
         assert!(c.contains(1));
     }
@@ -1289,16 +1247,16 @@ mod tests {
             capacity: Capacity::Entries(2),
             eviction: EvictionPolicy::FreshnessAware { probe_depth: 4 },
         });
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
-        let evicted = c.insert(3, 1, 1, t(2), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
+        let evicted = put(&mut c, 3, 1, 1, t(2), None);
         assert_eq!(evicted, vec![1], "no stale entries → coldest fresh entry goes");
     }
 
     #[test]
     fn refresh_rearms_ttl() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 1, t(0), Some(t(5)));
+        put(&mut c, 1, 1, 1, t(0), Some(t(5)));
         assert!(c.apply_refresh(1, 2, t(4), Some(t(9))));
         assert!(c.get(1, t(6)).is_fresh_hit(), "refresh must extend the deadline");
         assert!(!c.apply_refresh(9, 1, t(4), None));
@@ -1308,7 +1266,7 @@ mod tests {
     #[test]
     fn bounded_get_unbounded_serves_any_age() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), Some(t(1)));
+        put(&mut c, 1, 1, 8, t(0), Some(t(1)));
         // No bound: a TTL-expired entry is still served (flagged stale).
         assert!(matches!(c.get_bounded(1, t(1000), None), BoundedGet::ServedStale(_)));
         assert!(c.get_bounded(1, t(1000), None).is_served());
@@ -1317,33 +1275,23 @@ mod tests {
     #[test]
     fn bounded_get_refuses_invalidated_at_any_bound() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), None);
+        put(&mut c, 1, 1, 8, t(0), None);
         c.apply_invalidate(1);
         // Age 0 and no TTL, but invalidated means known-stale: refuse
         // even with an unbounded tolerance.
         let r = c.get_bounded(1, t(0), None);
         assert!(matches!(r, BoundedGet::Refused(_)));
         assert!(!r.is_served());
-        assert!(r.served_entry().is_none());
         assert_eq!(c.stats().bound_refusals, 1);
     }
 
     #[test]
     fn bounded_get_age_resets_on_refresh() {
         let mut c = small_cache(4);
-        c.insert(1, 1, 8, t(0), None);
+        put(&mut c, 1, 1, 8, t(0), None);
         assert!(matches!(c.get_bounded(1, t(8), bound(5)), BoundedGet::Refused(_)));
-        c.apply_update(1, 2, 8, t(8), None);
+        c.apply_update_value(1, 2, Bytes::from(vec![0; 8]), t(8), None);
         assert!(matches!(c.get_bounded(1, t(9), bound(5)), BoundedGet::Fresh(_)));
-    }
-
-    #[test]
-    fn entry_age_peeks_without_stats() {
-        let mut c = small_cache(4);
-        assert_eq!(c.entry_age(1, t(5)), None);
-        c.insert(1, 1, 8, t(2), None);
-        assert_eq!(c.entry_age(1, t(5)), Some(SimDuration::from_secs(3)));
-        assert_eq!(c.stats().reads(), 0, "entry_age is not a read");
     }
 
     #[test]
@@ -1352,19 +1300,19 @@ mod tests {
         // keys larger than the whole cache must not evict it. Plain LRU
         // would lose it.
         let mut c = slru(8, 50);
-        c.insert(1, 1, 1, t(0), None);
+        put(&mut c, 1, 1, 1, t(0), None);
         assert!(c.get(1, t(1)).is_fresh_hit(), "hit promotes");
         for k in 100..120 {
-            c.insert(k, 1, 1, t(k), None);
+            put(&mut c, k, 1, 1, t(k), None);
         }
         assert!(c.contains(1), "protected entry survives the scan");
         assert!(c.get(1, t(200)).is_fresh_hit());
 
         let mut lru = small_cache(8);
-        lru.insert(1, 1, 1, t(0), None);
+        put(&mut lru, 1, 1, 1, t(0), None);
         lru.get(1, t(1));
         for k in 100..120 {
-            lru.insert(k, 1, 1, t(k), None);
+            put(&mut lru, k, 1, 1, t(k), None);
         }
         assert!(!lru.contains(1), "LRU control: the scan evicts key 1");
     }
@@ -1375,7 +1323,7 @@ mod tests {
         // 6th promotion demotes the coldest protected entry.
         let mut c = slru(10, 50);
         for k in 0..6u64 {
-            c.insert(k, 1, 1, t(k), None);
+            put(&mut c, k, 1, 1, t(k), None);
             c.get(k, t(10 + k)); // promote each
         }
         assert_eq!(c.len(), 6);
@@ -1387,9 +1335,9 @@ mod tests {
         // victim must be a probationary key, and specifically not one of
         // the five most recently promoted.
         for k in 100..104 {
-            c.insert(k, 1, 1, t(50 + k), None);
+            put(&mut c, k, 1, 1, t(50 + k), None);
         }
-        let evicted = c.insert(200, 1, 1, t(300), None);
+        let evicted = put(&mut c, 200, 1, 1, t(300), None);
         assert_eq!(evicted.len(), 1);
         assert!(
             evicted[0] == 0 || evicted[0] >= 100,
@@ -1401,12 +1349,12 @@ mod tests {
     #[test]
     fn slru_falls_back_to_protected_when_probation_empty() {
         let mut c = slru(2, 50);
-        c.insert(1, 1, 1, t(0), None);
-        c.insert(2, 1, 1, t(1), None);
+        put(&mut c, 1, 1, 1, t(0), None);
+        put(&mut c, 2, 1, 1, t(1), None);
         c.get(1, t(2));
         c.get(2, t(3)); // both promoted (cap*50% = 1 -> demotions ping-pong)
         // Inserting a new key must still find a victim.
-        let evicted = c.insert(3, 1, 1, t(4), None);
+        let evicted = put(&mut c, 3, 1, 1, t(4), None);
         assert_eq!(evicted.len(), 1);
         assert_eq!(c.len(), 2);
         assert!(c.contains(3));
@@ -1415,12 +1363,12 @@ mod tests {
     #[test]
     fn slru_stale_classification_still_works() {
         let mut c = slru(4, 50);
-        c.insert(1, 1, 1, t(0), None);
+        put(&mut c, 1, 1, 1, t(0), None);
         c.get(1, t(1)); // promote
         c.apply_invalidate(1);
         assert!(c.get(1, t(2)).is_stale_miss(), "protected entries can be stale too");
         // Re-insert heals and stays present.
-        c.insert(1, 2, 1, t(3), None);
+        put(&mut c, 1, 2, 1, t(3), None);
         assert!(c.get(1, t(4)).is_fresh_hit());
     }
 
@@ -1446,12 +1394,12 @@ mod tests {
         // one-shot keys larger than the whole cache churns T1 only.
         let mut c = arc(8);
         for k in [1, 2] {
-            c.insert(k, 1, 1, t(0), None);
+            put(&mut c, k, 1, 1, t(0), None);
             assert!(c.get(k, t(1)).is_fresh_hit());
             assert!(in_t2(&c, k), "a hit moves {k} to T2");
         }
         for k in 100..120 {
-            c.insert(k, 1, 1, t(k), None);
+            put(&mut c, k, 1, 1, t(k), None);
             c.check_invariants();
         }
         assert!(c.contains(1) && c.contains(2), "T2 survives the scan");
@@ -1462,14 +1410,14 @@ mod tests {
     fn arc_ghost_hits_adapt_p_and_land_in_t2() {
         let mut c = arc(4);
         for k in 1..=4 {
-            c.insert(k, 1, 1, t(k), None);
+            put(&mut c, k, 1, 1, t(k), None);
         }
         c.get(4, t(5)); // T1 = [3, 2, 1], T2 = [4]
         // p = 0 and |T1| = 3 > 0: REPLACE takes T1's tail into B1.
-        assert_eq!(c.insert(5, 1, 1, t(6), None), vec![1]);
+        assert_eq!(put(&mut c, 5, 1, 1, t(6), None), vec![1]);
         assert_eq!(c.ghosts.lens, [1, 0]);
         // Key 1 comes back: B1 hit, p ← 0 + max(0/1, 1) = 1, straight to T2.
-        let evicted = c.insert(1, 1, 1, t(7), None);
+        let evicted = put(&mut c, 1, 1, 1, t(7), None);
         assert_eq!(c.arc_p, 1);
         assert!(in_t2(&c, 1), "a ghost hit installs into T2");
         assert_eq!(evicted, vec![2], "|T1| = 3 > p = 1: T1's tail goes");
@@ -1478,9 +1426,9 @@ mod tests {
         // Fill T2 so REPLACE has a choice, then hit the B2 ghost.
         c.get(3, t(8));
         c.get(5, t(8)); // T1 = [], T2 = [5, 3, 1, 4]
-        assert_eq!(c.insert(6, 1, 1, t(9), None), vec![4], "T1 empty: T2's tail");
+        assert_eq!(put(&mut c, 6, 1, 1, t(9), None), vec![4], "T1 empty: T2's tail");
         assert_eq!(c.ghosts.lens, [1, 1]);
-        c.insert(4, 1, 1, t(10), None); // B2 hit: p ← 1 − max(1/1, 1) = 0
+        put(&mut c, 4, 1, 1, t(10), None); // B2 hit: p ← 1 − max(1/1, 1) = 0
         assert_eq!(c.arc_p, 0);
         assert!(in_t2(&c, 4));
         c.check_invariants();
@@ -1489,10 +1437,10 @@ mod tests {
     #[test]
     fn arc_remove_drops_the_ghost() {
         let mut c = arc(2);
-        c.insert(1, 1, 1, t(1), None);
-        c.insert(2, 1, 1, t(2), None);
+        put(&mut c, 1, 1, 1, t(1), None);
+        put(&mut c, 2, 1, 1, t(2), None);
         c.get(2, t(2));
-        c.insert(3, 1, 1, t(3), None);
+        put(&mut c, 3, 1, 1, t(3), None);
         assert!(is_ghost(&c, 1));
         assert!(!c.remove(1), "a ghost is not resident");
         assert!(!is_ghost(&c, 1), "remove drops the ghost");
@@ -1506,7 +1454,7 @@ mod tests {
         // evicts T1's tail without keeping a ghost.
         let mut c = arc(3);
         for k in 0..10 {
-            c.insert(k, 1, 1, t(k), None);
+            put(&mut c, k, 1, 1, t(k), None);
             c.check_invariants();
         }
         assert_eq!(c.ghosts.total(), 0);
@@ -1543,16 +1491,17 @@ mod tests {
                 for step in 0..5_000u64 {
                     let r = next();
                     let key = (r >> 8) % 128;
-                    let size = (r >> 20) as u32 % 128;
+                    let size = (r >> 20) as usize % 128;
                     let now = t(step / 10);
                     let absent = !c.contains(key);
+                    let value = Bytes::from(vec![0u8; size]);
                     match r % 8 {
-                        0 => drop(c.insert(key, step, size, now, Some(now + SimDuration::from_secs(3)))),
-                        1 => _ = c.insert_value(key, step, Bytes::from(vec![0u8; size as usize]), now, None),
+                        0 => drop(put(&mut c, key, step, size, now, Some(t(step / 10 + 3)))),
+                        1 => _ = c.insert_value(key, step, value, now, None),
                         2 | 3 => drop(c.get(key, now)),
                         4 => drop(c.get_bounded(key, now, bound(r % 5))),
                         5 => drop(c.apply_invalidate(key)),
-                        6 => drop(c.apply_update(key, step, size, now, None)),
+                        6 => drop(c.apply_update_value(key, step, value, now, None)),
                         _ => drop(c.remove(key)),
                     }
                     c.check_invariants();

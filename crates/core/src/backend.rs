@@ -125,11 +125,17 @@ impl Backend {
         }
     }
 
-    /// The cache populated `key`, evicting `evicted` (Adpt.+C.S.'s mirror).
-    pub fn on_populate(&mut self, key: u64, evicted: &[u64]) {
+    /// The cache populated `key` (Adpt.+C.S.'s mirror).
+    pub fn on_populate(&mut self, key: u64) {
         if let Rule::Adaptive { mirror: Some(mirror), .. } = &mut self.rule {
             mirror.on_populate(key);
-            evicted.iter().for_each(|&k| mirror.on_evict(k));
+        }
+    }
+
+    /// The cache evicted `key` (Adpt.+C.S.'s mirror).
+    pub fn on_evict(&mut self, key: u64) {
+        if let Rule::Adaptive { mirror: Some(mirror), .. } = &mut self.rule {
+            mirror.on_evict(key);
         }
     }
 
@@ -287,8 +293,9 @@ mod tests {
     fn mirror_skips_keys_the_cache_does_not_hold() {
         let policy = AdaptivePolicy::new(crate::policy::EstimatorConfig::Exact.build());
         let mut b = Backend::new(Rule::Adaptive { policy, mirror: Some(CacheStateMirror::new()) });
-        b.on_populate(1, &[]);
-        b.on_populate(2, &[1]);
+        b.on_populate(1);
+        b.on_populate(2);
+        b.on_evict(1);
         b.write(1, 8, SimTime::ZERO);
         b.write(2, 8, SimTime::ZERO);
         let batches = drain(&mut b, 1);

@@ -415,14 +415,12 @@ impl Run<'_> {
                 }
             }
             Message::Update { items, .. } => {
-                for it in items {
+                for UpdateItem { key, version, value } in items {
                     // Version guard: a delayed update must not overwrite
                     // newer data installed by a re-fetch.
-                    let newer = self.cache.peek(it.key).is_some_and(|e| e.version > it.version);
-                    if !newer
-                        && self.cache.apply_update(it.key, it.version, it.value_size(), now, None)
-                    {
-                        self.backend.refreshed(it.key);
+                    let newer = self.cache.peek(key).is_some_and(|e| e.version > version);
+                    if !newer && self.cache.apply_update_value(key, version, value, now, None) {
+                        self.backend.refreshed(key);
                     }
                 }
             }
@@ -432,7 +430,7 @@ impl Run<'_> {
 
     fn refresh(&mut self, now: SimTime, key: u64, generation: u64) {
         if self.generations.get(&key) == Some(&generation) && self.cache.contains(key) {
-            let value_size = self.cache.peek(key).map(|e| e.value_size).unwrap_or(0);
+            let value_size = self.cache.peek(key).map_or(0, |e| e.value.len() as u32);
             let size = ObjectSize { key: self.cfg.key_size, value: value_size };
             self.meters.on_polling_refresh(self.cfg.cost.miss_cost(size));
             let rec = self.backend.fetched(key, value_size);
@@ -478,12 +476,12 @@ impl Run<'_> {
             }
         };
         let rec = self.backend.fetched(key, size.value);
-        let evicted = self.cache.insert(key, rec.version, rec.value_size, now, expires);
+        let value = fresca_net::payload::zeroes(rec.value_size as usize);
+        self.cache.insert_with(key, rec.version, value, now, expires, |k| self.backend.on_evict(k));
         if !cold {
-            debug_assert!(evicted.is_empty(), "in-place refresh never evicts");
             return;
         }
-        self.backend.on_populate(key, &evicted);
+        self.backend.on_populate(key);
         if matches!(self.policy, PolicyConfig::TtlPolling) {
             let generation = self.generations.entry(key).or_insert(0);
             *generation += 1;

@@ -261,7 +261,7 @@ pub enum Message {
         /// Ops applied on a different event loop's partition of the
         /// shards than the loop that decoded them (see `docs/PROTOCOL.md`).
         cross_core_forwards: u64,
-        /// Live entries across all event-loop-owned slab shards.
+        /// Live entries across all of the node's slab shards.
         slab_entries: u64,
         /// Allocated slab slots (live + free-listed) across all owned
         /// shards — the slab memory high-water mark.

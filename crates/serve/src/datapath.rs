@@ -136,9 +136,12 @@ impl Topology {
     }
 }
 
-/// What every owner of one node shares: the version counter and the
-/// serving counters. Relaxed ordering everywhere: these are statistics
-/// (and a number dispenser), not synchronisation.
+/// A node's counters, one set shared by every owner and event loop: the
+/// version counter, the serving counters the owners bump and the
+/// reactor's own (requests decoded, connections, writes). Relaxed
+/// ordering everywhere: these are statistics (and a number dispenser),
+/// not synchronisation. `ServerStatsSnapshot` is their point-in-time
+/// copy.
 #[derive(Debug, Default)]
 pub struct Counters {
     // One global version counter: versions are monotone across all keys,
@@ -156,6 +159,14 @@ pub struct Counters {
     pub(crate) refetch_coalesced: AtomicU64,
     pub(crate) origin_errors: AtomicU64,
     pub(crate) handoff_in: AtomicU64,
+    pub(crate) gets: AtomicU64,
+    pub(crate) puts: AtomicU64,
+    pub(crate) push_batches: AtomicU64,
+    pub(crate) connections: AtomicU64,
+    pub(crate) open_connections: AtomicU64,
+    pub(crate) protocol_errors: AtomicU64,
+    pub(crate) cross_core_forwards: AtomicU64,
+    pub(crate) reply_writes: AtomicU64,
 }
 
 #[inline]

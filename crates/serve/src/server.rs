@@ -88,7 +88,6 @@ use crate::handoff::{Handoff, Streamer};
 use crate::mailbox::{LoopInbox, Mailbox};
 use crate::membership::Membership;
 use crate::ring::DEFAULT_VNODES;
-use crate::stats::ServerStats;
 pub use crate::stats::ServerStatsSnapshot;
 use crate::ServeClock;
 use fresca_cache::{CacheConfig, EvictionPolicy};
@@ -143,9 +142,7 @@ impl Default for ServerConfig {
 
 /// Everything an event loop needs to dispatch requests.
 struct Shared {
-    stats: ServerStats,
-    /// The version counter and serving counters every [`Owner`]
-    /// shares.
+    /// The node's counters, shared with every [`Owner`].
     counters: Arc<Counters>,
     clock: ServeClock,
     stop: AtomicBool,
@@ -172,7 +169,7 @@ struct Shared {
 impl Shared {
     fn snapshot(&self) -> ServerStatsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let (s, c) = (&self.stats, &*self.counters);
+        let c = &*self.counters;
         // Entries, slab slots and evictions, one shard lock at a time.
         let mut gauges = [0u64; 3];
         for owner in &self.owners {
@@ -182,23 +179,23 @@ impl Shared {
             }
         }
         ServerStatsSnapshot {
-            gets: load(&s.gets),
-            puts: load(&s.puts),
+            gets: load(&c.gets),
+            puts: load(&c.puts),
             fresh: load(&c.fresh),
             stale_served: load(&c.stale_served),
             refused: load(&c.refused),
             misses: load(&c.misses),
-            push_batches: load(&s.push_batches),
+            push_batches: load(&c.push_batches),
             keys_invalidated: load(&c.keys_invalidated),
             keys_updated: load(&c.keys_updated),
-            connections: load(&s.connections),
-            open_connections: load(&s.open_connections),
-            protocol_errors: load(&s.protocol_errors),
+            connections: load(&c.connections),
+            open_connections: load(&c.open_connections),
+            protocol_errors: load(&c.protocol_errors),
             refetches: load(&c.refetches),
             refetch_coalesced: load(&c.refetch_coalesced),
             origin_errors: load(&c.origin_errors),
-            cross_core_forwards: load(&s.cross_core_forwards),
-            reply_writes: load(&s.reply_writes),
+            cross_core_forwards: load(&c.cross_core_forwards),
+            reply_writes: load(&c.reply_writes),
             slab_entries: gauges[0],
             slab_capacity: gauges[1],
             evictions: gauges[2],
@@ -266,7 +263,6 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
         .map(|_| Mutex::new(Owner::new(topo, config.cache, Arc::clone(&counters))))
         .collect();
     let shared = Arc::new(Shared {
-        stats: ServerStats::default(),
         counters,
         clock: ServeClock::start(),
         stop: AtomicBool::new(false),
@@ -305,8 +301,8 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
                     break;
                 }
                 let Ok(conn) = conn else { continue };
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                shared.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                shared.counters.open_connections.fetch_add(1, Ordering::Relaxed);
                 mailboxes[next % mailboxes.len()].post(|inbox| inbox.conns.push(conn));
                 next += 1;
             }
@@ -753,7 +749,7 @@ impl EventLoop {
                             None => self.conns.push(Some(conn)),
                         },
                         _ => {
-                            self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                            self.shared.counters.open_connections.fetch_sub(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -852,7 +848,7 @@ impl EventLoop {
         if self.draining_since.is_some_and(|t| t.elapsed() >= DRAIN_GRACE) {
             return true;
         }
-        self.shared.stats.open_connections.load(Ordering::Relaxed) == 0
+        self.shared.counters.open_connections.load(Ordering::Relaxed) == 0
     }
 
     /// Route a late reply to the connection it is owed to — directly
@@ -919,7 +915,7 @@ impl EventLoop {
     fn flush_conn(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
         if conn.io.wants_write() {
-            self.shared.stats.reply_writes.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.reply_writes.fetch_add(1, Ordering::Relaxed);
         }
         let keep = match conn.io.flush() {
             Ok(_) => !conn.closing || conn.io.wants_write() || conn.in_flight > 0,
@@ -934,7 +930,7 @@ impl EventLoop {
     fn drop_conn(&mut self, slot: usize) {
         self.conns[slot] = None;
         self.free.push(slot);
-        self.shared.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+        self.shared.counters.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Drain FetchResps from the origin link (bounded per tick, like any
@@ -987,7 +983,7 @@ impl EventLoop {
     fn close_all(&self) {
         let waiting = self.peers[self.loop_id].inbox.lock().conns.len();
         let live = self.conns.iter().filter(|c| c.is_some()).count() + waiting;
-        self.shared.stats.open_connections.fetch_sub(live as u64, Ordering::Relaxed);
+        self.shared.counters.open_connections.fetch_sub(live as u64, Ordering::Relaxed);
     }
 
     /// Service one ready connection: decode complete frames (bounded per
@@ -1019,7 +1015,7 @@ impl EventLoop {
                             // serving-path nor store-path): the peer is
                             // confused or hostile either way; answer what
                             // preceded it, then close.
-                            self.shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                            self.shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                             conn.closing = true;
                             break;
                         }
@@ -1036,7 +1032,7 @@ impl EventLoop {
                             // Codec violation: frames are length-delimited so
                             // the stream is still aligned; deliver the
                             // replies already queued before closing.
-                            self.shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                            self.shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                             conn.closing = true;
                             break;
                         }
@@ -1065,7 +1061,7 @@ impl EventLoop {
         let to = ReplyTo { home: self.loop_id, slot, token: conn.token };
         match msg {
             Message::GetReq { id, key, max_staleness } => {
-                self.shared.stats.gets.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.gets.fetch_add(1, Ordering::Relaxed);
                 if let Some(ctx) = self.origin.as_mut() {
                     ctx.count_read(key);
                 }
@@ -1087,7 +1083,7 @@ impl EventLoop {
                 })
             }
             Message::PutReq { id, key, value, ttl } => {
-                self.shared.stats.puts.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.puts.fetch_add(1, Ordering::Relaxed);
                 self.route_request(key, to, Op::Put { id, key, value, ttl })
             }
             Message::Invalidate { seq, keys } => {
@@ -1208,7 +1204,7 @@ impl EventLoop {
     fn route(&mut self, key: u64, to: ReplyTo, op: Op) -> Applied {
         let topo = self.shared.topo;
         if topo.owner_of(key) != self.loop_id {
-            self.shared.stats.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.cross_core_forwards.fetch_add(1, Ordering::Relaxed);
         }
         // The clock is read after the op's socket read, so the op is
         // judged no earlier than it arrived — and before the lock, which
@@ -1248,7 +1244,7 @@ impl EventLoop {
         key_of: impl Fn(&T) -> u64,
         make_op: impl Fn(Vec<T>) -> Op,
     ) -> Dispatch {
-        self.shared.stats.push_batches.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.push_batches.fetch_add(1, Ordering::Relaxed);
         let mut parts: Vec<Vec<T>> = Vec::new();
         parts.resize_with(self.shared.topo.total_shards(), Vec::new);
         for item in items {
@@ -1296,7 +1292,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
-        handle.shared.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+        handle.shared.counters.open_connections.fetch_add(1, Ordering::Relaxed);
         handle.loops[0].mailbox.inbox.lock().conns.push(stream);
 
         let started = Instant::now();

@@ -1,25 +1,8 @@
-//! A node's counters as its operators see them: the reactor's own
-//! atomics ([`ServerStats`]) and the point-in-time copy of everything
-//! ([`ServerStatsSnapshot`]) that `ServerHandle::stats`, the `serve`
-//! binary's counter line and `StatsResp` are built from.
-
-use std::sync::atomic::AtomicU64;
-
-/// The reactor's own monotonically updated counters, shared across
-/// event-loop threads; the serving counters live with the shards (see
-/// [`crate::datapath::Counters`]). Relaxed ordering everywhere: these are statistics,
-/// not synchronisation.
-#[derive(Debug, Default)]
-pub(crate) struct ServerStats {
-    pub(crate) gets: AtomicU64,
-    pub(crate) puts: AtomicU64,
-    pub(crate) push_batches: AtomicU64,
-    pub(crate) connections: AtomicU64,
-    pub(crate) open_connections: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) cross_core_forwards: AtomicU64,
-    pub(crate) reply_writes: AtomicU64,
-}
+//! A node's counters as its operators see them: the point-in-time copy
+//! ([`ServerStatsSnapshot`]) of the node's one counter set
+//! ([`crate::datapath::Counters`]) and its slab gauges, which
+//! `ServerHandle::stats`, the `serve` binary's counter line and
+//! `StatsResp` are built from.
 
 /// A point-in-time copy of the server's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

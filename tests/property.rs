@@ -386,7 +386,9 @@ proptest! {
                     prop_assert_eq!(got, want, "get_bounded({}, {}) diverged", k, bound);
                 }
                 CacheOp::Insert(k, size, ttl) => {
-                    let got = real.insert(k, 1, size, t, Some(SimTime::from_nanos(now + ttl)));
+                    let expires = Some(SimTime::from_nanos(now + ttl));
+                    let mut got = Vec::new();
+                    real.insert_with(k, 1, vec![0u8; size as usize].into(), t, expires, |e| got.push(e));
                     let want = model.insert(k, size, now, Some(now + ttl));
                     prop_assert_eq!(got, want, "insert({}) evicted differently", k);
                 }
@@ -399,8 +401,8 @@ proptest! {
                     prop_assert_eq!(real.apply_invalidate(k), model.invalidate(k), "invalidate({})", k);
                 }
                 CacheOp::Update(k, size) => {
-                    let got = real.apply_update(k, 2, size, t, None);
-                    prop_assert_eq!(got, model.update(k, size, now), "apply_update({})", k);
+                    let got = real.apply_update_value(k, 2, vec![0u8; size as usize].into(), t, None);
+                    prop_assert_eq!(got, model.update(k, size, now), "apply_update_value({})", k);
                 }
                 CacheOp::Remove(k) => {
                     prop_assert_eq!(real.remove(k), model.remove(k), "remove({})", k);
