@@ -928,6 +928,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "flush",
     "accept",
     "connect",
+    "connect_timeout",
     "sleep",
     "recv",
     "recv_from",

@@ -402,6 +402,25 @@ fn partition_guard_held_across_a_connection_flush_is_flagged() {
 }
 
 #[test]
+fn origin_dial_under_an_inbox_guard_is_flagged() {
+    // A dial thread posts its result to the loop's inbox; dialing with
+    // the inbox's guard held stalls every sender for the whole connect.
+    let fx = Fixture::new("lock-dial");
+    fx.file(
+        "crates/serve/src/server.rs",
+        "fn dial(addr: SocketAddr, to: &Mailbox) {\n\
+         \x20   let mut inbox = to.inbox.lock();\n\
+         \x20   inbox.dialed = Some(TcpStream::connect_timeout(&addr, ORIGIN_CONNECT_TIMEOUT));\n\
+         }\n",
+    );
+    let report = fx.lint();
+    let v = violations(&report, "no-blocking-io-under-lock");
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].line, 3);
+    assert!(v[0].message.contains("connect_timeout"));
+}
+
+#[test]
 fn statement_temporary_guard_does_not_leak_into_the_next_statement() {
     // The reactor's actual shape: push under the lock (a temporary,
     // dropped at the `;`), then nudge the wake pipe.

@@ -118,26 +118,13 @@ impl<S: Read + Write> FramedStream<S> {
     /// clean EOF (the peer closed on a frame boundary); an EOF mid-frame
     /// is an [`io::ErrorKind::UnexpectedEof`] error, and a protocol
     /// violation (bad length, unknown tag, malformed fields) is an
-    /// [`io::ErrorKind::InvalidData`] error.
+    /// [`io::ErrorKind::InvalidData`] error; an expired read timeout is
+    /// an [`io::ErrorKind::WouldBlock`] error.
     pub fn recv(&mut self) -> io::Result<Option<Message>> {
-        loop {
-            match self.codec.next() {
-                Ok(Some(msg)) => return Ok(Some(msg)),
-                Ok(None) => {}
-                Err(e) => return Err(codec_err(e)),
-            }
-            let n = self.stream.read(&mut self.chunk)?;
-            if n == 0 {
-                return if self.codec.is_idle() {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream closed mid-frame",
-                    ))
-                };
-            }
-            self.codec.feed(&self.chunk[..n]);
+        match poll_recv_impl(&mut self.stream, &mut self.codec, &mut self.chunk)? {
+            PollRecv::Msg(msg) => Ok(Some(msg)),
+            PollRecv::Closed => Ok(None),
+            PollRecv::WouldBlock => Err(io::ErrorKind::WouldBlock.into()),
         }
     }
 }

@@ -3,18 +3,19 @@
 //!
 //! An [`Owner`] is one shard of a node's data: its slab, the
 //! in-flight-refetch table of its keys, and the serving counters it
-//! shares with every other shard. The rest — sockets, the poll set,
-//! inboxes, the origin links, and the lock each shard sits behind — is
-//! the reactor in [`crate::server`], which serialises the calls on a
-//! shard and calls in here to run them. Nothing in this file does I/O,
-//! takes a lock or reads a clock (fresca-lint's `lock-free-serve-path`
-//! rule): every entry takes `now` as a parameter, is *told* the state
-//! of the calling loop's origin link ([`Link`], carried by
-//! [`Op::Get`]), and *hands back* what has to leave the node — the key
-//! to fetch, the `(ReplyTo, Message)` pairs to deliver — instead of
-//! queuing it anywhere. So the one copy of the serving logic runs under
-//! the reactor at wall-clock time, under `#[test]` at a chosen `now`,
-//! and under the model checker (`tests/miniloom.rs`).
+//! shares with every other shard; `OriginLink` is one event loop's
+//! origin link without its socket. The rest — sockets, dials, the poll
+//! set, inboxes, and the lock each shard sits behind — is the reactor
+//! in [`crate::server`], which serialises the calls on a shard and
+//! calls in here to run them. Nothing in this file does I/O, takes a
+//! lock or reads a clock (fresca-lint's `lock-free-serve-path` rule):
+//! every entry takes `now` as a parameter, is *told* the state of the
+//! calling loop's origin link ([`Link`], carried by [`Op::Get`]), and
+//! *hands back* what has to leave the node — the key to fetch, the
+//! `(ReplyTo, Message)` pairs to deliver, a dial that is due — instead
+//! of queuing it anywhere. So the one copy of the serving logic runs
+//! under the reactor at wall-clock time, under `#[test]` at a chosen
+//! `now`, and under the model checker (`tests/miniloom.rs`).
 //!
 //! ## Ownership
 //!
@@ -75,7 +76,7 @@ use fresca_cache::refetch::{Park, RefetchTable};
 use fresca_cache::slab::SlabCache;
 use fresca_cache::{BoundedGet, CacheConfig, Capacity};
 use fresca_net::pin::{repin_small, DEFAULT_PIN_THRESHOLD};
-use fresca_net::{GetStatus, Message, RequestId, UpdateItem};
+use fresca_net::{GetStatus, Message, ReadStat, RequestId, UpdateItem};
 use fresca_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,16 +191,115 @@ pub struct ReplyTo {
 
 /// The state of the reading loop's origin link, as [`Op::Get`] carries
 /// it: whether a read that wants a refetch may open one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Link {
-    /// The node has no origin: refusals and misses are answered as they
-    /// are.
+    /// No origin: refusals and misses are answered as they are.
+    #[default]
     NoOrigin,
-    /// The link is down and its redial backoff running: a read joins a
-    /// fetch already in flight, or degrades to its fallback at once.
+    /// The link is down, backing off or redialling: a read joins a fetch
+    /// already in flight, or degrades to its fallback at once.
     Down,
     /// The link is up: a read may open a fetch on it.
     Up,
+}
+
+/// Hand the pending read-count batch over once this many reads
+/// accumulate…
+const READ_STATS_FLUSH_READS: u32 = 1024;
+
+/// …or once this many distinct keys do, whichever comes first.
+const READ_STATS_FLUSH_KEYS: usize = 256;
+
+/// With the origin link down, stop hoarding read counts past this many
+/// distinct keys — the estimator feed is advisory, memory is not.
+const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
+
+/// Backoff between origin dials. While it runs, refused and missed
+/// reads degrade to their fallback replies immediately.
+const ORIGIN_RETRY: SimDuration = SimDuration::from_secs(1);
+
+/// One event loop's origin link, minus the socket the loop owns: the
+/// [`Link`] its reads are told, when to dial again, the keys the link
+/// owes a `FetchResp` for and the read-count batch it carries.
+#[derive(Debug, Default)]
+pub(crate) struct OriginLink {
+    link: Link,
+    /// When the next dial is due; `None` while one is in flight, the
+    /// link is up or there is no origin.
+    retry_at: Option<SimTime>,
+    /// Keys whose `FetchReq` left on the link and whose `FetchResp`
+    /// has not come back: what an outage of the link fails.
+    owed: HashSet<u64>,
+    /// The read-count batch owed to the origin's `E[W]` estimator.
+    read_counts: HashMap<u64, u32>,
+    reads_pending: u32,
+}
+
+impl OriginLink {
+    /// With an `origin`, a link whose first dial is in flight; without,
+    /// reads are told [`Link::NoOrigin`] and no dial is ever due.
+    pub(crate) fn new(origin: bool) -> Self {
+        let link = if origin { Link::Down } else { Link::NoOrigin };
+        OriginLink { link, ..OriginLink::default() }
+    }
+
+    /// Count one decoded read for the origin's estimator (every read
+    /// counts once, parked or answered) and tell it the link's state.
+    pub(crate) fn read(&mut self, key: u64) -> Link {
+        if self.link != Link::NoOrigin {
+            *self.read_counts.entry(key).or_insert(0) += 1;
+            self.reads_pending += 1;
+        }
+        self.link
+    }
+
+    /// True when the backoff has run out at `now` with no dial in flight;
+    /// the caller's dial is in flight until [`dialed`](Self::dialed).
+    pub(crate) fn dial_due(&mut self, now: SimTime) -> bool {
+        self.retry_at.take_if(|at| now >= *at).is_some()
+    }
+
+    /// A dial finished at `now`: the link is up, or it backs off.
+    pub(crate) fn dialed(&mut self, up: bool, now: SimTime) {
+        self.link = if up { Link::Up } else { Link::Down };
+        self.retry_at = (!up).then(|| now + ORIGIN_RETRY);
+    }
+
+    /// `key`'s `FetchReq` left on the link, which now owes its answer.
+    pub(crate) fn sent(&mut self, key: u64) {
+        self.owed.insert(key);
+    }
+
+    /// `key`'s `FetchResp` came back on the link.
+    pub(crate) fn answered(&mut self, key: u64) {
+        self.owed.remove(&key);
+    }
+
+    /// The link died at `now`: back off, and hand back every key it owed.
+    pub(crate) fn lost(&mut self, now: SimTime) -> Vec<u64> {
+        self.dialed(false, now);
+        self.owed.drain().collect()
+    }
+
+    /// The pending read-count batch as a `ReadStats` frame, when it is
+    /// due and the link is up to carry it (with the link down, the
+    /// batch is shed once it outgrows its cap).
+    pub(crate) fn read_stats(&mut self) -> Option<Message> {
+        let keys = self.read_counts.len();
+        if self.link != Link::Up {
+            if keys > READ_STATS_MAX_BUFFERED_KEYS {
+                self.read_counts.clear();
+                self.reads_pending = 0;
+            }
+            return None;
+        }
+        if self.reads_pending < READ_STATS_FLUSH_READS && keys < READ_STATS_FLUSH_KEYS {
+            return None;
+        }
+        self.reads_pending = 0;
+        let entries = self.read_counts.drain().map(|(key, reads)| ReadStat { key, reads }).collect();
+        Some(Message::ReadStats { entries })
+    }
 }
 
 /// An operation on keys that all live in one shard — what the reactor
@@ -977,5 +1077,110 @@ mod tests {
             assert_eq!(gone, leaving(&key), "key {key}");
         }
         assert_eq!(o.gauges()[0], (0..90).filter(|k| !leaving(k)).count() as u64);
+    }
+
+    /// The link, up since `now`.
+    fn link_up(now: u64) -> OriginLink {
+        let mut l = OriginLink::new(true);
+        l.dialed(true, at(now));
+        l
+    }
+
+    /// The `(key, reads)` pairs of a `ReadStats` frame, by key.
+    fn stats(frame: Option<Message>) -> Vec<(u64, u32)> {
+        let Some(Message::ReadStats { entries }) = frame else { panic!("no ReadStats") };
+        let mut counts: Vec<(u64, u32)> = entries.iter().map(|e| (e.key, e.reads)).collect();
+        counts.sort_unstable();
+        counts
+    }
+
+    #[test]
+    fn a_redial_falls_due_once_per_retry_and_waits_on_the_dial_in_flight() {
+        const RETRY: u64 = ORIGIN_RETRY.as_nanos();
+        // The first dial is in flight from the start.
+        let mut l = OriginLink::new(true);
+        assert_eq!((l.read(1), l.dial_due(at(10 * RETRY))), (Link::Down, false));
+        l.dialed(true, at(0));
+        assert_eq!((l.read(1), l.dial_due(at(10 * RETRY))), (Link::Up, false));
+
+        let lost_at = 5 * RETRY;
+        l.lost(at(lost_at));
+        assert_eq!((l.read(1), l.dial_due(at(lost_at + RETRY - 1))), (Link::Down, false));
+        assert!(l.dial_due(at(lost_at + RETRY)));
+        // One dial in flight: nothing more is due until it is answered.
+        assert_eq!((l.read(1), l.dial_due(at(lost_at + 10 * RETRY))), (Link::Down, false));
+        // A failed dial backs off from when it failed.
+        let failed_at = lost_at + RETRY + 100;
+        l.dialed(false, at(failed_at));
+        assert_eq!((l.read(1), l.dial_due(at(failed_at + RETRY - 1))), (Link::Down, false));
+        assert!(l.dial_due(at(failed_at + RETRY)));
+        l.dialed(true, at(failed_at + RETRY + 5));
+        assert_eq!((l.read(1), l.dial_due(at(failed_at + 10 * RETRY))), (Link::Up, false));
+
+        // Without an origin a read is told so, counts nothing and no
+        // dial is ever due.
+        let mut none = OriginLink::new(false);
+        for key in 0..2 * READ_STATS_FLUSH_READS as u64 {
+            assert_eq!(none.read(key), Link::NoOrigin);
+        }
+        assert!(!none.dial_due(at(10 * RETRY)));
+        assert_eq!(none.read_stats(), None);
+    }
+
+    #[test]
+    fn a_lost_link_hands_back_exactly_the_keys_it_owed() {
+        let mut l = link_up(0);
+        for key in [4, 5, 6] {
+            l.sent(key);
+        }
+        l.answered(5);
+        let mut failed = l.lost(at(1));
+        failed.sort_unstable();
+        assert_eq!(failed, [4, 6]);
+        l.dialed(true, at(2));
+        assert_eq!(l.lost(at(3)), Vec::<u64>::new(), "nothing is owed twice");
+    }
+
+    #[test]
+    fn read_counts_leave_in_full_batches_and_are_shed_while_the_link_is_down() {
+        // Due at READ_STATS_FLUSH_READS reads…
+        let mut l = link_up(0);
+        for i in 1..READ_STATS_FLUSH_READS {
+            l.read(u64::from(i % 3));
+            assert_eq!(l.read_stats(), None, "{i} reads");
+        }
+        l.read(7);
+        assert_eq!(stats(l.read_stats()), [(0, 341), (1, 341), (2, 341), (7, 1)]);
+        assert_eq!(l.read_stats(), None, "every count leaves once");
+
+        // …or at READ_STATS_FLUSH_KEYS distinct keys.
+        let keys = READ_STATS_FLUSH_KEYS as u64;
+        for key in 1..keys {
+            l.read(key);
+            assert_eq!(l.read_stats(), None, "{key} keys");
+        }
+        l.read(keys);
+        assert_eq!(stats(l.read_stats()), (1..=keys).map(|k| (k, 1)).collect::<Vec<_>>());
+
+        // With the link down a batch waits for it, up to
+        // READ_STATS_MAX_BUFFERED_KEYS keys…
+        let cap = READ_STATS_MAX_BUFFERED_KEYS as u64;
+        l.lost(at(1));
+        for key in 0..cap {
+            l.read(key);
+        }
+        assert_eq!(l.read_stats(), None);
+        l.dialed(true, at(2));
+        assert_eq!(stats(l.read_stats()).len() as u64, cap);
+
+        // …and past that it is shed.
+        l.lost(at(3));
+        for key in 0..=cap {
+            l.read(key);
+        }
+        assert_eq!(l.read_stats(), None);
+        l.dialed(true, at(4));
+        l.read(cap + 1);
+        assert_eq!(l.read_stats(), None, "the shed batch is gone, the new one not due");
     }
 }

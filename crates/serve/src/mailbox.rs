@@ -1,11 +1,11 @@
 //! How threads talk to an event loop: each loop has one [`Mailbox`] —
-//! an inbox of accepted sockets and late replies, plus the self-pipe
-//! that wakes its poll — and every sender goes through
-//! [`Mailbox::post`]. Ops and fetches never travel here: any loop
-//! applies any op under its shard's lock and sends the fetches it opens
-//! on its own origin link (see [`crate::server`]). What crosses is a
-//! reply owed to another loop's connection: to a reader that joined a
-//! fetch this loop's link answered or failed.
+//! an inbox of accepted sockets, late replies and dialed origin links,
+//! plus the self-pipe that wakes its poll — and every sender goes
+//! through [`Mailbox::post`]. Ops and fetches never travel here: any
+//! loop applies any op under its shard's lock and sends the fetches it
+//! opens on its own origin link (see [`crate::server`]). What crosses
+//! is a reply owed to another loop's connection (to a reader that
+//! joined a fetch this loop's link answered or failed) and a dialed link.
 
 use crate::datapath::ReplyTo;
 use fresca_net::Message;
@@ -15,19 +15,20 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-/// What the accept thread and peer loops deposit for an event loop:
-/// freshly accepted sockets, and late replies for its connections,
-/// drained together on the next wake.
+/// What the accept thread, peer loops and dial threads deposit for an
+/// event loop — sockets, late replies, its origin link's dial — drained
+/// together on the next wake.
 #[derive(Default)]
 pub(crate) struct LoopInbox {
     pub(crate) conns: Vec<TcpStream>,
     pub(crate) replies: Vec<(ReplyTo, Message)>,
+    pub(crate) dialed: Option<io::Result<TcpStream>>,
 }
 
 /// One event loop's mailbox: its inbox and the self-pipe that wakes its
 /// poll. Every thread that talks to the loop — the accept thread, each
-/// peer loop, the `ServerHandle`'s shutdown — holds the same
-/// `Arc<Mailbox>`.
+/// peer loop, a dial thread, the `ServerHandle`'s shutdown — holds the
+/// same `Arc<Mailbox>`.
 pub(crate) struct Mailbox {
     pub(crate) inbox: Mutex<LoopInbox>,
     // Writing one byte wakes the loop's poll; non-blocking, so a full

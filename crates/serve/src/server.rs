@@ -69,21 +69,23 @@
 //! ## The origin link
 //!
 //! With [`ServerConfig::origin`] set, each event loop keeps one
-//! non-blocking connection to the origin and the set of keys whose
-//! `FetchResp` that link still owes. When [`Owner::apply`] parks a read
-//! and hands back its key, the reading loop queues the `FetchReq` on
-//! its own link and remembers the key; the `FetchResp` goes to
-//! [`Owner::fetched`] on the key's shard, and the replies it returns
-//! are delivered like any other late completion. The event loop never
-//! blocks on the origin: parked requests cost a table entry and
-//! unrelated keys keep serving. If a link dies, the loop fails only the
-//! keys it carried ([`Owner::fetch_failed`], one shard lock at a time),
-//! which answers every reader parked on them their fallback; it redials
-//! on a timer, and until then its reads that would open a fetch degrade
-//! at once. Each loop also counts the reads it decodes and sends the
-//! batch on its link as `ReadStats` frames.
+//! non-blocking connection to the origin, and an I/O-free `OriginLink`
+//! with the keys whose `FetchResp` that link still owes. When
+//! [`Owner::apply`] parks a read and hands back its key, the reading
+//! loop queues the `FetchReq` on its own link and remembers the key;
+//! the `FetchResp` goes to [`Owner::fetched`] on the key's shard, and
+//! the replies it returns are delivered like any other late completion.
+//! The event loop never blocks on the origin, nor dials it: parked
+//! requests cost a table entry and unrelated keys keep serving. If a
+//! link dies, the loop fails only the keys it carried
+//! ([`Owner::fetch_failed`], one shard lock at a time), which answers
+//! every reader parked on them their fallback. Once the backoff runs
+//! out, a dial thread redials and posts the link to the loop's
+//! `Mailbox`; until a later tick adopts it, reads that would open a
+//! fetch degrade at once. Each loop also counts the reads it decodes
+//! and sends the batch on its link as `ReadStats` frames.
 
-use crate::datapath::{Applied, Counters, Link, Op, Owner, ReplyTo, Topology};
+use crate::datapath::{Applied, Counters, Op, OriginLink, Owner, ReplyTo, Topology};
 use crate::handoff::{Handoff, Streamer};
 use crate::mailbox::{LoopInbox, Mailbox};
 use crate::membership::Membership;
@@ -91,10 +93,9 @@ use crate::ring::DEFAULT_VNODES;
 pub use crate::stats::ServerStatsSnapshot;
 use crate::ServeClock;
 use fresca_cache::{CacheConfig, EvictionPolicy};
-use fresca_net::{Message, NonBlockingFramedStream, PollRecv, ReadStat};
+use fresca_net::{Message, NonBlockingFramedStream, PollRecv};
 use minipoll::{Interest, PollSet, Readiness};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -164,6 +165,8 @@ struct Shared {
     advertise: String,
     /// The thread that does the blocking membership I/O for the loops.
     streamer: Streamer,
+    /// Where every loop's origin link dials ([`ServerConfig::origin`]).
+    origin: Option<SocketAddr>,
 }
 
 impl Shared {
@@ -214,7 +217,6 @@ struct LoopHandle {
 
 /// A running server. Dropping the handle does *not* stop the server; call
 /// [`ServerHandle::shutdown`] to stop the accept and event-loop threads.
-#[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -222,15 +224,9 @@ pub struct ServerHandle {
     loops: Vec<LoopHandle>,
 }
 
-impl std::fmt::Debug for Shared {
+impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for LoopHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoopHandle").finish_non_exhaustive()
+        f.debug_struct("ServerHandle").field("addr", &self.addr).finish_non_exhaustive()
     }
 }
 
@@ -272,6 +268,7 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
         membership: Mutex::new(Membership::solo()),
         advertise: advertise.unwrap_or_else(|| addr.to_string()),
         streamer: Streamer::spawn(),
+        origin: config.origin,
     });
 
     // Every loop's mailbox exists before any thread starts, so each
@@ -279,12 +276,19 @@ pub fn spawn_with_identity<A: ToSocketAddrs>(
     // first tick.
     let (mailboxes, wake_rxs): (Vec<_>, Vec<_>) =
         (0..num_loops).map(|_| Mailbox::new()).collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
+    // Every loop's first origin link is dialed at once and waits in its
+    // inbox, adopted on the loop's first tick ahead of any connection (so
+    // the first refused read parks): one connect timeout, not one a loop.
+    let dials: Vec<_> = mailboxes.iter().filter_map(|to| start_dial(config.origin?, to)).collect();
+    for dial in dials {
+        let _ = dial.join();
+    }
     let loops: Vec<LoopHandle> = wake_rxs
         .into_iter()
         .enumerate()
         .map(|(loop_id, wake_rx)| {
             let (shared, peers) = (Arc::clone(&shared), mailboxes.clone());
-            let event_loop = EventLoop::new(loop_id, wake_rx, peers, shared, config);
+            let event_loop = EventLoop::new(loop_id, wake_rx, peers, shared);
             LoopHandle {
                 mailbox: Arc::clone(&mailboxes[loop_id]),
                 join: std::thread::spawn(move || event_loop.run()),
@@ -422,99 +426,10 @@ struct Conn {
     handoff: bool,
 }
 
-/// Per-event-loop origin state: where the origin is, the link to it
-/// (when up), the redial backoff, the keys the link owes a `FetchResp`
-/// for and the read-count batch it carries. The readers parked on a
-/// fetch live with the key's [`Owner`].
-struct OriginCtx {
-    addr: SocketAddr,
-    /// The non-blocking connection this event loop refetches through.
-    link: Option<NonBlockingFramedStream<TcpStream>>,
-    /// Don't re-attempt a failed connect before this instant.
-    retry_at: Option<Instant>,
-    /// Keys whose `FetchReq` left on this link and whose `FetchResp`
-    /// has not come back: what an outage of the link fails.
-    owed: HashSet<u64>,
-    /// The read-count batch owed to the origin's `E[W]` estimator.
-    read_counts: HashMap<u64, u32>,
-    reads_pending: u32,
-}
-
-/// Hand the pending read-count batch over once this many reads
-/// accumulate…
-const READ_STATS_FLUSH_READS: u32 = 1024;
-
-/// …or once this many distinct keys do, whichever comes first.
-const READ_STATS_FLUSH_KEYS: usize = 256;
-
-/// With the origin link down, stop hoarding read counts past this many
-/// distinct keys — the estimator feed is advisory, memory is not.
-const READ_STATS_MAX_BUFFERED_KEYS: usize = 4096;
-
-/// How long a (blocking, inline) origin connect attempt may take. Kept
-/// short: it runs on the event-loop thread, at the top of a tick that
-/// finds the link down and the retry timer expired.
+/// How long an origin dial may take. It runs on a thread of its own:
+/// at startup before any loop starts, later on a short-lived dial
+/// thread, never on an event loop.
 const ORIGIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Backoff between origin connect attempts. While it runs, refused and
-/// missed reads degrade to their fallback replies immediately.
-const ORIGIN_RETRY: Duration = Duration::from_secs(1);
-
-impl OriginCtx {
-    /// Connect the origin link if it is down and the retry backoff has
-    /// expired. A failed attempt arms the backoff, during which reads
-    /// degrade immediately instead of queueing behind a dead endpoint.
-    fn ensure_link(&mut self) {
-        if self.link.is_some() {
-            return;
-        }
-        let now = Instant::now();
-        if self.retry_at.is_some_and(|at| now < at) {
-            return;
-        }
-        match TcpStream::connect_timeout(&self.addr, ORIGIN_CONNECT_TIMEOUT)
-            .and_then(|stream| {
-                stream.set_nodelay(true)?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            }) {
-            Ok(stream) => {
-                self.link = Some(NonBlockingFramedStream::new(stream));
-                self.retry_at = None;
-            }
-            Err(_) => self.retry_at = Some(now + ORIGIN_RETRY),
-        }
-    }
-
-    /// Count one decoded read for the origin's estimator: every read
-    /// counts exactly once, parked or answered.
-    fn count_read(&mut self, key: u64) {
-        *self.read_counts.entry(key).or_insert(0) += 1;
-        self.reads_pending += 1;
-    }
-
-    /// The pending read-count batch as a `ReadStats` frame, when it is
-    /// due and the link is up to carry it (with the link down, the
-    /// batch is shed once it outgrows its cap).
-    fn read_stats(&mut self) -> Option<Message> {
-        if self.link.is_none() {
-            if self.read_counts.len() > READ_STATS_MAX_BUFFERED_KEYS {
-                self.read_counts.clear();
-                self.reads_pending = 0;
-            }
-            return None;
-        }
-        if self.reads_pending < READ_STATS_FLUSH_READS
-            && self.read_counts.len() < READ_STATS_FLUSH_KEYS
-        {
-            return None;
-        }
-        self.reads_pending = 0;
-        let entries: Vec<ReadStat> =
-            self.read_counts.drain().map(|(key, reads)| ReadStat { key, reads }).collect();
-        (!entries.is_empty()).then_some(Message::ReadStats { entries })
-    }
-}
 
 /// Read-side backpressure: while a connection has more than this many
 /// unsent response bytes buffered, the reactor stops reading (and thus
@@ -568,7 +483,10 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_token: u64,
-    origin: Option<OriginCtx>,
+    /// The non-blocking connection this loop refetches through, if up.
+    link: Option<NonBlockingFramedStream<TcpStream>>,
+    /// The link's bookkeeping (see [`OriginLink`]).
+    origin: OriginLink,
     /// Slots whose connection had a late reply queued on an empty
     /// outbound queue this tick (see `deliver`); flushed once each
     /// and cleared at end of tick, so an entry never outlives the tick
@@ -586,47 +504,20 @@ impl EventLoop {
         wake_rx: UnixStream,
         peers: Vec<Arc<Mailbox>>,
         shared: Arc<Shared>,
-        config: ServerConfig,
     ) -> Self {
-        let mut origin = config.origin.map(|addr| OriginCtx {
-            addr,
-            link: None,
-            retry_at: None,
-            owed: HashSet::new(),
-            read_counts: HashMap::new(),
-            reads_pending: 0,
-        });
-        if let Some(ctx) = &mut origin {
-            // Dial the origin eagerly so the first refused read parks
-            // instead of degrading while the link is still down.
-            ctx.ensure_link();
-        }
         EventLoop {
             loop_id,
             wake_rx,
             outbox: peers.iter().map(|_| Vec::new()).collect(),
             peers,
-            shared,
             conns: Vec::new(),
             free: Vec::new(),
             next_token: 0,
-            origin,
+            link: None,
+            origin: OriginLink::new(shared.origin.is_some()),
+            shared,
             dirty: Vec::new(),
             draining_since: None,
-        }
-    }
-
-    /// The origin link, when this node has an origin and the link is up.
-    fn link_mut(&mut self) -> Option<&mut NonBlockingFramedStream<TcpStream>> {
-        self.origin.as_mut()?.link.as_mut()
-    }
-
-    /// What this loop's reads are told of its origin link.
-    fn link_state(&self) -> Link {
-        match &self.origin {
-            None => Link::NoOrigin,
-            Some(ctx) if ctx.link.is_some() => Link::Up,
-            Some(_) => Link::Down,
         }
     }
 
@@ -658,18 +549,15 @@ impl EventLoop {
             // The origin link polls at index 1 when present: always for
             // reads (a FetchResp can arrive any tick), for writes while
             // frames are buffered outbound.
-            let link_polled = match self.link_mut() {
-                Some(link) => {
-                    let mut interest = Interest::READABLE;
-                    if link.wants_write() {
-                        interest = interest.and(Interest::WRITABLE);
-                    }
-                    backlog |= link.has_buffered_frame();
-                    poll.push(link.get_ref().as_raw_fd(), interest);
-                    true
+            if let Some(link) = &self.link {
+                let mut interest = Interest::READABLE;
+                if link.wants_write() {
+                    interest = interest.and(Interest::WRITABLE);
                 }
-                None => false,
-            };
+                backlog |= link.has_buffered_frame();
+                poll.push(link.get_ref().as_raw_fd(), interest);
+            }
+            let link_polled = self.link.is_some();
             let base = 1 + usize::from(link_polled);
             for (slot, conn) in self.conns.iter().enumerate() {
                 let Some(conn) = conn else { continue };
@@ -711,11 +599,13 @@ impl EventLoop {
                 return;
             }
 
-            // A downed origin link is redialled here, once its backoff
-            // has run out: a read serviced below either opens its fetch
-            // on a live link or degrades at once.
-            if let Some(ctx) = self.origin.as_mut() {
-                ctx.ensure_link();
+            // A downed origin link is redialled once its backoff has run
+            // out, on a thread of its own: reads degrade at once until a
+            // later tick adopts the link the dial posts.
+            if let (Some(addr), None) = (self.shared.origin, &self.link) {
+                if self.origin.dial_due(self.shared.clock.now()) {
+                    start_dial(addr, &self.peers[self.loop_id]);
+                }
             }
 
             if poll.readiness(0).readable() {
@@ -734,8 +624,12 @@ impl EventLoop {
                 // releasing it: registration does syscalls per socket, and
                 // neither the accept thread nor peer loops must stall on
                 // the mutex during bursts.
-                let LoopInbox { conns: arrivals, replies } =
+                let LoopInbox { conns: arrivals, replies, dialed } =
                     std::mem::take(&mut *self.peers[self.loop_id].inbox.lock());
+                if let Some(dialed) = dialed {
+                    self.link = dialed.ok().map(NonBlockingFramedStream::new);
+                    self.origin.dialed(self.link.is_some(), self.shared.clock.now());
+                }
                 for stream in arrivals {
                     self.next_token += 1;
                     match register(stream, self.next_token) {
@@ -764,11 +658,10 @@ impl EventLoop {
             // Drain origin FetchResps next: completed refetches answer
             // their parked readers before this tick's new requests are
             // serviced, so a just-installed key is immediately servable.
-            if link_polled {
-                let buffered = self.link_mut().is_some_and(|l| l.has_buffered_frame());
-                if poll.readiness(1).any() || buffered {
-                    self.drain_origin(&mut scratch);
-                }
+            if (link_polled && poll.readiness(1).any())
+                || self.link.as_ref().is_some_and(|l| l.has_buffered_frame())
+            {
+                self.drain_origin(&mut scratch);
             }
 
             for (i, &slot) in slot_of.iter().enumerate() {
@@ -797,8 +690,8 @@ impl EventLoop {
             // queued while servicing connections. A write failure here is
             // an origin outage — fail every parked waiter to its fallback
             // and start the reconnect backoff.
-            let read_stats = self.origin.as_mut().and_then(OriginCtx::read_stats);
-            if let Some(link) = self.link_mut() {
+            let read_stats = self.origin.read_stats();
+            if let Some(link) = self.link.as_mut() {
                 if let Some(batch) = read_stats {
                     link.queue(&batch);
                 }
@@ -939,11 +832,10 @@ impl EventLoop {
     /// transport error or protocol violation on the link is an outage.
     fn drain_origin(&mut self, scratch: &mut [u8]) {
         for _ in 0..MAX_FRAMES_PER_TICK {
-            let Some(ctx) = self.origin.as_mut() else { return };
-            let Some(link) = ctx.link.as_mut() else { return };
+            let Some(link) = self.link.as_mut() else { return };
             match link.poll_recv_with(scratch) {
                 Ok(PollRecv::Msg(Message::FetchResp { key, version: _, value })) => {
-                    ctx.owed.remove(&key);
+                    self.origin.answered(key);
                     let now = self.shared.clock.now();
                     let shard = self.shared.topo.shard_of(key);
                     let replies = self.shared.owners[shard].lock().fetched(key, value, now);
@@ -965,10 +857,8 @@ impl EventLoop {
     /// at a time, delivering the fallback each parked reader is
     /// answered with.
     fn origin_outage(&mut self) {
-        let Some(ctx) = self.origin.as_mut() else { return };
-        ctx.link = None;
-        ctx.retry_at = Some(Instant::now() + ORIGIN_RETRY);
-        for key in std::mem::take(&mut ctx.owed) {
+        self.link = None;
+        for key in self.origin.lost(self.shared.clock.now()) {
             let shard = self.shared.topo.shard_of(key);
             let replies = self.shared.owners[shard].lock().fetch_failed(key);
             for (to, reply) in replies {
@@ -1062,10 +952,7 @@ impl EventLoop {
         match msg {
             Message::GetReq { id, key, max_staleness } => {
                 self.shared.counters.gets.fetch_add(1, Ordering::Relaxed);
-                if let Some(ctx) = self.origin.as_mut() {
-                    ctx.count_read(key);
-                }
-                let link = self.link_state();
+                let link = self.origin.read(key);
                 self.route_request(key, to, Op::Get { id, key, max_staleness, link })
             }
             Message::StatsReq => {
@@ -1104,13 +991,10 @@ impl EventLoop {
                     install,
                 })
             }
-            Message::RingReq => {
-                // Answer with the current view, whatever it is — the
-                // reply a client uses to (re)discover the ring after an
-                // epoch change or a reconnect.
-                let view = self.shared.membership.lock().clone();
-                Dispatch::Reply(Message::RingUpdate { epoch: view.epoch, members: view.members })
-            }
+            // Answer with the current view, whatever it is — the reply a
+            // client uses to (re)discover the ring after an epoch change
+            // or a reconnect.
+            Message::RingReq => self.membership_changed(None, None),
             Message::RingUpdate { epoch, members } => {
                 // A peer (or handoff streamer) pushes its view: adopt
                 // iff strictly newer, rebalance if adopted, and echo the
@@ -1141,12 +1025,12 @@ impl EventLoop {
         }
     }
 
-    /// Finish a join/leave: on a view change, rebalance locally and
-    /// broadcast the new view to every *other* member (via the handoff
-    /// thread — announcing is blocking I/O and stays off the reactor),
-    /// plus `departed` on a leave, so the leaver learns to hand its
-    /// keys off. Either way the caller is answered with the current
-    /// view.
+    /// Finish a join/leave (or answer a `RingReq`, which changes
+    /// nothing): on a view change, rebalance locally and broadcast the
+    /// new view to every *other* member (via the handoff thread —
+    /// announcing is blocking I/O and stays off the reactor), plus
+    /// `departed` on a leave, so the leaver learns to hand its keys off.
+    /// Either way the caller is answered with the current view.
     fn membership_changed(
         &mut self,
         changed: Option<(u64, Vec<String>)>,
@@ -1213,12 +1097,10 @@ impl EventLoop {
         let applied = self.shared.owners[topo.shard_of(key)].lock().apply(to, op, now);
         if let Applied::Parked { fetch: Some(key) } = applied {
             // The owner only opens a fetch when told the link is up; the
-            // if-lets keep this path structurally panic-free regardless.
-            if let Some(ctx) = self.origin.as_mut() {
-                if let Some(link) = ctx.link.as_mut() {
-                    link.queue(&Message::FetchReq { key });
-                    ctx.owed.insert(key);
-                }
+            // if-let keeps this path structurally panic-free regardless.
+            if let Some(link) = self.link.as_mut() {
+                link.queue(&Message::FetchReq { key });
+                self.origin.sent(key);
             }
         }
         applied
@@ -1259,6 +1141,23 @@ impl EventLoop {
         }
         Dispatch::Reply(Message::Ack { seq })
     }
+}
+
+/// Dial the origin on a thread of its own — the node's one `connect`
+/// to it — which posts the link, or the error, to `to`'s loop. A thread
+/// that cannot start is a failed dial. Only [`spawn`] joins the thread.
+fn start_dial(addr: SocketAddr, to: &Arc<Mailbox>) -> Option<JoinHandle<()>> {
+    let mailbox = Arc::clone(to);
+    let dial = move || {
+        let link = TcpStream::connect_timeout(&addr, ORIGIN_CONNECT_TIMEOUT).and_then(|stream| {
+            stream.set_nodelay(true)?;
+            stream.set_nonblocking(true)?;
+            Ok(stream)
+        });
+        mailbox.post(|inbox| inbox.dialed = Some(link));
+    };
+    let spawned = std::thread::Builder::new().name("origin-dial".into()).spawn(dial);
+    spawned.map_err(|e| to.post(|inbox| inbox.dialed = Some(Err(e)))).ok()
 }
 
 /// Put an accepted socket into non-blocking mode and wrap it for the

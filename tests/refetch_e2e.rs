@@ -514,3 +514,76 @@ fn coalesced_readers_are_answered_in_one_write() {
     handle.shutdown();
     origin.shutdown();
 }
+
+/// The origin link dies and comes back. While the redial backoff runs,
+/// a cold read degrades at once; once it has run out, reads make the
+/// loop dial again, and a cold read parks on the new link and is
+/// answered `Fresh` with what the origin sends on it.
+#[test]
+fn a_dead_origin_link_is_redialled_and_reads_park_again() {
+    const KEY: u64 = 77;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind held origin");
+    let handle = spawn_server(Some(listener.local_addr().unwrap()));
+    let (first, _) = listener.accept().expect("the node dials its origin at startup");
+    first.shutdown(Shutdown::Both).unwrap();
+
+    // Every read is of one cold key: degraded reads answer `Miss` at
+    // once, and once the link is back the first to park opens the one
+    // fetch that every later read joins.
+    let mut client = FramedStream::new(TcpStream::connect(handle.addr()).unwrap());
+    let mut sent = 0u64;
+    let mut read = |client: &mut FramedStream<TcpStream>| {
+        sent += 1;
+        let get = Message::GetReq { id: RequestId(sent), key: KEY, max_staleness: 10_000_000_000 };
+        client.send(&get).unwrap();
+    };
+    read(&mut client);
+    match client.recv().unwrap() {
+        Some(Message::GetResp { id, status, .. }) => {
+            assert_eq!((id, status), (RequestId(1), GetStatus::Miss))
+        }
+        other => panic!("expected a GetResp, got {other:?}"),
+    }
+    assert_eq!(handle.stats().origin_errors, 1, "the degraded read is an origin error");
+
+    // Reads, not a timer, make the loop dial once the backoff is over.
+    listener.set_nonblocking(true).unwrap();
+    let mut second = None;
+    wait_until("the node redials its origin", || {
+        read(&mut client);
+        second = listener.accept().ok().map(|(stream, _)| stream);
+        second.is_some()
+    });
+    let second = second.unwrap();
+    second.set_nonblocking(false).unwrap();
+    let mut link = FramedStream::new(second);
+
+    // Until the loop adopts the new link its reads still degrade.
+    wait_until("a cold read parks on the new link", || {
+        if handle.stats().refetches == 0 {
+            read(&mut client);
+        }
+        handle.stats().refetches == 1
+    });
+    assert_eq!(link.recv().unwrap(), Some(Message::FetchReq { key: KEY }));
+    link.send(&Message::FetchResp { key: KEY, version: 1, value: payload::pattern(KEY, 40) })
+        .unwrap();
+
+    // Every later read was answered once: `Miss` while the link was
+    // down, then `Fresh`, with the origin's bytes, for every read
+    // parked on it.
+    let (mut missed, mut fresh) = (1, 0);
+    for _ in 1..sent {
+        match client.recv().unwrap() {
+            Some(Message::GetResp { status: GetStatus::Miss, .. }) if fresh == 0 => missed += 1,
+            Some(Message::GetResp { status: GetStatus::Fresh, value, .. }) => {
+                assert_eq!(value, payload::pattern(KEY, 40));
+                fresh += 1;
+            }
+            other => panic!("expected a Miss or, after the fetch, a Fresh, got {other:?}"),
+        }
+    }
+    assert!(fresh >= 1, "no read parked on the redialled link");
+    let stats = handle.shutdown();
+    assert_eq!((stats.refetches, stats.origin_errors), (1, missed), "{stats:?}");
+}
